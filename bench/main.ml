@@ -501,7 +501,8 @@ let run_perf_benches ~skip_slow ~jobs () =
     };
   (* content-addressed cache: one cold populate of the grid against warm
      replays from the store. The cold run pays the full quadrature plus
-     encode/disk-write; the warm runs are pure lookups. The cache is
+     encode/disk-write; the warm runs are pure lookups, read from the
+     disk tier because grid tiles skip the memory tier. The cache is
      scoped to a throwaway directory and switched off again afterwards
      so no other bench sees it. *)
   let cache_dir = Filename.temp_dir "oshil-bench-cache" "" in

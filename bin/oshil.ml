@@ -172,8 +172,9 @@ let obs_args =
     Arg.(value & flag
          & info [ "cache" ]
              ~doc:"Enable the content-addressed result cache: \
-                   describing-function grids, Fourier coefficients and \
-                   complete transient waveforms are memoized on their \
+                   natural-oscillation solves, lock-range predictions, \
+                   describing-function grids and complete transient \
+                   waveforms are memoized on their \
                    full input (in-memory LRU plus an on-disk store) and \
                    replayed bit-identically. $(b,OSHIL_CACHE=1) sets \
                    the default.")

@@ -282,8 +282,14 @@ let op_text ~circuit op =
     (Spice.Circuit.node_names circuit);
   Buffer.contents b
 
+(* A %.9g field with its separator rarely exceeds 16 bytes: sizing the
+   buffer for that up front spares the doubling copies of a waveform
+   report hundreds of KB long. *)
 let tran_csv (res : Spice.Transient.result) =
-  let b = Buffer.create 4096 in
+  let b =
+    Buffer.create
+      (64 + (Array.length res.times * 16 * (1 + List.length res.signals)))
+  in
   let headers =
     List.map
       (function Spice.Transient.Node n -> n | _ -> "?")

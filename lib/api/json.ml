@@ -8,32 +8,53 @@ type t =
 
 (* --- printing ------------------------------------------------------- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\b' -> Buffer.add_string b "\\b"
-      | '\012' -> Buffer.add_string b "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let number_to_string v =
   if not (Float.is_finite v) then "null"
   else if Float.is_integer v && Float.abs v < 1e15 then
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%.17g" v
 
+let escape_of = function
+  | '"' -> Some "\\\""
+  | '\\' -> Some "\\\\"
+  | '\n' -> Some "\\n"
+  | '\r' -> Some "\\r"
+  | '\t' -> Some "\\t"
+  | '\b' -> Some "\\b"
+  | '\012' -> Some "\\f"
+  | c when Char.code c < 0x20 -> Some (Printf.sprintf "\\u%04x" (Char.code c))
+  | _ -> None
+
+(* runs of plain bytes go in as one substring *)
+let add_escaped b s =
+  let start = ref 0 in
+  String.iteri
+    (fun i c ->
+      match escape_of c with
+      | None -> ()
+      | Some e ->
+        Buffer.add_substring b s !start (i - !start);
+        Buffer.add_string b e;
+        start := i + 1)
+    s;
+  Buffer.add_substring b s !start (String.length s - !start)
+
+(* A response is an object around a report string of up to a few
+   hundred KB: sizing the buffer from the top-level strings, with room
+   for escapes, spares the doubling copies of a growing buffer. *)
+let size_hint v =
+  let str_len = function
+    | Str s -> String.length s + (String.length s / 8)
+    | _ -> 0
+  in
+  256
+  +
+  match v with
+  | Obj fields -> List.fold_left (fun acc (_, v) -> acc + str_len v) 0 fields
+  | v -> str_len v
+
 let to_string v =
-  let b = Buffer.create 256 in
+  let b = Buffer.create (size_hint v) in
   let rec go = function
     | Null -> Buffer.add_string b "null"
     | Bool true -> Buffer.add_string b "true"
@@ -41,7 +62,7 @@ let to_string v =
     | Num v -> Buffer.add_string b (number_to_string v)
     | Str s ->
       Buffer.add_char b '"';
-      Buffer.add_string b (escape s);
+      add_escaped b s;
       Buffer.add_char b '"'
     | List vs ->
       Buffer.add_char b '[';
@@ -57,7 +78,7 @@ let to_string v =
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char b ',';
           Buffer.add_char b '"';
-          Buffer.add_string b (escape k);
+          add_escaped b k;
           Buffer.add_string b "\":";
           go v)
         fields;

@@ -23,11 +23,9 @@ val to_string : t -> string
 (** Deterministic single-line rendering: no whitespace, object fields
     in insertion order, integral doubles printed without a fraction,
     others via [%.17g] (round-trips every finite double exactly);
-    non-finite numbers render as [null] (JSON has no NaN). *)
-
-val escape : string -> string
-(** JSON string-escape [s] (without the surrounding quotes): quotes
-    and backslashes escaped, control characters as [\u00XX]. *)
+    non-finite numbers render as [null] (JSON has no NaN). Strings are
+    escaped (quotes, backslashes, control characters as [\u00XX])
+    straight into the output buffer. *)
 
 val member : string -> t -> t option
 (** Field lookup; [None] on missing field or non-object. *)

@@ -137,36 +137,34 @@ let decoded ~tier ~decode blob =
     Obs.Metrics.incr "cache.decode_failures";
     None
 
-let find ?(disk = true) ~key ~decode () =
+let find ?(memory = true) ~key ~decode () =
   if not (enabled ()) then None
   else begin
     (* per-access locality event: which tier served this key's kind *)
     let outcome = ref "miss" in
     let hit =
-      match memory_find key with
+      match if memory then memory_find key else None with
       | Some blob ->
         let v = decoded ~tier:"cache.memory_hits" ~decode blob in
         if v <> None then outcome := "memory";
         v
       | None -> (
-        if not disk then None
-        else
-          match read_disk key with
-          | Disk_miss -> None
-          | Disk_corrupt ->
+        match read_disk key with
+        | Disk_miss -> None
+        | Disk_corrupt ->
+          quarantine key;
+          None
+        | Disk_blob blob -> (
+          match decoded ~tier:"cache.disk_hits" ~decode blob with
+          | Some v ->
+            if memory then memory_add key blob;
+            outcome := "disk";
+            Some v
+          | None ->
+            (* header matched but the payload does not unmarshal:
+               quarantine just like a bad header *)
             quarantine key;
-            None
-          | Disk_blob blob -> (
-            match decoded ~tier:"cache.disk_hits" ~decode blob with
-            | Some v ->
-              memory_add key blob;
-              outcome := "disk";
-              Some v
-            | None ->
-              (* header matched but the payload does not unmarshal:
-                 quarantine just like a bad header *)
-              quarantine key;
-              None))
+            None))
     in
     (match hit with None -> Obs.Metrics.incr "cache.misses" | Some _ -> ());
     if Obs.Event.enabled () then
@@ -175,18 +173,17 @@ let find ?(disk = true) ~key ~decode () =
     hit
   end
 
-let add ?(disk = true) ~key ~encode v =
+let add ?(memory = true) ~key ~encode v =
   if enabled () then begin
     let blob = encode v in
-    memory_add key blob;
-    if disk && write_disk key blob then Obs.Metrics.incr "cache.disk_writes"
+    if memory then memory_add key blob;
+    if write_disk key blob then Obs.Metrics.incr "cache.disk_writes"
   end
 
-let find_or_compute ?(disk = true) ?(cache_if = fun _ -> true) ~key ~encode
-    ~decode f =
-  match find ~disk ~key ~decode () with
+let find_or_compute ?(cache_if = fun _ -> true) ~key ~encode ~decode f =
+  match find ~key ~decode () with
   | Some v -> v
   | None ->
     let v = f () in
-    if cache_if v then add ~disk ~key ~encode v;
+    if cache_if v then add ~key ~encode v;
     v

@@ -66,27 +66,29 @@ val of_marshal : string -> 'a option
     because the kind/version/fields of the key pin the producing
     call site. *)
 
-val find : ?disk:bool -> key:Key.t -> decode:(string -> 'a option) -> unit ->
+val find :
+  ?memory:bool -> key:Key.t -> decode:(string -> 'a option) -> unit ->
   'a option
-(** Memory tier first, then (when [disk], default [true]) the disk
-    tier; a disk hit is promoted into the memory tier. Returns [None]
-    without touching any tier while the store is disabled. Meters
-    hits/misses. *)
+(** Memory tier first (when [memory], default [true]), then the disk
+    tier; a disk hit is promoted into the memory tier unless [memory]
+    is [false]. Returns [None] without touching any tier while the
+    store is disabled. Meters hits/misses. *)
 
-val add : ?disk:bool -> key:Key.t -> encode:('a -> string) -> 'a -> unit
-(** Store into the memory tier and (when [disk]) the disk tier. A
-    failed disk write (permissions, disk full) is silently dropped —
-    caching is an optimisation, never a failure source. No-op while
-    disabled. *)
+val add : ?memory:bool -> key:Key.t -> encode:('a -> string) -> 'a -> unit
+(** Store into the disk tier and (when [memory], default [true]) the
+    memory tier. [~memory:false] keeps large, rarely re-read values
+    (grid tiles) from displacing the small request-level entries the
+    memory tier exists for. A failed disk write (permissions, disk
+    full) is silently dropped — caching is an optimisation, never a
+    failure source. No-op while disabled. *)
 
 val find_or_compute :
-  ?disk:bool -> ?cache_if:('a -> bool) -> key:Key.t ->
-  encode:('a -> string) -> decode:(string -> 'a option) -> (unit -> 'a) ->
-  'a
+  ?cache_if:('a -> bool) -> key:Key.t -> encode:('a -> string) ->
+  decode:(string -> 'a option) -> (unit -> 'a) -> 'a
 (** [find_or_compute ~key ~encode ~decode f] — the memoization
     combinator: hit returns the cached value, miss computes [f ()] and
-    stores it when [cache_if] (default: always) accepts it. While the
-    store is disabled this is exactly [f ()]. *)
+    stores it in both tiers when [cache_if] (default: always) accepts
+    it. While the store is disabled this is exactly [f ()]. *)
 
 val stats_bytes : unit -> int
 (** Current memory-tier payload bytes (also exported as the

@@ -72,10 +72,10 @@ let run ?(check = `Enforce) ?points ?n_phi ?n_amp ?a_range ?reduction osc ~n ~vi
   let grid =
     Grid.sample ?points ?n_phi ?n_amp ?reduction osc.nl ~n ~r ~vi ~a_range ()
   in
-  Resilience.Deadline.check Shil ~phase:"analysis.solutions";
-  let locks_at_center = Solutions.find ?points grid ~phi_d:0.0 in
   Resilience.Deadline.check Shil ~phase:"analysis.lock-range";
   let lock_range = Lock_range.predict ?points grid ~tank:osc.tank in
+  (* the prediction's first probe already solved phi_d = 0 on this grid *)
+  let locks_at_center = lock_range.at_center in
   (* diagnostic: the n-th harmonic of the current at the reference
      amplitude — how much of the injected tone the nonlinearity itself
      regenerates. Uses the amplitude the study actually centred on. *)

@@ -12,46 +12,6 @@ let default_points = 1024
    own cache-key version. *)
 type reduction = [ `Exact | `Symmetry ]
 
-(* Single Fourier coefficients are small and re-requested constantly by
-   the solvers (Natural, Solutions, Lock_range all probe the same
-   amplitudes), so they get a memory-only cache tier — writing a 16-byte
-   complex to disk would cost more than recomputing it. Keys carry every
-   input of the quadrature; [vi]/[phi] are folded in as plain fields so
-   single-tone and two-tone coefficients share one kind. The [`Exact]
-   key is version 1, unchanged since the scalar kernel: batch evaluation
-   is bit-identical, so old cached values stay valid. [`Symmetry]
-   results are not bit-identical, so they hash under version 2 plus an
-   explicit reduction field. *)
-let coeff_key ?(reduction = `Exact) ~nl_key ~n ~a ~vi ~phi ~k ~points () =
-  let open Cache.Key in
-  let fields =
-    [
-      str "nl" nl_key;
-      int "n" n;
-      float "a" a;
-      float "vi" vi;
-      float "phi" phi;
-      int "k" k;
-      int "points" points;
-    ]
-  in
-  match reduction with
-  | `Exact -> v ~kind:"shil.df" ~version:1 fields
-  | `Symmetry -> v ~kind:"shil.df" ~version:2 (fields @ [ str "red" "sym" ])
-
-let cached_coeff ?reduction ~n ~a ~vi ~phi ~k ~points nl compute =
-  (* key construction is several %h-formatted sprintfs — skip it
-     entirely when the store is off, this sits on the solver hot path *)
-  if not (Cache.Store.enabled ()) then compute ()
-  else
-  match Nonlinearity.cache_key nl with
-  | None -> compute ()
-  | Some nl_key ->
-    let key = coeff_key ?reduction ~nl_key ~n ~a ~vi ~phi ~k ~points () in
-    (Cache.Store.find_or_compute ~disk:false ~key
-       ~encode:Cache.Store.to_marshal ~decode:Cache.Store.of_marshal compute
-      : Cx.t)
-
 (* Half-period identity (paper footnote 3 generalized): for odd f and
    odd sub-harmonic order n, v(θ+π) = −v(θ), hence i(θ+π) = −i(θ), and
    for odd harmonic k the projected integrand i(θ)·e^{−jkθ} is
@@ -105,13 +65,10 @@ let single_tone_coeff ?(reduction = `Exact) ~points ~k nl ~a =
   | `Symmetry -> quad_sym ~points ~k ~n:1 ~a ~vi:0.0 ~phi:0.0 nl
 
 let i1 ?(points = default_points) ?reduction nl ~a =
-  Cx.re
-    (cached_coeff ?reduction ~n:1 ~a ~vi:0.0 ~phi:0.0 ~k:1 ~points nl (fun () ->
-         single_tone_coeff ?reduction ~points ~k:1 nl ~a))
+  Cx.re (single_tone_coeff ?reduction ~points ~k:1 nl ~a)
 
 let ik ?(points = default_points) ?reduction nl ~a ~k =
-  cached_coeff ?reduction ~n:1 ~a ~vi:0.0 ~phi:0.0 ~k ~points nl (fun () ->
-      single_tone_coeff ?reduction ~points ~k nl ~a)
+  single_tone_coeff ?reduction ~points ~k nl ~a
 
 let two_tone_input nl ~n ~a ~vi ~phi theta =
   Nonlinearity.eval nl
@@ -134,14 +91,12 @@ let two_tone_coeff ?(reduction = `Exact) ~points ~k nl ~n ~a ~vi ~phi =
 let i1_two_tone ?(points = default_points) ?reduction nl ~n ~a ~vi ~phi =
   if n < 1 then invalid_arg "Describing_function: n must be >= 1";
   Obs.Metrics.incr "shil.df.i1_evals";
-  cached_coeff ?reduction ~n ~a ~vi ~phi ~k:1 ~points nl (fun () ->
-      two_tone_coeff ?reduction ~points ~k:1 nl ~n ~a ~vi ~phi)
+  two_tone_coeff ?reduction ~points ~k:1 nl ~n ~a ~vi ~phi
 
 let ik_two_tone ?(points = default_points) ?reduction nl ~n ~a ~vi ~phi ~k =
   if n < 1 then invalid_arg "Describing_function: n must be >= 1";
   Obs.Metrics.incr "shil.df.ik_evals";
-  cached_coeff ?reduction ~n ~a ~vi ~phi ~k ~points nl (fun () ->
-      two_tone_coeff ?reduction ~points ~k nl ~n ~a ~vi ~phi)
+  two_tone_coeff ?reduction ~points ~k nl ~n ~a ~vi ~phi
 
 let t_f_free ?points ?reduction nl ~r ~a =
   if a <= 0.0 then invalid_arg "Describing_function.t_f_free: a must be > 0";

@@ -17,23 +17,19 @@ val default_points : int
 
 type reduction = [ `Exact | `Symmetry ]
 (** Quadrature mode. [`Exact] (the default everywhere) evaluates the
-    full period with bit-identical batch kernels — results and cache
-    keys are unchanged from the scalar implementation. [`Symmetry]
+    full period with bit-identical batch kernels — results are
+    unchanged from the scalar implementation. [`Symmetry]
     exploits the odd-[f] half-period identity (for odd [f], odd [n] and
     odd harmonic [k], the projected integrand is π-periodic, so half the
     samples suffice) and synthesizes the injection tone from trig tables
     with tolerance-grade (not bit-identical) nonlinearity batches;
-    results agree with [`Exact] to quadrature accuracy and are cached
-    under a bumped key version. When the preconditions do not hold
+    results agree with [`Exact] to quadrature accuracy, and the
+    analyses built on them ([Grid], [Lock_range]) are cached under a
+    bumped key version. Single coefficients are never cached: a solver
+    touches hundreds of distinct ones per request, so the cache holds
+    whole analyses instead. When the preconditions do not hold
     ([Nonlinearity.odd] is false, even [n] or [k], odd [points]) the
     point count silently stays at the full period. *)
-
-val coeff_key :
-  ?reduction:reduction -> nl_key:string -> n:int -> a:float -> vi:float ->
-  phi:float -> k:int -> points:int -> unit -> Cache.Key.t
-(** The content address of one cached coefficient (exposed for tests and
-    tooling). [`Exact] keys are version 1 — unchanged since the scalar
-    kernel; [`Symmetry] keys are version 2 with a [red=sym] field. *)
 
 val i1 : ?points:int -> ?reduction:reduction -> Nonlinearity.t -> a:float -> float
 (** Single-tone fundamental coefficient [I_1(A)] — real by symmetry

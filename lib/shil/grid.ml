@@ -9,6 +9,8 @@ type t = {
   vi : float;
   phis : float array;
   amps : float array;
+  phi_range : float * float;
+  a_range : float * float;
   i1 : Cx.t array array;
   points : int;
   reduction : Df.reduction;
@@ -22,27 +24,40 @@ type t = {
    scalar quadrature bit for bit, so grids cached before the batch
    rewrite remain valid. [`Symmetry] grids are tolerance-grade and hash
    under version 2 plus an explicit reduction field. *)
+let key_fields_of ~nl_key ~n ~r ~vi ~p_lo ~p_hi ~n_phi ~n_amp ~a_lo ~a_hi
+    ~points =
+  let open Cache.Key in
+  [
+    str "nl" nl_key;
+    int "n" n;
+    float "r" r;
+    float "vi" vi;
+    float "p_lo" p_lo;
+    float "p_hi" p_hi;
+    int "n_phi" n_phi;
+    int "n_amp" n_amp;
+    float "a_lo" a_lo;
+    float "a_hi" a_hi;
+    int "points" points;
+  ]
+
+let versioned_key ~kind ~reduction fields =
+  match (reduction : Df.reduction) with
+  | `Exact -> Cache.Key.v ~kind ~version:1 fields
+  | `Symmetry ->
+    Cache.Key.v ~kind ~version:2 (fields @ [ Cache.Key.str "red" "sym" ])
+
 let cache_key ~reduction ~nl_key ~n ~r ~vi ~p_lo ~p_hi ~n_phi ~n_amp ~a_lo
     ~a_hi ~points =
-  let open Cache.Key in
-  let fields =
-    [
-      str "nl" nl_key;
-      int "n" n;
-      float "r" r;
-      float "vi" vi;
-      float "p_lo" p_lo;
-      float "p_hi" p_hi;
-      int "n_phi" n_phi;
-      int "n_amp" n_amp;
-      float "a_lo" a_lo;
-      float "a_hi" a_hi;
-      int "points" points;
-    ]
-  in
-  match reduction with
-  | `Exact -> v ~kind:"shil.grid" ~version:1 fields
-  | `Symmetry -> v ~kind:"shil.grid" ~version:2 (fields @ [ str "red" "sym" ])
+  versioned_key ~kind:"shil.grid" ~reduction
+    (key_fields_of ~nl_key ~n ~r ~vi ~p_lo ~p_hi ~n_phi ~n_amp ~a_lo ~a_hi
+       ~points)
+
+let key_fields g ~nl_key =
+  let p_lo, p_hi = g.phi_range and a_lo, a_hi = g.a_range in
+  key_fields_of ~nl_key ~n:g.n ~r:g.r ~vi:g.vi ~p_lo ~p_hi
+    ~n_phi:(Array.length g.phis) ~n_amp:(Array.length g.amps) ~a_lo ~a_hi
+    ~points:g.points
 
 let sample ?(points = 512) ?(phi_range = (0.0, 2.0 *. Float.pi)) ?(n_phi = 121)
     ?(n_amp = 101) ?(reduction = `Exact) nl ~n ~r ~vi ~a_range () =
@@ -63,7 +78,11 @@ let sample ?(points = 512) ?(phi_range = (0.0, 2.0 *. Float.pi)) ?(n_phi = 121)
   (* cacheable iff the nonlinearity carries a canonical identity; the
      stored value is just the [i1] matrix — [phis]/[amps] are rebuilt
      deterministically above, and only clean grids (no typed holes) are
-     ever stored, so a hit is bit-identical to a cold clean run *)
+     ever stored, so a hit is bit-identical to a cold clean run. A tile
+     is ~200 KB at the default size and a repeated analysis is served
+     by the [shil.lockrange] entry built on it, so tiles live on the
+     disk tier only: in memory they would crowd out the small
+     request-level entries. *)
   let key =
     Option.map
       (fun nl_key ->
@@ -75,7 +94,7 @@ let sample ?(points = 512) ?(phi_range = (0.0, 2.0 *. Float.pi)) ?(n_phi = 121)
     match key with
     | None -> None
     | Some key ->
-      (Cache.Store.find ~key ~decode:Cache.Store.of_marshal ()
+      (Cache.Store.find ~memory:false ~key ~decode:Cache.Store.of_marshal ()
         : Cx.t array array option)
   in
   match cached with
@@ -87,6 +106,8 @@ let sample ?(points = 512) ?(phi_range = (0.0, 2.0 *. Float.pi)) ?(n_phi = 121)
       vi;
       phis;
       amps;
+      phi_range;
+      a_range;
       i1;
       points;
       reduction;
@@ -188,9 +209,11 @@ let sample ?(points = 512) ?(phi_range = (0.0, 2.0 *. Float.pi)) ?(n_phi = 121)
   let failures = Resilience.Summary.make ~attempted:n_phi (List.rev !holes) in
   if Resilience.Summary.is_clean failures then
     Option.iter
-      (fun key -> Cache.Store.add ~key ~encode:Cache.Store.to_marshal i1)
+      (fun key ->
+        Cache.Store.add ~memory:false ~key ~encode:Cache.Store.to_marshal i1)
       key;
-  { nl; n; r; vi; phis; amps; i1; points; reduction; failures }
+  { nl; n; r; vi; phis; amps; phi_range; a_range; i1; points; reduction;
+    failures }
 
 let t_f_field g =
   Array.mapi

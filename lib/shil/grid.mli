@@ -15,6 +15,8 @@ type t = {
   vi : float;  (** injection phasor magnitude *)
   phis : float array;
   amps : float array;
+  phi_range : float * float;  (** the [phi_range] [phis] was spaced over *)
+  a_range : float * float;  (** the [a_range] [amps] was spaced over *)
   i1 : Numerics.Cx.t array array;  (** [i1.(i).(j)] at [(phis.(i), amps.(j))] *)
   points : int;  (** quadrature points used per sample *)
   reduction : Describing_function.reduction;
@@ -35,6 +37,18 @@ val cache_key :
     kernel, because the batch rewrite is bit-identical; [`Symmetry] keys
     are version 2 with a [red=sym] field. *)
 
+val key_fields : t -> nl_key:string -> Cache.Key.field list
+(** The {!cache_key} fields of this grid's inputs, reduction excluded —
+    for results derived from a grid ([Lock_range]) that must be keyed on
+    every input of it. *)
+
+val versioned_key :
+  kind:string -> reduction:Describing_function.reduction ->
+  Cache.Key.field list -> Cache.Key.t
+(** The key-versioning convention shared by every kind derived from the
+    describing-function quadrature: [`Exact] is version 1, [`Symmetry]
+    is version 2 with a trailing [red=sym] field. *)
+
 val sample :
   ?points:int -> ?phi_range:float * float -> ?n_phi:int -> ?n_amp:int ->
   ?reduction:Describing_function.reduction ->
@@ -51,6 +65,11 @@ val sample :
     nonlinearity and odd [n] each row integrates half a period, and over
     the default symmetric [phi_range] only half the rows are computed —
     the rest are conjugate mirrors ([I1(2π−φ) = conj I1(φ)]).
+
+    With [Cache.Store] on, clean grids are cached under {!cache_key} on
+    the disk tier only ([~memory:false]): a tile is about 200 KB at the
+    default size, and repeated analyses are served by the small
+    [shil.lockrange] entries instead.
 
     A row whose evaluation raises becomes a NaN-filled typed hole in
     [failures] (counter [resilience.grid.holes]) instead of aborting

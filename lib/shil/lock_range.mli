@@ -23,6 +23,15 @@ val phi_d_boundary :
     invariance trick). Returns 0. when even [phi_d = 0] has no stable
     lock. By §VI-B3 the boundary is symmetric in [+-phi_d]. *)
 
+val cache_key :
+  Grid.t -> nl_key:string -> tank:Tank.t -> points:int -> phi_d_cap:float ->
+  tol:float -> Cache.Key.t
+(** The content address of one {!predict} (exposed for tests and
+    tooling): kind [shil.lockrange], every {!Grid.key_fields} field plus
+    the tank's [r]/[l]/[c], the refinement [points], [phi_d_cap] and
+    [tol]; versioned like {!Grid.cache_key} ([`Exact] v1, [`Symmetry]
+    v2 with [red=sym]). *)
+
 val predict :
   ?points:int -> ?phi_d_cap:float -> ?tol:float -> Grid.t -> tank:Tank.t -> t
 (** Full prediction. The grid's [r] must equal [tank.r] (raises
@@ -33,6 +42,16 @@ val predict :
     A stability probe that raises becomes a typed hole in [failures]
     (counter [resilience.lockrange.holes]) and is treated as unstable
     instead of aborting, unless {!Resilience.Policy.set_fail_fast} is
-    on. Fault site [lock-probe] injects probe failures for testing. *)
+    on. Fault site [lock-probe] injects probe failures for testing.
+
+    The lock points at [phi_d = 0] are found once: the first boundary
+    probe and [at_center] share them.
+
+    With [Cache.Store] on, a clean grid and a nonlinearity with a
+    canonical identity, the prediction is cached under {!cache_key}. A
+    prediction with holes is never stored, a holed grid never looks one
+    up, and an armed {!Resilience.Fault} plan bypasses the entry both
+    ways (a faulted refine can drop a lock point without a hole), so a
+    hit is bit-identical to a cold clean run. *)
 
 val pp : Format.formatter -> t -> unit

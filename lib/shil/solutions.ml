@@ -51,8 +51,23 @@ let classify ?points ?reduction nl ~n ~r ~vi ~phi_d ~phi ~a =
   let det = (j11 *. j22) -. (j12 *. j21) in
   { phi; a; stable = trace < 0.0 && det > 0.0; trace; det }
 
+(* One-entry memo on a bit-equal argument pair. [Roots.newton2d]
+   evaluates the residual at the accepted damped point, then again at
+   the same point to open the next iteration; the memo answers the
+   second call, saving one exact quadrature per iteration. *)
+let memo_last f =
+  let last = ref None in
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  fun ((x, y) as arg) ->
+    match !last with
+    | Some ((x', y'), r) when same x x' && same y y' -> r
+    | _ ->
+      let r = f arg in
+      last := Some (arg, r);
+      r
+
 let refine ?points ?reduction nl ~n ~r ~vi ~phi_d ~phi0 ~a0 =
-  let f = residuals ?points ?reduction nl ~n ~r ~vi ~phi_d in
+  let f = memo_last (residuals ?points ?reduction nl ~n ~r ~vi ~phi_d) in
   let ectx =
     if Obs.Event.enabled () then
       Some (Obs.Event.ctx ~cell:(phi0, a0) "shil.refine")

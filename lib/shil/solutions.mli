@@ -16,6 +16,16 @@ val residuals :
 (** [(T_f - 1, sin(angle(-I_1) + phi_d))] at [(phi, a)] — the exact
     (non-gridded) residual pair that {!refine} drives to zero. *)
 
+val refine :
+  ?points:int -> ?reduction:Describing_function.reduction ->
+  Nonlinearity.t -> n:int -> r:float -> vi:float -> phi_d:float ->
+  phi0:float -> a0:float -> (float * float) option
+(** [Numerics.Roots.newton2d] (tol 1e-12) on {!residuals} from
+    [(phi0, a0)]; [None] when it does not converge. The residual is
+    memoised on its last (bit-equal) argument, so the accepted damped
+    point is not quadrated again when the next iteration opens on it:
+    same result, one exact quadrature fewer per iteration. *)
+
 val classify :
   ?points:int -> ?reduction:Describing_function.reduction ->
   Nonlinearity.t -> n:int -> r:float -> vi:float ->

@@ -3,17 +3,22 @@
 # stats endpoints, protocol robustness (malformed JSON gets a typed
 # parse-failure and the daemon keeps serving), CLI/daemon byte-identity
 # on a real scenario, fault-injection through the serve-request site
-# (retry recovery, and typed degradation with retries off), and the
+# (retry recovery, and typed degradation with retries off), the
 # graceful SIGTERM drain contract (exit 0, socket removed, trace
-# flushed). Driven by `dune build @serve-smoke`; also in CI.
+# flushed), and a daemon with the result cache on whose repeated and
+# waveform responses match the cache-off bytes. Driven by
+# `dune build @serve-smoke`; also in CI.
 #
-# Usage: serve_smoke.sh path/to/oshil.exe path/to/scenario.scn
+# Usage: serve_smoke.sh path/to/oshil.exe path/to/scenario.scn path/to/netlist.cir
 set -u
 
-OSHIL=${1:?usage: serve_smoke.sh OSHIL_EXE SCENARIO}
-SCN=${2:?usage: serve_smoke.sh OSHIL_EXE SCENARIO}
+USAGE="usage: serve_smoke.sh OSHIL_EXE SCENARIO NETLIST"
+OSHIL=${1:?$USAGE}
+SCN=${2:?$USAGE}
+NET=${3:?$USAGE}
 case "$OSHIL" in /*) ;; *) OSHIL=$PWD/$OSHIL ;; esac
 case "$SCN" in /*) ;; *) SCN=$PWD/$SCN ;; esac
+case "$NET" in /*) ;; *) NET=$PWD/$NET ;; esac
 
 # Unix socket paths are length-limited (~107 bytes); dune build dirs can
 # exceed that, so the sockets live in a throwaway /tmp dir.
@@ -113,5 +118,34 @@ drain "$SRV" "leg3"
 "$OSHIL" stats "$DIR/t3.jsonl" \
   --assert-counter resilience.faults.serve-request > /dev/null \
   || fail "leg3: fault counter missing from flushed trace"
+
+# --- leg 4: cache on -> repeats and waveforms keep the cache-off bytes
+
+# reference bytes from the in-process api with the cache forced off
+TRAN_ARGS=(--file "$NET" --tstop 1e-7 --dt 2e-11 --probe t)
+OSHIL_CACHE=0 "$OSHIL" api shil --id c-shil > "$DIR/shil.ref"
+OSHIL_CACHE=0 "$OSHIL" api netlist-tran "${TRAN_ARGS[@]}" --id c-tran \
+  > "$DIR/tran.ref"
+
+"$OSHIL" serve -l "unix:$SOCK" --cache --cache-dir "$DIR/cache" \
+  --trace "$DIR/t4.jsonl" > "$DIR/srv4.log" 2>&1 &
+SRV=$!
+wait_sock "$SOCK" || fail "leg4: daemon socket never appeared"
+
+# the first shil request fills the cache, the second is served from it
+for k in 1 2; do
+  "$OSHIL" call -c "unix:$SOCK" shil --id c-shil > "$DIR/shil.$k"
+  diff "$DIR/shil.ref" "$DIR/shil.$k" \
+    || fail "leg4: shil response $k with the cache on differs from cache off"
+done
+"$OSHIL" call -c "unix:$SOCK" netlist-tran "${TRAN_ARGS[@]}" --id c-tran \
+  > "$DIR/tran.out"
+diff "$DIR/tran.ref" "$DIR/tran.out" \
+  || fail "leg4: netlist-tran response with the cache on differs from cache off"
+
+drain "$SRV" "leg4"
+[ -d "$DIR/cache/shil.lockrange" ] || fail "leg4: no lock range was cached"
+"$OSHIL" stats "$DIR/t4.jsonl" --assert-counter cache.hits > /dev/null \
+  || fail "leg4: the repeated shil request did not hit the cache"
 
 echo "serve-smoke: PASS"

@@ -140,17 +140,41 @@ let test_store_disabled_is_inert () =
   Alcotest.(check bool) "disk untouched" true
     (Sys.readdir (Store.dir ()) = [||])
 
+let entry_path k =
+  Filename.concat (Filename.concat (Store.dir ()) (Key.kind k)) (Key.digest k ^ ".bin")
+
+let shard_exists kind = Sys.file_exists (Filename.concat (Store.dir ()) kind)
+
+let bit_equal a b =
+  Array.for_all2
+    (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+    a b
+
 let test_store_memory_roundtrip () =
   Store.set_enabled true;
   let k = sample_key () in
-  Store.add ~disk:false ~key:k ~encode:Store.to_marshal roundtrip_value;
-  match Store.find ~disk:false ~key:k ~decode:Store.of_marshal () with
+  Store.add ~key:k ~encode:Store.to_marshal roundtrip_value;
+  (* with the disk copy gone only the memory tier can answer *)
+  Sys.remove (entry_path k);
+  match Store.find ~key:k ~decode:Store.of_marshal () with
   | None -> Alcotest.fail "expected a memory hit"
   | Some (v : float array) ->
-    Alcotest.(check bool) "bit-identical floats" true
-      (Array.for_all2
-         (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
-         roundtrip_value v)
+    Alcotest.(check bool) "bit-identical floats" true (bit_equal roundtrip_value v)
+
+let test_store_disk_only_entries () =
+  Store.set_enabled true;
+  let k = sample_key () in
+  Store.add ~memory:false ~key:k ~encode:Store.to_marshal roundtrip_value;
+  Alcotest.(check int) "memory tier untouched" 0 (Store.stats_bytes ());
+  Alcotest.(check bool) "entry on disk" true (Sys.file_exists (entry_path k));
+  (match Store.find ~memory:false ~key:k ~decode:Store.of_marshal () with
+  | None -> Alcotest.fail "expected a disk hit"
+  | Some (v : float array) ->
+    Alcotest.(check bool) "bit-identical floats" true (bit_equal roundtrip_value v));
+  Alcotest.(check int) "disk hit not promoted" 0 (Store.stats_bytes ());
+  (* a default lookup of the same key still promotes *)
+  ignore (Store.find ~key:k ~decode:(Store.of_marshal : string -> float array option) ());
+  Alcotest.(check bool) "default find promotes" true (Store.stats_bytes () > 0)
 
 let test_store_disk_roundtrip () =
   Store.set_enabled true;
@@ -161,9 +185,7 @@ let test_store_disk_roundtrip () =
   | None -> Alcotest.fail "expected a disk hit"
   | Some (v : float array) ->
     Alcotest.(check bool) "bit-identical after disk trip" true
-      (Array.for_all2
-         (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
-         roundtrip_value v));
+      (bit_equal roundtrip_value v));
   (* the disk hit promoted the entry back into the memory tier *)
   Alcotest.(check bool) "promoted to memory" true (Store.stats_bytes () > 0)
 
@@ -189,11 +211,7 @@ let test_store_corrupt_disk_entry () =
   Store.clear_memory ();
   (* truncate the entry mid-blob: header verification + decode must turn
      it into a quarantined miss, never an exception or garbage *)
-  let path =
-    Filename.concat
-      (Filename.concat (Store.dir ()) (Key.kind k))
-      (Key.digest k ^ ".bin")
-  in
+  let path = entry_path k in
   let contents = In_channel.with_open_bin path In_channel.input_all in
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc
@@ -402,25 +420,184 @@ let test_faulty_grid_not_cached () =
       let holed = small_grid () in
       Alcotest.(check bool) "grid has holes" false
         (Resilience.Summary.is_clean holed.failures);
-      Alcotest.(check int) "holed grid not stored" 0 (Store.stats_bytes ()))
+      Alcotest.(check bool) "holed grid not stored" false
+        (shard_exists "shil.grid"))
 
-let test_df_coeff_cache_identity () =
-  let nl = Shil.Nonlinearity.neg_tanh ~g0:2e-3 ~isat:1e-3 in
-  let probe () =
-    Shil.Describing_function.i1_two_tone ~points:256 nl ~n:3 ~a:1.1 ~vi:0.07
-      ~phi:0.9
-  in
-  let cold = probe () in
+let tanh_nl = Shil.Nonlinearity.neg_tanh ~g0:2e-3 ~isat:1e-3
+
+let small_tank =
+  let wc = 2.0 *. Float.pi *. 1e6 in
+  Shil.Tank.make ~r:1e3 ~l:(100.0 /. wc) ~c:(1.0 /. (100.0 *. wc))
+
+let natural_bits sols =
+  List.concat_map
+    (fun (s : Shil.Natural.solution) ->
+      [ Int64.bits_of_float s.a; Int64.bits_of_float s.slope ])
+    sols
+
+let lock_range_bits (lr : Shil.Lock_range.t) =
+  List.map Int64.bits_of_float
+    ([
+       lr.phi_d_max; lr.f_osc_low; lr.f_osc_high; lr.f_inj_low; lr.f_inj_high;
+       lr.delta_f_inj;
+     ]
+    @ List.concat_map
+        (fun (p : Shil.Solutions.point) -> [ p.phi; p.a; p.trace; p.det ])
+        lr.at_center)
+
+let predict_small () =
+  Shil.Lock_range.predict ~points:128 ~tol:1e-3 (small_grid ()) ~tank:small_tank
+
+let test_df_analysis_cache_identity () =
+  let natural () = Shil.Natural.solve ~points:256 tanh_nl ~r:1e3 in
+  let cold_nat = natural () and cold_lr = predict_small () in
   Store.set_enabled true;
-  ignore (probe ());
-  let warm = probe () in
+  let pop_nat = natural () and pop_lr = predict_small () in
+  let warm_nat = natural () and warm_lr = predict_small () in
+  Store.clear_memory ();
+  let disk_nat = natural () and disk_lr = predict_small () in
   Store.set_enabled false;
-  Alcotest.(check bool) "coefficient bit-identical" true
-    (Int64.bits_of_float (Cx.re cold) = Int64.bits_of_float (Cx.re warm)
-    && Int64.bits_of_float (Cx.im cold) = Int64.bits_of_float (Cx.im warm));
-  (* memory-only tier: no disk shard for shil.df *)
-  Alcotest.(check bool) "no shil.df on disk" true
-    (not (Sys.file_exists (Filename.concat (Store.dir ()) "shil.df")))
+  Alcotest.(check bool) "natural populate == cold" true
+    (natural_bits pop_nat = natural_bits cold_nat);
+  Alcotest.(check bool) "natural warm == cold" true
+    (natural_bits warm_nat = natural_bits cold_nat);
+  Alcotest.(check bool) "natural disk replay == cold" true
+    (natural_bits disk_nat = natural_bits cold_nat);
+  Alcotest.(check bool) "lock range populate == cold" true
+    (lock_range_bits pop_lr = lock_range_bits cold_lr);
+  Alcotest.(check bool) "lock range warm == cold" true
+    (lock_range_bits warm_lr = lock_range_bits cold_lr);
+  Alcotest.(check bool) "lock range disk replay == cold" true
+    (lock_range_bits disk_lr = lock_range_bits cold_lr);
+  Alcotest.(check bool) "cached lock range is clean" true
+    (Resilience.Summary.is_clean warm_lr.failures);
+  List.iter
+    (fun kind -> Alcotest.(check bool) (kind ^ " on disk") true (shard_exists kind))
+    [ "shil.natural"; "shil.lockrange"; "shil.grid" ];
+  (* the per-coefficient tier is gone *)
+  Alcotest.(check bool) "no shil.df on disk" false (shard_exists "shil.df")
+
+let with_faults plan f =
+  (match Resilience.Fault.configure plan with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m);
+  Fun.protect ~finally:Resilience.Fault.clear f
+
+let test_holed_lock_range_not_cached () =
+  Store.set_enabled true;
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      let holed = with_faults "lock-probe@0x3" predict_small in
+      Alcotest.(check bool) "prediction has holes" false
+        (Resilience.Summary.is_clean holed.failures);
+      Alcotest.(check bool) "holed prediction not stored" false
+        (shard_exists "shil.lockrange");
+      (* holes without a fault plan: a spent deadline turns every probe
+         into a hole on a clean grid, and only the hole check keeps the
+         result out *)
+      let g = small_grid () in
+      let expired =
+        Resilience.Deadline.with_deadline ~seconds:0.0 (fun () ->
+            Shil.Lock_range.predict ~points:128 ~tol:1e-3 g ~tank:small_tank)
+      in
+      Alcotest.(check bool) "deadline leaves holes" false
+        (Resilience.Summary.is_clean expired.failures);
+      Alcotest.(check bool) "deadline-holed prediction not stored" false
+        (shard_exists "shil.lockrange");
+      let clean = predict_small () in
+      Alcotest.(check bool) "clean rerun is clean" true
+        (Resilience.Summary.is_clean clean.failures);
+      Alcotest.(check bool) "clean prediction stored" true
+        (shard_exists "shil.lockrange"))
+
+(* A faulted refine drops lock points without recording a hole, so an
+   armed fault plan must keep the lock-range entry out of both
+   directions: nothing stored, nothing served. *)
+let test_faulted_lock_range_bypasses () =
+  let cold = predict_small () in
+  Store.set_enabled true;
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      ignore (with_faults "roots-fail@0" predict_small);
+      Alcotest.(check bool) "fault fired" true
+        (Obs.Metrics.counter_value "resilience.faults.roots-fail" > 0);
+      Alcotest.(check bool) "faulted prediction not stored" false
+        (shard_exists "shil.lockrange");
+      let clean = predict_small () in
+      Alcotest.(check bool) "clean rerun == cold" true
+        (lock_range_bits clean = lock_range_bits cold);
+      Alcotest.(check bool) "clean prediction stored" true
+        (shard_exists "shil.lockrange");
+      (* a stored entry is not served to a faulted run either: the
+         planned fault still fires *)
+      Obs.reset ();
+      ignore (with_faults "roots-fail@0" predict_small);
+      Alcotest.(check bool) "fault fires despite a stored entry" true
+        (Obs.Metrics.counter_value "resilience.faults.roots-fail" > 0))
+
+let test_grid_tiles_disk_only () =
+  Store.set_enabled true;
+  let g = small_grid () in
+  Alcotest.(check bool) "grid is clean" true
+    (Resilience.Summary.is_clean g.failures);
+  Alcotest.(check int) "no tile in the memory tier" 0 (Store.stats_bytes ());
+  Alcotest.(check bool) "tile on disk" true (shard_exists "shil.grid");
+  let again = small_grid () in
+  Alcotest.(check bool) "disk hit == first run" true (i1_bits again = i1_bits g);
+  Alcotest.(check int) "disk hit not promoted" 0 (Store.stats_bytes ())
+
+(* The daemon's cache contract on the whole request path: a repeat
+   answers from the shil.lockrange entry, with the bytes of a cache-off
+   run and none of the boundary search or grid work. *)
+let test_repeated_shil_request () =
+  let req =
+    {
+      Api.Request.id = "r";
+      deadline_s = None;
+      payload =
+        Shil
+          {
+            osc = Builtin "tanh";
+            n = 3;
+            vi = 0.03;
+            reduced = false;
+            finj = None;
+          };
+    }
+  in
+  let run () =
+    match Api.execute req with
+    | Ok report -> report
+    | Error e -> Alcotest.fail (Resilience.Oshil_error.to_string e)
+  in
+  let cold = run () in
+  Store.set_enabled true;
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      let first = run () in
+      let counter = Obs.Metrics.counter_value in
+      let probes = counter "shil.lockrange.probes"
+      and f_evals = counter "shil.grid.f_evals" in
+      Alcotest.(check bool) "first run searched" true (probes > 0 && f_evals > 0);
+      let repeat = run () in
+      Alcotest.(check string) "populate == cache off" cold first;
+      Alcotest.(check string) "repeat == cache off" cold repeat;
+      Alcotest.(check int) "repeat adds no lock-range probes" probes
+        (counter "shil.lockrange.probes");
+      Alcotest.(check int) "repeat adds no grid work" f_evals
+        (counter "shil.grid.f_evals"))
 
 let test_transient_cache_identity () =
   (* the BJT differential pair is pure data (no behavioural device), so
@@ -551,6 +728,8 @@ let () =
             (fresh test_store_disabled_is_inert);
           Alcotest.test_case "memory round-trip" `Quick
             (fresh test_store_memory_roundtrip);
+          Alcotest.test_case "disk-only entries (~memory:false)" `Quick
+            (fresh test_store_disk_only_entries);
           Alcotest.test_case "disk round-trip + promotion" `Quick
             (fresh test_store_disk_roundtrip);
           Alcotest.test_case "version bump invalidates" `Quick
@@ -577,8 +756,16 @@ let () =
             (fresh test_uncacheable_nl_bypasses);
           Alcotest.test_case "grid: holed grids are not stored" `Quick
             (fresh test_faulty_grid_not_cached);
-          Alcotest.test_case "df: coefficient cache bit-identity" `Quick
-            (fresh test_df_coeff_cache_identity);
+          Alcotest.test_case "grid: tiles stay on the disk tier" `Quick
+            (fresh test_grid_tiles_disk_only);
+          Alcotest.test_case "df: analysis cache bit-identity" `Quick
+            (fresh test_df_analysis_cache_identity);
+          Alcotest.test_case "lockrange: holed results not stored" `Quick
+            (fresh test_holed_lock_range_not_cached);
+          Alcotest.test_case "lockrange: fault plans bypass the cache" `Quick
+            (fresh test_faulted_lock_range_bypasses);
+          Alcotest.test_case "api: repeated shil hits the cache" `Quick
+            (fresh test_repeated_shil_request);
           Alcotest.test_case "transient: waveform cache bit-identity" `Quick
             (fresh test_transient_cache_identity);
           Alcotest.test_case "transient: behavioural circuits bypass" `Quick

@@ -369,23 +369,55 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
-let test_df_key_versions () =
-  let key ?reduction () =
-    Df.coeff_key ?reduction ~nl_key:"tanh|g0=2e-3" ~n:3 ~a:1.0 ~vi:0.2
-      ~phi:0.5 ~k:1 ~points:512 ()
+(* a tiny exact grid: the lock-range key is built from a grid's inputs *)
+let key_grid () =
+  Grid.sample ~points:64 ~n_phi:5 ~n_amp:5 tanh_nl ~n:3 ~r:1e3 ~vi:0.2
+    ~a_range:(0.3, 1.4) ()
+
+let key_tank =
+  let wc = 2.0 *. Float.pi *. 1e6 in
+  Shil.Tank.make ~r:1e3 ~l:(100.0 /. wc) ~c:(1.0 /. (100.0 *. wc))
+
+let test_analysis_key_versions () =
+  let natural =
+    Cache.Key.preimage
+      (Shil.Natural.cache_key ~nl_key:"tanh|g0=2e-3" ~r:1e3 ~points:1024
+         ~a_min:1e-4 ~a_max:10.0 ~scan:400)
   in
-  let exact = Cache.Key.preimage (key ()) in
-  let reduced = Cache.Key.preimage (key ~reduction:`Symmetry ()) in
-  (* v1 is the pre-batch scalar kernel's version: bit-identity means the
-     batch path MUST keep producing it *)
-  Alcotest.(check bool) "exact v1" true (has_prefix ~prefix:"shil.df/v1|" exact);
+  Alcotest.(check bool) "natural v1" true
+    (has_prefix ~prefix:"shil.natural/v1|" natural);
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) ("natural has " ^ f) true (contains ~sub:f natural))
+    [ "nl=tanh"; "r="; "points=1024"; "a_min="; "a_max="; "scan=400" ];
+  let g = key_grid () in
+  let key (g : Grid.t) =
+    Shil.Lock_range.cache_key g ~nl_key:"tanh|g0=2e-3" ~tank:key_tank
+      ~points:1024 ~phi_d_cap:1.4 ~tol:1e-5
+  in
+  let exact = key g and reduced = key { g with reduction = `Symmetry } in
+  let exact_pre = Cache.Key.preimage exact in
+  let reduced_pre = Cache.Key.preimage reduced in
+  Alcotest.(check bool) "lockrange exact v1" true
+    (has_prefix ~prefix:"shil.lockrange/v1|" exact_pre);
   Alcotest.(check bool) "exact has no red field" false
-    (contains ~sub:"red=" exact);
-  Alcotest.(check bool) "sym v2" true
-    (has_prefix ~prefix:"shil.df/v2|" reduced);
-  Alcotest.(check bool) "sym red field" true (contains ~sub:"red=sym" reduced);
+    (contains ~sub:"red=" exact_pre);
+  Alcotest.(check bool) "lockrange sym v2" true
+    (has_prefix ~prefix:"shil.lockrange/v2|" reduced_pre);
+  Alcotest.(check bool) "sym red field" true
+    (contains ~sub:"red=sym" reduced_pre);
+  (* every grid key field, then the tank and the probe settings *)
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) ("lockrange has " ^ f) true
+        (contains ~sub:f exact_pre))
+    [
+      "nl="; "n=3"; ";r="; "vi="; "p_lo="; "p_hi="; "n_phi=5"; "n_amp=5";
+      "a_lo="; "a_hi="; "points=64"; "tank_r="; ";l="; ";c=";
+      "refine_points=1024"; "phi_d_cap="; "tol=";
+    ];
   Alcotest.(check bool) "distinct digests" true
-    (Cache.Key.digest (key ()) <> Cache.Key.digest (key ~reduction:`Symmetry ()))
+    (Cache.Key.digest exact <> Cache.Key.digest reduced)
 
 let test_grid_key_versions () =
   let key reduction =
@@ -401,29 +433,98 @@ let test_grid_key_versions () =
 
 (* --- cache: warm hit == cold compute, in both modes ----------------- *)
 
+let lock_range_bits (lr : Shil.Lock_range.t) =
+  List.map Int64.bits_of_float
+    ([ lr.phi_d_max; lr.f_inj_low; lr.f_inj_high; lr.delta_f_inj ]
+    @ List.concat_map
+        (fun (p : Shil.Solutions.point) -> [ p.phi; p.a; p.trace; p.det ])
+        lr.at_center)
+
 let test_cached_reduced_equals_cold () =
-  let was = Cache.Store.enabled () in
+  let was = Cache.Store.enabled () and dir = Cache.Store.dir () in
+  let tmp = Filename.temp_dir "oshil-test-kernel-cache" "" in
   Fun.protect
     ~finally:(fun () ->
-      Cache.Store.clear_memory ();
+      Cache.Store.set_memory_capacity ();
+      Cache.Store.set_dir dir;
       Cache.Store.set_enabled was)
     (fun () ->
-      Cache.Store.set_enabled true;
-      Cache.Store.clear_memory ();
-      let probe reduction =
-        Df.i1_two_tone ~points:256 ~reduction tanh_nl ~n:3 ~a:0.9 ~vi:0.2
-          ~phi:0.4
+      Cache.Store.set_dir tmp;
+      Cache.Store.set_memory_capacity ();
+      let predict reduction =
+        let g =
+          Grid.sample ~points:64 ~n_phi:31 ~n_amp:21 ~reduction tanh_nl ~n:3
+            ~r:1e3 ~vi:0.2 ~a_range:(0.3, 1.45) ()
+        in
+        lock_range_bits
+          (Shil.Lock_range.predict ~points:128 ~tol:1e-3 g ~tank:key_tank)
       in
-      let cold_exact = probe `Exact and cold_red = probe `Symmetry in
-      let warm_exact = probe `Exact and warm_red = probe `Symmetry in
-      check_bits "exact warm re" (Cx.re cold_exact) (Cx.re warm_exact);
-      check_bits "exact warm im" (Cx.im cold_exact) (Cx.im warm_exact);
-      check_bits "reduced warm re" (Cx.re cold_red) (Cx.re warm_red);
-      check_bits "reduced warm im" (Cx.im cold_red) (Cx.im warm_red);
+      Cache.Store.set_enabled false;
+      let cold_exact = predict `Exact and cold_red = predict `Symmetry in
+      Cache.Store.set_enabled true;
+      let pop_exact = predict `Exact and pop_red = predict `Symmetry in
+      let warm_exact = predict `Exact and warm_red = predict `Symmetry in
+      Alcotest.(check bool) "exact populate == cold" true (pop_exact = cold_exact);
+      Alcotest.(check bool) "exact warm == cold" true (warm_exact = cold_exact);
+      Alcotest.(check bool) "reduced populate == cold" true (pop_red = cold_red);
+      Alcotest.(check bool) "reduced warm == cold" true (warm_red = cold_red);
       (* the two modes must not have served each other's entries *)
-      Alcotest.(check bool) "modes distinct" true
-        (not (same_bits (Cx.im cold_exact) (Cx.im cold_red))
-        || Cx.abs (Cx.sub cold_exact cold_red) = 0.0))
+      Alcotest.(check bool) "modes distinct" true (cold_exact <> cold_red))
+
+(* --- the residual memo inside Solutions.refine ----------------------- *)
+
+let test_refine_memo () =
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      let i1_evals f =
+        let before = Obs.Metrics.counter_value "shil.df.i1_evals" in
+        let v = f () in
+        (v, Obs.Metrics.counter_value "shil.df.i1_evals" - before)
+      in
+      let nl = tanh_nl and n = 3 and r = 1e3 and vi = 0.2 and phi_d = 0.0 in
+      (* find is deterministic: a second run gives the same points *)
+      let g =
+        Grid.sample ~points:64 ~n_phi:31 ~n_amp:21 tanh_nl ~n ~r ~vi
+          ~a_range:(0.3, 1.45) ()
+      in
+      let find () = Shil.Solutions.find ~points:256 g ~phi_d in
+      let bits pts =
+        List.concat_map
+          (fun (p : Shil.Solutions.point) ->
+            List.map Int64.bits_of_float [ p.phi; p.a; p.trace; p.det ])
+          pts
+      in
+      let first = find () in
+      Alcotest.(check bool) "same points" true (bits first = bits (find ()));
+      let p =
+        match first with
+        | p :: _ -> p
+        | [] -> Alcotest.fail "no lock point to refine from"
+      in
+      (* a start off the solution, so Newton needs several iterations *)
+      let phi0 = p.phi +. 0.05 and a0 = p.a *. 1.03 in
+      let raw, raw_evals =
+        i1_evals (fun () ->
+            Numerics.Roots.newton2d ~tol:1e-12
+              ~f:(Shil.Solutions.residuals ~points:256 nl ~n ~r ~vi ~phi_d)
+              ~x0:(phi0, a0) ())
+      in
+      let memo, memo_evals =
+        i1_evals (fun () ->
+            Shil.Solutions.refine ~points:256 nl ~n ~r ~vi ~phi_d ~phi0 ~a0)
+      in
+      (match memo with
+      | Some (phi, a) ->
+        check_bits "phi" (fst raw) phi;
+        check_bits "a" (snd raw) a
+      | None -> Alcotest.fail "memoised refine did not converge");
+      if not (memo_evals < raw_evals) then
+        Alcotest.failf "memo saved nothing: %d vs %d quadratures" memo_evals
+          raw_evals)
 
 (* --- metrics: ik_two_tone counts under its own counter -------------- *)
 
@@ -485,11 +586,15 @@ let () =
         ] );
       ( "cache",
         [
-          Alcotest.test_case "df key versions" `Quick test_df_key_versions;
+          Alcotest.test_case "analysis key versions" `Quick
+            test_analysis_key_versions;
           Alcotest.test_case "grid key versions" `Quick test_grid_key_versions;
           Alcotest.test_case "warm = cold both modes" `Quick
             test_cached_reduced_equals_cold;
         ] );
       ( "metrics",
-        [ Alcotest.test_case "ik counter" `Quick test_ik_evals_counter ] );
+        [
+          Alcotest.test_case "ik counter" `Quick test_ik_evals_counter;
+          Alcotest.test_case "refine memo" `Quick test_refine_memo;
+        ] );
     ]

@@ -62,7 +62,20 @@ let test_json_print () =
           [
             ("a", Json.Num 1.0);
             ("b", Json.List [ Json.Bool true; Json.Null ]);
-          ]))
+          ]));
+  (* the writer sizes its output up front: every escape class, empty
+     containers and escaped keys must come out at exactly that size *)
+  Alcotest.(check string) "control escapes" {|"\r\t\b\f\u0001x"|}
+    (Json.to_string (Json.Str "\r\t\b\012\001x"));
+  Alcotest.(check string) "empty containers" {|[[],{},""]|}
+    (Json.to_string (Json.List [ Json.List []; Json.Obj []; Json.Str "" ]));
+  Alcotest.(check string) "escaped key" {|{"k\"1":false,"":-2.5}|}
+    (Json.to_string
+       (Json.Obj [ ("k\"1", Json.Bool false); ("", Json.Num (-2.5)) ]));
+  let csv = String.concat "\n" (List.init 2000 (fun i -> Printf.sprintf "%d,\"%d\"" i i)) in
+  let v = Json.Obj [ ("report", Json.Str csv); ("n", Json.Num 2000.0) ] in
+  Alcotest.(check bool) "large report round-trips" true
+    (Json.parse (Json.to_string v) = Ok v)
 
 (* ------------------------------------------------------------------ *)
 (* Request codec *)
