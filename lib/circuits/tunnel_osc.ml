@@ -26,9 +26,14 @@ let default =
     kick = 20e-6;
   }
 
+(* the simulator's device record, field for field, as the theory
+   library's model: Shil does not depend on Spice *)
+let model ({ is; eta; vth; r0; v0; m } : Spice.Device.tunnel_params) :
+    Shil.Nonlinearity.tunnel_model =
+  { is; eta; vth; r0; v0; m }
+
 let nonlinearity p =
-  let params v = Spice.Device.tunnel_iv p.tunnel v in
-  Shil.Nonlinearity.tunnel_diode ~params ~bias:p.vbias ()
+  Shil.Nonlinearity.tunnel_diode ~model:(model p.tunnel) ~bias:p.vbias ()
 
 let extraction_fv ?(v_span = 0.6) ?(steps = 240) p =
   let circuit v =

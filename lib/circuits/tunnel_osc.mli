@@ -23,8 +23,12 @@ val default : params
 val fc_paper : float
 (** 0.5033 GHz: [1/(2 pi sqrt(100 nH * 1 pF))]. *)
 
+val model : Spice.Device.tunnel_params -> Shil.Nonlinearity.tunnel_model
+(** The device parameters as {!Shil.Nonlinearity}'s tunnel model. *)
+
 val nonlinearity : params -> Shil.Nonlinearity.t
-(** The bias-shifted analytic model of the appendix. *)
+(** The bias-shifted analytic model of the appendix, [p.tunnel]
+    converted with {!model}: fused batch loop and a cache key. *)
 
 val nonlinearity_extracted : ?v_span:float -> ?steps:int -> params -> Shil.Nonlinearity.t
 (** Same curve but obtained with a DC sweep on the MNA simulator (the

@@ -591,6 +591,16 @@ let pp ppf (r : t) =
           bk.site bk.probes bk.hits bk.width0 bk.width)
       r.brackets
   end;
+  (* lock-point solving (Shil.Solutions): candidates a lock-range probe
+     left unrefined after its first stable lock count as skipped *)
+  (match List.assoc_opt "shil.solutions.candidates" r.counters with
+  | None -> ()
+  | Some refined ->
+    let c k = Option.value ~default:0 (List.assoc_opt k r.counters) in
+    fprintf ppf "-- lock-point candidates@,";
+    fprintf ppf "  refined %d  skipped %d  refine fails %d  classified %d@,"
+      refined (c "shil.solutions.skipped") (c "shil.solutions.refine_fails")
+      (c "shil.solutions.classified"));
   if r.cache <> [] then begin
     fprintf ppf "-- cache locality@,";
     List.iter

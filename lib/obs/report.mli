@@ -12,7 +12,10 @@
       children, from interval nesting per domain);
     - transient step-control, bisection-bracket, cache-locality and
       allocation summaries from their event kinds;
-    - histogram p50/p90/p99 quantiles and the resilience counters.
+    - histogram p50/p90/p99 quantiles and the resilience counters;
+    - in the table, the lock-point candidate counters
+      ([shil.solutions.candidates], [.skipped], [.refine_fails],
+      [.classified]) when the trace has them.
 
     Aggregation is pure and deterministic: the same snapshot always
     renders to the same bytes ([to_json] uses fixed field order and

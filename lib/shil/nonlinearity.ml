@@ -102,61 +102,82 @@ let cubic ~g1 ~g3 =
   in
   { name = "cubic"; key; f; df; batch = Some batch; batch_fast = None; odd = true }
 
-(* Paper appendix §VI-C model (same constants as Spice.Device.paper_tunnel;
+type tunnel_model = {
+  is : float;
+  eta : float;
+  vth : float;
+  r0 : float;
+  v0 : float;
+  m : float;
+}
+
+(* Paper appendix §VI-C values (the same as Spice.Device.paper_tunnel;
    duplicated here so the core theory library stays independent of the
    circuit simulator). *)
-let paper_tunnel_iv v =
-  let is = 1e-12 and eta = 1.0 and vth = 0.025 in
-  let r0 = 1000.0 and v0 = 0.2 and m = 2.0 in
+let paper_tunnel =
+  { is = 1e-12; eta = 1.0; vth = 0.025; r0 = 1000.0; v0 = 0.2; m = 2.0 }
+
+(* Eqs. (11)-(13), written with the operations and association of
+   Spice.Device.tunnel_iv so the currents agree bit for bit; the diode
+   exponential is continued linearly above [x = 40] like the simulator's
+   overflow-safe exp. *)
+let tunnel_cap = 40.0
+
+let tunnel_current { is; eta; vth; r0; v0; m } v =
   let powm = Float.pow (Float.abs (v /. v0)) m in
   let e = exp (-.powm) in
   let i_tun = v /. r0 *. e in
+  let x = v /. (eta *. vth) in
+  let ex =
+    if x > tunnel_cap then exp tunnel_cap *. (1.0 +. (x -. tunnel_cap))
+    else exp x
+  in
+  i_tun +. (is *. (ex -. 1.0))
+
+let tunnel_conductance { is; eta; vth; r0; v0; m } v =
+  let powm = Float.pow (Float.abs (v /. v0)) m in
+  let e = exp (-.powm) in
   let g_tun = e /. r0 *. (1.0 -. (m *. powm)) in
   let x = v /. (eta *. vth) in
-  let cap = 40.0 in
-  let ex = if x > cap then exp cap *. (1.0 +. (x -. cap)) else exp x in
-  let dex = if x > cap then exp cap else exp x in
-  let i_d = is *. (ex -. 1.0) in
-  let g_d = is *. dex /. (eta *. vth) in
-  (i_tun +. i_d, g_tun +. g_d)
+  let dex = if x > tunnel_cap then exp tunnel_cap else exp x in
+  g_tun +. (is *. dex /. (eta *. vth))
 
-(* Current-only half of [paper_tunnel_iv], fused over a slice: identical
-   subexpressions in identical order, skipping only the conductance
-   terms (which cannot change the current bits) and the result tuple. *)
-let paper_tunnel_batch ~bias ~i0 ~src ~dst ~n =
-  let is = 1e-12 and eta = 1.0 and vth = 0.025 in
-  let r0 = 1000.0 and v0 = 0.2 and m = 2.0 in
-  let cap = 40.0 in
+(* [tunnel_current] fused over a slice: identical subexpressions in
+   identical order, with the model's fields read once per slice. *)
+let tunnel_batch { is; eta; vth; r0; v0; m } ~bias ~i0 ~src ~dst ~n =
+  let nvt = eta *. vth in
   for idx = 0 to n - 1 do
     let v = bias +. src.(idx) in
     let powm = Float.pow (Float.abs (v /. v0)) m in
     let e = exp (-.powm) in
     let i_tun = v /. r0 *. e in
-    let x = v /. (eta *. vth) in
-    let ex = if x > cap then exp cap *. (1.0 +. (x -. cap)) else exp x in
-    let i_d = is *. (ex -. 1.0) in
-    dst.(idx) <- (i_tun +. i_d) -. i0
+    let x = v /. nvt in
+    let ex =
+      if x > tunnel_cap then exp tunnel_cap *. (1.0 +. (x -. tunnel_cap))
+      else exp x
+    in
+    dst.(idx) <- (i_tun +. (is *. (ex -. 1.0))) -. i0
   done
 
-let tunnel_diode ?params ~bias () =
-  (* only the paper's built-in model gets an identity: a caller-supplied
-     [params] closure has no canonical description, so the result is
-     uncacheable rather than wrongly shared; likewise only the built-in
-     model gets the fused batch loop *)
-  let params, key, builtin =
-    match params with
-    | None ->
-      (paper_tunnel_iv, Some (Printf.sprintf "tunnel_paper(bias=%h)" bias), true)
-    | Some p -> (p, None, false)
+let tunnel_diode ?(model = paper_tunnel) ~bias () =
+  (* the six fields and the bias fully determine the current, so every
+     model is keyed and every model gets the fused loop *)
+  let { is; eta; vth; r0; v0; m } = model in
+  let key =
+    Some
+      (Printf.sprintf "tunnel(is=%h,eta=%h,vth=%h,r0=%h,v0=%h,m=%h,bias=%h)" is
+         eta vth r0 v0 m bias)
   in
-  let i0, _ = params bias in
-  let f v = fst (params (bias +. v)) -. i0 in
-  let df v = snd (params (bias +. v)) in
-  let batch =
-    if builtin then Some (fun ~src ~dst ~n -> paper_tunnel_batch ~bias ~i0 ~src ~dst ~n)
-    else None
-  in
-  { name = "tunnel_diode"; key; f; df; batch; batch_fast = None; odd = false }
+  let i0 = tunnel_current model bias in
+  {
+    name = "tunnel_diode";
+    key;
+    f = (fun v -> tunnel_current model (bias +. v) -. i0);
+    df = (fun v -> tunnel_conductance model (bias +. v));
+    batch = Some (fun ~src ~dst ~n -> tunnel_batch model ~bias ~i0 ~src ~dst ~n);
+    batch_fast = None;
+    odd = false;
+  }
 
 let of_table ?(name = "table") ~vs ~is () =
   let itp = Interp.pchip ~xs:vs ~ys:is in

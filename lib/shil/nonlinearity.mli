@@ -31,12 +31,12 @@ val name : t -> string
 
 val cache_key : t -> string option
 (** Canonical identity for content-addressed caching: equal keys
-    guarantee bitwise-equal currents for every input. [None] (custom
-    closures, caller-supplied tunnel models) means "uncacheable" and
-    makes every kernel keyed on this nonlinearity bypass the cache.
-    Built-in constructors ([neg_tanh], [cubic], the default
-    [tunnel_diode], [of_table]) always carry keys; [shift_bias] and
-    [scale_current] derive wrapped keys from the inner one. *)
+    guarantee bitwise-equal currents for every input. [None] (closures
+    built with {!make} without [key]) means "uncacheable" and makes
+    every kernel keyed on this nonlinearity bypass the cache. Built-in
+    constructors ([neg_tanh], [cubic], [tunnel_diode] with any model,
+    [of_table]) always carry keys; [shift_bias] and [scale_current]
+    derive wrapped keys from the inner one. *)
 
 val eval : t -> float -> float
 val deriv : t -> float -> float
@@ -45,7 +45,7 @@ val eval_batch : ?n:int -> t -> src:float array -> dst:float array -> unit
 (** [eval_batch t ~src ~dst] stores [eval t src.(i)] into [dst.(i)] for
     [i < n] ([n] defaults to [Array.length src]) — bit-identical to the
     scalar loop, whether it dispatches to a fused batch implementation
-    ([neg_tanh], [cubic], the built-in [tunnel_diode], [of_table], and
+    ([neg_tanh], [cubic], [tunnel_diode] with any model, [of_table], and
     [shift_bias]/[scale_current] wrappers thereof) or falls back to
     per-element [eval]. [Numerics.Kernel.set_batch_enabled false] forces
     the fallback, which benches use as the scalar reference. Supports
@@ -72,12 +72,29 @@ val cubic : g1:float -> g3:float -> t
     textbook negative resistance, used as an analytic cross-check (its
     describing function is known in closed form). *)
 
-val tunnel_diode :
-  ?params:(float -> float * float) -> bias:float -> unit -> t
+type tunnel_model = {
+  is : float;  (** p-n saturation current, A *)
+  eta : float;  (** diode ideality *)
+  vth : float;  (** thermal voltage, V *)
+  r0 : float;  (** ohmic-region resistance, Ohm *)
+  v0 : float;  (** tunnel voltage scale, V *)
+  m : float;  (** tunnel exponent *)
+}
+(** The tunnel-diode model of the paper's appendix, eqs. (11)–(13):
+    [i v = (v / r0) exp (-(|v| / v0)^m) + is (exp (v / (eta vth)) - 1)],
+    with the exponential continued linearly above [v / (eta vth) = 40].
+    Field for field the same as [Spice.Device.tunnel_params], and the
+    currents agree with [Spice.Device.tunnel_iv] bit for bit. *)
+
+val paper_tunnel : tunnel_model
+(** The appendix §VI-C values: [is = 1e-12], [eta = 1], [vth = 0.025],
+    [r0 = 1000], [v0 = 0.2], [m = 2]. *)
+
+val tunnel_diode : ?model:tunnel_model -> bias:float -> unit -> t
 (** Bias-shifted tunnel diode: [f v = i_td (bias + v) - i_td bias], the
     paper's §IV-B treatment (the tank only sees the incremental current).
-    [params] defaults to the paper's appendix model; supply a custom
-    [v -> (i, di/dv)] to override. *)
+    [model] defaults to {!paper_tunnel}. Every model runs on the fused
+    batch loop and carries a cache key over its six fields and [bias]. *)
 
 val of_table : ?name:string -> vs:float array -> is:float array -> unit -> t
 (** Monotone-cubic (PCHIP) interpolation of a DC-sweep table, the output

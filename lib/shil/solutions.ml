@@ -76,13 +76,11 @@ let refine ?points ?reduction nl ~n ~r ~vi ~phi_d ~phi0 ~a0 =
   try Some (Roots.newton2d ~tol:1e-12 ?ectx ~f ~x0:(phi0, a0) ())
   with Roots.No_convergence _ -> None
 
-let find ?points (g : Grid.t) ~phi_d =
-  Obs.Span.with_ ~cat:"shil" ~name:"shil.solutions.find"
-    ~attrs:[ ("phi_d", Printf.sprintf "%g" phi_d) ]
-  @@ fun () ->
-  let nl = g.nl and n = g.n and r = g.r and vi = g.vi in
-  (* downstream probes quadrate in the same mode the grid was built in *)
-  let reduction = g.reduction in
+(* Start points for [refine]: the brackets of the (wrapped) phase
+   residual's sign changes along the gridded [T_f = 1] polylines, most
+   recently found first — the order both [find] and [stable_exists]
+   process them in. *)
+let candidates (g : Grid.t) ~phi_d =
   let curves = Grid.t_f_curve g in
   (* residual of eq. 4 along the T_f = 1 curve, wrapped *)
   let phase_res phi a =
@@ -119,54 +117,113 @@ let find ?points (g : Grid.t) ~phi_d =
         prev := Some (gk, k)
       done)
     curves;
-  (* each candidate refines independently (a 2-D Newton iteration full of
-     describing-function quadratures): fan them out, keeping candidate
-     order so the downstream dedup sees the sequential ordering *)
-  Obs.Metrics.incr ~by:(List.length !candidates) "shil.solutions.candidates";
-  let refined =
-    Numerics.Pool.parallel_map_array ~chunk:1
-      (fun (phi0, a0) ->
-        match refine ?points ~reduction nl ~n ~r ~vi ~phi_d ~phi0 ~a0 with
-        | Some (phi, a) when a > 0.0 ->
-          (* reject the spurious cos <= 0 branch *)
-          let i1 = Df.i1_two_tone ?points ~reduction nl ~n ~a ~vi ~phi in
-          let m = Cx.neg i1 in
-          if Float.abs (Angle.wrap_pi (Cx.arg m +. phi_d)) < Float.pi /. 2.0
-          then Some (Angle.wrap_two_pi phi, a)
-          else None
-        | Some _ | None -> None)
-      (Array.of_list !candidates)
-    |> Array.to_list
-    |> List.filter_map Fun.id
-  in
-  Obs.Metrics.incr
-    ~by:(List.length !candidates - List.length refined)
-    "shil.solutions.refine_fails";
-  (* deduplicate: two solutions are the same within small tolerances *)
-  let dedup =
-    List.fold_left
-      (fun acc (phi, a) ->
-        if
-          List.exists
-            (fun (phi', a') ->
-              Angle.dist phi phi' < 1e-5 && Float.abs (a -. a') < 1e-7 *. (1.0 +. a))
-            acc
-        then acc
-        else (phi, a) :: acc)
-      [] refined
-  in
-  (* stability scan: 8 flow evaluations per point, independent per point *)
+  Array.of_list !candidates
+
+(* One candidate to a lock point, or [None] when Newton fails or lands
+   on the spurious cos <= 0 branch. The refinement quadratures run in
+   the grid's own [reduction] mode. *)
+let refine_candidate ?points (g : Grid.t) ~phi_d (phi0, a0) =
+  let nl = g.nl and n = g.n and r = g.r and vi = g.vi in
+  let reduction = g.reduction in
+  match refine ?points ~reduction nl ~n ~r ~vi ~phi_d ~phi0 ~a0 with
+  | Some (phi, a) when a > 0.0 ->
+    let i1 = Df.i1_two_tone ?points ~reduction nl ~n ~a ~vi ~phi in
+    let m = Cx.neg i1 in
+    if Float.abs (Angle.wrap_pi (Cx.arg m +. phi_d)) < Float.pi /. 2.0 then
+      Some (Angle.wrap_two_pi phi, a)
+    else None
+  | Some _ | None -> None
+
+(* two solutions are the same within small tolerances *)
+let duplicate kept (phi, a) =
+  List.exists
+    (fun (phi', a') ->
+      Angle.dist phi phi' < 1e-5 && Float.abs (a -. a') < 1e-7 *. (1.0 +. a))
+    kept
+
+(* Folds refined candidates, in order, into the kept set (newest
+   first): a point joins unless it duplicates one kept before it.
+   Returns the new kept set and the points that joined, in order. *)
+let dedup kept refined =
+  List.fold_left
+    (fun (kept, fresh) -> function
+      | Some p when not (duplicate kept p) -> (p :: kept, p :: fresh)
+      | Some _ | None -> (kept, fresh))
+    (kept, []) refined
+  |> fun (kept, fresh) -> (kept, List.rev fresh)
+
+let classify_all ?points (g : Grid.t) ~phi_d pts =
+  let nl = g.nl and n = g.n and r = g.r and vi = g.vi in
+  let reduction = g.reduction in
+  (* 8 flow evaluations per point, independent per point *)
   let pts =
     Numerics.Pool.parallel_map_array ~chunk:1
       (fun (phi, a) -> classify ?points ~reduction nl ~n ~r ~vi ~phi_d ~phi ~a)
-      (Array.of_list dedup)
+      (Array.of_list pts)
     |> Array.to_list
   in
   Obs.Metrics.incr ~by:(List.length pts) "shil.solutions.classified";
-  List.sort (fun p q -> Float.compare p.phi q.phi) pts
+  pts
 
+(* Refines a slice of candidates, fanned out over the pool in candidate
+   order (each is a 2-D Newton iteration full of describing-function
+   quadratures). *)
+let refine_all ?points g ~phi_d cands =
+  Obs.Metrics.incr ~by:(Array.length cands) "shil.solutions.candidates";
+  let refined =
+    Numerics.Pool.parallel_map_array ~chunk:1 (refine_candidate ?points g ~phi_d)
+      cands
+    |> Array.to_list
+  in
+  Obs.Metrics.incr
+    ~by:(List.length (List.filter Option.is_none refined))
+    "shil.solutions.refine_fails";
+  refined
+
+let with_span ~phi_d f =
+  Obs.Span.with_ ~cat:"shil" ~name:"shil.solutions.find"
+    ~attrs:[ ("phi_d", Printf.sprintf "%g" phi_d) ]
+    f
+
+let find ?points (g : Grid.t) ~phi_d =
+  with_span ~phi_d @@ fun () ->
+  let refined = refine_all ?points g ~phi_d (candidates g ~phi_d) in
+  let kept, _ = dedup [] refined in
+  List.sort
+    (fun p q -> Float.compare p.phi q.phi)
+    (classify_all ?points g ~phi_d kept)
+
+(* [find]'s work in waves as wide as the pool, stopping at the first
+   stable point. Same answer as [List.exists stable (find g)]: waves
+   refine the candidates in [find]'s order and [dedup] keeps the first
+   of each cluster, so the points kept before a stop are exactly
+   [find]'s first kept points, and each point's classification depends
+   on that point alone. Same span name as [find], so probe time is
+   attributed as before. *)
 let stable_exists ?points g ~phi_d =
-  List.exists (fun p -> p.stable) (find ?points g ~phi_d)
+  with_span ~phi_d @@ fun () ->
+  let cands = candidates g ~phi_d in
+  let total = Array.length cands in
+  let width =
+    if Numerics.Pool.in_worker () then 1 else Numerics.Pool.default_size ()
+  in
+  let rec wave kept start =
+    if start >= total then false
+    else begin
+      let len = min width (total - start) in
+      let kept, fresh =
+        dedup kept (refine_all ?points g ~phi_d (Array.sub cands start len))
+      in
+      let next = start + len in
+      if List.exists (fun p -> p.stable) (classify_all ?points g ~phi_d fresh)
+      then begin
+        Obs.Metrics.incr ~by:(total - next) "shil.solutions.skipped";
+        true
+      end
+      else wave kept next
+    end
+  in
+  wave [] 0
 
 let n_states p ~n =
   List.init n (fun k ->

@@ -45,6 +45,12 @@ val find :
     refinement quadratures run in the grid's own [reduction] mode. *)
 
 val stable_exists : ?points:int -> Grid.t -> phi_d:float -> bool
+(** [List.exists (fun p -> p.stable) (find g ~phi_d)], computed with
+    less work: {!find}'s candidates are refined in {!find}'s order, in
+    waves as wide as the pool, deduplicated by {!find}'s rule, and the
+    answer is [true] at the first stable point. Candidates left
+    unrefined count under [shil.solutions.skipped]; the span is
+    [shil.solutions.find], as for {!find}. *)
 
 val n_states : point -> n:int -> (float * float) list
 (** The [n] oscillator states of a lock: physical oscillator phases

@@ -348,10 +348,29 @@ let test_nonlinearity_keys () =
     (shift_bias (neg_tanh ~g0:2e-3 ~isat:1e-3) 0.1);
   Alcotest.(check (option string)) "custom closures are uncacheable" None
     (k (make (fun v -> -.v)));
-  Alcotest.(check (option string)) "custom tunnel params are uncacheable" None
-    (k (tunnel_diode ~params:(fun v -> (v, 1.0)) ~bias:0.1 ()));
+  (* every tunnel model is keyed: each of the six fields and the bias
+     moves the key *)
+  let td ?(model = paper_tunnel) ?(bias = 0.1) () = tunnel_diode ~model ~bias () in
   Alcotest.(check bool) "default tunnel model is cacheable" true
-    (k (tunnel_diode ~bias:0.1 ()) <> None);
+    (k (td ()) <> None);
+  same (td ()) (td ~model:{ paper_tunnel with m = 2.0 } ());
+  let p = paper_tunnel in
+  List.iter
+    (fun other -> distinct (td ()) other)
+    [
+      td ~model:{ p with is = 2e-12 } ();
+      td ~model:{ p with eta = 1.1 } ();
+      td ~model:{ p with vth = 0.026 } ();
+      td ~model:{ p with r0 = 900.0 } ();
+      td ~model:{ p with v0 = 0.21 } ();
+      td ~model:{ p with m = 2.5 } ();
+      td ~bias:0.11 ();
+    ];
+  Alcotest.(check bool) "Tunnel_osc.default is cacheable" true
+    (k
+       (Circuits.Tunnel_osc.oscillator Circuits.Tunnel_osc.default)
+         .Shil.Analysis.nl
+    <> None);
   let t1 = of_table ~vs:[| 0.0; 1.0 |] ~is:[| 0.0; 1e-3 |] () in
   let t2 = of_table ~vs:[| 0.0; 1.0 |] ~is:[| 0.0; 1e-3 |] () in
   let t3 = of_table ~vs:[| 0.0; 1.0 |] ~is:[| 0.0; 2e-3 |] () in
@@ -558,46 +577,46 @@ let test_grid_tiles_disk_only () =
    answers from the shil.lockrange entry, with the bytes of a cache-off
    run and none of the boundary search or grid work. *)
 let test_repeated_shil_request () =
-  let req =
-    {
-      Api.Request.id = "r";
-      deadline_s = None;
-      payload =
-        Shil
-          {
-            osc = Builtin "tanh";
-            n = 3;
-            vi = 0.03;
-            reduced = false;
-            finj = None;
-          };
-    }
-  in
-  let run () =
-    match Api.execute req with
-    | Ok report -> report
-    | Error e -> Alcotest.fail (Resilience.Oshil_error.to_string e)
-  in
-  let cold = run () in
-  Store.set_enabled true;
-  Obs.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_enabled false;
-      Obs.reset ())
-    (fun () ->
-      let first = run () in
-      let counter = Obs.Metrics.counter_value in
-      let probes = counter "shil.lockrange.probes"
-      and f_evals = counter "shil.grid.f_evals" in
-      Alcotest.(check bool) "first run searched" true (probes > 0 && f_evals > 0);
-      let repeat = run () in
-      Alcotest.(check string) "populate == cache off" cold first;
-      Alcotest.(check string) "repeat == cache off" cold repeat;
-      Alcotest.(check int) "repeat adds no lock-range probes" probes
-        (counter "shil.lockrange.probes");
-      Alcotest.(check int) "repeat adds no grid work" f_evals
-        (counter "shil.grid.f_evals"))
+  (* the tunnel oscillator's built-in model is keyed like tanh's *)
+  List.iter
+    (fun osc ->
+      let req =
+        {
+          Api.Request.id = "r";
+          deadline_s = None;
+          payload =
+            Shil { osc = Builtin osc; n = 3; vi = 0.03; reduced = false; finj = None };
+        }
+      in
+      let run () =
+        match Api.execute req with
+        | Ok report -> report
+        | Error e -> Alcotest.fail (Resilience.Oshil_error.to_string e)
+      in
+      Store.set_enabled false;
+      let cold = run () in
+      Store.set_enabled true;
+      Obs.set_enabled true;
+      Fun.protect
+        ~finally:(fun () ->
+          Obs.set_enabled false;
+          Obs.reset ())
+        (fun () ->
+          let first = run () in
+          let counter = Obs.Metrics.counter_value in
+          let probes = counter "shil.lockrange.probes"
+          and f_evals = counter "shil.grid.f_evals" in
+          Alcotest.(check bool) (osc ^ ": first run searched") true
+            (probes > 0 && f_evals > 0);
+          let repeat = run () in
+          Alcotest.(check string) (osc ^ ": populate == cache off") cold first;
+          Alcotest.(check string) (osc ^ ": repeat == cache off") cold repeat;
+          Alcotest.(check int) (osc ^ ": repeat adds no lock-range probes")
+            probes
+            (counter "shil.lockrange.probes");
+          Alcotest.(check int) (osc ^ ": repeat adds no grid work") f_evals
+            (counter "shil.grid.f_evals")))
+    [ "tanh"; "tunnel" ]
 
 let test_transient_cache_identity () =
   (* the BJT differential pair is pure data (no behavioural device), so

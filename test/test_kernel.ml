@@ -45,6 +45,13 @@ let builtins =
     ("neg_tanh", Nl.neg_tanh ~g0:2e-3 ~isat:1e-3);
     ("cubic", Nl.cubic ~g1:1.5e-3 ~g3:0.4e-3);
     ("tunnel_diode", Nl.tunnel_diode ~bias:0.065 ());
+    ( "tunnel_diode non-paper",
+      Nl.tunnel_diode
+        ~model:
+          { is = 5e-12; eta = 1.2; vth = 0.026; r0 = 800.0; v0 = 0.18; m = 2.5 }
+        ~bias:0.1 () );
+    ( "Tunnel_osc.default",
+      Circuits.Tunnel_osc.nonlinearity Circuits.Tunnel_osc.default );
     ( "of_table",
       let vs = Kernel.linspace (-4.0) 4.0 41 in
       let is = Array.map (fun v -> -1e-3 *. tanh (2.0 *. v)) vs in
@@ -526,6 +533,106 @@ let test_refine_memo () =
         Alcotest.failf "memo saved nothing: %d vs %d quadratures" memo_evals
           raw_evals)
 
+(* --- lock-range probes: stable_exists == exists stable (find) -------- *)
+
+(* small studies of the three paper oscillators at n = 3, V_i = 0.03:
+   their grids, and the phi_d_max the boundary search found on them *)
+let probe_studies reduction =
+  List.map
+    (fun (name, (osc : Shil.Analysis.oscillator)) ->
+      let r =
+        Shil.Analysis.run ~points:128 ~n_phi:31 ~n_amp:21 ~reduction osc ~n:3
+          ~vi:0.03
+      in
+      (name, r.grid, r.lock_range.phi_d_max))
+    [
+      ("tanh", Circuits.Tanh_osc.oscillator Circuits.Tanh_osc.default);
+      ("diffpair", Circuits.Diff_pair.oscillator Circuits.Diff_pair.default);
+      ("tunnel", Circuits.Tunnel_osc.oscillator Circuits.Tunnel_osc.default);
+    ]
+
+(* 15 phases across each edge of the band, down to one ulp-scale step
+   either side of phi_d_max *)
+let straddling phi_d_max =
+  let steps =
+    [ -0.2; -0.05; -1e-2; -1e-3; -1e-5; -1e-7; -1e-12; 0.0; 1e-12; 1e-7; 1e-5;
+      1e-3; 1e-2; 0.05; 0.2 ]
+  in
+  List.concat_map
+    (fun sign -> List.map (fun d -> sign *. phi_d_max *. (1.0 +. d)) steps)
+    [ 1.0; -1.0 ]
+
+let with_jobs j f =
+  let was = Numerics.Pool.default_size () in
+  Fun.protect ~finally:(fun () -> Numerics.Pool.set_jobs was) (fun () ->
+      Numerics.Pool.set_jobs j;
+      f ())
+
+let test_stable_exists_matches_find () =
+  List.iter
+    (fun reduction ->
+      List.iter
+        (fun (name, g, phi_d_max) ->
+          if not (phi_d_max > 0.0) then
+            Alcotest.failf "%s: no lock band to straddle" name;
+          List.iter
+            (fun jobs ->
+              with_jobs jobs (fun () ->
+                  List.iter
+                    (fun phi_d ->
+                      let want =
+                        List.exists
+                          (fun (p : Shil.Solutions.point) -> p.stable)
+                          (Shil.Solutions.find ~points:128 g ~phi_d)
+                      in
+                      Alcotest.(check bool)
+                        (Printf.sprintf "%s %s -j %d phi_d=%h" name
+                           (if reduction = `Exact then "exact" else "reduced")
+                           jobs phi_d)
+                        want
+                        (Shil.Solutions.stable_exists ~points:128 g ~phi_d))
+                    (straddling phi_d_max)))
+            [ 1; 2 ])
+        (probe_studies reduction))
+    [ `Exact; `Symmetry ]
+
+let test_stable_exists_exits_early () =
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      with_jobs 1 (fun () ->
+          let counted f =
+            let c = Obs.Metrics.counter_value in
+            let names =
+              [ "shil.df.i1_evals"; "shil.solutions.candidates";
+                "shil.solutions.skipped" ]
+            in
+            let before = List.map c names in
+            ignore (f ());
+            List.map2 (fun n b -> c n - b) names before
+          in
+          List.iter
+            (fun (name, g, phi_d_max) ->
+              let phi_d = 0.5 *. phi_d_max in
+              let find = counted (fun () -> Shil.Solutions.find ~points:128 g ~phi_d) in
+              let probe =
+                counted (fun () -> Shil.Solutions.stable_exists ~points:128 g ~phi_d)
+              in
+              match (find, probe) with
+              | [ f_i1; f_cands; f_skipped ], [ p_i1; p_cands; p_skipped ] ->
+                Alcotest.(check int) (name ^ ": find skips nothing") 0 f_skipped;
+                Alcotest.(check int)
+                  (name ^ ": refined + skipped = find's candidates")
+                  f_cands (p_cands + p_skipped);
+                if not (p_i1 < f_i1) then
+                  Alcotest.failf "%s: probe used %d quadratures, find %d" name
+                    p_i1 f_i1
+              | _ -> assert false)
+            (probe_studies `Exact)))
+
 (* --- metrics: ik_two_tone counts under its own counter -------------- *)
 
 let test_ik_evals_counter () =
@@ -596,5 +703,12 @@ let () =
         [
           Alcotest.test_case "ik counter" `Quick test_ik_evals_counter;
           Alcotest.test_case "refine memo" `Quick test_refine_memo;
+        ] );
+      ( "probes",
+        [
+          Alcotest.test_case "stable_exists = exists stable find" `Quick
+            test_stable_exists_matches_find;
+          Alcotest.test_case "stable_exists exits early" `Quick
+            test_stable_exists_exits_early;
         ] );
     ]

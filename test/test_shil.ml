@@ -72,13 +72,33 @@ let test_tunnel_nl_negative_resistance () =
   Alcotest.(check bool) "negative slope at bias" true (Nonlinearity.deriv nl 0.0 < 0.0)
 
 let test_tunnel_nl_matches_spice_device () =
-  let nl = Nonlinearity.tunnel_diode ~bias:0.0 () in
+  (* bit for bit, over both signs of v and past the x > 40 cap of the
+     diode exponential, for the paper model and one other *)
+  let vs = Numerics.Kernel.linspace (-0.5) 1.5 401 in
+  let bits = Int64.bits_of_float in
   List.iter
-    (fun v ->
-      let i_spice, _ = Spice.Device.tunnel_iv Spice.Device.paper_tunnel v in
-      check_float ~eps:1e-15 "shil vs spice tunnel model" i_spice
-        (Nonlinearity.eval nl v))
-    [ 0.05; 0.15; 0.25; 0.4; 0.55 ]
+    (fun (label, (p : Spice.Device.tunnel_params)) ->
+      let nl =
+        Nonlinearity.tunnel_diode ~model:(Circuits.Tunnel_osc.model p) ~bias:0.0 ()
+      in
+      Array.iter
+        (fun v ->
+          let i_spice, g_spice = Spice.Device.tunnel_iv p v in
+          if bits i_spice <> bits (Nonlinearity.eval nl v) then
+            Alcotest.failf "%s: i(%h) = %h, spice %h" label v
+              (Nonlinearity.eval nl v) i_spice;
+          if bits g_spice <> bits (Nonlinearity.deriv nl v) then
+            Alcotest.failf "%s: di/dv(%h) = %h, spice %h" label v
+              (Nonlinearity.deriv nl v) g_spice)
+        vs)
+    [
+      ("paper", Spice.Device.paper_tunnel);
+      ( "non-paper",
+        { is = 5e-12; eta = 1.2; vth = 0.026; r0 = 800.0; v0 = 0.18; m = 2.5 } );
+    ];
+  Alcotest.(check bool) "default model is the paper's" true
+    (Circuits.Tunnel_osc.model Spice.Device.paper_tunnel
+    = Nonlinearity.paper_tunnel)
 
 let test_sample () =
   let vs, is = Nonlinearity.sample tanh_nl ~v_min:(-1.0) ~v_max:1.0 ~n:21 in
