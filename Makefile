@@ -1,8 +1,7 @@
 # Convenience targets; everything here is a thin wrapper over dune.
 
-.PHONY: all test lint analyze bench-smoke bench bench-compare report \
-        batch cache-smoke kernel-smoke serve serve-smoke hb-smoke \
-        coverage clean
+.PHONY: all test lint analyze bench report batch cache-smoke \
+        kernel-smoke serve serve-smoke hb-smoke coverage clean
 
 all:
 	dune build
@@ -23,35 +22,16 @@ lint:
 analyze:
 	dune build @analyze
 
-# CI smoke: build, run the tier-1 tests, then run the bench harness in
-# its fast configuration (--only-bench --skip-slow) and verify that the
-# emitted BENCH_*.json records parse.
-bench-smoke:
-	dune build
-	dune runtest
-	dune build @bench-smoke
-
-# Full tracked benchmarks: emits BENCH_grid.json / BENCH_lockrange.json
-# in the repository root and validates them. Set OSHIL_JOBS (or pass
-# JOBS=N) to control the pool size of the parallel kernels.
-JOBS ?=
+# Benchmark smoke: one short run (at least one whole round) of each
+# BENCHMARK.json workload through perfbench/run.sh. A run exits
+# nonzero when a workload's output check fails, and so does this
+# target. For measurements, run perfbench/run.sh with longer --seconds
+# (see perfbench/README.md).
 bench:
-	dune build bench/main.exe @analyze
-	OSHIL_DSA_FINDINGS=0 ./_build/default/bench/main.exe --only-bench $(if $(JOBS),--jobs $(JOBS),)
-	./_build/default/bench/main.exe --check-json BENCH_grid.json BENCH_lockrange.json BENCH_cache.json
-
-# Regression sentinel: record fresh bench results into FRESH_DIR and
-# re-judge them against the committed BENCH_*.json baselines with
-# per-metric directions and tolerances (see lib/experiments/
-# bench_compare.mli for the policy). Exits nonzero on any regression.
-FRESH_DIR ?= _bench_fresh
-bench-compare:
-	dune build bench/main.exe
-	mkdir -p $(FRESH_DIR)
-	cd $(FRESH_DIR) && ../_build/default/bench/main.exe --only-bench $(if $(JOBS),--jobs $(JOBS),)
-	./_build/default/bench/main.exe --fresh-dir $(FRESH_DIR) \
-	  --compare BENCH_grid.json BENCH_lockrange.json BENCH_transient.json \
-	  BENCH_cache.json BENCH_hb.json
+	for w in df-paper engine-verify daemon-mix; do \
+	  bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 \
+	    || exit 1; \
+	done
 
 # Run-health report from a solver trace recorded with
 # `oshil ... --trace TRACE --events`.  Usage: make report TRACE=out/health.jsonl

@@ -17,45 +17,6 @@ let row_float (out : Experiments.Output.t) key =
   | Some v -> float_of_string v
   | None -> Alcotest.failf "row %S missing" key
 
-(* Bench record schema *)
-
-let test_bench_json_meta_round_trip () =
-  let entry =
-    {
-      Experiments.Bench_json.name = "rt_check";
-      jobs = 4;
-      wall_s = 0.25;
-      speedup_vs_seq = 2.0;
-      extra = [ ("newton_iters", 128.0) ];
-      meta = [ ("host_domains", "8"); ("ocaml_version", "5.1.1") ];
-    }
-  in
-  let back =
-    Experiments.Bench_json.parse (Experiments.Bench_json.to_json entry)
-  in
-  Alcotest.(check string) "name" entry.name back.Experiments.Bench_json.name;
-  Alcotest.(check (list (pair string (float 0.0))))
-    "extra" entry.extra back.Experiments.Bench_json.extra;
-  Alcotest.(check (list (pair string string)))
-    "meta preserved" entry.meta back.Experiments.Bench_json.meta
-
-let test_bench_json_host_meta () =
-  let meta = Experiments.Bench_json.host_meta () in
-  List.iter
-    (fun k ->
-      Alcotest.(check bool) (k ^ " present") true (List.mem_assoc k meta))
-    [ "host_domains"; "ocaml_version"; "os_type" ];
-  Unix.putenv "OSHIL_DSA_FINDINGS" "0";
-  let with_env = Experiments.Bench_json.host_meta () in
-  Unix.putenv "OSHIL_DSA_FINDINGS" "";
-  Alcotest.(check (option string))
-    "dsa_findings picked up from env" (Some "0")
-    (List.assoc_opt "dsa_findings" with_env);
-  let without = Experiments.Bench_json.host_meta () in
-  Alcotest.(check (option string))
-    "empty env var omitted" None
-    (List.assoc_opt "dsa_findings" without)
-
 (* Output plumbing *)
 
 let test_output_print () =
@@ -159,12 +120,6 @@ let test_fhil_ablation () =
 let () =
   Alcotest.run "experiments"
     [
-      ( "bench_json",
-        [
-          Alcotest.test_case "meta round-trip" `Quick
-            test_bench_json_meta_round_trip;
-          Alcotest.test_case "host meta keys" `Quick test_bench_json_host_meta;
-        ] );
       ( "output",
         [
           Alcotest.test_case "print" `Quick test_output_print;

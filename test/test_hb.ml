@@ -261,6 +261,10 @@ let test_lockrange_hole_degrades () =
   in
   let clean = Driver.lock_range ~free ~n ~guess_width:9e3 ~inject () in
   Alcotest.(check int) "clean search has no holes" 0 clean.Driver.holes;
+  let rerun = Driver.lock_range ~free ~n ~guess_width:9e3 ~inject () in
+  Alcotest.(check int) "clean rerun has no holes" 0 rerun.Driver.holes;
+  Alcotest.(check bool) "clean rerun returns the same band" true
+    (rerun = clean);
   let faulted =
     (* occurrences 4-7: both rungs of two probes after the center
        solve (each probe burns a plain and a damped attempt) *)

@@ -302,12 +302,16 @@ let test_grid_matches_seed_kernel () =
 
 let test_grid_batch_equals_scalar_fallback () =
   let g = small_grid tanh_nl in
-  let g' =
+  (* the lock-range boundary search re-evaluates I1 off the grid, so it
+     exercises the kernels on a second path *)
+  let boundary () = Shil.Lock_range.phi_d_boundary ~tol:1e-3 g in
+  let b = boundary () in
+  let g', b' =
     Fun.protect
       ~finally:(fun () -> Kernel.set_batch_enabled true)
       (fun () ->
         Kernel.set_batch_enabled false;
-        small_grid tanh_nl)
+        (small_grid tanh_nl, boundary ()))
   in
   Array.iteri
     (fun i row ->
@@ -317,7 +321,9 @@ let test_grid_batch_equals_scalar_fallback () =
           check_bits "re" (Cx.re z') (Cx.re z);
           check_bits "im" (Cx.im z') (Cx.im z))
         row)
-    g.Grid.i1
+    g.Grid.i1;
+  Alcotest.(check bool) "boundary is a lock" true (b > 0.0);
+  check_bits "phi_d_boundary" b' b
 
 (* --- symmetry reduction: tolerance contract ------------------------ *)
 
@@ -339,7 +345,13 @@ let test_grid_symmetry_close_to_exact () =
                 Alcotest.failf "%s (%d,%d): |%g|" name i j d)
             row)
         exact.Grid.i1)
-    builtins
+    builtins;
+  (* the reduced-mode lock boundary stays within 0.02 rad of the exact one *)
+  let boundary g = Shil.Lock_range.phi_d_boundary ~tol:1e-3 g in
+  let b_exact = boundary (small_grid tanh_nl) in
+  let b_red = boundary (small_grid ~reduction:`Symmetry tanh_nl) in
+  if not (Float.abs (b_red -. b_exact) <= 0.02) then
+    Alcotest.failf "reduced boundary %g vs exact %g" b_red b_exact
 
 let prop_df_symmetry_close =
   qtest ~count:60 "df: `Symmetry i1_two_tone close to `Exact"

@@ -452,7 +452,29 @@ let test_grid_parallel_equals_sequential () =
     (fun (p : Solutions.point) (q : Solutions.point) ->
       Alcotest.(check bool) "solution points bit-identical" true
         (p.phi = q.phi && p.a = q.a && p.stable = q.stable))
-    s_seq s_par
+    s_seq s_par;
+  (* the symmetry-reduced grid and the lock-range boundary search on
+     both grids: pooled = sequential, bit for bit *)
+  let sample_red () =
+    Grid.sample ~reduction:`Symmetry ~points:256 ~n_phi:41 ~n_amp:31 tanh_nl
+      ~n:3 ~r:fixture_r ~vi:0.05 ~a_range:(0.3, 1.45) ()
+  in
+  let r_seq = sample_red () in
+  Numerics.Pool.set_jobs 4;
+  let r_par = sample_red () in
+  Numerics.Pool.set_jobs 1;
+  Alcotest.(check bool) "reduced i1 grids bit-identical" true
+    (r_seq.i1 = r_par.i1);
+  List.iter
+    (fun (name, g) ->
+      let b_seq = Lock_range.phi_d_boundary ~tol:1e-3 g in
+      Numerics.Pool.set_jobs 4;
+      let b_par = Lock_range.phi_d_boundary ~tol:1e-3 g in
+      Numerics.Pool.set_jobs 1;
+      Alcotest.(check bool) (name ^ " boundary is a lock") true (b_seq > 0.0);
+      Alcotest.(check bool) (name ^ " phi_d_boundary bit-identical") true
+        (Int64.bits_of_float b_seq = Int64.bits_of_float b_par))
+    [ ("exact", g_seq); ("reduced", r_seq) ]
 
 (* ------------------------------------------------------------------ *)
 (* Solutions *)
