@@ -78,9 +78,7 @@ let run_experiments ~fast () =
   show (Experiments.Osc_experiments.fig_lock_range_curves td);
   if not fast then show (Experiments.Osc_experiments.fig_states td);
   (* ---- ablation A2: asymmetric cell, filtering assumption ---- *)
-  show
-    (Experiments.Asym_ablation.run ~simulate:(not fast)
-       ~self_consistent:(not fast) ());
+  show (Experiments.Asym_ablation.run ~simulate:(not fast) ());
   (* ---- ablation A3: FHIL vs Adler ---- *)
   show (Experiments.Fhil_experiment.run ());
   (* ---- extension X3: Arnold tongue ---- *)

@@ -1,9 +1,10 @@
 (* oshil: command-line front end for the SHIL analysis library.
 
-   Subcommands: natural, shil, lockrange, dcsweep, transient, figures,
-   experiments. Oscillators are selected with --osc
-   (tanh | diffpair | tunnel) or described inline with --g0/--isat/--r/
-   --fc/--q for a custom tanh cell. *)
+   Subcommands: natural, shil, lockrange, hb, dcsweep, transient,
+   netlist, lint, stats, batch, serve, call, api, figures, experiments.
+   Oscillators are selected with --osc (tanh | diffpair | tunnel) or
+   described inline with --g0/--isat/--r/--fc/--q for a custom tanh
+   cell. *)
 
 open Cmdliner
 
@@ -465,42 +466,6 @@ let transient_cmd =
   in
   Cmd.v
     (Cmd.info "transient" ~doc:"Device-level transient simulation (CSV or --ascii summary).")
-    term
-
-(* ------------------------------------------------------------------ *)
-(* harmonics *)
-
-let harmonics_cmd =
-  let kmax_arg =
-    Arg.(value & opt int 7 & info [ "kmax" ] ~docv:"K" ~doc:"Harmonics retained.")
-  in
-  let run obs choice custom k_max =
-    apply_obs obs;
-    let osc = resolve_oscillator choice custom in
-    match Shil.Harmonic_balance.solve ~k_max osc.nl ~tank:osc.tank with
-    | exception Resilience.Oshil_error.Error e ->
-      Format.eprintf "harmonic balance failed: %a@." Resilience.Oshil_error.pp e;
-      exit 3
-    | hb ->
-      Format.printf "harmonic balance (K = %d):@." k_max;
-      Format.printf "  frequency: %.8g Hz (tank f_c %.8g Hz, shift %+.6g Hz)@."
-        (Shil.Harmonic_balance.frequency hb)
-        (Shil.Tank.f_c osc.tank)
-        (Shil.Harmonic_balance.frequency hb -. Shil.Tank.f_c osc.tank);
-      Format.printf "  fundamental amplitude: %.6g V@."
-        (Shil.Harmonic_balance.amplitude hb);
-      Format.printf "  THD: %.4g@." (Shil.Harmonic_balance.thd hb);
-      Array.iteri
-        (fun k v ->
-          if k >= 1 then
-            Format.printf "  |V_%d| = %.6g V, arg = %.4f rad@." k
-              (Numerics.Cx.abs v) (Numerics.Cx.arg v))
-        hb.coeffs
-  in
-  let term = Term.(const run $ obs_args $ osc_arg $ custom_args $ kmax_arg) in
-  Cmd.v
-    (Cmd.info "harmonics"
-       ~doc:"Multi-harmonic balance of the free-running oscillator (K = 1 is the paper's describing function).")
     term
 
 (* ------------------------------------------------------------------ *)
@@ -1273,7 +1238,7 @@ let () =
   let group =
     Cmd.group info
       [
-        natural_cmd; shil_cmd; lockrange_cmd; harmonics_cmd; hb_cmd;
+        natural_cmd; shil_cmd; lockrange_cmd; hb_cmd;
         dcsweep_cmd; transient_cmd; netlist_cmd; lint_cmd; stats_cmd;
         batch_cmd; serve_cmd; call_cmd; api_cmd; figures_cmd;
         experiments_cmd;

@@ -7,14 +7,13 @@
     This experiment compares, on a clipped asymmetric cell,
 
     - the plain graphical prediction (the paper's method),
-    - the self-consistent-harmonic extension ({!Shil.Self_consistent}),
     - the orbit-recentred prediction ({!Ppv.Refined}),
+    - the harmonic-balance lock band at [K = 9] ({!Api.hb_run}),
     - brute-force time-domain lock edges (when [simulate]). *)
 
 val cell : unit -> Shil.Analysis.oscillator
 (** The asymmetric demonstration cell (van der Pol core + one-sided
     clipping diode), 2 MHz tank. *)
 
-val run : ?simulate:bool -> ?self_consistent:bool -> unit -> Output.t
-(** [simulate] (default false) adds the ODE edge searches; the
-    self-consistent solve (default true) costs ~2 min. *)
+val run : ?simulate:bool -> unit -> Output.t
+(** [simulate] (default false) adds the ODE edge searches. *)

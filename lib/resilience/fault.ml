@@ -3,7 +3,6 @@ let site_names =
     ("newton-singular", "singular Jacobian at the k-th MNA Newton solve");
     ("device-nan", "NaN device evaluation at the k-th MNA Newton solve");
     ("tran-reject", "reject the k-th transient Newton step attempt");
-    ("hb-singular", "singular Jacobian at the k-th harmonic-balance iteration");
     ("roots-fail", "Roots.newton2d fails on its k-th call");
     ("grid-point", "fail the k-th amplitude row of Grid.sample");
     ("pool-task", "fail the k-th task of a resilient pool fan-out");

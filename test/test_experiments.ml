@@ -117,6 +117,25 @@ let test_fhil_ablation () =
   Alcotest.(check string) "id" "A3" out.id;
   Alcotest.(check bool) "has the sweep row" true (has_row out "Vi = 0.01")
 
+(* A2's harmonic-balance band against the ODE truth in EXPERIMENTS.md:
+   the asymmetric cell's own 2nd harmonic pulls the band below the
+   plain DF prediction, and K = 9 recovers where the ODE locks *)
+let test_asym_hb_band () =
+  match
+    Api.hb_run
+      ~osc:(Experiments.Asym_ablation.cell ())
+      ~n:2 ~vi:0.06 ~k_max:9 ~samples:256 ~mode:Api.Request.Hb_lockrange
+  with
+  | { hb_mode = Hb_band { band; df }; _ } ->
+    Alcotest.(check bool) "both HB edges below the plain DF band's" true
+      (band.f_lo < df.f_inj_low && band.f_hi < df.f_inj_high);
+    Alcotest.(check (float 100.0))
+      "HB band centre = ODE truth" 3983903.0
+      (0.5 *. (band.f_lo +. band.f_hi));
+    Alcotest.(check (float (0.02 *. 28897.0)))
+      "HB band width = ODE width" 28897.0 (band.f_hi -. band.f_lo)
+  | _ -> Alcotest.fail "lock-range mode must return a band"
+
 let () =
   Alcotest.run "experiments"
     [
@@ -137,6 +156,7 @@ let () =
         [
           Alcotest.test_case "diff pair" `Slow test_diff_pair_bench;
           Alcotest.test_case "fhil ablation" `Slow test_fhil_ablation;
+          Alcotest.test_case "A2 HB band vs ODE" `Quick test_asym_hb_band;
           Alcotest.test_case "arnold tongue" `Slow test_tongue_monotone;
         ] );
     ]

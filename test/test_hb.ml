@@ -1,17 +1,21 @@
 (* Harmonic-balance engine tests.
 
-   Four families:
+   Five families:
 
    - fixed-point equivalence: the oscprobe solve at [k_max = 1] must
      reproduce the describing-function fixed point (same quadrature,
      same Trig tables), on every builtin cell and — property-tested
      from the pinned seed — across random custom tanh cells;
-   - reduced cross-check: the MNA engine against the reduced
-     [Shil.Harmonic_balance] solver at matched [k_max]/[samples],
-     including the Groszkowski frequency shift the DF misses;
+   - reduced cross-check: the MNA engine against the test-only reduced
+     solver [Hb_reference] at matched [k_max]/[samples];
+   - golden values (the [harmonic_balance] group): the amplitude at the
+     DF's, the Groszkowski frequency shift the DF misses, K = 1 as the
+     DF itself, the odd cell's missing even harmonics, the asymmetric
+     A2 cell's frequency converging in [k_max], and a cell that does
+     not oscillate raising a typed error;
    - engine internals: the conversion-matrix Jacobian against finite
-     differences, and the injected-tone branch structure (locked at
-     the band center, suppressed far outside);
+     differences, the injected-tone branch structure (locked at the
+     band center, suppressed far outside), and the input guards;
    - resilience and caching: the [hb-newton] fault site walks the
      policy ladder (recovery on the damped rung, typed
      [solver-divergence] when every rung is shot), and cached solves
@@ -100,7 +104,7 @@ let prop_k1_matches_df =
       && rel sol.Driver.f0 (Shil.Tank.f_c tank) < 1e-9)
 
 (* ------------------------------------------------------------------ *)
-(* MNA engine vs the reduced Shil.Harmonic_balance solver *)
+(* MNA engine vs the reduced Hb_reference solver *)
 
 let test_matches_reduced () =
   let p = Circuits.Tanh_osc.default in
@@ -109,20 +113,19 @@ let test_matches_reduced () =
     (fun k_max ->
       let sol = free_solution ~k_max ~samples:256 osc in
       let red =
-        Shil.Harmonic_balance.solve ~k_max ~samples:256
-          osc.Shil.Analysis.nl ~tank:osc.Shil.Analysis.tank
+        Hb_reference.solve ~k_max ~samples:256 osc.Shil.Analysis.nl
+          ~tank:osc.Shil.Analysis.tank
       in
       let label what =
         Printf.sprintf "K=%d: %s matches reduced HB" k_max what
       in
       Alcotest.(check bool)
         (label "amplitude") true
-        (rel (Driver.amplitude sol) (Shil.Harmonic_balance.amplitude red)
-        < 1e-9);
+        (rel (Driver.amplitude sol) (Hb_reference.amplitude red) < 1e-9);
       Alcotest.(check bool)
         (label "frequency (Groszkowski)")
         true
-        (rel sol.Driver.f0 (Shil.Harmonic_balance.frequency red) < 1e-9);
+        (rel sol.Driver.f0 (Hb_reference.frequency red) < 1e-9);
       (* per-harmonic magnitudes, phase-reference independent *)
       let sp = sol.Driver.spectra.(sol.Driver.osc_node) in
       for k = 2 to k_max do
@@ -130,14 +133,74 @@ let test_matches_reduced () =
           (Printf.sprintf "K=%d: |V_%d| matches reduced HB" k_max k)
           true
           (close ~tol:1e-9 (Cx.abs sp.(k))
-             (Cx.abs red.Shil.Harmonic_balance.coeffs.(k)))
+             (Cx.abs red.Hb_reference.coeffs.(k)))
       done)
-    [ 1; 3; 5; 7 ];
-  (* the shift itself is real: K=7 frequency sits below f_c *)
-  let sol = free_solution ~k_max:7 ~samples:256 osc in
-  let fc = Shil.Tank.f_c osc.Shil.Analysis.tank in
-  Alcotest.(check bool) "Groszkowski shift is negative" true
-    (sol.Driver.f0 < fc -. 1.0)
+    [ 1; 3; 5; 7 ]
+
+(* ------------------------------------------------------------------ *)
+(* harmonic-balance golden values of the engine *)
+
+let tanh_osc = Circuits.Tanh_osc.oscillator Circuits.Tanh_osc.default
+
+let test_hb_matches_df () =
+  let sol = free_solution ~k_max:7 ~samples:256 tanh_osc in
+  (* the fundamental amplitude stays at the describing function's *)
+  Alcotest.(check (float 1e-4)) "K=7 amplitude ~ DF" 1.1582
+    (Driver.amplitude sol);
+  Alcotest.(check bool) "converged residual" true (sol.Driver.residual < 1e-10)
+
+let test_hb_groszkowski_shift () =
+  (* golden: a long ODE run of this cell measures f0 = 999773.0 Hz,
+     227 Hz below the DF's f_c = 1 MHz; HB must recover the shift *)
+  let sol = free_solution ~k_max:7 ~samples:256 tanh_osc in
+  Alcotest.(check (float 1.0)) "K=7 frequency = ODE truth" 999773.1
+    sol.Driver.f0
+
+let test_hb_k1_is_df () =
+  (* with a single harmonic, HB is the describing-function analysis *)
+  let sol = free_solution ~k_max:1 ~samples:256 tanh_osc in
+  Alcotest.(check (float 1e-6)) "K=1 amplitude = DF" 1.1581719
+    (Driver.amplitude sol);
+  Alcotest.(check (float 1e-3)) "K=1 frequency = f_c" 1e6 sol.Driver.f0
+
+let test_hb_odd_cell_harmonics () =
+  (* an odd nonlinearity makes no even harmonics *)
+  let sol = free_solution ~k_max:7 ~samples:256 tanh_osc in
+  let sp = sol.Driver.spectra.(sol.Driver.osc_node) in
+  Alcotest.(check bool) "V_2 ~ 0 for odd f" true
+    (Cx.abs sp.(2) < 1e-9 *. Cx.abs sp.(1));
+  Alcotest.(check bool) "V_3 present" true
+    (Cx.abs sp.(3) > 1e-5 *. Cx.abs sp.(1))
+
+let test_hb_asym_k_convergence () =
+  (* golden: the asymmetric A2 cell's orbit truth is f0 = 1991777 Hz *)
+  let asym = Experiments.Asym_ablation.cell () in
+  let f_asym k_max = (free_solution ~k_max ~samples:256 asym).Driver.f0 in
+  let f5 = f_asym 5 and f11 = f_asym 11 in
+  Alcotest.(check (float 50.0)) "K=5 near truth" 1991777.0 f5;
+  Alcotest.(check (float 5.0)) "K=11 at truth" 1991777.0 f11;
+  Alcotest.(check bool) "monotone convergence" true
+    (Float.abs (f11 -. 1991777.0) <= Float.abs (f5 -. 1991777.0) +. 1.0)
+
+let test_hb_dead_cell () =
+  (* g0 R = 0.8 < 1: the cell does not start, so there is no
+     describing-function amplitude to seed the oscprobe *)
+  let dead =
+    { tanh_osc with
+      Shil.Analysis.tank = Shil.Tank.with_r tanh_osc.Shil.Analysis.tank 400.0 }
+  in
+  match
+    Api.hb_run ~osc:dead ~n:3 ~vi:0.03 ~k_max:7 ~samples:256
+      ~mode:Api.Request.Hb_osc
+  with
+  | _ -> Alcotest.fail "a cell that does not oscillate must be rejected"
+  | exception Resilience.Oshil_error.Error e ->
+    Alcotest.(check string)
+      "typed no-oscillation" "no-oscillation"
+      (Resilience.Oshil_error.code e);
+    Alcotest.(check string)
+      "raised by shil.hb" "shil.hb"
+      (Resilience.Oshil_error.loc e)
 
 (* ------------------------------------------------------------------ *)
 (* conversion-matrix Jacobian vs finite differences *)
@@ -343,6 +406,18 @@ let () =
         [
           Alcotest.test_case "MNA engine = reduced HB (K=1,3,5,7)" `Quick
             test_matches_reduced;
+        ] );
+      ( "harmonic_balance",
+        [
+          Alcotest.test_case "matches DF" `Quick test_hb_matches_df;
+          Alcotest.test_case "groszkowski shift" `Quick
+            test_hb_groszkowski_shift;
+          Alcotest.test_case "K=1 is the DF" `Quick test_hb_k1_is_df;
+          Alcotest.test_case "odd cell harmonics" `Quick
+            test_hb_odd_cell_harmonics;
+          Alcotest.test_case "K convergence (asym)" `Slow
+            test_hb_asym_k_convergence;
+          Alcotest.test_case "dead cell" `Quick test_hb_dead_cell;
         ] );
       ( "engine",
         [

@@ -62,8 +62,8 @@ let test_fault_parse () =
   (match Fault.parse "tran-reject@3" with
   | Ok [ ("tran-reject", { Fault.start = 3; count = 1 }) ] -> ()
   | _ -> Alcotest.fail "START without COUNT must mean one occurrence");
-  (match Fault.parse "grid-point,hb-singular@1x4" with
-  | Ok [ ("grid-point", _); ("hb-singular", { Fault.start = 1; count = 4 }) ]
+  (match Fault.parse "grid-point,hb-newton@1x4" with
+  | Ok [ ("grid-point", _); ("hb-newton", { Fault.start = 1; count = 4 }) ]
     -> ()
   | _ -> Alcotest.fail "comma-separated plan");
   (match Fault.parse "no-such-site" with
@@ -428,15 +428,7 @@ let test_tongue_holes () =
   check_counter "resilience.tongue.holes" 1
 
 (* ------------------------------------------------------------------ *)
-(* Harmonic balance, measurement, and the S3 fallback paths *)
-
-let test_hb_singular_typed () =
-  arm "hb-singular";
-  let e =
-    expect_error ~kind:"singular-system" (fun () ->
-        Shil.Harmonic_balance.solve tanh_nl ~tank:fixture_tank)
-  in
-  Alcotest.(check string) "loc" "shil.harmonic-balance" (E.loc e)
+(* Measurement and the S3 fallback paths *)
 
 let test_measure_typed () =
   let s =
@@ -461,16 +453,6 @@ let test_solutions_swallow_root_failure () =
   let pts = Shil.Solutions.find g ~phi_d:0.0 in
   Alcotest.(check int) "all candidates dropped" 0 (List.length pts);
   check_counter_at_least "shil.solutions.refine_fails" 1
-
-let test_self_consistent_swallow_root_failure () =
-  let omega_i = Shil.Tank.omega_c fixture_tank in
-  arm "roots-fail";
-  let pts =
-    Shil.Self_consistent.find ~points:128 tanh_nl ~tank:fixture_tank ~n:3
-      ~vi:0.2 ~omega_i
-  in
-  Alcotest.(check int) "refinement failures fall back to no locks" 0
-    (List.length pts)
 
 let () =
   let t name f = Alcotest.test_case name `Quick (with_env f) in
@@ -527,11 +509,8 @@ let () =
         ] );
       ( "paths",
         [
-          t "hb singular is typed" test_hb_singular_typed;
           t "measurement failure is typed" test_measure_typed;
           t "solutions drop failed refinements"
             test_solutions_swallow_root_failure;
-          t "self-consistent drops failed refinements"
-            test_self_consistent_swallow_root_failure;
         ] );
     ]

@@ -654,125 +654,6 @@ let test_analysis_requires_oscillation () =
      with Resilience.Oshil_error.Error e ->
        e.kind = Resilience.Oshil_error.No_oscillation)
 
-
-(* ------------------------------------------------------------------ *)
-(* Harmonic balance *)
-
-let test_hb_tanh_matches_df () =
-  let hb = Harmonic_balance.solve tanh_nl ~tank:fixture_tank in
-  (* fundamental amplitude agrees with the describing function *)
-  check_float ~eps:1e-4 "HB amplitude ~ DF" 1.1582 (Harmonic_balance.amplitude hb);
-  (* tiny converged residual *)
-  Alcotest.(check bool) "residual" true (hb.residual < 1e-10)
-
-let test_hb_predicts_groszkowski_shift () =
-  (* golden value: the long ODE run measures f0 = 999773.0 Hz for this
-     cell; the DF predicts exactly 1 MHz. HB must recover the shift. *)
-  let hb = Harmonic_balance.solve tanh_nl ~tank:fixture_tank in
-  check_float ~eps:1.0 "HB frequency = ODE truth" 999773.1
-    (Harmonic_balance.frequency hb)
-
-let test_hb_k1_equals_df () =
-  (* with a single harmonic, HB IS the describing-function analysis *)
-  let hb = Harmonic_balance.solve ~k_max:1 tanh_nl ~tank:fixture_tank in
-  check_float ~eps:1e-6 "K=1 amplitude = DF" 1.1581719 (Harmonic_balance.amplitude hb);
-  check_float ~eps:1e-3 "K=1 frequency = fc" 1e6 (Harmonic_balance.frequency hb)
-
-let test_hb_waveform_consistency () =
-  let hb = Harmonic_balance.solve tanh_nl ~tank:fixture_tank in
-  (* the reconstructed waveform peak matches the amplitude for a nearly
-     sinusoidal cell *)
-  let peak = ref 0.0 in
-  for s = 0 to 499 do
-    let theta = 2.0 *. Float.pi *. float_of_int s /. 500.0 in
-    peak := Float.max !peak (Harmonic_balance.waveform hb ~theta)
-  done;
-  Alcotest.(check bool) "peak ~ amplitude" true
-    (Float.abs (!peak -. Harmonic_balance.amplitude hb) < 0.02)
-
-let test_hb_odd_cell_has_no_even_harmonics () =
-  let hb = Harmonic_balance.solve tanh_nl ~tank:fixture_tank in
-  Alcotest.(check bool) "V2 ~ 0 for odd f" true
-    (Cx.abs hb.coeffs.(2) < 1e-9 *. Cx.abs hb.coeffs.(1));
-  Alcotest.(check bool) "V3 finite" true
-    (Cx.abs hb.coeffs.(3) > 1e-5 *. Cx.abs hb.coeffs.(1))
-
-let test_hb_asymmetric_k_convergence () =
-  (* golden: orbit truth for the asymmetric demo cell is 1991777 Hz *)
-  let f v =
-    let core = (-.2e-3 *. v) +. (0.6e-3 *. v *. v *. v) in
-    let clip = if v > 0.8 then 5e-3 *. ((v -. 0.8) ** 2.0) else 0.0 in
-    core +. clip
-  in
-  let nl2 = Nonlinearity.make ~name:"asym" f in
-  let tank2 =
-    let wc = 2.0 *. Float.pi *. 2e6 in
-    Tank.make ~r:1.2e3 ~l:(150.0 /. wc) ~c:(1.0 /. (150.0 *. wc))
-  in
-  let f5 = Harmonic_balance.frequency (Harmonic_balance.solve ~k_max:5 nl2 ~tank:tank2) in
-  let f11 = Harmonic_balance.frequency (Harmonic_balance.solve ~k_max:11 nl2 ~tank:tank2) in
-  check_float ~eps:50.0 "K=5 near truth" 1991777.0 f5;
-  check_float ~eps:5.0 "K=11 at truth" 1991777.0 f11;
-  Alcotest.(check bool) "monotone convergence" true
-    (Float.abs (f11 -. 1991777.0) <= Float.abs (f5 -. 1991777.0) +. 1.0)
-
-let test_hb_no_oscillation_raises () =
-  Alcotest.(check bool) "dead cell raises typed No_oscillation" true
-    (try
-       ignore (Harmonic_balance.solve tanh_nl ~tank:(Tank.with_r fixture_tank 400.0));
-       false
-     with Resilience.Oshil_error.Error e ->
-       e.kind = Resilience.Oshil_error.No_oscillation
-       && e.subsystem = Resilience.Oshil_error.Shil)
-
-(* ------------------------------------------------------------------ *)
-(* Self-consistent harmonic extension *)
-
-let test_sc_effective_v_weak_feedback () =
-  (* with a tank that kills the n-th harmonic, V_eff = V_inj *)
-  let v_inj = Cx.polar 0.05 0.7 in
-  let v =
-    Self_consistent.effective_v tanh_nl ~n:3 ~a:1.0 ~v_inj ~h_n:Cx.zero
-  in
-  Alcotest.(check bool) "no feedback: V = Vinj" true
-    (Cx.abs (Cx.sub v v_inj) < 1e-12)
-
-let test_sc_matches_plain_for_odd_cell () =
-  (* odd-symmetric tanh at n = 3: the self-harmonic is small, so the
-     self-consistent locks are close to the plain ones *)
-  let omega_i = Tank.omega_c fixture_tank in
-  let pts =
-    Self_consistent.find tanh_nl ~tank:fixture_tank ~n:3 ~vi:0.05 ~omega_i
-  in
-  let plain = Solutions.find (Lazy.force fixture_grid) ~phi_d:0.0 in
-  Alcotest.(check int) "same lock count" (List.length plain) (List.length pts);
-  let stable_sc = List.find (fun (p : Self_consistent.point) -> p.stable) pts in
-  let stable_plain = List.find (fun (p : Solutions.point) -> p.stable) plain in
-  Alcotest.(check bool) "amplitudes agree within 1%" true
-    (Float.abs (stable_sc.a -. stable_plain.a) /. stable_plain.a < 0.01)
-
-let test_sc_shifts_asymmetric_band_down () =
-  let f v =
-    let core = (-.2e-3 *. v) +. (0.6e-3 *. v *. v *. v) in
-    let clip = if v > 0.8 then 5e-3 *. ((v -. 0.8) ** 2.0) else 0.0 in
-    core +. clip
-  in
-  let nl2 = Nonlinearity.make ~name:"asym" f in
-  let tank2 =
-    let wc = 2.0 *. Float.pi *. 2e6 in
-    Tank.make ~r:1.2e3 ~l:(150.0 /. wc) ~c:(1.0 /. (150.0 *. wc))
-  in
-  let sc = Self_consistent.lock_range ~points:256 ~tol:1e-3 nl2 ~tank:tank2 ~n:2 ~vi:0.06 in
-  let report = Analysis.run { nl = nl2; tank = tank2 } ~n:2 ~vi:0.06 in
-  Alcotest.(check bool) "SC band below plain band" true
-    (sc.f_inj_low < report.lock_range.f_inj_low
-    && sc.f_inj_high < report.lock_range.f_inj_high);
-  Alcotest.(check bool) "width roughly preserved" true
-    (Float.abs (sc.delta_f_inj -. report.lock_range.delta_f_inj)
-     /. report.lock_range.delta_f_inj
-    < 0.1)
-
-
 (* ------------------------------------------------------------------ *)
 (* Injection pulling *)
 
@@ -881,22 +762,6 @@ let () =
           Alcotest.test_case "predict" `Quick test_lock_range_predict;
           Alcotest.test_case "r mismatch" `Quick test_lock_range_r_mismatch;
           Alcotest.test_case "tiny injection" `Quick test_lock_range_no_lock;
-        ] );
-      ( "harmonic_balance",
-        [
-          Alcotest.test_case "matches DF" `Quick test_hb_tanh_matches_df;
-          Alcotest.test_case "groszkowski shift" `Quick test_hb_predicts_groszkowski_shift;
-          Alcotest.test_case "K=1 is the DF" `Quick test_hb_k1_equals_df;
-          Alcotest.test_case "waveform" `Quick test_hb_waveform_consistency;
-          Alcotest.test_case "odd cell harmonics" `Quick test_hb_odd_cell_has_no_even_harmonics;
-          Alcotest.test_case "K convergence (asym)" `Slow test_hb_asymmetric_k_convergence;
-          Alcotest.test_case "dead cell" `Quick test_hb_no_oscillation_raises;
-        ] );
-      ( "self_consistent",
-        [
-          Alcotest.test_case "no feedback identity" `Quick test_sc_effective_v_weak_feedback;
-          Alcotest.test_case "odd cell matches plain" `Slow test_sc_matches_plain_for_odd_cell;
-          Alcotest.test_case "asym band shifts down" `Slow test_sc_shifts_asymmetric_band_down;
         ] );
       ( "fhil",
         [ Alcotest.test_case "adler agreement" `Quick test_fhil_matches_adler_weak_injection ] );
