@@ -54,19 +54,32 @@ let dot x y =
   Array.iteri (fun k xi -> s := !s +. (xi *. y.(k))) x;
   !s
 
-let norm_inf x = Array.fold_left (fun m xi -> Float.max m (Float.abs xi)) 0.0 x
+(* [Float.max], spelled out so that a loop over it keeps its floats
+   unboxed; same result bits, NaN payloads included *)
+let[@inline] fmax (x : float) (y : float) =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then
+    if Float.is_nan x then x else y
+  else if Float.is_nan y then y else x
+
+let norm_inf x =
+  let m = ref 0.0 in
+  for k = 0 to Array.length x - 1 do
+    m := fmax !m (Float.abs x.(k))
+  done;
+  !m
 let norm2 x = sqrt (dot x x)
 
 exception Singular
 
 type lu = { lu : mat; perm : int array; sign : float }
 
-let lu_factor a =
-  let n, cols = dims a in
-  assert (n = cols);
-  let m = copy a in
-  let perm = Array.init n Fun.id in
-  let sign = ref 1.0 in
+let lu_factor_in_place m perm =
+  let n, cols = dims m in
+  assert (n = cols && Array.length perm = n);
+  for k = 0 to n - 1 do
+    perm.(k) <- k
+  done;
+  let sign = ref 1 in
   for k = 0 to n - 1 do
     (* partial pivoting: bring the largest remaining |entry| of column k up *)
     let piv = ref k in
@@ -80,7 +93,7 @@ let lu_factor a =
       let tp = perm.(k) in
       perm.(k) <- perm.(!piv);
       perm.(!piv) <- tp;
-      sign := -. !sign
+      sign := - !sign
     end;
     let pivot = m.(k).(k) in
     if Float.abs pivot < 1e-300 then raise Singular;
@@ -93,12 +106,15 @@ let lu_factor a =
         done
     done
   done;
-  { lu = m; perm; sign = !sign }
+  !sign
 
-let lu_solve { lu = m; perm; _ } b =
+let lu_solve_into m perm b x =
   let n = Array.length perm in
-  assert (Array.length b = n);
-  let x = Array.init n (fun r -> b.(perm.(r))) in
+  (* mlint: allow phys-eq — x overwritten while b is read: no aliasing *)
+  assert (Array.length b = n && Array.length x = n && b != x);
+  for r = 0 to n - 1 do
+    x.(r) <- b.(perm.(r))
+  done;
   for r = 1 to n - 1 do
     let s = ref x.(r) in
     for c = 0 to r - 1 do
@@ -112,7 +128,17 @@ let lu_solve { lu = m; perm; _ } b =
       s := !s -. (m.(r).(c) *. x.(c))
     done;
     x.(r) <- !s /. m.(r).(r)
-  done;
+  done
+
+let lu_factor a =
+  let m = copy a in
+  let perm = Array.make (Array.length m) 0 in
+  let sign = lu_factor_in_place m perm in
+  { lu = m; perm; sign = float_of_int sign }
+
+let lu_solve { lu = m; perm; _ } b =
+  let x = Array.make (Array.length perm) 0.0 in
+  lu_solve_into m perm b x;
   x
 
 let lu_det { lu = m; perm; sign } =

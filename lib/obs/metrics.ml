@@ -12,4 +12,10 @@ let observe name v =
   if Atomic.get Registry.enabled then
     Registry.observe (Registry.my_buf ()) name v
 
+let bucket = Registry.bucket_index
+
+let observe_counts name counts =
+  if Atomic.get Registry.enabled then
+    Registry.observe_counts (Registry.my_buf ()) name counts
+
 let counter_value = Registry.counter_value

@@ -29,6 +29,17 @@ val observe : string -> float -> unit
     bucket with [v <= bound], above the last bound in the overflow
     slot. Samples for unregistered names are dropped. *)
 
+val bucket : float array -> float -> int
+(** [bucket bounds v] is the slot {!observe} counts [v] in: the first [i]
+    with [v <= bounds.(i)], else [Array.length bounds] (overflow). *)
+
+val observe_counts : string -> int array -> unit
+(** Adds pre-binned samples to a registered histogram: [counts.(i)]
+    samples in slot [i] as {!bucket} numbers them, so the array has one
+    more entry than the bounds. Same result as one {!observe} per
+    sample, for hot loops that bin locally and report once. Raises
+    [Invalid_argument] on a length mismatch. *)
+
 val counter_value : string -> int
 (** Merged current value of a counter across all domains; 0 if the
     counter was never incremented. Useful for before/after deltas when

@@ -188,22 +188,38 @@ let bucket_index bounds v =
   done;
   !i
 
+(* The calling domain's counts for [name]; caller holds [b.mu]. *)
+let hist_counts b name bounds =
+  match Hashtbl.find_opt b.hists name with
+  | Some c -> c
+  | None ->
+    let c = Array.make (Array.length bounds + 1) 0 in
+    Hashtbl.add b.hists name c;
+    c
+
 let observe b name v =
   match hist_bounds name with
   | None -> () (* unregistered histogram: sample dropped by contract *)
   | Some bounds ->
     Mutex.lock b.mu;
-    let counts =
-      match Hashtbl.find_opt b.hists name with
-      | Some c -> c
-      | None ->
-        let c = Array.make (Array.length bounds + 1) 0 in
-        Hashtbl.add b.hists name c;
-        c
-    in
+    let counts = hist_counts b name bounds in
     let i = bucket_index bounds v in
     counts.(i) <- counts.(i) + 1;
     Mutex.unlock b.mu
+
+let observe_counts b name add =
+  match hist_bounds name with
+  | None -> ()
+  | Some bounds ->
+    if Array.length add <> Array.length bounds + 1 then
+      invalid_arg "Obs.Metrics.observe_counts: one count per bucket expected";
+    (* no samples leaves the histogram absent, as no [observe] would *)
+    if Array.exists (fun k -> k <> 0) add then begin
+      Mutex.lock b.mu;
+      let counts = hist_counts b name bounds in
+      Array.iteri (fun i k -> counts.(i) <- counts.(i) + k) add;
+      Mutex.unlock b.mu
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Merged view *)

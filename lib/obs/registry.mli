@@ -112,6 +112,15 @@ val observe : dbuf -> string -> float -> unit
 (** Samples against the registered bounds; drops the sample if the
     histogram name was never registered. *)
 
+val bucket_index : float array -> float -> int
+(** The slot [observe] counts [v] in: the first [i] with
+    [v <= bounds.(i)], else [length bounds] (overflow). *)
+
+val observe_counts : dbuf -> string -> int array -> unit
+(** Adds per-slot sample counts (overflow slot included) in one step;
+    the same result as one [observe] per sample. Dropped for an
+    unregistered name; raises [Invalid_argument] on a length mismatch. *)
+
 (** {1 Merged view} *)
 
 type snapshot = {

@@ -36,7 +36,7 @@ let compute ?(jac_eps = 1e-7) ~f orbit =
   in
   (* 2-D: multipliers are 1 (phase) and mu = det M *)
   let floquet_mu =
-    if dim = 2 then Linalg.lu_det (Linalg.lu_factor (Linalg.copy monodromy))
+    if dim = 2 then Linalg.lu_det (Linalg.lu_factor monodromy)
     else Float.nan
   in
   (* left eigenvector for multiplier 1: (M^T - I) q = 0 *)

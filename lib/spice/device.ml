@@ -63,21 +63,23 @@ let nodes = function
   | Bjt { nc; nb; ne; _ } -> [ nc; nb; ne ]
   | Mosfet { nd; ng; ns; _ } -> [ nd; ng; ns ]
 
-(* Overflow-safe exponential: linear continuation above [cap] keeps the
-   Newton iteration finite for wild intermediate voltages. *)
-let safe_exp x =
-  let cap = 40.0 in
-  if x > cap then exp cap *. (1.0 +. (x -. cap)) else exp x
+(* Overflow-safe exponential: linear continuation above [exp_cap] keeps
+   the Newton iteration finite for wild intermediate voltages. A
+   junction takes [e = capped_exp x] once and derives both its current
+   term [continued_exp x e] and its slope term [e] from it. *)
+let exp_cap = 40.0
 
-let safe_exp_deriv x =
-  let cap = 40.0 in
-  if x > cap then exp cap else exp x
+let[@inline] capped_exp x = exp (if x > exp_cap then exp_cap else x)
+
+let[@inline] continued_exp x e =
+  if x > exp_cap then e *. (1.0 +. (x -. exp_cap)) else e
 
 let diode_iv { is; n; vt } v =
   let nvt = n *. vt in
   let x = v /. nvt in
-  let i = is *. (safe_exp x -. 1.0) in
-  let g = is *. safe_exp_deriv x /. nvt in
+  let e = capped_exp x in
+  let i = is *. (continued_exp x e -. 1.0) in
+  let g = is *. e /. nvt in
   (i, g)
 
 let tunnel_iv { is; eta; vth; r0; v0; m } v =
@@ -92,14 +94,16 @@ let tunnel_iv { is; eta; vth; r0; v0; m } v =
   let i_d, g_d = diode_iv { is; n = eta; vt = vth } v in
   (i_tun +. i_d, g_tun +. g_d)
 
-let bjt_currents { is; beta_f; beta_r; vt } ~vbe ~vbc =
-  let ef = safe_exp (vbe /. vt) and er = safe_exp (vbc /. vt) in
+(* Ebers-Moll currents from the continued junction exponentials *)
+let[@inline] em_currents { is; beta_f; beta_r; _ } ef er =
   let icc = is *. (ef -. er) in
   let ibe = is /. beta_f *. (ef -. 1.0) in
   let ibc = is /. beta_r *. (er -. 1.0) in
-  let ic = icc -. ibc in
-  let ib = ibe +. ibc in
-  (ic, ib)
+  (icc -. ibc, ibe +. ibc)
+
+let bjt_currents p ~vbe ~vbc =
+  let xf = vbe /. p.vt and xr = vbc /. p.vt in
+  em_currents p (continued_exp xf (capped_exp xf)) (continued_exp xr (capped_exp xr))
 
 type mos_linearization = { id : float; gm : float; gds : float }
 
@@ -147,9 +151,11 @@ type bjt_linearization = {
 }
 
 let bjt_iv ({ is; beta_f; beta_r; vt } as p) ~vbe ~vbc =
-  let ic, ib = bjt_currents p ~vbe ~vbc in
-  let def = safe_exp_deriv (vbe /. vt) /. vt in
-  let der = safe_exp_deriv (vbc /. vt) /. vt in
+  let xf = vbe /. vt and xr = vbc /. vt in
+  let eff = capped_exp xf and err = capped_exp xr in
+  let ic, ib = em_currents p (continued_exp xf eff) (continued_exp xr err) in
+  let def = eff /. vt in
+  let der = err /. vt in
   {
     ic;
     ib;

@@ -95,7 +95,7 @@ type state = {
   ind_i : float array;
 }
 
-let v_at x i = if i < 0 then 0.0 else x.(i)
+let[@inline] v_at x i = if i < 0 then 0.0 else x.(i)
 
 let init_state c ~use_ic ~x =
   let cap_v = Array.make (max c.n_caps 1) 0.0 in
@@ -144,6 +144,32 @@ type mode =
   | Dc of { gmin : float; source_scale : float }
   | Tran of { t : float; h : float; integ : integ; state : state; gmin : float }
 
+(* Stamping helpers. They live at top level and are inlined, so the
+   stamped floats stay unboxed; the ground index (-1) is dropped. *)
+let[@inline] add_res res i v = if i >= 0 then res.(i) <- res.(i) +. v
+
+let[@inline] add_jac jac r c v =
+  if r >= 0 && c >= 0 then jac.(r).(c) <- jac.(r).(c) +. v
+
+(* device current i (already evaluated) flowing i1 -> i2, slope g *)
+let[@inline] stamp_nonlinear res jac i1 i2 i g =
+  add_res res i1 i;
+  add_res res i2 (-.i);
+  add_jac jac i1 i1 g;
+  add_jac jac i1 i2 (-.g);
+  add_jac jac i2 i1 (-.g);
+  add_jac jac i2 i2 g
+
+(* current i = g*(v1-v2) + i0 flowing i1 -> i2 *)
+let[@inline] stamp_conductance x res jac i1 i2 g i0 =
+  let v = v_at x i1 -. v_at x i2 in
+  stamp_nonlinear res jac i1 i2 ((g *. v) +. i0) g
+
+let src_value mode wave =
+  match mode with
+  | Dc { source_scale; _ } -> source_scale *. Wave.dc_value wave
+  | Tran { t; _ } -> Wave.value wave t
+
 let assemble c ~mode ~x ~jac ~res =
   let n = size c in
   for r = 0 to n - 1 do
@@ -153,160 +179,121 @@ let assemble c ~mode ~x ~jac ~res =
       row.(cc) <- 0.0
     done
   done;
-  (* helpers that ignore the ground index (-1) *)
-  let add_res i v = if i >= 0 then res.(i) <- res.(i) +. v in
-  let add_jac r cidx v = if r >= 0 && cidx >= 0 then jac.(r).(cidx) <- jac.(r).(cidx) +. v in
-  let gmin, src_scale, time =
-    match mode with
-    | Dc { gmin; source_scale } -> (gmin, source_scale, 0.0)
-    | Tran { gmin; t; _ } -> (gmin, 1.0, t)
-  in
+  let gmin = match mode with Dc { gmin; _ } | Tran { gmin; _ } -> gmin in
   (* gmin leak on every node keeps the matrix regular with floating caps *)
   if gmin > 0.0 then
     for k = 0 to c.n_nodes - 1 do
       res.(k) <- res.(k) +. (gmin *. x.(k));
       jac.(k).(k) <- jac.(k).(k) +. gmin
     done;
-  let src_value wave =
-    match mode with
-    | Dc _ -> src_scale *. Wave.dc_value wave
-    | Tran _ -> Wave.value wave time
-  in
-  let stamp_conductance i1 i2 g i0 =
-    (* current i = g*(v1-v2) + i0 flowing i1 -> i2 *)
-    let v = v_at x i1 -. v_at x i2 in
-    let i = (g *. v) +. i0 in
-    add_res i1 i;
-    add_res i2 (-.i);
-    add_jac i1 i1 g;
-    add_jac i1 i2 (-.g);
-    add_jac i2 i1 (-.g);
-    add_jac i2 i2 g
-  in
-  let stamp_nonlinear i1 i2 i g =
-    (* device current i (already evaluated at x) with slope g *)
-    add_res i1 i;
-    add_res i2 (-.i);
-    add_jac i1 i1 g;
-    add_jac i1 i2 (-.g);
-    add_jac i2 i1 (-.g);
-    add_jac i2 i2 g
-  in
-  Array.iter
-    (fun inst ->
-      match inst with
-      | IR { i1; i2; g } -> stamp_conductance i1 i2 g 0.0
-      | IC { i1; i2; c = cval; si; _ } -> begin
-        match mode with
-        | Dc _ -> () (* open circuit *)
-        | Tran { h; integ; state; _ } ->
-          let geq, ieq =
-            match integ with
-            | Trap ->
-              let geq = 2.0 *. cval /. h in
-              (geq, (-.geq *. state.cap_v.(si)) -. state.cap_i.(si))
-            | Backward_euler ->
-              let geq = cval /. h in
-              (geq, -.geq *. state.cap_v.(si))
-          in
-          stamp_conductance i1 i2 geq ieq
-      end
-      | IL { i1; i2; l; br; si; _ } -> begin
-        (* KCL: branch current leaves i1, enters i2 *)
-        let ibr = x.(br) in
-        add_res i1 ibr;
-        add_res i2 (-.ibr);
-        add_jac i1 br 1.0;
-        add_jac i2 br (-1.0);
-        (* branch equation:
-           trap: v_new = (2L/h)(i_new - i_prev) - v_prev
-           BE:   v_new = (L/h)(i_new - i_prev) *)
-        match mode with
-        | Dc _ ->
-          res.(br) <- v_at x i1 -. v_at x i2;
-          add_jac br i1 1.0;
-          add_jac br i2 (-1.0)
-        | Tran { h; integ; state; _ } ->
-          let v = v_at x i1 -. v_at x i2 in
-          let k, v_prev_term =
-            match integ with
-            | Trap -> (2.0 *. l /. h, state.ind_v.(si))
-            | Backward_euler -> (l /. h, 0.0)
-          in
-          res.(br) <- v -. (k *. (ibr -. state.ind_i.(si))) +. v_prev_term;
-          add_jac br i1 1.0;
-          add_jac br i2 (-1.0);
-          jac.(br).(br) <- jac.(br).(br) -. k
-      end
-      | IV { ip; inn; wave; br } ->
-        let ibr = x.(br) in
-        add_res ip ibr;
-        add_res inn (-.ibr);
-        add_jac ip br 1.0;
-        add_jac inn br (-1.0);
-        res.(br) <- v_at x ip -. v_at x inn -. src_value wave;
-        add_jac br ip 1.0;
-        add_jac br inn (-1.0)
-      | II { ip; inn; wave } ->
-        let i = src_value wave in
-        add_res ip i;
-        add_res inn (-.i)
-      | ID { ip; inn; p } ->
-        let v = v_at x ip -. v_at x inn in
-        let i, g = Device.diode_iv p v in
-        stamp_nonlinear ip inn i g
-      | ITD { ip; inn; p } ->
-        let v = v_at x ip -. v_at x inn in
-        let i, g = Device.tunnel_iv p v in
-        stamp_nonlinear ip inn i g
-      | INL { ip; inn; f; df } ->
-        let v = v_at x ip -. v_at x inn in
-        let i = f v in
-        let g =
-          match df with
-          | Some df -> df v
-          | None ->
-            let h = 1e-6 *. (1.0 +. Float.abs v) in
-            (f (v +. h) -. f (v -. h)) /. (2.0 *. h)
+  let insts = c.insts in
+  for k = 0 to Array.length insts - 1 do
+    match insts.(k) with
+    | IR { i1; i2; g } -> stamp_conductance x res jac i1 i2 g 0.0
+    | IC { i1; i2; c = cval; si; _ } -> begin
+      match mode with
+      | Dc _ -> () (* open circuit *)
+      | Tran { h; integ = Trap; state; _ } ->
+        let geq = 2.0 *. cval /. h in
+        stamp_conductance x res jac i1 i2 geq
+          ((-.geq *. state.cap_v.(si)) -. state.cap_i.(si))
+      | Tran { h; integ = Backward_euler; state; _ } ->
+        let geq = cval /. h in
+        stamp_conductance x res jac i1 i2 geq (-.geq *. state.cap_v.(si))
+    end
+    | IL { i1; i2; l; br; si; _ } -> begin
+      (* KCL: branch current leaves i1, enters i2 *)
+      let ibr = x.(br) in
+      add_res res i1 ibr;
+      add_res res i2 (-.ibr);
+      add_jac jac i1 br 1.0;
+      add_jac jac i2 br (-1.0);
+      (* branch equation:
+         trap: v_new = (2L/h)(i_new - i_prev) - v_prev
+         BE:   v_new = (L/h)(i_new - i_prev) *)
+      match mode with
+      | Dc _ ->
+        res.(br) <- v_at x i1 -. v_at x i2;
+        add_jac jac br i1 1.0;
+        add_jac jac br i2 (-1.0)
+      | Tran { h; integ; state; _ } ->
+        let v = v_at x i1 -. v_at x i2 in
+        let k = match integ with Trap -> 2.0 *. l /. h | Backward_euler -> l /. h in
+        let v_prev_term =
+          match integ with Trap -> state.ind_v.(si) | Backward_euler -> 0.0
         in
-        stamp_nonlinear ip inn i g
-      | IM { nd; ng; ns; p } ->
-        let vg = v_at x ng and vd = v_at x nd and vs = v_at x ns in
-        let lin = Device.mos_iv p ~vgs:(vg -. vs) ~vds:(vd -. vs) in
-        (* drain current enters the drain terminal and leaves the source *)
-        add_res nd lin.id;
-        add_res ns (-.lin.id);
-        (* d id: vgs = vg - vs, vds = vd - vs *)
-        add_jac nd ng lin.gm;
-        add_jac nd nd lin.gds;
-        add_jac nd ns (-.(lin.gm +. lin.gds));
-        add_jac ns ng (-.lin.gm);
-        add_jac ns nd (-.lin.gds);
-        add_jac ns ns (lin.gm +. lin.gds)
-      | IQ { nc; nb; ne; p } ->
-        let vb = v_at x nb and vc = v_at x nc and ve = v_at x ne in
-        let lin = Device.bjt_iv p ~vbe:(vb -. ve) ~vbc:(vb -. vc) in
-        let ie = -.(lin.ic +. lin.ib) in
-        add_res nc lin.ic;
-        add_res nb lin.ib;
-        add_res ne ie;
-        (* chain rule: vbe = vb - ve, vbc = vb - vc *)
-        let dic_dvb = lin.dic_dvbe +. lin.dic_dvbc in
-        let dic_dvc = -.lin.dic_dvbc in
-        let dic_dve = -.lin.dic_dvbe in
-        let dib_dvb = lin.dib_dvbe +. lin.dib_dvbc in
-        let dib_dvc = -.lin.dib_dvbc in
-        let dib_dve = -.lin.dib_dvbe in
-        add_jac nc nb dic_dvb;
-        add_jac nc nc dic_dvc;
-        add_jac nc ne dic_dve;
-        add_jac nb nb dib_dvb;
-        add_jac nb nc dib_dvc;
-        add_jac nb ne dib_dve;
-        add_jac ne nb (-.(dic_dvb +. dib_dvb));
-        add_jac ne nc (-.(dic_dvc +. dib_dvc));
-        add_jac ne ne (-.(dic_dve +. dib_dve)))
-    c.insts
+        res.(br) <- v -. (k *. (ibr -. state.ind_i.(si))) +. v_prev_term;
+        add_jac jac br i1 1.0;
+        add_jac jac br i2 (-1.0);
+        jac.(br).(br) <- jac.(br).(br) -. k
+    end
+    | IV { ip; inn; wave; br } ->
+      let ibr = x.(br) in
+      add_res res ip ibr;
+      add_res res inn (-.ibr);
+      add_jac jac ip br 1.0;
+      add_jac jac inn br (-1.0);
+      res.(br) <- v_at x ip -. v_at x inn -. src_value mode wave;
+      add_jac jac br ip 1.0;
+      add_jac jac br inn (-1.0)
+    | II { ip; inn; wave } ->
+      let i = src_value mode wave in
+      add_res res ip i;
+      add_res res inn (-.i)
+    | ID { ip; inn; p } ->
+      let i, g = Device.diode_iv p (v_at x ip -. v_at x inn) in
+      stamp_nonlinear res jac ip inn i g
+    | ITD { ip; inn; p } ->
+      let i, g = Device.tunnel_iv p (v_at x ip -. v_at x inn) in
+      stamp_nonlinear res jac ip inn i g
+    | INL { ip; inn; f; df } ->
+      let v = v_at x ip -. v_at x inn in
+      let i = f v in
+      let g =
+        match df with
+        | Some df -> df v
+        | None ->
+          let h = 1e-6 *. (1.0 +. Float.abs v) in
+          (f (v +. h) -. f (v -. h)) /. (2.0 *. h)
+      in
+      stamp_nonlinear res jac ip inn i g
+    | IM { nd; ng; ns; p } ->
+      let vg = v_at x ng and vd = v_at x nd and vs = v_at x ns in
+      let lin = Device.mos_iv p ~vgs:(vg -. vs) ~vds:(vd -. vs) in
+      (* drain current enters the drain terminal and leaves the source *)
+      add_res res nd lin.id;
+      add_res res ns (-.lin.id);
+      (* d id: vgs = vg - vs, vds = vd - vs *)
+      add_jac jac nd ng lin.gm;
+      add_jac jac nd nd lin.gds;
+      add_jac jac nd ns (-.(lin.gm +. lin.gds));
+      add_jac jac ns ng (-.lin.gm);
+      add_jac jac ns nd (-.lin.gds);
+      add_jac jac ns ns (lin.gm +. lin.gds)
+    | IQ { nc; nb; ne; p } ->
+      let vb = v_at x nb and vc = v_at x nc and ve = v_at x ne in
+      let lin = Device.bjt_iv p ~vbe:(vb -. ve) ~vbc:(vb -. vc) in
+      let ie = -.(lin.ic +. lin.ib) in
+      add_res res nc lin.ic;
+      add_res res nb lin.ib;
+      add_res res ne ie;
+      (* chain rule: vbe = vb - ve, vbc = vb - vc *)
+      let dic_dvb = lin.dic_dvbe +. lin.dic_dvbc in
+      let dic_dvc = -.lin.dic_dvbc in
+      let dic_dve = -.lin.dic_dvbe in
+      let dib_dvb = lin.dib_dvbe +. lin.dib_dvbc in
+      let dib_dvc = -.lin.dib_dvbc in
+      let dib_dve = -.lin.dib_dvbe in
+      add_jac jac nc nb dic_dvb;
+      add_jac jac nc nc dic_dvc;
+      add_jac jac nc ne dic_dve;
+      add_jac jac nb nb dib_dvb;
+      add_jac jac nb nc dib_dvc;
+      add_jac jac nb ne dib_dve;
+      add_jac jac ne nb (-.(dic_dvb +. dib_dvb));
+      add_jac jac ne nc (-.(dic_dvc +. dib_dvc));
+      add_jac jac ne ne (-.(dic_dve +. dib_dve))
+  done
 
 let cap_count c = c.n_caps
 let ind_count c = c.n_inds

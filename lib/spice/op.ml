@@ -2,10 +2,10 @@ type t = { compiled : Mna.compiled; x : float array }
 
 module Policy = Resilience.Policy
 
-let attempt ?newton ?(rung = "direct") compiled ~gmin ~source_scale ~x0 =
-  let size = Mna.size compiled in
+let attempt ?newton ?(rung = "direct") compiled ~ws ~gmin ~source_scale ~x0 =
+  let mode = Mna.Dc { gmin; source_scale } in
   let assemble ~x ~jac ~res =
-    Mna.assemble compiled ~mode:(Mna.Dc { gmin; source_scale }) ~x ~jac ~res
+    Mna.assemble compiled ~mode ~x ~jac ~res
   in
   (* the rung label lets a report attribute convergence behaviour to
      the recovery ladder step (gmin/source value) that produced it *)
@@ -18,7 +18,7 @@ let attempt ?newton ?(rung = "direct") compiled ~gmin ~source_scale ~x0 =
     else None
   in
   let x, outcome =
-    Newton.solve ?options:newton ?ectx ~clamp_upto:(Mna.n_nodes compiled) ~size
+    Newton.solve ?options:newton ?ectx ~clamp_upto:(Mna.n_nodes compiled) ~ws
       ~assemble ~x0 ()
   in
   match outcome with
@@ -31,8 +31,11 @@ let run ?newton ?(check = `Enforce) ?x0 circuit =
   let compiled = Mna.compile circuit in
   let size = Mna.size compiled in
   let x0 = match x0 with Some x -> x | None -> Array.make size 0.0 in
+  (* one workspace for every rung of the recovery ladder *)
+  let ws = Newton.workspace size in
+  Fun.protect ~finally:(fun () -> Newton.flush ws) @@ fun () ->
   let direct () =
-    attempt ?newton ~rung:"direct" compiled ~gmin:1e-12 ~source_scale:1.0 ~x0
+    attempt ?newton ~ws ~rung:"direct" compiled ~gmin:1e-12 ~source_scale:1.0 ~x0
   in
   (* gmin stepping: solve with a heavy leak, then relax it *)
   let gmin_stepping () =
@@ -40,7 +43,7 @@ let run ?newton ?(check = `Enforce) ?x0 circuit =
       | [] -> Ok x
       | g :: rest -> begin
         match
-          attempt ?newton ~rung:"gmin-stepping" compiled ~gmin:g
+          attempt ?newton ~ws ~rung:"gmin-stepping" compiled ~gmin:g
             ~source_scale:1.0 ~x0:x
         with
         | Ok x' -> gmin_steps x' rest
@@ -56,7 +59,7 @@ let run ?newton ?(check = `Enforce) ?x0 circuit =
       | [] -> Ok x
       | s :: rest -> begin
         match
-          attempt ?newton ~rung:"source-stepping" compiled ~gmin:1e-9
+          attempt ?newton ~ws ~rung:"source-stepping" compiled ~gmin:1e-9
             ~source_scale:s ~x0:x
         with
         | Ok x' -> src_steps x' rest
@@ -67,7 +70,7 @@ let run ?newton ?(check = `Enforce) ?x0 circuit =
     match src_steps (Array.make size 0.0) scales with
     | Ok x -> begin
       match
-        attempt ?newton ~rung:"source-stepping" compiled ~gmin:1e-12
+        attempt ?newton ~ws ~rung:"source-stepping" compiled ~gmin:1e-12
           ~source_scale:1.0 ~x0:x
       with
       | Ok x' -> Ok x'
@@ -86,7 +89,7 @@ let run ?newton ?(check = `Enforce) ?x0 circuit =
         max_iter = base.Newton.max_iter * 4;
       }
     in
-    attempt ~newton:damped ~rung:"damped-newton" compiled ~gmin:1e-9
+    attempt ~newton:damped ~ws ~rung:"damped-newton" compiled ~gmin:1e-9
       ~source_scale:1.0 ~x0:(Array.make size 0.0)
   in
   match

@@ -163,16 +163,15 @@ let run_gated ~check circuit ~probes opts =
               ~remedy:
                 "raise the request deadline, shorten t_stop or coarsen dt"))
   in
+  (* every Newton solve of the run shares one workspace *)
+  let ws = Newton.workspace size in
   (* one Newton step of the implicit method: returns Ok x' or Error msg *)
   let solve_step ~t ~h ~integ ~state x_guess =
     if Resilience.Fault.fire "tran-reject" then
       Error "injected fault (tran-reject)"
     else begin
-      let assemble ~x ~jac ~res =
-        Mna.assemble compiled
-          ~mode:(Mna.Tran { t; h; integ; state; gmin = opts.gmin })
-          ~x ~jac ~res
-      in
+      let mode = Mna.Tran { t; h; integ; state; gmin = opts.gmin } in
+      let assemble ~x ~jac ~res = Mna.assemble compiled ~mode ~x ~jac ~res in
       let ectx =
         if Obs.Event.enabled () then
           Some (Obs.Event.ctx ~rung:(Printf.sprintf "h=%g" h) "spice.transient")
@@ -180,7 +179,7 @@ let run_gated ~check circuit ~probes opts =
       in
       let x', outcome =
         Newton.solve ~options:opts.newton ?ectx
-          ~clamp_upto:(Mna.n_nodes compiled) ~size ~assemble ~x0:x_guess ()
+          ~clamp_upto:(Mna.n_nodes compiled) ~ws ~assemble ~x0:x_guess ()
       in
       match outcome with
       | Newton.Converged _ -> Ok x'
@@ -222,7 +221,8 @@ let run_gated ~check circuit ~probes opts =
   in
   let stride = max 1 opts.record_stride in
   let failure = ref None in
-  (try
+  (Fun.protect ~finally:(fun () -> Newton.flush ws) @@ fun () ->
+   try
      match opts.step_control with
   | Fixed ->
     let n_steps = int_of_float (Float.ceil ((opts.t_stop /. opts.dt) -. 1e-9)) in

@@ -445,6 +445,89 @@ let test_tracing_preserves_results () =
          | _ -> false)
        s.Obs.Registry.events)
 
+(* Spice.Newton tallies its spice.newton.* counters and histograms in
+   the run's workspace and reports them once per transient or operating
+   point. The totals must be those one report per solve gives: rebuild
+   them from the per-solve [Newton_done] events of a traced transient
+   (operating point included, two solves made to diverge) and from the
+   figures the per-solve reporting recorded for the same run. *)
+let test_newton_tally_per_run () =
+  let p = Circuits.Tanh_osc.default in
+  let im =
+    Shil.Simulate.injection_current ~tank:(Circuits.Tanh_osc.tank p)
+      { vi = 0.03; n = 3; f_inj = 3e6; phase = 0.0 }
+  in
+  let circuit =
+    Circuits.Tanh_osc.circuit
+      ~injection:(Sine { offset = 0.0; ampl = im; freq = 3e6; phase = 0.0; delay = 0.0 })
+      p
+  in
+  (match Resilience.Fault.configure "newton-singular@30x2" with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "fault plan: %s" msg);
+  Obs.set_enabled true;
+  Obs.set_events_enabled true;
+  let r =
+    Fun.protect ~finally:Resilience.Fault.clear (fun () ->
+        Spice.Transient.run circuit ~probes:[ Spice.Transient.Node "t" ]
+          (Spice.Transient.default_options ~dt:6.25e-9 ~t_stop:10e-6))
+  in
+  Alcotest.(check bool) "run complete" true (Option.is_none r.failure);
+  let s = Obs.snapshot () in
+  let dones =
+    List.filter_map
+      (fun (e : Obs.Registry.event_ev) ->
+        match e.payload with
+        | Obs.Registry.Newton_done { iters; converged; residual; _ } ->
+          Some (iters, converged, residual)
+        | _ -> None)
+      s.Obs.Registry.events
+  in
+  let counter = Obs.Metrics.counter_value in
+  let hist name =
+    match List.find_opt (fun (n, _, _) -> n = name) s.Obs.Registry.hists with
+    | Some (_, bounds, counts) -> (bounds, Array.to_list counts)
+    | None -> Alcotest.failf "histogram %s missing" name
+  in
+  let binned bounds vs =
+    let counts = Array.make (Array.length bounds + 1) 0 in
+    List.iter
+      (fun v ->
+        let i = ref 0 in
+        while !i < Array.length bounds && v > bounds.(!i) do incr i done;
+        counts.(!i) <- counts.(!i) + 1)
+      vs;
+    Array.to_list counts
+  in
+  let ints = Alcotest.(list int) in
+  (* totals rebuilt from the per-solve events *)
+  Alcotest.(check int) "solves = Newton_done events" (List.length dones)
+    (counter "spice.newton.solves");
+  Alcotest.(check int) "iters = sum over solves"
+    (List.fold_left (fun a (i, _, _) -> a + i) 0 dones)
+    (counter "spice.newton.iters");
+  Alcotest.(check int) "diverged = failed solves"
+    (List.length (List.filter (fun (_, c, _) -> not c) dones))
+    (counter "spice.newton.diverged");
+  let ib, ic = hist "spice.newton.iters_per_solve" in
+  Alcotest.check ints "iters_per_solve buckets"
+    (binned ib (List.map (fun (i, _, _) -> float_of_int i) dones)) ic;
+  let rb, rc = hist "spice.newton.residual" in
+  Alcotest.check ints "residual buckets"
+    (binned rb
+       (List.filter_map
+          (fun (_, _, r) -> if Float.is_finite r then Some r else None)
+          dones))
+    rc;
+  (* and the figures per-solve reporting gave for this run *)
+  Alcotest.(check (list int)) "counters as reported per solve"
+    [ 1605; 4269; 2 ]
+    [ counter "spice.newton.solves"; counter "spice.newton.iters";
+      counter "spice.newton.diverged" ];
+  Alcotest.check ints "iters_per_solve as reported per solve"
+    [ 3; 540; 1062; 0; 0; 0; 0; 0; 0 ] ic;
+  Alcotest.check ints "residual as reported per solve" [ 1072; 144; 387; 0; 2; 0; 0 ] rc
+
 let () =
   Alcotest.run "obs"
     [
@@ -500,6 +583,8 @@ let () =
         [
           Alcotest.test_case "Pool.stats accounting" `Quick
             (fresh test_stats_accessor);
+          Alcotest.test_case "newton telemetry tallied per run" `Quick
+            (fresh test_newton_tally_per_run);
           Alcotest.test_case "tracing preserves results bit-for-bit" `Slow
             (fresh test_tracing_preserves_results);
         ] );
