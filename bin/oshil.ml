@@ -1,7 +1,7 @@
 (* oshil: command-line front end for the SHIL analysis library.
 
    Subcommands: natural, shil, lockrange, hb, dcsweep, transient,
-   netlist, lint, stats, batch, serve, call, api, figures, experiments.
+   netlist, lint, stats, batch, serve, call, api, experiments.
    Oscillators are selected with --osc (tanh | diffpair | tunnel) or
    described inline with --g0/--isat/--r/--fc/--q for a custom tanh
    cell. *)
@@ -57,8 +57,13 @@ let custom_args =
 (* the CLI flags reduced to the request-level oscillator description;
    Api owns the actual table so the daemon resolves identically *)
 let osc_spec choice (g0, isat, r, fc, q) : Api.Request.osc_spec =
-  match g0 with
-  | Some g0 ->
+  match (choice, g0) with
+  | (Diffpair | Tunnel), Some _ ->
+    Format.eprintf
+      "oshil: --osc %a takes no custom cell; --g0 describes a tanh cell@."
+      (Arg.conv_printer osc_conv) choice;
+    exit 2
+  | _, Some g0 ->
     Api.Request.Custom
       {
         g0;
@@ -67,7 +72,7 @@ let osc_spec choice (g0, isat, r, fc, q) : Api.Request.osc_spec =
         fc = Option.value fc ~default:1e6;
         q = Option.value q ~default:10.0;
       }
-  | None ->
+  | _, None ->
     Api.Request.Builtin
       (match choice with
       | Tanh -> "tanh"
@@ -1165,65 +1170,37 @@ let serve_cmd =
     term
 
 (* ------------------------------------------------------------------ *)
-(* figures / experiments *)
-
-let figures_cmd =
-  let dir_arg =
-    Arg.(value & opt string "out/figures"
-         & info [ "dir" ] ~docv:"DIR" ~doc:"Output directory.")
-  in
-  let run obs jobs dir =
-    apply_obs obs;
-    apply_jobs jobs;
-    let show out =
-      let paths = Experiments.Output.write_figures ~dir out in
-      List.iter (Printf.printf "wrote %s\n%!") paths
-    in
-    let ts = Experiments.Tanh_experiments.default_setup in
-    show (Experiments.Tanh_experiments.fig3_natural ~validate:false ts);
-    show (Experiments.Tanh_experiments.fig6_tank ts);
-    show (Experiments.Tanh_experiments.fig7_solutions ts);
-    show (Experiments.Tanh_experiments.fig9_states ts);
-    show (Experiments.Tanh_experiments.fig10_lock_range ts);
-    let dp = Experiments.Osc_experiments.diff_pair () in
-    show (Experiments.Osc_experiments.fig_fv dp);
-    show (Experiments.Osc_experiments.fig_natural_prediction dp);
-    show (Experiments.Osc_experiments.fig_lock_range_curves dp);
-    let td = Experiments.Osc_experiments.tunnel () in
-    show (Experiments.Osc_experiments.fig_fv td);
-    show (Experiments.Osc_experiments.fig_natural_prediction td);
-    show (Experiments.Osc_experiments.fig_lock_range_curves td)
-  in
-  let term = Term.(const run $ obs_args $ jobs_arg $ dir_arg) in
-  Cmd.v (Cmd.info "figures" ~doc:"Regenerate the paper's figures as SVG files.") term
+(* experiments *)
 
 let experiments_cmd =
   let fast_arg =
     Arg.(value & flag & info [ "fast" ] ~doc:"Skip the slow transient searches.")
   in
-  let run obs jobs fast =
+  let dir_arg =
+    Arg.(value & opt string "out/figures"
+         & info [ "dir" ] ~docv:"DIR" ~doc:"Output directory of the SVG figures.")
+  in
+  let run obs jobs fast dir =
     apply_obs obs;
     apply_jobs jobs;
-    let show out = Format.printf "%a@.@." Experiments.Output.print out in
-    let ts = Experiments.Tanh_experiments.default_setup in
-    show (Experiments.Tanh_experiments.fig3_natural ts);
-    show (Experiments.Tanh_experiments.fig6_tank ts);
-    show (Experiments.Tanh_experiments.fig7_solutions ts);
-    show (Experiments.Tanh_experiments.fig9_states ts);
-    show (Experiments.Tanh_experiments.fig10_lock_range ~validate:(not fast) ts);
-    let dp = Experiments.Osc_experiments.diff_pair () in
-    show (Experiments.Osc_experiments.fig_fv dp);
-    show (Experiments.Osc_experiments.fig_natural_prediction dp);
-    show (Experiments.Osc_experiments.fig_transient dp);
-    show (fst (Experiments.Osc_experiments.table_lock_range ~predict_only:fast dp));
-    let td = Experiments.Osc_experiments.tunnel () in
-    show (Experiments.Osc_experiments.fig_fv td);
-    show (Experiments.Osc_experiments.fig_natural_prediction td);
-    show (Experiments.Osc_experiments.fig_transient td);
-    show (fst (Experiments.Osc_experiments.table_lock_range ~predict_only:fast td))
+    Format.printf
+      "oshil experiment harness - reproducing the tables and figures of@.\
+       'A Rigorous Graphical Technique for Predicting Sub-harmonic Injection@.\
+       Locking in LC Oscillators' (DAC 2014)%s@.@."
+      (if fast then " [--fast: simulation searches skipped]" else "");
+    Experiments.Paper.run ~fast (fun out ->
+        Format.printf "%a@." Experiments.Output.print out;
+        List.iter (Format.printf "  figure: %s@.")
+          (Experiments.Output.write_figures ~dir out);
+        Format.printf "@.");
+    Format.printf "done.@."
   in
-  let term = Term.(const run $ obs_args $ jobs_arg $ fast_arg) in
-  Cmd.v (Cmd.info "experiments" ~doc:"Run the paper-reproduction experiments.") term
+  let term = Term.(const run $ obs_args $ jobs_arg $ fast_arg $ dir_arg) in
+  Cmd.v
+    (Cmd.info "experiments"
+       ~doc:"Reproduce the paper's tables and figures: print each result \
+             and write its SVG figures under $(b,--dir).")
+    term
 
 let () =
   (* route pre-flight warnings (oshil.preflight / oshil.shil sources) to
@@ -1240,8 +1217,7 @@ let () =
       [
         natural_cmd; shil_cmd; lockrange_cmd; hb_cmd;
         dcsweep_cmd; transient_cmd; netlist_cmd; lint_cmd; stats_cmd;
-        batch_cmd; serve_cmd; call_cmd; api_cmd; figures_cmd;
-        experiments_cmd;
+        batch_cmd; serve_cmd; call_cmd; api_cmd; experiments_cmd;
       ]
   in
   (* typed solver errors get a rendered diagnostic and a distinct exit

@@ -76,14 +76,14 @@ let extraction_fv ?(v_span = 2.6) ?(steps = 240) p =
   done;
   (vs, is)
 
-let nonlinearity ?v_span ?steps p =
-  let vs, is = extraction_fv ?v_span ?steps p in
+let nonlinearity p =
+  let vs, is = extraction_fv p in
   Shil.Nonlinearity.of_table ~name:"cmos_pair" ~vs ~is ()
 
 let tank p = Shil.Tank.make ~r:p.r ~l:p.l ~c:p.c
 
-let oscillator ?v_span ?steps p : Shil.Analysis.oscillator =
-  { nl = nonlinearity ?v_span ?steps p; tank = tank p }
+let oscillator p : Shil.Analysis.oscillator =
+  { nl = nonlinearity p; tank = tank p }
 
 type injection = { vi : float; n : int; f_inj : float; phase : float }
 

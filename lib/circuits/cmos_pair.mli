@@ -27,9 +27,9 @@ val extraction_fv : ?v_span:float -> ?steps:int -> params -> float array * float
 (** Differential one-port current across the drain pair (same convention
     as {!Diff_pair.extraction_fv}). *)
 
-val nonlinearity : ?v_span:float -> ?steps:int -> params -> Shil.Nonlinearity.t
+val nonlinearity : params -> Shil.Nonlinearity.t
 val tank : params -> Shil.Tank.t
-val oscillator : ?v_span:float -> ?steps:int -> params -> Shil.Analysis.oscillator
+val oscillator : params -> Shil.Analysis.oscillator
 
 type injection = { vi : float; n : int; f_inj : float; phase : float }
 

@@ -87,14 +87,15 @@ let extraction_fv ?(v_span = 0.85) ?(steps = 240) p =
   done;
   (vs, is)
 
-let nonlinearity ?v_span ?steps p =
-  let vs, is = extraction_fv ?v_span ?steps p in
+let nonlinearity_of_fv (vs, is) =
   Shil.Nonlinearity.of_table ~name:"diff_pair" ~vs ~is ()
+
+let nonlinearity p = nonlinearity_of_fv (extraction_fv p)
 
 let tank p = Shil.Tank.make ~r:p.r ~l:p.l ~c:p.c
 
-let oscillator ?v_span ?steps p : Shil.Analysis.oscillator =
-  { nl = nonlinearity ?v_span ?steps p; tank = tank p }
+let oscillator p : Shil.Analysis.oscillator =
+  { nl = nonlinearity p; tank = tank p }
 
 type injection = { vi : float; n : int; f_inj : float; phase : float }
 

@@ -38,12 +38,15 @@ val extraction_fv : ?v_span:float -> ?steps:int -> params -> float array * float
     conducts unphysical kiloamps; 241 points). Returns [(v, i)]
     arrays. *)
 
-val nonlinearity : ?v_span:float -> ?steps:int -> params -> Shil.Nonlinearity.t
-(** PCHIP interpolation of {!extraction_fv}. *)
+val nonlinearity_of_fv : float array * float array -> Shil.Nonlinearity.t
+(** PCHIP interpolation of an {!extraction_fv} table. *)
+
+val nonlinearity : params -> Shil.Nonlinearity.t
+(** [nonlinearity_of_fv (extraction_fv p)]. *)
 
 val tank : params -> Shil.Tank.t
 
-val oscillator : ?v_span:float -> ?steps:int -> params -> Shil.Analysis.oscillator
+val oscillator : params -> Shil.Analysis.oscillator
 
 type injection = { vi : float; n : int; f_inj : float; phase : float }
 

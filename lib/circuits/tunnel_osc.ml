@@ -53,8 +53,7 @@ let extraction_fv ?(v_span = 0.6) ?(steps = 240) p =
   in
   (vs, is)
 
-let nonlinearity_extracted ?v_span ?steps p =
-  let vs, is = extraction_fv ?v_span ?steps p in
+let nonlinearity_of_fv p (vs, is) =
   let table = Shil.Nonlinearity.of_table ~name:"tunnel_table" ~vs ~is () in
   Shil.Nonlinearity.shift_bias table p.vbias
 

@@ -30,9 +30,10 @@ val nonlinearity : params -> Shil.Nonlinearity.t
 (** The bias-shifted analytic model of the appendix, [p.tunnel]
     converted with {!model}: fused batch loop and a cache key. *)
 
-val nonlinearity_extracted : ?v_span:float -> ?steps:int -> params -> Shil.Nonlinearity.t
-(** Same curve but obtained with a DC sweep on the MNA simulator (the
-    paper's Fig. 16b route) — tabulated + PCHIP. *)
+val nonlinearity_of_fv : params -> float array * float array -> Shil.Nonlinearity.t
+(** Same curve but obtained from an {!extraction_fv} DC sweep on the MNA
+    simulator (the paper's Fig. 16b route) — tabulated + PCHIP, shifted
+    to the bias point [p.vbias]. *)
 
 val extraction_fv : ?v_span:float -> ?steps:int -> params -> float array * float array
 (** Raw unshifted [i = f(v)] table of the diode (Fig. 16b). *)

@@ -19,7 +19,7 @@ let band lo hi delta =
 let lock_band (lr : Shil.Lock_range.t) =
   band lr.f_inj_low lr.f_inj_high lr.delta_f_inj
 
-let run ?(simulate = false) () =
+let run ~simulate =
   let osc = cell () in
   let n = 2 and vi = 0.06 in
   (* one HB run gives the free-running spectrum, the HB lock band and

@@ -15,5 +15,5 @@ val cell : unit -> Shil.Analysis.oscillator
 (** The asymmetric demonstration cell (van der Pol core + one-sided
     clipping diode), 2 MHz tank. *)
 
-val run : ?simulate:bool -> unit -> Output.t
-(** [simulate] (default false) adds the ODE edge searches. *)
+val run : simulate:bool -> Output.t
+(** [simulate] adds the ODE edge searches. *)

@@ -5,8 +5,7 @@ type point = {
   simulated : float option;
 }
 
-let sweep ?(vis = [ 0.01; 0.02; 0.05; 0.1; 0.2 ]) ?(simulate = false) nl ~tank
-    ~n =
+let sweep ~simulate nl ~tank ~n =
   List.map
     (fun vi ->
       let report = Shil.Analysis.run { nl; tank } ~n ~vi in
@@ -32,7 +31,7 @@ let sweep ?(vis = [ 0.01; 0.02; 0.05; 0.1; 0.2 ]) ?(simulate = false) nl ~tank
         end
       in
       { vi; rigorous; ppv = baseline.delta_f_inj; simulated })
-    vis
+    [ 0.01; 0.02; 0.05; 0.1; 0.2 ]
 
 let output points =
   let rows =
@@ -62,3 +61,7 @@ let output points =
              throughout (paper SI claim)" );
         ])
     ()
+
+let run ~simulate =
+  let osc = Circuits.Tanh_osc.oscillator Circuits.Tanh_osc.default in
+  output (sweep ~simulate osc.nl ~tank:osc.tank ~n:3)

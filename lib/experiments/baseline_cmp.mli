@@ -1,21 +1,11 @@
-(** Ablation: the rigorous graphical method vs the PPV (generalized
+(** Ablation A1: the rigorous graphical method vs the PPV (generalized
     Adler) baseline vs brute-force time-domain lock edges, across
     injection strengths. Reproduces the paper's §I claim that the
     graphical method "matches results from PPV-based analysis but
     provides greater accuracy" — the two agree for weak injection and the
     PPV estimate drifts as [V_i] grows. *)
 
-type point = {
-  vi : float;
-  rigorous : float;  (** predicted lock range, Hz *)
-  ppv : float;
-  simulated : float option;  (** time-domain (reduced ODE); None when skipped *)
-}
-
-val sweep :
-  ?vis:float list -> ?simulate:bool -> Shil.Nonlinearity.t ->
-  tank:Shil.Tank.t -> n:int -> point list
-(** Defaults: [vis = [0.01; 0.02; 0.05; 0.1; 0.2]], [simulate = false]
-    (the ODE edge searches dominate the runtime when on). *)
-
-val output : point list -> Output.t
+val run : simulate:bool -> Output.t
+(** The tanh oscillator at n = 3 for [V_i] in 0.01, 0.02, 0.05, 0.1 and
+    0.2 V. [simulate] adds the reduced-ODE lock edges, which dominate
+    the runtime when on. *)

@@ -1,4 +1,4 @@
-let run ?(validate = true) () =
+let run ~validate =
   let p = Circuits.Cmos_pair.default in
   let osc = Circuits.Cmos_pair.oscillator p in
   let vi = 0.05 and n = 3 in

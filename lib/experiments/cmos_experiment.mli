@@ -4,6 +4,6 @@
     device-level transient, 3rd-SHIL lock range, and a time-domain lock
     spot check. *)
 
-val run : ?validate:bool -> unit -> Output.t
-(** [validate] (default true) runs the device-level transient and the
-    reduced-model lock checks. *)
+val run : validate:bool -> Output.t
+(** [validate] runs the device-level transient and the reduced-model
+    lock checks. *)

@@ -38,11 +38,11 @@ let pulse_device ~name ~np ~nn ~at ~width ~amplitude =
           };
     }
 
-let diff_pair ?(params = Circuits.Diff_pair.default) () =
+let diff_pair () =
+  let params = Circuits.Diff_pair.default in
   let vi = 0.03 and n = 3 in
   let fv_table = Circuits.Diff_pair.extraction_fv params in
-  let vs, is = fv_table in
-  let nl = Shil.Nonlinearity.of_table ~name:"diff_pair" ~vs ~is () in
+  let nl = Circuits.Diff_pair.nonlinearity_of_fv fv_table in
   let tank = Circuits.Diff_pair.tank params in
   let fc = Shil.Tank.f_c tank in
   (* state-flip pulse: a strong sub-cycle kick (~10 tank charges in 0.3
@@ -85,10 +85,11 @@ let diff_pair ?(params = Circuits.Diff_pair.default) () =
       ];
   }
 
-let tunnel ?(params = Circuits.Tunnel_osc.default) () =
+let tunnel () =
+  let params = Circuits.Tunnel_osc.default in
   let vi = 0.03 and n = 3 in
   let fv_table = Circuits.Tunnel_osc.extraction_fv params in
-  let nl = Circuits.Tunnel_osc.nonlinearity_extracted params in
+  let nl = Circuits.Tunnel_osc.nonlinearity_of_fv params fv_table in
   let tank = Circuits.Tunnel_osc.tank params in
   let fc = Shil.Tank.f_c tank in
   let width = 0.3 /. fc in
@@ -186,9 +187,9 @@ let fig_natural_prediction b =
     ~figures:[ (Printf.sprintf "natural_%s" (id_prefix b), fig) ]
     ()
 
-let fig_transient ?(cycles = 400.0) b =
+let fig_transient b =
   let cmp =
-    Circuits.Validate.natural ~cycles ~circuit:(b.circuit ()) ~probe:b.probe
+    Circuits.Validate.natural ~cycles:400.0 ~circuit:(b.circuit ()) ~probe:b.probe
       ~osc:b.oscillator ()
   in
   (* also record the waveform for the figure: a short startup window *)
@@ -238,8 +239,7 @@ let predicted_lock_range b =
   in
   (grid, Shil.Lock_range.predict grid ~tank:b.oscillator.tank)
 
-let table_lock_range ?cycles ?(predict_only = false) b =
-  let cycles = Option.value cycles ~default:b.lock_cycles in
+let table_lock_range ?(predict_only = false) b =
   let _grid, lr = predicted_lock_range b in
   let rows =
     [
@@ -253,7 +253,7 @@ let table_lock_range ?cycles ?(predict_only = false) b =
     if predict_only then rows
     else begin
       let cmp =
-        Circuits.Validate.lock_range ~cycles
+        Circuits.Validate.lock_range ~cycles:b.lock_cycles
           ~make_circuit:(fun ~f_inj -> b.circuit_injected ~f_inj)
           ~probe:b.probe ~n:b.n ~predicted:lr ()
       in
@@ -310,7 +310,8 @@ let fig_lock_range_curves b =
     ~figures:[ (Printf.sprintf "lockrange_%s" (id_prefix b), fig) ]
     ()
 
-let fig_states ?(window_cycles = 800.0) b =
+let fig_states b =
+  let window_cycles = 800.0 in
   let f_osc = b.fc in
   let window = window_cycles /. f_osc in
   (* stagger the pulse instants off the lock period so the two kicks hit

@@ -28,12 +28,14 @@ type bench = {
       (** the paper's own table rows, for side-by-side printing *)
 }
 
-val diff_pair : ?params:Circuits.Diff_pair.params -> unit -> bench
-(** Builds the §IV-A bench (extracts [f(v)] via the MNA DC sweep: a few
-    hundred operating-point solves). *)
+val diff_pair : unit -> bench
+(** Builds the §IV-A bench on {!Circuits.Diff_pair.default} (extracts
+    [f(v)] once via the MNA DC sweep: a few hundred operating-point
+    solves). *)
 
-val tunnel : ?params:Circuits.Tunnel_osc.params -> unit -> bench
-(** Builds the §IV-B bench. *)
+val tunnel : unit -> bench
+(** Builds the §IV-B bench on {!Circuits.Tunnel_osc.default}, with one
+    [f(v)] extraction likewise. *)
 
 val fig_fv : bench -> Output.t
 (** Figs. 12a / 16b: the extracted [i = f(v)] curve. *)
@@ -41,20 +43,22 @@ val fig_fv : bench -> Output.t
 val fig_natural_prediction : bench -> Output.t
 (** Figs. 12b / 16c: [T_f(A) = 1] graphical prediction. *)
 
-val fig_transient : ?cycles:float -> bench -> Output.t
+val fig_transient : bench -> Output.t
 (** Figs. 13 / 17: start-up transient on the device netlist; measured
-    steady amplitude and frequency against the prediction. *)
+    steady amplitude and frequency (over 400 cycles) against the
+    prediction. *)
 
 val table_lock_range :
-  ?cycles:float -> ?predict_only:bool -> bench -> Output.t * Shil.Lock_range.t
+  ?predict_only:bool -> bench -> Output.t * Shil.Lock_range.t
 (** Tables §IV-A / §IV-B: predicted vs simulated lock limits
-    (simulation = binary search of transient lock edges; skipped when
-    [predict_only]). [cycles] defaults to the bench's [lock_cycles]. Also
-    returns the prediction for reuse. *)
+    (simulation = binary search of transient lock edges, [lock_cycles]
+    per trial; skipped when [predict_only]). Also returns the prediction
+    for reuse. *)
 
 val fig_lock_range_curves : bench -> Output.t
 (** Figs. 14 / 18: the isoline picture at the calibrated [V_i]. *)
 
-val fig_states : ?window_cycles:float -> bench -> Output.t
+val fig_states : bench -> Output.t
 (** Figs. 15 / 19: phase-flipping pulses move the oscillator between the
-    [n] states; reports the relative phase in each inter-pulse window. *)
+    [n] states; reports the relative phase in each of three 800-cycle
+    inter-pulse windows. *)

@@ -1,4 +1,4 @@
-let run ?(fracs = [ 0.25; 0.5; 1.0; 2.0 ]) ?(simulate = true) () =
+let run ~simulate =
   let p = Circuits.Tanh_osc.default in
   let osc = Circuits.Tanh_osc.oscillator p in
   let vi = 0.05 and n = 3 in
@@ -17,7 +17,7 @@ let run ?(fracs = [ 0.25; 0.5; 1.0; 2.0 ]) ?(simulate = true) () =
           else Printf.sprintf "beat predicted %.5g Hz" pred
         in
         (Printf.sprintf "f_inj = edge + %.2g ranges" frac, line))
-      fracs
+      [ 0.25; 0.5; 1.0; 2.0 ]
   in
   Output.make ~id:"X2"
     ~title:"extension: injection pulling (beat note) beyond the lock range"

@@ -7,7 +7,7 @@
     the paper's lock-range analysis into a quantitative quasi-lock
     prediction. *)
 
-val run : ?fracs:float list -> ?simulate:bool -> unit -> Output.t
-(** [fracs] are offsets beyond the upper band edge in units of the lock
-    range (default [0.25; 0.5; 1.0; 2.0]); [simulate] (default true)
-    adds the measured beats. *)
+val run : simulate:bool -> Output.t
+(** Four injection frequencies beyond the upper band edge, offset by
+    0.25, 0.5, 1 and 2 lock ranges; [simulate] adds the measured
+    beats. *)

@@ -10,8 +10,7 @@ let time f =
   let v = f () in
   (v, Obs.Clock.wall_s () -. t0)
 
-let run ?cycles (b : Osc_experiments.bench) =
-  let cycles = Option.value cycles ~default:b.Osc_experiments.lock_cycles in
+let run (b : Osc_experiments.bench) =
   let r = (b.oscillator.tank : Shil.Tank.t).r in
   let a_nat =
     match Shil.Natural.predicted_amplitude b.oscillator.nl ~r with
@@ -32,7 +31,7 @@ let run ?cycles (b : Osc_experiments.bench) =
   in
   let _, simulate_s =
     time (fun () ->
-        Circuits.Validate.lock_range ~cycles
+        Circuits.Validate.lock_range ~cycles:b.lock_cycles
           ~make_circuit:(fun ~f_inj -> b.circuit_injected ~f_inj)
           ~probe:b.probe ~n:b.n ~predicted:lr ())
   in

@@ -9,8 +9,8 @@ type result = {
   speedup : float;
 }
 
-val run : ?cycles:float -> Osc_experiments.bench -> result
-(** [cycles] is the transient length per lock trial (defaults to the
-    bench's [lock_cycles]). *)
+val run : Osc_experiments.bench -> result
+(** The transient side runs [lock_cycles] per lock trial, as the
+    bench's lock-range table does. *)
 
 val output : result -> paper_speedup:float -> Output.t

@@ -115,7 +115,8 @@ let curves_figure ~title g ~phi_ds =
         ~curves:(Shil.Grid.phase_curve g ~phi_d))
     fig phi_ds
 
-let fig7_solutions ?(phi_d = 0.1) s =
+let fig7_solutions s =
+  let phi_d = 0.1 in
   let _osc, _a_nat, g = grid_of s in
   let sols = Shil.Solutions.find g ~phi_d in
   let fig =

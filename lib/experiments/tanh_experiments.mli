@@ -17,9 +17,9 @@ val fig3_natural : ?validate:bool -> setup -> Output.t
 val fig6_tank : setup -> Output.t
 (** Tank [|H|] and phase vs frequency; peak and +-45 degree points. *)
 
-val fig7_solutions : ?phi_d:float -> setup -> Output.t
+val fig7_solutions : setup -> Output.t
 (** The [(phi, A)]-plane curves [C_{T_f,1}] and [C_{angle(-I1),-phi_d}]
-    with their intersections and stability (default [phi_d = 0.1]). *)
+    with their intersections and stability, at [phi_d = 0.1]. *)
 
 val fig9_states : setup -> Output.t
 (** The [n] oscillator states of the stable centre-frequency lock, spaced

@@ -56,10 +56,10 @@ let compute ?points ?(vis = default_vis) (osc : Shil.Analysis.oscillator) ~n =
   ( List.rev !pts,
     Resilience.Summary.make ~attempted:(List.length vis) (List.rev !holes) )
 
-let run ?vis () =
+let run () =
   let osc = Circuits.Tanh_osc.oscillator Circuits.Tanh_osc.default in
   let n = 3 in
-  let pts, failures = compute ?vis osc ~n in
+  let pts, failures = compute osc ~n in
   let vis_arr = Array.of_list (List.map (fun p -> p.vi) pts) in
   let fig =
     Fig.create ~title:"Arnold tongue: 3rd-SHIL locking region (tanh cell)"

@@ -23,5 +23,5 @@ val compute :
     [resilience.tongue.holes]) instead of aborting the sweep, unless
     {!Resilience.Policy.set_fail_fast} is on. *)
 
-val run : ?vis:float list -> unit -> Output.t
+val run : unit -> Output.t
 (** Tongue of the tanh oscillator at n = 3; writes the tongue figure. *)

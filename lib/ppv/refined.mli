@@ -8,7 +8,7 @@
     module computes [f_0] from the periodic orbit (shooting) and rescales
     the predicted band by [f_0 / f_c] — for asymmetric cells this removes
     nearly all of the residual error against brute-force simulation (see
-    the A2 ablation in bench/main.ml). *)
+    the A2 ablation, [Experiments.Asym_ablation]). *)
 
 val free_running_frequency :
   ?settle_periods:float -> Shil.Nonlinearity.t -> tank:Shil.Tank.t -> float

@@ -102,7 +102,10 @@ let test_tunnel_extraction_matches_analytic () =
 let test_tunnel_nonlinearity_extracted_agrees () =
   let p = Circuits.Tunnel_osc.default in
   let analytic = Circuits.Tunnel_osc.nonlinearity p in
-  let extracted = Circuits.Tunnel_osc.nonlinearity_extracted ~steps:200 p in
+  let extracted =
+    Circuits.Tunnel_osc.nonlinearity_of_fv p
+      (Circuits.Tunnel_osc.extraction_fv ~steps:200 p)
+  in
   List.iter
     (fun v ->
       check_float ~eps:2e-7 "table vs analytic"

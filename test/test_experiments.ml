@@ -1,5 +1,6 @@
 (* Smoke and contract tests for the experiment drivers (prediction-side
-   paths only; the heavy simulation paths run in bench/main.exe). *)
+   paths only; the heavy simulation paths run in `oshil experiments`,
+   whose --fast pass is pinned by test/golden/experiments_fast.expected). *)
 
 let contains hay needle =
   let lh = String.length hay and ln = String.length needle in
