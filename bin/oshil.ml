@@ -329,35 +329,25 @@ let lockrange_cmd =
     let report = Shil.Analysis.run osc ~n ~vi in
     Format.printf "%a@." Shil.Lock_range.pp report.lock_range;
     if validate then begin
-      match choice with
-      | Tanh ->
-        let lr = report.lock_range in
-        let low =
-          Shil.Simulate.lock_edge osc.nl ~tank:osc.tank ~vi ~n
-            ~f_lo:(lr.f_inj_low -. (0.4 *. lr.delta_f_inj))
-            ~f_hi:(lr.f_inj_low +. (0.4 *. lr.delta_f_inj))
-            ~side:`Low
-        in
-        let high =
-          Shil.Simulate.lock_edge osc.nl ~tank:osc.tank ~vi ~n
-            ~f_lo:(lr.f_inj_high -. (0.4 *. lr.delta_f_inj))
-            ~f_hi:(lr.f_inj_high +. (0.4 *. lr.delta_f_inj))
-            ~side:`High
-        in
-        Format.printf "simulated band: [%.8g, %.8g] Hz (delta %.6g)@." low high
-          (high -. low)
-      | Diffpair | Tunnel ->
-        let bench =
-          match choice with
-          | Diffpair -> Experiments.Osc_experiments.diff_pair ()
-          | Tunnel | Tanh -> Experiments.Osc_experiments.tunnel ()
-        in
-        let cmp =
+      let predicted = report.lock_range in
+      let cmp =
+        match choice with
+        | Tanh ->
+          Circuits.Validate.lock_range ~cycles:800.0
+            ~steps_per_cycle:Circuits.Behavioural.steps_per_cycle
+            ~make_circuit:(Circuits.Behavioural.injected ~n ~vi osc)
+            ~probe:Circuits.Behavioural.probe ~n ~predicted ()
+        | Diffpair | Tunnel ->
+          let bench =
+            match choice with
+            | Diffpair -> Experiments.Osc_experiments.diff_pair ()
+            | Tunnel | Tanh -> Experiments.Osc_experiments.tunnel ()
+          in
           Circuits.Validate.lock_range
             ~make_circuit:(fun ~f_inj -> bench.circuit_injected ~f_inj)
-            ~probe:bench.probe ~n:bench.n ~predicted:report.lock_range ()
-        in
-        Format.printf "%a@." Circuits.Validate.pp_lock cmp
+            ~probe:bench.probe ~n:bench.n ~predicted ()
+      in
+      Format.printf "%a@." Circuits.Validate.pp_lock cmp
     end
   in
   let term =
@@ -407,23 +397,15 @@ let transient_cmd =
       match choice with
       | Tanh ->
         let p = Circuits.Tanh_osc.default in
+        let tank = Circuits.Tanh_osc.tank p in
         let injection =
           Option.map
-            (fun f_inj ->
-              Spice.Wave.Sine
-                {
-                  offset = 0.0;
-                  ampl = 2.0 *. vi /. Shil.Tank.mag (Circuits.Tanh_osc.tank p)
-                                        ~omega:(2.0 *. Float.pi *. f_inj);
-                  freq = f_inj;
-                  phase = 0.0;
-                  delay = 0.0;
-                })
+            (fun f_inj -> Circuits.Behavioural.injection_wave ~tank ~n ~vi ~f_inj)
             finj
         in
         ( Circuits.Tanh_osc.circuit ?injection p,
-          Spice.Transient.Node "t",
-          Shil.Tank.f_c (Circuits.Tanh_osc.tank p) )
+          Circuits.Behavioural.probe,
+          Shil.Tank.f_c tank )
       | Diffpair ->
         let p = Circuits.Diff_pair.default in
         let injection =

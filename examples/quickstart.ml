@@ -14,21 +14,22 @@ let () =
   in
   (* 2. one call: natural oscillation, lock points, lock range for
      3rd-sub-harmonic injection with |Vi| = 0.05 V *)
-  let report = Shil.Analysis.run { nl; tank } ~n:3 ~vi:0.05 in
+  let osc : Shil.Analysis.oscillator = { nl; tank } in
+  let report = Shil.Analysis.run osc ~n:3 ~vi:0.05 in
   Format.printf "%a@." Shil.Analysis.pp report;
-  (* 3. sanity-check the prediction with the built-in time-domain
-     simulator: inject at the centre of the predicted band and watch the
-     oscillator lock *)
-  let f_inj = 0.5 *. (report.lock_range.f_inj_low +. report.lock_range.f_inj_high) in
-  let locked =
-    Shil.Simulate.locked nl ~tank ~injection:{ vi = 0.05; n = 3; f_inj; phase = 0.0 }
+  (* 3. sanity-check the prediction with a transient of the same
+     oscillator as a netlist: inject at the centre of the predicted band
+     and watch it lock ... *)
+  let locked f_inj =
+    Circuits.Validate.locked
+      ~steps_per_cycle:Circuits.Behavioural.steps_per_cycle
+      ~circuit:(Circuits.Behavioural.injected ~n:3 ~vi:0.05 osc ~f_inj)
+      ~probe:Circuits.Behavioural.probe ~n:3 ~f_inj ()
   in
+  let f_inj = 0.5 *. (report.lock_range.f_inj_low +. report.lock_range.f_inj_high) in
   Format.printf "time-domain check at %.6g Hz: %s@." f_inj
-    (if locked then "locked (as predicted)" else "NOT locked");
+    (if locked f_inj then "locked (as predicted)" else "NOT locked");
   (* ... and just outside the band, where it must not lock *)
   let f_out = report.lock_range.f_inj_high +. report.lock_range.delta_f_inj in
-  let locked_out =
-    Shil.Simulate.locked nl ~tank ~injection:{ vi = 0.05; n = 3; f_inj = f_out; phase = 0.0 }
-  in
   Format.printf "time-domain check at %.6g Hz: %s@." f_out
-    (if locked_out then "locked (unexpected!)" else "unlocked (as predicted)")
+    (if locked f_out then "locked (unexpected!)" else "unlocked (as predicted)")

@@ -13,7 +13,8 @@ let () =
   let tank = Circuits.Tunnel_osc.tank params in
   Format.printf "  f'(0) = %.4g S after the bias shift@."
     (Shil.Nonlinearity.deriv nl 0.0);
-  let report = Shil.Analysis.run { nl; tank } ~n:3 ~vi:0.03 in
+  let osc : Shil.Analysis.oscillator = { nl; tank } in
+  let report = Shil.Analysis.run osc ~n:3 ~vi:0.03 in
   Format.printf "@.%a@.@." Shil.Analysis.pp report;
   (* n states: each stable lock corresponds to 3 oscillator phases *)
   (match
@@ -29,14 +30,17 @@ let () =
         Format.printf "  oscillator phase %.4f rad (A = %.4g V)@." psi a)
       (Shil.Solutions.n_states p ~n:3)
   | None -> Format.printf "no stable lock at the centre frequency@.");
-  (* reduced-model time-domain validation of the band edges (fast) *)
+  (* transient validation of the band edges on the behavioural netlist
+     of the extracted f(v) (fast next to the device-level netlist) *)
   let lr = report.lock_range in
   Format.printf "@.validating the predicted band [%.8g, %.8g] Hz in the time domain...@."
     lr.f_inj_low lr.f_inj_high;
   let probe name f_inj =
     let locked =
-      Shil.Simulate.locked ~cycles:600.0 nl ~tank
-        ~injection:{ vi = 0.03; n = 3; f_inj; phase = 0.0 }
+      Circuits.Validate.locked
+        ~steps_per_cycle:Circuits.Behavioural.steps_per_cycle
+        ~circuit:(Circuits.Behavioural.injected ~n:3 ~vi:0.03 osc ~f_inj)
+        ~probe:Circuits.Behavioural.probe ~n:3 ~f_inj ()
     in
     Format.printf "  %-14s f_inj = %.8g Hz: %s@." name f_inj
       (if locked then "locked" else "unlocked")

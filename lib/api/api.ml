@@ -75,61 +75,12 @@ let jf v =
 
 (* --- harmonic balance ------------------------------------------------ *)
 
-(* The MNA realization every oscillator spec reduces to: parallel RLC
-   tank with the behavioural nonlinearity across it, plus (optionally)
-   the injection current source. Same topology as the Circuits.*
-   netlists, but built from the resolved cell so custom oscillators
-   work too. Probe node "t". *)
-let hb_circuit ?injection (osc : Shil.Analysis.oscillator) =
-  let t = (osc.tank : Shil.Tank.t) in
-  let base =
-    [
-      Spice.Device.Resistor { name = "Rtank"; n1 = "t"; n2 = "0"; r = t.r };
-      Spice.Device.Inductor
-        { name = "Ltank"; n1 = "t"; n2 = "0"; l = t.l; ic = None };
-      Spice.Device.Capacitor
-        { name = "Ctank"; n1 = "t"; n2 = "0"; c = t.c; ic = None };
-      Spice.Device.Nonlinear_cs
-        {
-          name = "Gosc";
-          np = "t";
-          nn = "0";
-          f = Shil.Nonlinearity.eval osc.nl;
-          df = Some (Shil.Nonlinearity.deriv osc.nl);
-        };
-    ]
-  in
-  let inj =
-    match injection with
-    | None -> []
-    | Some wave ->
-      [ Spice.Device.Isource { name = "Iinj"; np = "0"; nn = "t"; wave } ]
-  in
-  Spice.Circuit.of_devices (base @ inj)
-
 let hb_ident (osc : Shil.Analysis.oscillator) =
   match Shil.Nonlinearity.cache_key osc.nl with
   | None -> None
   | Some key ->
     let t = (osc.tank : Shil.Tank.t) in
     Some (Printf.sprintf "%s|r=%h|l=%h|c=%h" key t.r t.l t.c)
-
-(* i_inj(t) = Im cos(2 pi f_inj t): the sine wave with a +pi/2 phase is
-   the cosine drive Simulate.injected applies to the reduced model, so
-   the two lock phases are directly comparable *)
-let hb_injection_wave ~tank ~n ~vi ~f_inj =
-  let im =
-    Shil.Simulate.injection_current ~tank
-      { Shil.Simulate.vi; n; f_inj; phase = 0.0 }
-  in
-  Spice.Wave.Sine
-    {
-      offset = 0.0;
-      ampl = im;
-      freq = f_inj;
-      phase = Float.pi /. 2.0;
-      delay = 0.0;
-    }
 
 type hb_outcome = {
   hb_n : int;
@@ -157,7 +108,7 @@ let hb_run ~osc ~n ~vi ~k_max ~samples ~(mode : Request.hb_mode) =
   let f_guess = Shil.Tank.f_c tank in
   let free =
     Hb.Driver.oscprobe ?ident ~k_max ~samples ~f_guess ~a_guess
-      (hb_circuit osc)
+      (Circuits.Behavioural.circuit osc)
   in
   (* the injection wave is part of the circuit, so vi joins its cache
      identity (f_inj and n are already driver key fields) *)
@@ -165,7 +116,9 @@ let hb_run ~osc ~n ~vi ~k_max ~samples ~(mode : Request.hb_mode) =
     Option.map (fun id -> Printf.sprintf "%s|vi=%h" id vi) ident
   in
   let inject ~f_inj =
-    hb_circuit ~injection:(hb_injection_wave ~tank ~n ~vi ~f_inj) osc
+    Circuits.Behavioural.circuit
+      ~injection:(Circuits.Behavioural.injection_wave ~tank ~n ~vi ~f_inj)
+      osc
   in
   let hb_mode =
     match mode with

@@ -50,23 +50,11 @@ val shil_text :
 
 (* --- harmonic balance ------------------------------------------------ *)
 
-val hb_circuit : ?injection:Spice.Wave.t -> Shil.Analysis.oscillator -> Spice.Circuit.t
-(** MNA realization of a resolved oscillator: parallel RLC tank with
-    the behavioural nonlinearity across it on node ["t"], plus the
-    injection current source when [injection] is given. The netlist
-    every [oshil hb] analysis runs on. *)
-
 val hb_ident : Shil.Analysis.oscillator -> string option
-(** Canonical cache identity of {!hb_circuit}'s free-running form —
-    the nonlinearity's cache key joined with the bit-exact tank
-    values; [None] (uncacheable) when the nonlinearity has no key. *)
-
-val hb_injection_wave :
-  tank:Shil.Tank.t -> n:int -> vi:float -> f_inj:float -> Spice.Wave.t
-(** The injected tone as a source waveform:
-    [i(t) = Im cos(2 pi f_inj t)] with [Im] from
-    {!Shil.Simulate.injection_current}, so HB and the reduced
-    time-domain model apply the same drive. *)
+(** Canonical cache identity of {!Circuits.Behavioural.circuit}'s
+    free-running form — the nonlinearity's cache key joined with the
+    bit-exact tank values; [None] (uncacheable) when the nonlinearity
+    has no key. *)
 
 type hb_outcome = {
   hb_n : int;

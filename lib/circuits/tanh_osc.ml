@@ -12,45 +12,5 @@ let tank p = Shil.Tank.make ~r:p.r ~l:p.l ~c:p.c
 let oscillator p : Shil.Analysis.oscillator =
   { nl = nonlinearity p; tank = tank p }
 
-let circuit ?injection ?(kick = 1e-5) p =
-  let nl = nonlinearity p in
-  let fc = Shil.Tank.f_c (tank p) in
-  let base =
-    [
-      Spice.Device.Resistor { name = "Rtank"; n1 = "t"; n2 = "0"; r = p.r };
-      Spice.Device.Inductor { name = "Ltank"; n1 = "t"; n2 = "0"; l = p.l; ic = None };
-      Spice.Device.Capacitor { name = "Ctank"; n1 = "t"; n2 = "0"; c = p.c; ic = None };
-      Spice.Device.Nonlinear_cs
-        {
-          name = "Gneg";
-          np = "t";
-          nn = "0";
-          f = Shil.Nonlinearity.eval nl;
-          df = Some (Shil.Nonlinearity.deriv nl);
-        };
-      Spice.Device.Isource
-        {
-          name = "Ikick";
-          np = "0";
-          nn = "t";
-          wave =
-            Spice.Wave.Pulse
-              {
-                v1 = 0.0;
-                v2 = kick;
-                delay = 0.0;
-                rise = 0.05 /. fc;
-                fall = 0.05 /. fc;
-                width = 0.25 /. fc;
-                period = 0.0;
-              };
-        };
-    ]
-  in
-  let inj =
-    match injection with
-    | None -> []
-    | Some wave ->
-      [ Spice.Device.Isource { name = "Iinj"; np = "0"; nn = "t"; wave } ]
-  in
-  Spice.Circuit.of_devices (base @ inj)
+let circuit ?injection ?(kick = Behavioural.kick) p =
+  Behavioural.circuit ?injection ~kick (oscillator p)

@@ -1,7 +1,7 @@
 (** The negative-tanh LC oscillator used throughout §II–III of the paper
     for illustration (Figs. 3, 7, 9, 10). Purely behavioural: the
     nonlinearity is analytic, so this oscillator exercises the theory and
-    the reduced time-domain simulator without the device models. *)
+    the behavioural MNA transient without the device models. *)
 
 type params = {
   g0 : float;  (** small-signal (negative) conductance magnitude, S *)
@@ -21,8 +21,7 @@ val oscillator : params -> Shil.Analysis.oscillator
 
 val circuit :
   ?injection:Spice.Wave.t -> ?kick:float -> params -> Spice.Circuit.t
-(** Netlist realization with a behavioural current source for [f], for
-    cross-validating the reduced model against the MNA simulator. The
-    injection waveform, when given, drives a current source across the
-    tank; [kick] (default [1e-5] A) is a short start-up pulse. Probe the
+(** {!Behavioural.circuit} of {!oscillator}, with a [kick] (default
+    {!Behavioural.kick}) start-up pulse. The injection waveform, when
+    given, drives a current source across the tank. Probe the
     oscillation on node ["t"]. *)

@@ -7,10 +7,8 @@ type natural_cmp = {
   simulated_f : float;
 }
 
-let transient_signal ~circuit ~probe ~dt ~t_stop ~t_start =
-  let opts =
-    { (Spice.Transient.default_options ~dt ~t_stop) with t_start }
-  in
+let transient_signal ~circuit ~probe ~dt ~t_stop =
+  let opts = Spice.Transient.default_options ~dt ~t_stop in
   let res = Spice.Transient.run circuit ~probes:[ probe ] opts in
   (* a truncated waveform would silently corrupt the measurement — turn
      a degraded transient back into a typed failure here *)
@@ -30,7 +28,7 @@ let natural ?(cycles = 400.0) ?(steps_per_cycle = 120) ~circuit ~probe
   in
   let dt = 1.0 /. (fc *. float_of_int steps_per_cycle) in
   let t_stop = cycles /. fc in
-  let s = transient_signal ~circuit ~probe ~dt ~t_stop ~t_start:0.0 in
+  let s = transient_signal ~circuit ~probe ~dt ~t_stop in
   let tail = Signal.tail_fraction s 0.25 in
   let mean = Signal.mean tail in
   let centred = Signal.shift_values tail (-.mean) in
@@ -40,6 +38,19 @@ let natural ?(cycles = 400.0) ?(steps_per_cycle = 120) ~circuit ~probe
     predicted_f = fc;
     simulated_f = Waveform.Measure.frequency centred;
   }
+
+(* the lock verdict of one injected run, on the mean-free waveform *)
+let lock_probe ~circuit ~probe ~n ~f_inj ~dt ~t_stop =
+  let s = transient_signal ~circuit ~probe ~dt ~t_stop in
+  let s = Signal.shift_values s (-.Signal.mean s) in
+  (Waveform.Lock.analyze s ~f_target:(f_inj /. float_of_int n)).locked
+
+let locked ?(cycles = 600.0) ?(steps_per_cycle = 180) ~circuit ~probe ~n
+    ~f_inj () =
+  let f_osc = f_inj /. float_of_int n in
+  lock_probe ~circuit ~probe ~n ~f_inj
+    ~dt:(1.0 /. (f_osc *. float_of_int steps_per_cycle))
+    ~t_stop:(cycles /. f_osc)
 
 type lock_cmp = {
   predicted : Shil.Lock_range.t;
@@ -66,15 +77,9 @@ let lock_range ?(cycles = 600.0) ?(steps_per_cycle = 180) ?(rel_tol = 2e-5)
           (Resilience.Oshil_error.Error
              (Resilience.Fault.error ~site:"validate-point" Circuits
                 ~phase:"validate"))
-      else begin
-        let s =
-          transient_signal ~circuit:(make_circuit ~f_inj) ~probe ~dt ~t_stop
-            ~t_start:0.0
-        in
-        let mean = Signal.mean s in
-        let s = Signal.shift_values s (-.mean) in
-        (Waveform.Lock.analyze s ~f_target:(f_inj /. float_of_int n)).locked
-      end
+      else
+        lock_probe ~circuit:(make_circuit ~f_inj) ~probe ~n ~f_inj ~dt
+          ~t_stop
     with
     | b -> b
     | exception e ->
@@ -158,10 +163,7 @@ let lock_states ?(cycles = 900.0) ?(steps_per_cycle = 180) ~make_circuit
   let dt = 1.0 /. (f_osc *. float_of_int steps_per_cycle) in
   let t_stop = cycles /. f_osc in
   let extra = List.map (fun at -> pulse ~at) pulse_times in
-  let s =
-    transient_signal ~circuit:(make_circuit ~extra) ~probe ~dt ~t_stop
-      ~t_start:0.0
-  in
+  let s = transient_signal ~circuit:(make_circuit ~extra) ~probe ~dt ~t_stop in
   let mean = Signal.mean s in
   let s = Signal.shift_values s (-.mean) in
   (* windows: from after each pulse (plus settle margin) to the next *)

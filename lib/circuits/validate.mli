@@ -1,8 +1,17 @@
 (** End-to-end validation drivers: the paper's §IV methodology.
 
     Each function compares a describing-function prediction against a
-    brute-force MNA transient on the device-level netlist, returning a
-    comparison record ready for the experiment tables. *)
+    brute-force MNA transient, on a device-level netlist or on the
+    behavioural one ({!Behavioural}), returning a comparison record
+    ready for the experiment tables. {!lock_range} is the one lock-edge
+    locator in the time domain. *)
+
+val transient_signal :
+  circuit:Spice.Circuit.t -> probe:Spice.Transient.probe -> dt:float ->
+  t_stop:float -> Waveform.Signal.t
+(** The [probe] waveform of a fixed-step transient from 0 to [t_stop].
+    A degraded run (the transient's [failure]) raises its typed error
+    rather than returning a truncated waveform. *)
 
 type natural_cmp = {
   predicted_a : float;
@@ -17,6 +26,14 @@ val natural :
   natural_cmp
 (** Runs the free oscillator for [cycles] (default 400) tank periods at
     [steps_per_cycle] (default 120) and measures the steady tail. *)
+
+val locked :
+  ?cycles:float -> ?steps_per_cycle:int -> circuit:Spice.Circuit.t ->
+  probe:Spice.Transient.probe -> n:int -> f_inj:float -> unit -> bool
+(** One lock probe, the one {!lock_range} bisects with: runs the
+    injected [circuit] for [cycles] (default 600) periods of [f_inj / n]
+    at [steps_per_cycle] (default 180) and asks the lock detector
+    whether the mean-free waveform follows [f_inj / n]. *)
 
 type lock_cmp = {
   predicted : Shil.Lock_range.t;

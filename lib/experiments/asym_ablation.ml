@@ -47,19 +47,17 @@ let run ~simulate =
   in
   let rows =
     if simulate then begin
-      let low =
-        Shil.Simulate.lock_edge ~cycles:900.0 osc.nl ~tank:osc.tank ~vi ~n
-          ~f_lo:(recentred.f_inj_low -. 15e3)
-          ~f_hi:(recentred.f_inj_low +. 15e3)
-          ~side:`Low
+      let cmp =
+        Circuits.Validate.lock_range ~cycles:900.0
+          ~steps_per_cycle:Circuits.Behavioural.steps_per_cycle
+          ~make_circuit:(Circuits.Behavioural.injected ~n ~vi osc)
+          ~probe:Circuits.Behavioural.probe ~n ~predicted:recentred ()
       in
-      let high =
-        Shil.Simulate.lock_edge ~cycles:900.0 osc.nl ~tank:osc.tank ~vi ~n
-          ~f_lo:(recentred.f_inj_high -. 15e3)
-          ~f_hi:(recentred.f_inj_high +. 15e3)
-          ~side:`High
-      in
-      rows @ [ ("simulated (ODE truth)", band low high (high -. low)) ]
+      rows
+      @ [
+          ( "simulated (transient truth)",
+            band cmp.sim_f_low cmp.sim_f_high cmp.sim_delta );
+        ]
     end
     else rows
   in

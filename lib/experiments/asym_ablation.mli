@@ -9,11 +9,13 @@
     - the plain graphical prediction (the paper's method),
     - the orbit-recentred prediction ({!Ppv.Refined}),
     - the harmonic-balance lock band at [K = 9] ({!Api.hb_run}),
-    - brute-force time-domain lock edges (when [simulate]). *)
+    - brute-force transient lock edges of the behavioural netlist
+      (when [simulate]). *)
 
 val cell : unit -> Shil.Analysis.oscillator
 (** The asymmetric demonstration cell (van der Pol core + one-sided
     clipping diode), 2 MHz tank. *)
 
 val run : simulate:bool -> Output.t
-(** [simulate] adds the ODE edge searches. *)
+(** [simulate] adds the transient edge searches (900 cycles per
+    probe). *)

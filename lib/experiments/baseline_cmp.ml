@@ -5,29 +5,23 @@ type point = {
   simulated : float option;
 }
 
-let sweep ~simulate nl ~tank ~n =
+let sweep ~simulate (osc : Shil.Analysis.oscillator) ~n =
   List.map
     (fun vi ->
-      let report = Shil.Analysis.run { nl; tank } ~n ~vi in
+      let report = Shil.Analysis.run osc ~n ~vi in
       let rigorous = report.lock_range.delta_f_inj in
-      let baseline = Ppv.Lock_baseline.predict nl ~tank ~n ~vi in
+      let baseline = Ppv.Lock_baseline.predict osc.nl ~tank:osc.tank ~n ~vi in
       let simulated =
         if not simulate then None
         else begin
-          let lr = report.lock_range in
-          let low =
-            Shil.Simulate.lock_edge nl ~tank ~vi ~n
-              ~f_lo:(lr.f_inj_low -. (0.5 *. lr.delta_f_inj))
-              ~f_hi:(lr.f_inj_low +. (0.5 *. lr.delta_f_inj))
-              ~side:`Low
+          let cmp =
+            Circuits.Validate.lock_range ~cycles:800.0
+              ~steps_per_cycle:Circuits.Behavioural.steps_per_cycle
+              ~make_circuit:(Circuits.Behavioural.injected ~n ~vi osc)
+              ~probe:Circuits.Behavioural.probe ~n
+              ~predicted:report.lock_range ()
           in
-          let high =
-            Shil.Simulate.lock_edge nl ~tank ~vi ~n
-              ~f_lo:(lr.f_inj_high -. (0.5 *. lr.delta_f_inj))
-              ~f_hi:(lr.f_inj_high +. (0.5 *. lr.delta_f_inj))
-              ~side:`High
-          in
-          Some (high -. low)
+          Some cmp.sim_delta
         end
       in
       { vi; rigorous; ppv = baseline.delta_f_inj; simulated })
@@ -63,5 +57,7 @@ let output points =
     ()
 
 let run ~simulate =
-  let osc = Circuits.Tanh_osc.oscillator Circuits.Tanh_osc.default in
-  output (sweep ~simulate osc.nl ~tank:osc.tank ~n:3)
+  output
+    (sweep ~simulate
+       (Circuits.Tanh_osc.oscillator Circuits.Tanh_osc.default)
+       ~n:3)

@@ -27,15 +27,16 @@ let run ~validate =
           ~probe:Circuits.Cmos_pair.osc_probe ~osc ()
       in
       let centre = 0.5 *. (lr.f_inj_low +. lr.f_inj_high) in
-      let locked_in =
-        Shil.Simulate.locked ~cycles:1500.0 osc.nl ~tank:osc.tank
-          ~injection:{ vi; n; f_inj = centre; phase = 0.0 }
+      let locked f_inj =
+        Circuits.Validate.locked ~cycles:1500.0
+          ~circuit:
+            (Circuits.Cmos_pair.circuit
+               ~injection:{ vi; n; f_inj; phase = 0.0 }
+               p)
+          ~probe:Circuits.Cmos_pair.osc_probe ~n ~f_inj ()
       in
-      let locked_out =
-        Shil.Simulate.locked ~cycles:1500.0 osc.nl ~tank:osc.tank
-          ~injection:
-            { vi; n; f_inj = lr.f_inj_high +. lr.delta_f_inj; phase = 0.0 }
-      in
+      let locked_in = locked centre in
+      let locked_out = locked (lr.f_inj_high +. lr.delta_f_inj) in
       rows
       @ [
           Output.row_f "simulated natural A (V)" cmp.simulated_a;

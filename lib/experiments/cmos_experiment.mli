@@ -5,5 +5,6 @@
     spot check. *)
 
 val run : validate:bool -> Output.t
-(** [validate] runs the device-level transient and the reduced-model
-    lock checks. *)
+(** [validate] runs the device-level transients: the natural
+    oscillation and two 1500-cycle lock probes (band centre, one lock
+    range above the band). *)

@@ -11,7 +11,17 @@ let run ~simulate =
         let pred = Shil.Pulling.beat_frequency ~lock_range:lr ~n ~f_inj in
         let line =
           if simulate then begin
-            let meas = Shil.Pulling.measure_beat osc.nl ~tank:osc.tank ~vi ~n ~f_inj in
+            let fc = Shil.Tank.f_c osc.tank in
+            let signal =
+              Circuits.Validate.transient_signal
+                ~circuit:(Circuits.Behavioural.injected ~n ~vi osc ~f_inj)
+                ~probe:Circuits.Behavioural.probe
+                ~dt:
+                  (1.0
+                  /. (fc *. float_of_int Circuits.Behavioural.steps_per_cycle))
+                ~t_stop:(1200.0 /. fc)
+            in
+            let meas = Shil.Pulling.measure_beat signal ~n ~f_inj in
             Printf.sprintf "beat predicted %.5g Hz / measured %.5g Hz" pred meas
           end
           else Printf.sprintf "beat predicted %.5g Hz" pred

@@ -9,5 +9,5 @@
 
 val run : simulate:bool -> Output.t
 (** Four injection frequencies beyond the upper band edge, offset by
-    0.25, 0.5, 1 and 2 lock ranges; [simulate] adds the measured
-    beats. *)
+    0.25, 0.5, 1 and 2 lock ranges; [simulate] adds the beats measured
+    on 1200-cycle transients of the behavioural netlist. *)

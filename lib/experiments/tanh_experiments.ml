@@ -46,12 +46,16 @@ let fig3_natural ?(validate = true) s =
   let rows = [ Output.row_f "predicted A (V)" a_pred ] in
   let rows =
     if validate then begin
-      let res = Shil.Simulate.free_run osc.nl ~tank:osc.tank in
-      let tail = Waveform.Signal.tail_fraction res.signal 0.2 in
+      let cmp =
+        Circuits.Validate.natural ~cycles:300.0
+          ~steps_per_cycle:Circuits.Behavioural.steps_per_cycle
+          ~circuit:(Circuits.Tanh_osc.circuit s.params)
+          ~probe:Circuits.Behavioural.probe ~osc ()
+      in
       rows
       @ [
-          Output.row_f "simulated A (V)" (Waveform.Measure.amplitude tail);
-          Output.row_f "simulated f (Hz)" (Waveform.Measure.frequency tail);
+          Output.row_f "simulated A (V)" cmp.simulated_a;
+          Output.row_f "simulated f (Hz)" cmp.simulated_f;
           Output.row_f "tank f_c (Hz)" (Shil.Tank.f_c osc.tank);
         ]
     end
@@ -214,25 +218,17 @@ let fig10_lock_range ?(validate = false) s =
   in
   let rows =
     if validate then begin
-      let nl = osc.nl and tank = osc.tank in
-      let delta = lr.delta_f_inj in
-      let low =
-        Shil.Simulate.lock_edge nl ~tank ~vi:s.vi ~n:s.n
-          ~f_lo:(lr.f_inj_low -. (0.4 *. delta))
-          ~f_hi:(lr.f_inj_low +. (0.4 *. delta))
-          ~side:`Low
-      in
-      let high =
-        Shil.Simulate.lock_edge nl ~tank ~vi:s.vi ~n:s.n
-          ~f_lo:(lr.f_inj_high -. (0.4 *. delta))
-          ~f_hi:(lr.f_inj_high +. (0.4 *. delta))
-          ~side:`High
+      let cmp =
+        Circuits.Validate.lock_range ~cycles:800.0
+          ~steps_per_cycle:Circuits.Behavioural.steps_per_cycle
+          ~make_circuit:(Circuits.Behavioural.injected ~n:s.n ~vi:s.vi osc)
+          ~probe:Circuits.Behavioural.probe ~n:s.n ~predicted:lr ()
       in
       rows
       @ [
-          Output.row_f "simulated f_inj low (Hz)" low;
-          Output.row_f "simulated f_inj high (Hz)" high;
-          Output.row_f "simulated lock range (Hz)" (high -. low);
+          Output.row_f "simulated f_inj low (Hz)" cmp.sim_f_low;
+          Output.row_f "simulated f_inj high (Hz)" cmp.sim_f_high;
+          Output.row_f "simulated lock range (Hz)" cmp.sim_delta;
         ]
     end
     else rows

@@ -1,6 +1,7 @@
 (** Reproductions of the paper's §II–III illustration figures, all on the
     negative-tanh LC oscillator (Figs. 3, 6, 7, 9, 10), each validated
-    against the reduced time-domain simulator where meaningful. *)
+    against an MNA transient of the behavioural netlist where
+    meaningful. *)
 
 type setup = {
   params : Circuits.Tanh_osc.params;
@@ -12,7 +13,7 @@ val default_setup : setup
 
 val fig3_natural : ?validate:bool -> setup -> Output.t
 (** [T_f(A)] against [y = 1]: predicted natural amplitude, optionally
-    cross-checked against the reduced ODE (default true). *)
+    cross-checked against a 300-cycle transient (default true). *)
 
 val fig6_tank : setup -> Output.t
 (** Tank [|H|] and phase vs frequency; peak and +-45 degree points. *)
@@ -28,4 +29,5 @@ val fig9_states : setup -> Output.t
 val fig10_lock_range : ?validate:bool -> setup -> Output.t
 (** Isolines of [angle(-I1)] over the [T_f = 1] curve; the lock-range
     boundary [phi_d_max], mapped to the injection-frequency band;
-    optionally validated against time-domain lock edges (slow). *)
+    optionally validated against transient lock edges, 800 cycles per
+    probe (slow). *)

@@ -36,127 +36,3 @@ let rk4_final f ~t0 ~t1 ~dt ~y0 =
     t := !t +. step
   done;
   !y
-
-type dopri_stats = { steps : int; rejected : int }
-
-(* Dormand-Prince 5(4) Butcher tableau *)
-let c2 = 1.0 /. 5.0
-let c3 = 3.0 /. 10.0
-let c4 = 4.0 /. 5.0
-let c5 = 8.0 /. 9.0
-
-let a21 = 1.0 /. 5.0
-let a31 = 3.0 /. 40.0
-let a32 = 9.0 /. 40.0
-let a41 = 44.0 /. 45.0
-let a42 = -56.0 /. 15.0
-let a43 = 32.0 /. 9.0
-let a51 = 19372.0 /. 6561.0
-let a52 = -25360.0 /. 2187.0
-let a53 = 64448.0 /. 6561.0
-let a54 = -212.0 /. 729.0
-let a61 = 9017.0 /. 3168.0
-let a62 = -355.0 /. 33.0
-let a63 = 46732.0 /. 5247.0
-let a64 = 49.0 /. 176.0
-let a65 = -5103.0 /. 18656.0
-let b1 = 35.0 /. 384.0
-let b3 = 500.0 /. 1113.0
-let b4 = 125.0 /. 192.0
-let b5 = -2187.0 /. 6784.0
-let b6 = 11.0 /. 84.0
-let e1 = 71.0 /. 57600.0
-let e3 = -71.0 /. 16695.0
-let e4 = 71.0 /. 1920.0
-let e5 = -17253.0 /. 339200.0
-let e6 = 22.0 /. 525.0
-let e7 = -1.0 /. 40.0
-
-let dopri5 ?(rtol = 1e-8) ?(atol = 1e-10) ?dt0 ?(max_steps = 2_000_000) f ~t0
-    ~t1 ~y0 =
-  assert (t1 > t0);
-  let n = Array.length y0 in
-  let combine y coefs =
-    Array.init n (fun i ->
-        List.fold_left (fun acc (s, k) -> acc +. (s *. (k : float array).(i))) y.(i) coefs)
-  in
-  let dt = ref (match dt0 with Some d -> d | None -> (t1 -. t0) /. 1000.0) in
-  let t = ref t0 and y = ref (Array.copy y0) in
-  let times = ref [ t0 ] and states = ref [ Array.copy y0 ] in
-  let steps = ref 0 and rejected = ref 0 in
-  let err_prev = ref 1.0 in
-  while !t < t1 -. 1e-15 *. Float.max 1.0 (Float.abs t1) do
-    if !steps + !rejected > max_steps then
-      Resilience.Oshil_error.raise_ Numerics ~phase:"dopri5" Budget_exhausted
-        "too many integration steps"
-        ~context:
-          [
-            ("max_steps", string_of_int max_steps);
-            ("t", Printf.sprintf "%.6e" !t);
-            ("rejected", string_of_int !rejected);
-          ]
-        ~remedy:"raise max_steps or loosen rtol/atol";
-    let h = Float.min !dt (t1 -. !t) in
-    let k1 = f !t !y in
-    let k2 = f (!t +. (c2 *. h)) (combine !y [ (h *. a21, k1) ]) in
-    let k3 = f (!t +. (c3 *. h)) (combine !y [ (h *. a31, k1); (h *. a32, k2) ]) in
-    let k4 =
-      f (!t +. (c4 *. h))
-        (combine !y [ (h *. a41, k1); (h *. a42, k2); (h *. a43, k3) ])
-    in
-    let k5 =
-      f (!t +. (c5 *. h))
-        (combine !y
-           [ (h *. a51, k1); (h *. a52, k2); (h *. a53, k3); (h *. a54, k4) ])
-    in
-    let k6 =
-      f (!t +. h)
-        (combine !y
-           [ (h *. a61, k1); (h *. a62, k2); (h *. a63, k3); (h *. a64, k4);
-             (h *. a65, k5) ])
-    in
-    let y5 =
-      combine !y
-        [ (h *. b1, k1); (h *. b3, k3); (h *. b4, k4); (h *. b5, k5);
-          (h *. b6, k6) ]
-    in
-    let k7 = f (!t +. h) y5 in
-    let err_vec =
-      combine (Array.make n 0.0)
-        [ (h *. e1, k1); (h *. e3, k3); (h *. e4, k4); (h *. e5, k5);
-          (h *. e6, k6); (h *. e7, k7) ]
-    in
-    let err =
-      let s = ref 0.0 in
-      for i = 0 to n - 1 do
-        let sc = atol +. (rtol *. Float.max (Float.abs !y.(i)) (Float.abs y5.(i))) in
-        let r = err_vec.(i) /. sc in
-        s := !s +. (r *. r)
-      done;
-      sqrt (!s /. float_of_int n)
-    in
-    if err <= 1.0 then begin
-      incr steps;
-      t := !t +. h;
-      y := y5;
-      times := !t :: !times;
-      states := y5 :: !states;
-      (* PI controller *)
-      let fac =
-        0.9 *. (Float.pow (Float.max err 1e-10) (-0.7 /. 5.0))
-        *. (Float.pow (Float.max !err_prev 1e-10) (0.4 /. 5.0))
-      in
-      err_prev := Float.max err 1e-10;
-      dt := h *. Float.min 5.0 (Float.max 0.2 fac)
-    end
-    else begin
-      incr rejected;
-      dt := h *. Float.max 0.1 (0.9 *. Float.pow err (-1.0 /. 5.0))
-    end
-  done;
-  ( Array.of_list (List.rev !times),
-    Array.of_list (List.rev !states),
-    { steps = !steps; rejected = !rejected } )
-
-let sample ~times:_ ~states ~component =
-  Array.map (fun s -> s.(component)) states

@@ -1,7 +1,7 @@
-(** Initial-value ODE solvers for systems [dy/dt = f t y].
+(** Fixed-step initial-value ODE solvers for systems [dy/dt = f t y].
 
-    Used for the reduced (nonlinearity + tank) oscillator model and for the
-    PPV baseline: orbit finding, monodromy and adjoint integration. *)
+    Used by the PPV baseline: orbit finding, monodromy and adjoint
+    integration. *)
 
 type system = float -> float array -> float array
 (** [f t y] returns [dy/dt]; must not retain or mutate [y]. *)
@@ -18,18 +18,3 @@ val rk4 :
 
 val rk4_final : system -> t0:float -> t1:float -> dt:float -> y0:float array -> float array
 (** As {!rk4} but returns only the final state (no trajectory storage). *)
-
-type dopri_stats = { steps : int; rejected : int }
-
-val dopri5 :
-  ?rtol:float -> ?atol:float -> ?dt0:float -> ?max_steps:int ->
-  system -> t0:float -> t1:float -> y0:float array ->
-  (float array * float array array * dopri_stats)
-(** Adaptive Dormand–Prince 5(4) with PI step control. Returns the accepted
-    mesh, states, and step statistics. Raises [Failure] if [max_steps]
-    (default [2_000_000]) is exceeded. *)
-
-val sample :
-  times:float array -> states:float array array -> component:int ->
-  float array
-(** Extracts one state component across a trajectory. *)

@@ -6,11 +6,8 @@ let beat_frequency ~(lock_range : Lock_range.t) ~n ~f_inj =
   if Float.abs delta <= half then 0.0
   else sqrt ((delta *. delta) -. (half *. half))
 
-let measure_beat ?(cycles = 1200.0) nl ~tank ~vi ~n ~f_inj =
-  let res =
-    Simulate.injected ~cycles nl ~tank ~injection:{ vi; n; f_inj; phase = 0.0 }
-  in
-  let tail = Waveform.Signal.tail_fraction res.signal 0.6 in
+let measure_beat signal ~n ~f_inj =
+  let tail = Waveform.Signal.tail_fraction signal 0.6 in
   let f_target = f_inj /. float_of_int n in
   (* many short windows keep each inter-window phase step below pi so the
      unwrap cannot alias even for fast beats *)

@@ -16,9 +16,8 @@ val beat_frequency : lock_range:Lock_range.t -> n:int -> f_inj:float -> float
     [sqrt (delta^2 - w_L^2) / 2 pi] with [delta] measured from the band
     centre. Returns [0.] inside the band. *)
 
-val measure_beat :
-  ?cycles:float -> Nonlinearity.t -> tank:Tank.t -> vi:float -> n:int ->
-  f_inj:float -> float
-(** Brute-force counterpart: simulate the injected oscillator (reduced
-    model) and return the measured mean phase-slip rate (Hz,
-    oscillator-referred) against the [f_inj / n] reference. *)
+val measure_beat : Waveform.Signal.t -> n:int -> f_inj:float -> float
+(** Brute-force counterpart: the mean phase-slip rate (Hz,
+    oscillator-referred) of a simulated tank waveform of the oscillator
+    injected at [f_inj], against the [f_inj / n] reference, fitted over
+    the last 60 % of the waveform. *)

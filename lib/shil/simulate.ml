@@ -1,57 +1,4 @@
-module Ode = Numerics.Ode
-
 type injection = { vi : float; n : int; f_inj : float; phase : float }
 
 let injection_current ~tank inj =
   2.0 *. inj.vi /. Tank.mag tank ~omega:(2.0 *. Float.pi *. inj.f_inj)
-
-type result = { signal : Waveform.Signal.t; i_l : float array }
-
-let integrate ?(cycles = 300.0) ?(steps_per_cycle = 200) ?(v0 = 1e-3) nl
-    ~(tank : Tank.t) ~drive =
-  let fc = Tank.f_c tank in
-  let r = tank.r and l = tank.l and c = tank.c in
-  let f t y =
-    let v = y.(0) and il = y.(1) in
-    [|
-      ((-.v /. r) -. il -. Nonlinearity.eval nl v +. drive t) /. c;
-      v /. l;
-    |]
-  in
-  let t1 = cycles /. fc in
-  let dt = 1.0 /. (fc *. float_of_int steps_per_cycle) in
-  let times, states = Ode.rk4 f ~t0:0.0 ~t1 ~dt ~y0:[| v0; 0.0 |] in
-  let vs = Ode.sample ~times ~states ~component:0 in
-  let ils = Ode.sample ~times ~states ~component:1 in
-  { signal = Waveform.Signal.make ~times ~values:vs; i_l = ils }
-
-let free_run ?cycles ?steps_per_cycle ?v0 nl ~tank =
-  integrate ?cycles ?steps_per_cycle ?v0 nl ~tank ~drive:(fun _ -> 0.0)
-
-let injected ?cycles ?steps_per_cycle ?v0 nl ~tank ~injection =
-  let im = injection_current ~tank injection in
-  let w = 2.0 *. Float.pi *. injection.f_inj in
-  let drive t = im *. cos ((w *. t) +. injection.phase) in
-  integrate ?cycles ?steps_per_cycle ?v0 nl ~tank ~drive
-
-let locked ?cycles ?steps_per_cycle nl ~tank ~injection =
-  let res = injected ?cycles ?steps_per_cycle nl ~tank ~injection in
-  let f_target = injection.f_inj /. float_of_int injection.n in
-  (Waveform.Lock.analyze res.signal ~f_target).locked
-
-let lock_edge ?(cycles = 800.0) ?tol nl ~tank ~vi ~n ~f_lo ~f_hi ~side =
-  let tol = match tol with Some t -> t | None -> 1e-5 *. f_lo in
-  let is_locked f_inj =
-    locked ~cycles nl ~tank ~injection:{ vi; n; f_inj; phase = 0.0 }
-  in
-  let want_lo_locked = match side with `Low -> false | `High -> true in
-  let lo = ref f_lo and hi = ref f_hi in
-  if is_locked !lo <> want_lo_locked then
-    invalid_arg "Simulate.lock_edge: bad bracket (low end)";
-  if is_locked !hi = want_lo_locked then
-    invalid_arg "Simulate.lock_edge: bad bracket (high end)";
-  while !hi -. !lo > tol do
-    let mid = 0.5 *. (!lo +. !hi) in
-    if is_locked mid = want_lo_locked then lo := mid else hi := mid
-  done;
-  0.5 *. (!lo +. !hi)

@@ -1,10 +1,7 @@
-(** Time-domain simulation of the reduced oscillator model — the circuit
-    of Fig. 1b as a two-state ODE:
-
-    [C dv/dt = -v/R - i_L - f(v) + i_inj(t)],  [L di_L/dt = v].
-
-    This is the fast "brute-force" reference for the describing-function
-    predictions when no device-level netlist is involved. *)
+(** The injected tone of the oscillator of Fig. 1b: its description and
+    the drive current that realises it. The time-domain runs themselves
+    are MNA transients of the behavioural netlist
+    ([Circuits.Behavioural]). *)
 
 type injection = {
   vi : float;  (** target injection phasor magnitude at the tank output *)
@@ -17,34 +14,3 @@ val injection_current : tank:Tank.t -> injection -> float
 (** Drive current amplitude [I_m] such that the tank alone would show a
     [2 vi] voltage swing at the injection frequency:
     [I_m = 2 vi / |H(j 2 pi f_inj)|]. *)
-
-type result = {
-  signal : Waveform.Signal.t;  (** tank voltage *)
-  i_l : float array;  (** inductor current samples *)
-}
-
-val free_run :
-  ?cycles:float -> ?steps_per_cycle:int -> ?v0:float ->
-  Nonlinearity.t -> tank:Tank.t -> result
-(** RK4 integration over [cycles] (default 300) tank periods starting from
-    a small voltage kick [v0] (default 1e-3). *)
-
-val injected :
-  ?cycles:float -> ?steps_per_cycle:int -> ?v0:float ->
-  Nonlinearity.t -> tank:Tank.t -> injection:injection -> result
-(** As {!free_run} with the sinusoidal injection current applied. *)
-
-val locked :
-  ?cycles:float -> ?steps_per_cycle:int ->
-  Nonlinearity.t -> tank:Tank.t -> injection:injection -> bool
-(** Convenience: simulate and run the lock detector at
-    [f_inj / n]. *)
-
-val lock_edge :
-  ?cycles:float -> ?tol:float -> Nonlinearity.t -> tank:Tank.t ->
-  vi:float -> n:int -> f_lo:float -> f_hi:float -> side:[ `Low | `High ] ->
-  float
-(** Binary search for a lock edge in injection frequency. For [`Low] the
-    band edge has unlocked below / locked above; [`High] the reverse.
-    [tol] is in Hz (default [1e-5 * f_lo]). Raises [Invalid_argument]
-    when the bracket does not actually straddle the edge. *)

@@ -42,7 +42,7 @@ let free_solution ?(k_max = 5) ?(samples = 256) osc =
   Driver.oscprobe ~k_max ~samples
     ~f_guess:(Shil.Tank.f_c tank)
     ~a_guess:(df_amplitude osc.Shil.Analysis.nl ~r:tank.r)
-    (Api.hb_circuit osc)
+    (Circuits.Behavioural.circuit osc)
 
 (* ------------------------------------------------------------------ *)
 (* oscprobe at K = 1 is the describing-function fixed point *)
@@ -210,10 +210,10 @@ let test_jacobian_vs_fd () =
   let osc = Circuits.Tanh_osc.oscillator p in
   let f_inj = 3.0e6 in
   let circuit =
-    Api.hb_circuit
+    Circuits.Behavioural.circuit
       ~injection:
-        (Api.hb_injection_wave ~tank:osc.Shil.Analysis.tank ~n:3 ~vi:0.05
-           ~f_inj)
+        (Circuits.Behavioural.injection_wave ~tank:osc.Shil.Analysis.tank
+           ~n:3 ~vi:0.05 ~f_inj)
       osc
   in
   let sys = System.compile ~k_max:3 ~samples:64 circuit in
@@ -259,8 +259,8 @@ let test_injected_branches () =
   let n = 3 and vi = 0.03 in
   let solve_at f_inj =
     Driver.injected ~free ~n ~f_inj
-      (Api.hb_circuit
-         ~injection:(Api.hb_injection_wave ~tank ~n ~vi ~f_inj)
+      (Circuits.Behavioural.circuit
+         ~injection:(Circuits.Behavioural.injection_wave ~tank ~n ~vi ~f_inj)
          osc)
   in
   let fc3 = 3.0 *. free.Driver.f0 in
@@ -320,7 +320,9 @@ let test_lockrange_hole_degrades () =
   let free = free_solution osc in
   let n = 3 and vi = 0.03 in
   let inject ~f_inj =
-    Api.hb_circuit ~injection:(Api.hb_injection_wave ~tank ~n ~vi ~f_inj) osc
+    Circuits.Behavioural.circuit
+      ~injection:(Circuits.Behavioural.injection_wave ~tank ~n ~vi ~f_inj)
+      osc
   in
   let clean = Driver.lock_range ~free ~n ~guess_width:9e3 ~inject () in
   Alcotest.(check int) "clean search has no holes" 0 clean.Driver.holes;
@@ -362,7 +364,7 @@ let test_cache_roundtrip () =
     Driver.oscprobe ~ident ~k_max:5 ~samples:256
       ~f_guess:(Shil.Tank.f_c tank)
       ~a_guess:(df_amplitude osc.Shil.Analysis.nl ~r:tank.r)
-      (Api.hb_circuit osc)
+      (Circuits.Behavioural.circuit osc)
   in
   let cold = solve () in
   let warm = solve () in
@@ -374,7 +376,7 @@ let test_cache_roundtrip () =
 
 let test_compile_guards () =
   let p = Circuits.Tanh_osc.default in
-  let circuit = Api.hb_circuit (Circuits.Tanh_osc.oscillator p) in
+  let circuit = Circuits.Behavioural.circuit (Circuits.Tanh_osc.oscillator p) in
   (match System.compile ~k_max:0 circuit with
   | _ -> Alcotest.fail "k_max = 0 must be rejected"
   | exception Invalid_argument _ -> ());

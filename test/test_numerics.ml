@@ -495,19 +495,6 @@ let test_rk4_harmonic_energy () =
   let energy = (last.(0) *. last.(0)) +. (last.(1) *. last.(1)) in
   check_float ~eps:1e-8 "energy conserved" 1.0 energy
 
-let test_dopri5 () =
-  let f t _ = [| cos t |] in
-  let _, states, stats = Ode.dopri5 ~rtol:1e-10 ~atol:1e-12 f ~t0:0.0 ~t1:2.0 ~y0:[| 0.0 |] in
-  let last = states.(Array.length states - 1) in
-  check_float ~eps:1e-8 "dopri5 sin 2" (sin 2.0) last.(0);
-  Alcotest.(check bool) "used adaptive steps" true (stats.steps > 5)
-
-let test_dopri5_stiffish () =
-  let f _ y = [| -50.0 *. (y.(0) -. cos 0.0) |] in
-  let _, states, _ = Ode.dopri5 f ~t0:0.0 ~t1:1.0 ~y0:[| 0.0 |] in
-  let last = states.(Array.length states - 1) in
-  check_float ~eps:1e-4 "relaxes to 1" 1.0 last.(0)
-
 let prop_rk4_linear_exact_slope =
   qtest ~count:50 "ode: rk4 exact for dy/dt = a"
     QCheck.(float_range (-5.0) 5.0)
@@ -624,8 +611,6 @@ let () =
           Alcotest.test_case "rk4 exponential" `Quick test_rk4_exponential;
           Alcotest.test_case "rk4 order" `Quick test_rk4_order;
           Alcotest.test_case "harmonic energy" `Quick test_rk4_harmonic_energy;
-          Alcotest.test_case "dopri5" `Quick test_dopri5;
-          Alcotest.test_case "dopri5 stiffish" `Quick test_dopri5_stiffish;
           prop_rk4_linear_exact_slope;
         ] );
       ( "stats",

@@ -230,12 +230,14 @@ let hb_free osc =
   in
   Hb.Driver.oscprobe ~k_max:5 ~samples:256
     ~f_guess:(Shil.Tank.f_c tank)
-    ~a_guess (Api.hb_circuit osc)
+    ~a_guess (Circuits.Behavioural.circuit osc)
 
 let hb_lock_range osc ~free ~n ~vi ~guess_width =
   let tank = (osc.Shil.Analysis.tank : Shil.Tank.t) in
   let inject ~f_inj =
-    Api.hb_circuit ~injection:(Api.hb_injection_wave ~tank ~n ~vi ~f_inj) osc
+    Circuits.Behavioural.circuit
+      ~injection:(Circuits.Behavioural.injection_wave ~tank ~n ~vi ~f_inj)
+      osc
   in
   Hb.Driver.lock_range ~free ~n ~guess_width ~inject ()
 
@@ -254,7 +256,7 @@ let test_hb_k1_is_df_fixed_point () =
   let sol =
     Hb.Driver.oscprobe ~k_max:1 ~samples:1024
       ~f_guess:(Shil.Tank.f_c tank)
-      ~a_guess:(0.8 *. a_df) (Api.hb_circuit osc)
+      ~a_guess:(0.8 *. a_df) (Circuits.Behavioural.circuit osc)
   in
   Alcotest.(check bool) "amplitude to 1e-9 relative" true
     (Float.abs (Hb.Driver.amplitude sol -. a_df) /. a_df < 1e-9);

@@ -552,8 +552,8 @@ let test_n_states () =
 let test_lock_range_tanh_golden () =
   let g = Lazy.force fixture_grid in
   let boundary = Lock_range.phi_d_boundary g in
-  (* golden value; validated against time-domain simulation in
-     test_simulate below and bin/scratch experiments *)
+  (* golden value; validated against transient simulation in
+     test_simulate below *)
   check_float ~eps:2e-3 "phi_d boundary" 0.0500 boundary
 
 let test_lock_range_predict () =
@@ -598,25 +598,37 @@ let test_fhil_matches_adler_weak_injection () =
     (Float.abs (lr.delta_f_inj -. adler_delta) /. adler_delta < 0.15)
 
 (* ------------------------------------------------------------------ *)
-(* Simulate (reduced model, time domain) *)
+(* Simulate: the fixture oscillator as a behavioural netlist on the MNA
+   transient *)
+
+let fixture_osc : Analysis.oscillator = { nl = tanh_nl; tank = fixture_tank }
+let spc = Circuits.Behavioural.steps_per_cycle
+let probe = Circuits.Behavioural.probe
+
+let fixture_locked ~f_inj =
+  Circuits.Validate.locked ~cycles:400.0 ~steps_per_cycle:spc
+    ~circuit:(Circuits.Behavioural.injected ~n:3 ~vi:0.05 fixture_osc ~f_inj)
+    ~probe ~n:3 ~f_inj ()
 
 let test_simulate_free_run_amplitude () =
-  let res = Simulate.free_run tanh_nl ~tank:fixture_tank in
-  let tail = Waveform.Signal.tail_fraction res.signal 0.2 in
-  check_float ~eps:2e-3 "ODE amplitude matches DF" 1.1582
-    (Waveform.Measure.amplitude tail);
-  check_float ~eps:(1e6 *. 1e-3) "ODE frequency is fc" 1e6
-    (Waveform.Measure.frequency tail)
+  let cmp =
+    Circuits.Validate.natural ~cycles:300.0 ~steps_per_cycle:spc
+      ~circuit:
+        (Circuits.Behavioural.circuit ~kick:Circuits.Behavioural.kick
+           fixture_osc)
+      ~probe ~osc:fixture_osc ()
+  in
+  check_float ~eps:2e-3 "transient amplitude matches DF" 1.1582
+    cmp.simulated_a;
+  check_float ~eps:(1e6 *. 1e-3) "transient frequency is fc" 1e6
+    cmp.simulated_f
 
 let test_simulate_locks_inside_band () =
-  let inj = { Simulate.vi = 0.05; n = 3; f_inj = 3.0e6; phase = 0.0 } in
-  Alcotest.(check bool) "locks at centre" true
-    (Simulate.locked ~cycles:400.0 tanh_nl ~tank:fixture_tank ~injection:inj)
+  Alcotest.(check bool) "locks at centre" true (fixture_locked ~f_inj:3.0e6)
 
 let test_simulate_unlocked_outside_band () =
-  let inj = { Simulate.vi = 0.05; n = 3; f_inj = 3.06e6; phase = 0.0 } in
   Alcotest.(check bool) "does not lock far out" false
-    (Simulate.locked ~cycles:400.0 tanh_nl ~tank:fixture_tank ~injection:inj)
+    (fixture_locked ~f_inj:3.06e6)
 
 let test_injection_current () =
   let inj = { Simulate.vi = 0.05; n = 3; f_inj = 3.0e6; phase = 0.0 } in
@@ -680,7 +692,14 @@ let test_pulling_measured_tracks_prediction () =
   let lr = report.lock_range in
   let f_inj = lr.f_inj_high +. lr.delta_f_inj in
   let pred = Pulling.beat_frequency ~lock_range:lr ~n:3 ~f_inj in
-  let meas = Pulling.measure_beat tanh_nl ~tank:fixture_tank ~vi:0.05 ~n:3 ~f_inj in
+  let signal =
+    Circuits.Validate.transient_signal
+      ~circuit:(Circuits.Behavioural.injected ~n:3 ~vi:0.05 fixture_osc ~f_inj)
+      ~probe
+      ~dt:(1.0 /. (1e6 *. float_of_int spc))
+      ~t_stop:(1200.0 /. 1e6)
+  in
+  let meas = Pulling.measure_beat signal ~n:3 ~f_inj in
   Alcotest.(check bool) "within 10%" true (Float.abs (meas -. pred) /. pred < 0.1)
 
 let () =
