@@ -611,7 +611,7 @@ let lint_cmd =
     let module D = Check.Diagnostic in
     let reports = List.map (fun f -> (f, Api.lint_file f)) files in
     if json then begin
-      let entry (f, ds) = Api.lint_entry ~file:f ds in
+      let entry (f, ds) = D.file_to_json ~file:f ds in
       print_endline
         (Printf.sprintf "[%s]" (String.concat "," (List.map entry reports)))
     end
@@ -852,8 +852,8 @@ let batch_cmd =
       | Ok outcome -> Api.scenario_entry ~file outcome
       | Error e ->
         Printf.sprintf {|{"file":"%s","status":"error","error":"%s"}|}
-          (Check.Diagnostic.json_escape file)
-          (Check.Diagnostic.json_escape (Resilience.Oshil_error.to_string e))
+          (Json.escape file)
+          (Json.escape (Resilience.Oshil_error.to_string e))
     in
     let count p = Array.length (Array.of_seq (Seq.filter p (Array.to_seq outcomes))) in
     let n_ok = count (function Ok (Api.Scn_ok _) -> true | _ -> false) in

@@ -1,4 +1,3 @@
-module Json = Json
 module Request = Request
 module Oshil_error = Resilience.Oshil_error
 module Deadline = Resilience.Deadline
@@ -334,7 +333,7 @@ let scenario_outcome_of (s, parse_diags) =
     Scn_ok
       (Printf.sprintf
          {|"status":"ok","osc":"%s","n":%d,"vi":%s,"natural_amplitude":%s,"locks_at_center":%d,"stable_locks":%d,"lock_range":{"phi_d_max":%s,"f_inj_low":%s,"f_inj_high":%s,"delta_f_inj":%s},"grid_holes":%d|}
-         (D.json_escape s.osc) s.n (jf s.vi)
+         (Json.escape s.osc) s.n (jf s.vi)
          (match report.natural_amplitude with
          | Some a -> jf a
          | None -> "null")
@@ -353,7 +352,7 @@ let scenario_file_outcome file =
 let scenario_entry ~file outcome =
   match outcome with
   | Scn_ok b | Scn_lint_error b ->
-    Printf.sprintf {|{"file":"%s",%s}|} (Check.Diagnostic.json_escape file) b
+    Printf.sprintf {|{"file":"%s",%s}|} (Json.escape file) b
 
 (* --- lint ----------------------------------------------------------- *)
 
@@ -385,14 +384,6 @@ let lint_text ~name text =
     | Error e -> [ netlist_parse_diag ~name e ]
     | Ok circuit -> Spice.Preflight.check circuit
   end
-
-let lint_entry ~file ds =
-  let module D = Check.Diagnostic in
-  Printf.sprintf {|{"file":"%s","errors":%d,"warnings":%d,"diagnostics":%s}|}
-    (D.json_escape file)
-    (D.count_severity D.Error ds)
-    (D.count_severity D.Warning ds)
-    (D.list_to_json ds)
 
 (* --- netlists ------------------------------------------------------- *)
 
@@ -447,7 +438,8 @@ let run_payload (payload : Request.payload) =
     hb_text (hb_run ~osc:(resolve_oscillator osc) ~n ~vi ~k_max ~samples ~mode)
   | Scenario { name; text } ->
     scenario_entry ~file:name (scenario_outcome ~name text)
-  | Lint { name; text } -> lint_entry ~file:name (lint_text ~name text)
+  | Lint { name; text } ->
+    Check.Diagnostic.file_to_json ~file:name (lint_text ~name text)
   | Netlist_op { name; text } ->
     let circuit = netlist_of_text ~name text in
     op_text ~circuit (Spice.Op.run circuit)

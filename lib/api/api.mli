@@ -13,7 +13,6 @@
     catch all of these and return a typed outcome instead; they never
     raise. *)
 
-module Json = Json
 module Request = Request
 
 (* --- oscillators ---------------------------------------------------- *)
@@ -127,9 +126,6 @@ val lint_file : string -> Check.Diagnostic.t list
 val lint_text : name:string -> string -> Check.Diagnostic.t list
 (** Same from inline text; netlist parse errors are located
     [basename name:line]. *)
-
-val lint_entry : file:string -> Check.Diagnostic.t list -> string
-(** The [oshil lint --json] per-file JSON entry. *)
 
 (* --- netlists ------------------------------------------------------- *)
 

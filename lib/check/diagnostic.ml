@@ -36,32 +36,19 @@ let pp_report ppf ds =
     (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp)
     ds
 
-(* Minimal JSON escaping; diagnostics only ever carry printable ASCII but
-   node names come from user netlists, so quote defensively. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json d =
   Printf.sprintf
     {|{"severity":"%s","code":"%s","loc":"%s","msg":"%s"}|}
-    (severity_label d.severity) (json_escape d.code) (json_escape d.loc)
-    (json_escape d.msg)
+    (severity_label d.severity) (Json.escape d.code) (Json.escape d.loc)
+    (Json.escape d.msg)
 
 let list_to_json ds =
   Printf.sprintf "[%s]" (String.concat "," (List.map to_json ds))
+
+let file_to_json ~file ds =
+  Printf.sprintf {|{"file":"%s","errors":%d,"warnings":%d,"diagnostics":%s}|}
+    (Json.escape file) (count_severity Error ds) (count_severity Warning ds)
+    (list_to_json ds)
 
 exception Failed of t list
 

@@ -34,12 +34,15 @@ val pp : Format.formatter -> t -> unit
 
 val pp_report : Format.formatter -> t list -> unit
 
-val json_escape : string -> string
-(** Escape a string for inclusion in a JSON string literal. *)
-
 val to_json : t -> string
 val list_to_json : t list -> string
 (** Machine-readable rendering for [oshil lint --json]. *)
+
+val file_to_json : file:string -> t list -> string
+(** One file's entry in a JSON lint report:
+    [{"file":…,"errors":…,"warnings":…,"diagnostics":[…]}]. The shared
+    format of [oshil lint --json], the daemon's [lint] op and
+    [dsa --json]. *)
 
 exception Failed of t list
 (** Raised by {!gate} (and the [Spice]/[Shil] entry points) when a

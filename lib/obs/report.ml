@@ -483,20 +483,20 @@ let to_json (r : t) =
   arr "spans" r.spans (fun s ->
       Printf.sprintf
         {|{"name":"%s","count":%d,"total_ms":%s,"self_ms":%s,"max_ms":%s}|}
-        (Sink.escape s.sname) s.count (jf (ms s.total_ns)) (jf (ms s.self_ns))
+        (Json.escape s.sname) s.count (jf (ms s.total_ns)) (jf (ms s.self_ns))
         (jf (ms s.max_ns)));
   add ",\n";
   arr "solvers" r.solvers (fun s ->
       Printf.sprintf
         {|{"solver":"%s","solves":%d,"converged":%d,"iters_total":%d,"iters_max":%d,"mean_iters":%s,"mean_rate_decades_per_iter":%s}|}
-        (Sink.escape s.ssolver) s.solves s.converged_n s.iters_total
+        (Json.escape s.ssolver) s.solves s.converged_n s.iters_total
         s.iters_max (jf s.mean_iters) (jf s.mean_rate));
   add ",\n";
   arr "worst_cells" r.worst (fun w ->
       let phi, a = Option.value ~default:(Float.nan, Float.nan) w.cell in
       Printf.sprintf
         {|{"solver":"%s","rung":"%s","phi":%s,"a":%s,"iters":%d,"converged":%s,"residual":%s,"rate":%s}|}
-        (Sink.escape w.solver) (Sink.escape w.rung) (jf phi) (jf a) w.iters
+        (Json.escape w.solver) (Json.escape w.rung) (jf phi) (jf a) w.iters
         (jb w.converged) (jf w.residual) (jf w.rate));
   add ",\n";
   (match r.steps with
@@ -509,12 +509,12 @@ let to_json (r : t) =
   arr "brackets" r.brackets (fun bk ->
       Printf.sprintf
         {|{"site":"%s","probes":%d,"hits":%d,"width0":%s,"width":%s}|}
-        (Sink.escape bk.site) bk.probes bk.hits (jf bk.width0) (jf bk.width));
+        (Json.escape bk.site) bk.probes bk.hits (jf bk.width0) (jf bk.width));
   add ",\n";
   arr "cache" r.cache (fun c ->
       Printf.sprintf
         {|{"kind":"%s","memory_hits":%d,"disk_hits":%d,"misses":%d}|}
-        (Sink.escape c.kind) c.memory_hits c.disk_hits c.misses);
+        (Json.escape c.kind) c.memory_hits c.disk_hits c.misses);
   add ",\n";
   (match r.gc with
   | None -> add "  \"gc\": null"
@@ -527,13 +527,13 @@ let to_json (r : t) =
   arr "quantiles" r.quantiles (fun q ->
       Printf.sprintf
         {|{"hist":"%s","samples":%d,"p50":%s,"p90":%s,"p99":%s}|}
-        (Sink.escape q.hist) q.samples (jf q.p50) (jf q.p90) (jf q.p99));
+        (Json.escape q.hist) q.samples (jf q.p50) (jf q.p90) (jf q.p99));
   add ",\n";
   arr "resilience" r.resilience (fun (k, v) ->
-      Printf.sprintf {|{"name":"%s","value":%d}|} (Sink.escape k) v);
+      Printf.sprintf {|{"name":"%s","value":%d}|} (Json.escape k) v);
   add ",\n";
   arr "counters" r.counters (fun (k, v) ->
-      Printf.sprintf {|{"name":"%s","value":%d}|} (Sink.escape k) v);
+      Printf.sprintf {|{"name":"%s","value":%d}|} (Json.escape k) v);
   add "\n}\n";
   Buffer.contents b
 

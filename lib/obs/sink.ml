@@ -2,21 +2,6 @@
    so writing a trace never races the instrumentation that keeps
    recording while the file is produced. *)
 
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let rec mkdir_p dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
     mkdir_p (Filename.dirname dir);
@@ -29,6 +14,18 @@ let write_file ~path content =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc content)
+
+(* [,"key":{"k":"v",...}] for a span's attributes; empty when it has
+   none. *)
+let attrs_field key = function
+  | [] -> ""
+  | l ->
+    Printf.sprintf ",\"%s\":{%s}" key
+      (String.concat ","
+         (List.map
+            (fun (k, v) ->
+              Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v))
+            l))
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event JSON (chrome://tracing, Perfetto, speedscope) *)
@@ -56,22 +53,12 @@ let chrome_trace_string (s : Registry.snapshot) =
     tids;
   List.iter
     (fun (e : Registry.span_ev) ->
-      let args =
-        match e.attrs with
-        | [] -> ""
-        | l ->
-          Printf.sprintf ",\"args\":{%s}"
-            (String.concat ","
-               (List.map
-                  (fun (k, v) ->
-                    Printf.sprintf "\"%s\":\"%s\"" (escape k) (escape v))
-                  l))
-      in
       emit
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f%s}"
-           (escape e.name) (escape e.cat) e.tid (Clock.ns_to_us e.ts_ns)
-           (Clock.ns_to_us e.dur_ns) args))
+           (Json.escape e.name) (Json.escape e.cat) e.tid
+           (Clock.ns_to_us e.ts_ns) (Clock.ns_to_us e.dur_ns)
+           (attrs_field "args" e.attrs)))
     s.spans;
   Buffer.add_string b "\n],\n\"displayTimeUnit\":\"ms\",\n\"otherData\":{";
   let first = ref true in
@@ -79,7 +66,7 @@ let chrome_trace_string (s : Registry.snapshot) =
     (fun (k, v) ->
       if !first then first := false else Buffer.add_char b ',';
       Buffer.add_string b
-        (Printf.sprintf "\n  \"counter.%s\":\"%d\"" (escape k) v))
+        (Printf.sprintf "\n  \"counter.%s\":\"%d\"" (Json.escape k) v))
     s.counters;
   Buffer.add_string b "\n}}\n";
   Buffer.contents b
@@ -92,7 +79,7 @@ let chrome_trace ~path s = write_file ~path (chrome_trace_string s)
 
 (* Finite floats print as %.17g (round-trips exactly); nan becomes
    null and infinities become out-of-double-range literals that
-   [float_of_string] reads back as infinity. Keeps every line valid
+   [Json.parse] reads back as infinity. Keeps every line valid
    JSON without losing the value. *)
 let jnum v =
   if Float.is_finite v then Printf.sprintf "%.17g" v
@@ -104,8 +91,8 @@ let jbool v = if v then "true" else "false"
 
 let event_line (e : Registry.event_ev) =
   let ctx_fields (c : Registry.solve_ctx) =
-    Printf.sprintf {|"solver":"%s","rung":"%s"%s|} (escape c.solver)
-      (escape c.rung)
+    Printf.sprintf {|"solver":"%s","rung":"%s"%s|} (Json.escape c.solver)
+      (Json.escape c.rung)
       (match c.cell with
       | None -> ""
       | Some (phi, a) ->
@@ -126,11 +113,11 @@ let event_line (e : Registry.event_ev) =
       (head "tran_step") (jnum t) (jnum dt) (jbool accepted) (jnum lte)
   | Bracket { site; lo; hi; probe; hit } ->
     Printf.sprintf {|%s,"site":"%s","lo":%s,"hi":%s,"probe":%s,"hit":%s}|}
-      (head "bracket") (escape site) (jnum lo) (jnum hi) (jnum probe)
+      (head "bracket") (Json.escape site) (jnum lo) (jnum hi) (jnum probe)
       (jbool hit)
   | Cache_access { kind; outcome } ->
     Printf.sprintf {|%s,"kind":"%s","outcome":"%s"}|} (head "cache")
-      (escape kind) (escape outcome)
+      (Json.escape kind) (Json.escape outcome)
   | Pool_sample { domains; tasks; busy_ns } ->
     Printf.sprintf {|%s,"domains":%d,"tasks":%d,"busy_ns":%Ld}|} (head "pool")
       domains tasks busy_ns
@@ -139,7 +126,7 @@ let event_line (e : Registry.event_ev) =
         heap_words } ->
     Printf.sprintf
       {|%s,"where":"%s","minor_words":%s,"promoted_words":%s,"major_words":%s,"minor_gcs":%d,"major_gcs":%d,"heap_words":%d}|}
-      (head "gc") (escape where) (jnum minor_words) (jnum promoted_words)
+      (head "gc") (Json.escape where) (jnum minor_words) (jnum promoted_words)
       (jnum major_words) minor_gcs major_gcs heap_words
 
 let jsonl_string (s : Registry.snapshot) =
@@ -148,27 +135,19 @@ let jsonl_string (s : Registry.snapshot) =
   line {|{"type":"meta","version":1,"clock":"monotonic"}|};
   List.iter
     (fun (e : Registry.span_ev) ->
-      let attrs =
-        match e.attrs with
-        | [] -> ""
-        | l ->
-          Printf.sprintf ",\"attrs\":{%s}"
-            (String.concat ","
-               (List.map
-                  (fun (k, v) ->
-                    Printf.sprintf "\"%s\":\"%s\"" (escape k) (escape v))
-                  l))
-      in
       line
         {|{"type":"span","name":"%s","cat":"%s","ts_ns":%Ld,"dur_ns":%Ld,"tid":%d,"depth":%d%s}|}
-        (escape e.name) (escape e.cat) e.ts_ns e.dur_ns e.tid e.depth attrs)
+        (Json.escape e.name) (Json.escape e.cat) e.ts_ns e.dur_ns e.tid e.depth
+        (attrs_field "attrs" e.attrs))
     s.spans;
   List.iter (fun e -> line "%s" (event_line e)) s.events;
   List.iter
-    (fun (k, v) -> line {|{"type":"counter","name":"%s","value":%d}|} (escape k) v)
+    (fun (k, v) ->
+      line {|{"type":"counter","name":"%s","value":%d}|} (Json.escape k) v)
     s.counters;
   List.iter
-    (fun (k, v) -> line {|{"type":"gauge","name":"%s","value":%.17g}|} (escape k) v)
+    (fun (k, v) ->
+      line {|{"type":"gauge","name":"%s","value":%s}|} (Json.escape k) (jnum v))
     s.gauges;
   List.iter
     (fun (k, bounds, counts) ->
@@ -179,7 +158,7 @@ let jsonl_string (s : Registry.snapshot) =
         String.concat "," (List.map string_of_int (Array.to_list a))
       in
       line {|{"type":"hist","name":"%s","bounds":[%s],"counts":[%s]}|}
-        (escape k) (floats bounds) (ints counts))
+        (Json.escape k) (floats bounds) (ints counts))
     s.hists;
   Buffer.contents b
 

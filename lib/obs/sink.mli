@@ -8,15 +8,15 @@
     - {!jsonl}: one self-describing JSON object per line (spans,
       introspection events, counters, gauges, histograms) — the durable
       format that [oshil stats] replays and tests round-trip via
-      {!Trace_read}.
+      {!Trace_read}. Every line is RFC-8259 JSON: non-finite floats
+      (event fields and gauges alike) are written as [null] (nan) or
+      [±1e999] (infinities).
     - {!summary}: a human table — per-span totals (sorted by total
       time), counters, gauges and histogram buckets with p50/p90/p99
       quantile estimates.
 
-    File sinks create missing parent directories. *)
-
-val escape : string -> string
-(** JSON string-body escaping shared by the sinks and {!Report}. *)
+    Strings in both JSON formats are escaped by [Json.escape]. File
+    sinks create missing parent directories. *)
 
 val chrome_trace : path:string -> Registry.snapshot -> unit
 val chrome_trace_string : Registry.snapshot -> string

@@ -1,207 +1,21 @@
 (* Replay a JSONL trace (Sink.jsonl output) back into a
    Registry.snapshot so `oshil stats` can summarise runs after the
-   fact. The parser is a small recursive-descent JSON reader — enough
-   for the sink's own output plus reasonable hand-edited traces; it is
-   not meant as a general-purpose JSON library. *)
+   fact. Each line is parsed by [Json.parse]; this module only maps
+   the decoded objects onto registry records. *)
 
 exception Parse_error of string
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-type st = { src : string; mutable pos : int }
-
-let fail st msg =
-  raise (Parse_error (Printf.sprintf "%s at offset %d" msg st.pos))
-
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
-
-let skip_ws st =
-  let n = String.length st.src in
-  while
-    st.pos < n
-    && (match st.src.[st.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-  do
-    st.pos <- st.pos + 1
-  done
-
-let expect st c =
-  match peek st with
-  | Some c' when Char.equal c c' -> st.pos <- st.pos + 1
-  | _ -> fail st (Printf.sprintf "expected '%c'" c)
-
-let literal st word v =
-  let n = String.length word in
-  if st.pos + n <= String.length st.src && String.sub st.src st.pos n = word then begin
-    st.pos <- st.pos + n;
-    v
-  end
-  else fail st (Printf.sprintf "expected '%s'" word)
-
-let parse_string st =
-  expect st '"';
-  let b = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> fail st "unterminated string"
-    | Some '"' -> st.pos <- st.pos + 1
-    | Some '\\' -> (
-      st.pos <- st.pos + 1;
-      match peek st with
-      | None -> fail st "unterminated escape"
-      | Some c ->
-        st.pos <- st.pos + 1;
-        (match c with
-        | '"' -> Buffer.add_char b '"'
-        | '\\' -> Buffer.add_char b '\\'
-        | '/' -> Buffer.add_char b '/'
-        | 'n' -> Buffer.add_char b '\n'
-        | 't' -> Buffer.add_char b '\t'
-        | 'r' -> Buffer.add_char b '\r'
-        | 'b' -> Buffer.add_char b '\b'
-        | 'f' -> Buffer.add_char b '\012'
-        | 'u' ->
-          if st.pos + 4 > String.length st.src then fail st "bad \\u escape";
-          let hex = String.sub st.src st.pos 4 in
-          let code =
-            try int_of_string ("0x" ^ hex)
-            with Failure _ -> fail st "bad \\u escape"
-          in
-          st.pos <- st.pos + 4;
-          (* Only BMP codepoints; the sink never emits surrogate
-             pairs (it only \u-escapes control characters). *)
-          if code < 0x80 then Buffer.add_char b (Char.chr code)
-          else if code < 0x800 then begin
-            Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-            Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-          end
-          else begin
-            Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-            Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-            Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-          end
-        | _ -> fail st "bad escape");
-        go ())
-    | Some c ->
-      st.pos <- st.pos + 1;
-      Buffer.add_char b c;
-      go ()
-  in
-  go ();
-  Buffer.contents b
-
-let parse_number st =
-  let start = st.pos in
-  let n = String.length st.src in
-  let is_num_char c =
-    match c with
-    | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-    | _ -> false
-  in
-  while st.pos < n && is_num_char st.src.[st.pos] do
-    st.pos <- st.pos + 1
-  done;
-  if st.pos = start then fail st "expected number";
-  let s = String.sub st.src start (st.pos - start) in
-  match float_of_string_opt s with
-  | Some f -> f
-  | None -> fail st (Printf.sprintf "bad number %S" s)
-
-let rec parse_value st =
-  skip_ws st;
-  match peek st with
-  | None -> fail st "unexpected end of input"
-  | Some '"' -> Str (parse_string st)
-  | Some '{' -> parse_obj st
-  | Some '[' -> parse_arr st
-  | Some 't' -> literal st "true" (Bool true)
-  | Some 'f' -> literal st "false" (Bool false)
-  | Some 'n' -> literal st "null" Null
-  | Some _ -> Num (parse_number st)
-
-and parse_obj st =
-  expect st '{';
-  skip_ws st;
-  if peek st = Some '}' then begin
-    st.pos <- st.pos + 1;
-    Obj []
-  end
-  else begin
-    let rec fields acc =
-      skip_ws st;
-      let k = parse_string st in
-      skip_ws st;
-      expect st ':';
-      let v = parse_value st in
-      skip_ws st;
-      match peek st with
-      | Some ',' ->
-        st.pos <- st.pos + 1;
-        fields ((k, v) :: acc)
-      | Some '}' ->
-        st.pos <- st.pos + 1;
-        Obj (List.rev ((k, v) :: acc))
-      | _ -> fail st "expected ',' or '}'"
-    in
-    fields []
-  end
-
-and parse_arr st =
-  expect st '[';
-  skip_ws st;
-  if peek st = Some ']' then begin
-    st.pos <- st.pos + 1;
-    Arr []
-  end
-  else begin
-    let rec elems acc =
-      let v = parse_value st in
-      skip_ws st;
-      match peek st with
-      | Some ',' ->
-        st.pos <- st.pos + 1;
-        elems (v :: acc)
-      | Some ']' ->
-        st.pos <- st.pos + 1;
-        Arr (List.rev (v :: acc))
-      | _ -> fail st "expected ',' or ']'"
-    in
-    elems []
-  end
-
-let json_of_string s =
-  let st = { src = s; pos = 0 } in
-  let v = parse_value st in
-  skip_ws st;
-  if st.pos <> String.length s then fail st "trailing garbage";
-  v
-
-(* ---------------------------------------------------------------- *)
-(* JSONL event decoding *)
-
-let field name fields = List.assoc_opt name fields
-
-let str_field name fields =
-  match field name fields with Some (Str s) -> Some s | _ -> None
-
-let num_field name fields =
-  match field name fields with Some (Num f) -> Some f | _ -> None
+let str_field name o = Option.bind (Json.member name o) Json.get_string
+let num_field name o = Option.bind (Json.member name o) Json.get_float
 
 (* The sink writes non-finite floats as null (nan) or out-of-range
-   literals (infinities, which [float_of_string] folds back). *)
-let fnum_field name fields =
-  match field name fields with
-  | Some (Num f) -> Some f
-  | Some Null -> Some Float.nan
-  | _ -> None
+   literals (infinities, which the parser folds back). *)
+let fnum_field name o =
+  match Json.member name o with
+  | Some Json.Null -> Some Float.nan
+  | v -> Option.bind v Json.get_float
 
-let bool_field name fields =
-  match field name fields with Some (Bool b) -> Some b | _ -> None
+let bool_field name o = Option.bind (Json.member name o) Json.get_bool
 
 let require what = function
   | Some v -> v
@@ -287,16 +101,17 @@ let decode_event fields : Registry.event_payload =
   | ev -> raise (Parse_error (Printf.sprintf "unknown event kind %S" ev))
 
 let decode_line acc line =
-  match json_of_string line with
-  | Obj fields -> (
+  match Json.parse line with
+  | Error msg -> raise (Parse_error msg)
+  | Ok (Json.Obj _ as fields) -> (
     match str_field "type" fields with
     | Some "meta" -> ()
     | Some "span" ->
       let attrs =
-        match field "attrs" fields with
-        | Some (Obj kvs) ->
+        match Json.member "attrs" fields with
+        | Some (Json.Obj kvs) ->
           List.filter_map
-            (fun (k, v) -> match v with Str s -> Some (k, s) | _ -> None)
+            (fun (k, v) -> Option.map (fun s -> (k, s)) (Json.get_string v))
             kvs
         | _ -> []
       in
@@ -331,7 +146,7 @@ let decode_line acc line =
       Hashtbl.replace acc.counters name (prev + v)
     | Some "gauge" ->
       let name = require "gauge name" (str_field "name" fields) in
-      let v = require "gauge value" (num_field "value" fields) in
+      let v = require "gauge value" (fnum_field "value" fields) in
       (* Cross-file gauge lines carry no clock, so "last write" would
          depend on the order the files were passed in; taking the max
          keeps the merge independent of input order. *)
@@ -343,17 +158,19 @@ let decode_line acc line =
       Hashtbl.replace acc.gauges name v
     | Some "hist" ->
       let name = require "hist name" (str_field "name" fields) in
-      let floats = function
-        | Some (Arr l) ->
+      let floats name =
+        match Option.bind (Json.member name fields) Json.get_list with
+        | Some l ->
           Array.of_list
             (List.map
                (function
-                 | Num f -> f | _ -> raise (Parse_error "non-numeric array"))
+                 | Json.Num f -> f
+                 | _ -> raise (Parse_error "non-numeric array"))
                l)
-        | _ -> raise (Parse_error "missing array field")
+        | None -> raise (Parse_error "missing array field")
       in
-      let bounds = floats (field "bounds" fields) in
-      let counts = Array.map int_of_float (floats (field "counts" fields)) in
+      let bounds = floats "bounds" in
+      let counts = Array.map int_of_float (floats "counts") in
       (match Hashtbl.find_opt acc.hists name with
       | None -> Hashtbl.add acc.hists name (bounds, counts)
       | Some (b0, c0) when Array.length c0 = Array.length counts && b0 = bounds
@@ -367,7 +184,7 @@ let decode_line acc line =
                 name)))
     | Some t -> raise (Parse_error (Printf.sprintf "unknown event type %S" t))
     | None -> raise (Parse_error "event without \"type\" field"))
-  | _ -> raise (Parse_error "event line is not a JSON object")
+  | Ok _ -> raise (Parse_error "event line is not a JSON object")
 
 (* Total orders so a merged snapshot does not depend on the order the
    input files were passed in: ties on (ts, tid) are broken by every

@@ -1,5 +1,7 @@
 (** Read JSONL traces ({!Sink.jsonl} output) back into a
-    {!Registry.snapshot} — the engine behind [oshil stats].
+    {!Registry.snapshot} — the engine behind [oshil stats]. Each line
+    is parsed by the strict [Json.parse]; a line that is not RFC-8259
+    JSON is a {!Parse_error}.
 
     Merging semantics when loading several files (or several flushes
     appended to one file): counters sum, histograms with identical
@@ -12,19 +14,6 @@
 
 exception Parse_error of string
 (** Raised with a [file:line: reason] message on malformed input. *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-val json_of_string : string -> json
-(** Parse one complete JSON value; raises {!Parse_error} on malformed
-    input or trailing garbage. Exposed for tests that validate the
-    Chrome-trace sink output is well-formed JSON. *)
 
 val load : string -> Registry.snapshot
 (** Load one JSONL trace file. Raises {!Parse_error} on malformed

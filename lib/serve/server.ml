@@ -1,4 +1,3 @@
-module Json = Api.Json
 module Request = Api.Request
 module Oshil_error = Resilience.Oshil_error
 module Deadline = Resilience.Deadline

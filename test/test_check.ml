@@ -204,9 +204,9 @@ let test_scenario_unknown_osc () =
     (List.mem "scenario-osc" (error_codes (Check.Scenario.check s)))
 
 let test_diagnostic_json () =
-  Alcotest.(check string) "escape quote" {|a \"b\"|} (D.json_escape {|a "b"|});
+  Alcotest.(check string) "escape quote" {|a \"b\"|} (Json.escape {|a "b"|});
   Alcotest.(check string) "escape newline" {|line1\nline2|}
-    (D.json_escape "line1\nline2");
+    (Json.escape "line1\nline2");
   let d = D.error ~code:"x" ~loc:{|a "b"|} "line1\nline2" in
   Alcotest.(check string) "to_json"
     {|{"severity":"error","code":"x","loc":"a \"b\"","msg":"line1\nline2"}|}

@@ -129,6 +129,11 @@ let populate () =
   Obs.snapshot ()
 
 let test_jsonl_round_trip () =
+  (* non-finite gauges travel as null / +-1e999, like event floats *)
+  Obs.set_enabled true;
+  Obs.Metrics.set_gauge "t.rt_nan" Float.nan;
+  Obs.Metrics.set_gauge "t.rt_pinf" Float.infinity;
+  Obs.Metrics.set_gauge "t.rt_ninf" Float.neg_infinity;
   let s = populate () in
   with_temp_file ".jsonl" (fun path ->
       Obs.Sink.jsonl ~path s;
@@ -170,32 +175,91 @@ let test_jsonl_merge_sums_counters () =
       in
       Alcotest.(check (array int)) "hist counts doubled" [| 2; 0; 2 |] counts)
 
-let test_chrome_trace_is_json () =
-  let s = populate () in
-  match Obs.Trace_read.json_of_string (Obs.Sink.chrome_trace_string s) with
-  | Obs.Trace_read.Obj fields ->
-    Alcotest.(check bool) "has traceEvents" true
-      (List.mem_assoc "traceEvents" fields);
-    let events =
-      match List.assoc "traceEvents" fields with
-      | Obs.Trace_read.Arr l -> l
-      | _ -> Alcotest.fail "traceEvents is not an array"
-    in
-    let span_names =
+(* The complete ("ph":"X") events of a Chrome trace, in order. *)
+let chrome_spans s =
+  match Json.parse (Obs.Sink.chrome_trace_string s) with
+  | Ok (Json.Obj fields) -> (
+    match List.assoc_opt "traceEvents" fields with
+    | Some (Json.List l) ->
       List.filter_map
         (function
-          | Obs.Trace_read.Obj ev -> begin
-            match (List.assoc_opt "ph" ev, List.assoc_opt "name" ev) with
-            | Some (Obs.Trace_read.Str "X"), Some (Obs.Trace_read.Str n) ->
-              Some n
+          | Json.Obj ev -> begin
+            match List.assoc_opt "ph" ev with
+            | Some (Json.Str "X") -> Some ev
             | _ -> None
           end
           | _ -> None)
-        events
-    in
-    Alcotest.(check (list string))
-      "complete events in order" [ "rt.outer"; "rt.inner" ] span_names
-  | _ -> Alcotest.fail "chrome trace is not a JSON object"
+        l
+    | _ -> Alcotest.fail "traceEvents is not an array")
+  | Ok _ -> Alcotest.fail "chrome trace is not a JSON object"
+  | Error msg -> Alcotest.fail ("chrome trace is not JSON: " ^ msg)
+
+let test_chrome_trace_is_json () =
+  let s = populate () in
+  let span_names =
+    List.filter_map
+      (fun ev ->
+        match List.assoc_opt "name" ev with
+        | Some (Json.Str n) -> Some n
+        | _ -> None)
+      (chrome_spans s)
+  in
+  Alcotest.(check (list string))
+    "complete events in order" [ "rt.outer"; "rt.inner" ] span_names
+
+(* Every escape class in a span name, an attribute key and an
+   attribute value survives both sinks: quote, backslash, the five
+   two-character escapes, another control character and multibyte
+   UTF-8. *)
+let test_sink_escapes_round_trip () =
+  let nasty = "q\"b\\n\nr\rt\tb\bf\012c\001u\xc3\xa9\xe2\x82\xac" in
+  Obs.set_enabled true;
+  Obs.Span.with_ ~name:nasty ~attrs:[ (nasty, nasty) ] (fun () -> ());
+  let s = Obs.snapshot () in
+  with_temp_file ".jsonl" (fun path ->
+      Obs.Sink.jsonl ~path s;
+      match (Obs.Trace_read.load path).Obs.Registry.spans with
+      | [ e ] ->
+        Alcotest.(check string) "jsonl name" nasty e.name;
+        Alcotest.(check (list (pair string string)))
+          "jsonl attrs" [ (nasty, nasty) ] e.attrs
+      | l -> Alcotest.failf "jsonl: %d spans read back" (List.length l));
+  match chrome_spans s with
+  | [ ev ] ->
+    Alcotest.(check (option string))
+      "chrome name" (Some nasty)
+      (Option.bind (List.assoc_opt "name" ev) Json.get_string);
+    Alcotest.(check (option string))
+      "chrome arg" (Some nasty)
+      (Option.bind (List.assoc_opt "args" ev) (fun a ->
+           Option.bind (Json.member nasty a) Json.get_string))
+  | l -> Alcotest.failf "chrome: %d spans" (List.length l)
+
+(* The reader is strict RFC-8259: number spellings the sink never
+   writes are a located parse error, not a silently accepted value. *)
+let test_reader_rejects_non_json_numbers () =
+  List.iter
+    (fun bad ->
+      with_temp_file ".jsonl" (fun path ->
+          let lines =
+            [
+              {|{"type":"meta","version":1,"clock":"monotonic"}|};
+              {|{"type":"counter","name":"ok","value":1}|};
+              {|{"type":"counter","name":"bad","value":|} ^ bad ^ "}";
+            ]
+          in
+          let oc = open_out path in
+          List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+          close_out oc;
+          match Obs.Trace_read.load path with
+          | _ -> Alcotest.failf "value %s was accepted" bad
+          | exception Obs.Trace_read.Parse_error msg ->
+            let prefix = path ^ ":3:" in
+            Alcotest.(check string)
+              (Printf.sprintf "value %s: message located" bad)
+              prefix
+              (String.sub msg 0 (min (String.length msg) (String.length prefix)))))
+    [ "+1"; ".5"; "1." ]
 
 let test_summary_headline_counters () =
   let s = Obs.snapshot () in
@@ -556,6 +620,10 @@ let () =
             (fresh test_jsonl_merge_sums_counters);
           Alcotest.test_case "chrome trace is well-formed JSON" `Quick
             (fresh test_chrome_trace_is_json);
+          Alcotest.test_case "escapes round-trip through both sinks" `Quick
+            (fresh test_sink_escapes_round_trip);
+          Alcotest.test_case "reader rejects non-JSON numbers" `Quick
+            (fresh test_reader_rejects_non_json_numbers);
           Alcotest.test_case "summary shows headline counters" `Quick
             (fresh test_summary_headline_counters);
         ] );

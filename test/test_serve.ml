@@ -1,12 +1,11 @@
-(* Tests for the request/response layer (lib/api: Json, Request,
-   execute/handle) and the daemon (lib/serve: Bq, Addr, Server,
+(* Tests for the request/response layer (lib/json: Json; lib/api:
+   Request, execute/handle) and the daemon (lib/serve: Bq, Addr, Server,
    Client), plus the cooperative deadline plumbing they ride on.
 
    The server tests run a real daemon in-process on a Unix socket in a
    throwaway temp directory and talk to it over the wire — the same
    code path `oshil serve` / `oshil call` exercise. *)
 
-module Json = Api.Json
 module Request = Api.Request
 module Deadline = Resilience.Deadline
 module Server = Serve.Server

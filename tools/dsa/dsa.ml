@@ -52,14 +52,7 @@ let () =
     exit 2
   end;
   if !json then begin
-    let entry (f, ds) =
-      Printf.sprintf
-        {|{"file":"%s","errors":%d,"warnings":%d,"diagnostics":%s}|}
-        (D.json_escape f)
-        (D.count_severity D.Error ds)
-        (D.count_severity D.Warning ds)
-        (D.list_to_json ds)
-    in
+    let entry (f, ds) = D.file_to_json ~file:f ds in
     print_endline
       (Printf.sprintf "[%s]"
          (String.concat "," (List.map entry report.Analyze.diags)))
