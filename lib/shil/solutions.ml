@@ -119,6 +119,14 @@ let candidates (g : Grid.t) ~phi_d =
     curves;
   Array.of_list !candidates
 
+(* A lock point symmetric about phi = 0 converges to +-1e-17, which
+   wraps to 0 or to 2 pi depending on the last ulp. Snapping it to 0
+   keeps its printed phase and its place in the phi-sorted list from
+   hanging on rounding. *)
+let canonical_phi phi =
+  let w = Angle.wrap_two_pi phi in
+  if w < 1e-9 || Angle.two_pi -. w < 1e-9 then 0.0 else w
+
 (* One candidate to a lock point, or [None] when Newton fails or lands
    on the spurious cos <= 0 branch. The refinement quadratures run in
    the grid's own [reduction] mode. *)
@@ -130,7 +138,7 @@ let refine_candidate ?points (g : Grid.t) ~phi_d (phi0, a0) =
     let i1 = Df.i1_two_tone ?points ~reduction nl ~n ~a ~vi ~phi in
     let m = Cx.neg i1 in
     if Float.abs (Angle.wrap_pi (Cx.arg m +. phi_d)) < Float.pi /. 2.0 then
-      Some (Angle.wrap_two_pi phi, a)
+      Some (canonical_phi phi, a)
     else None
   | Some _ | None -> None
 
