@@ -208,39 +208,6 @@ let test_complex_solve_2x2 () =
     x
 
 (* ------------------------------------------------------------------ *)
-(* Quad *)
-
-let test_trapezoid_linear () =
-  check_float "trap on line" 0.5 (Quad.trapezoid ~f:(fun x -> x) ~a:0.0 ~b:1.0 ~n:1)
-
-let test_simpson_cubic () =
-  (* Simpson integrates cubics exactly *)
-  check_float ~eps:1e-12 "simpson cubic" 0.25
-    (Quad.simpson ~f:(fun x -> x ** 3.0) ~a:0.0 ~b:1.0 ~n:2)
-
-let test_periodic_spectral () =
-  (* integral of cos^2 over a period = pi; 16 points nail it *)
-  let v = Quad.periodic ~f:(fun t -> cos t ** 2.0) ~period:(2.0 *. Float.pi) ~n:16 in
-  check_float ~eps:1e-12 "periodic cos^2" Float.pi v
-
-let test_adaptive_exp () =
-  let v = Quad.adaptive_simpson ~f:exp ~a:0.0 ~b:1.0 () in
-  check_float ~eps:1e-9 "adaptive e^x" (exp 1.0 -. 1.0) v
-
-let test_romberg () =
-  let v = Quad.romberg ~f:(fun x -> 1.0 /. (1.0 +. (x *. x))) ~a:0.0 ~b:1.0 () in
-  check_float ~eps:1e-10 "romberg atan" (Float.pi /. 4.0) v
-
-let prop_quad_agree =
-  qtest ~count:50 "quad: simpson ~ adaptive on smooth f"
-    QCheck.(pair (float_range 0.2 3.0) (float_range 0.2 3.0))
-    (fun (w1, w2) ->
-      let f x = sin (w1 *. x) *. cos (w2 *. x) +. x in
-      let s = Quad.simpson ~f ~a:0.0 ~b:2.0 ~n:2000 in
-      let a = Quad.adaptive_simpson ~f ~a:0.0 ~b:2.0 () in
-      Float.abs (s -. a) < 1e-7)
-
-(* ------------------------------------------------------------------ *)
 (* Fft *)
 
 let complex_array_gen n =
@@ -557,15 +524,6 @@ let () =
           Alcotest.test_case "mat_mul assoc" `Quick test_mat_mul_assoc;
           Alcotest.test_case "complex 1x1" `Quick test_complex_solve;
           Alcotest.test_case "complex 2x2" `Quick test_complex_solve_2x2;
-        ] );
-      ( "quad",
-        [
-          Alcotest.test_case "trapezoid line" `Quick test_trapezoid_linear;
-          Alcotest.test_case "simpson cubic" `Quick test_simpson_cubic;
-          Alcotest.test_case "periodic spectral" `Quick test_periodic_spectral;
-          Alcotest.test_case "adaptive exp" `Quick test_adaptive_exp;
-          Alcotest.test_case "romberg" `Quick test_romberg;
-          prop_quad_agree;
         ] );
       ( "fft",
         [
