@@ -3,10 +3,8 @@ module Roots = Numerics.Roots
 
 type solution = { a : float; slope : float; stable : bool }
 
-(* [?points] is accepted for signature uniformity with the other
-   describing-function entry points; the small-signal limit is analytic
-   and needs no quadrature. *)
-let small_signal_gain ?points:_ nl ~r = -.r *. Nonlinearity.deriv nl 0.0
+(* the small-signal limit is analytic and needs no quadrature *)
+let small_signal_gain nl ~r = -.r *. Nonlinearity.deriv nl 0.0
 
 (* Content address of one natural-oscillation solve: the whole scan's
    inputs, with [points] resolved to the quadrature default so an
@@ -54,4 +52,4 @@ let predicted_amplitude ?points ?a_min ?a_max ?scan nl ~r =
     (fun acc s -> if s.stable then Some s.a else acc)
     None sols
 
-let oscillates ?points nl ~r = small_signal_gain ?points nl ~r > 1.0
+let oscillates nl ~r = small_signal_gain nl ~r > 1.0

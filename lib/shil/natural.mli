@@ -10,7 +10,7 @@ type solution = {
   stable : bool;
 }
 
-val small_signal_gain : ?points:int -> Nonlinearity.t -> r:float -> float
+val small_signal_gain : Nonlinearity.t -> r:float -> float
 (** [lim A->0 T_f(A) = -R f'(0)]: start-up condition is [> 1]. *)
 
 val cache_key :
@@ -35,5 +35,5 @@ val predicted_amplitude :
   Nonlinearity.t -> r:float -> float option
 (** Largest stable solution (the observable steady state), when any. *)
 
-val oscillates : ?points:int -> Nonlinearity.t -> r:float -> bool
+val oscillates : Nonlinearity.t -> r:float -> bool
 (** Start-up check: [small_signal_gain > 1]. *)
