@@ -15,6 +15,12 @@ type t = {
           the range only shrinks) merged with the grid's failed rows *)
 }
 
+val default_tol : float
+(** The boundary bisection's phase tolerance (1e-5 rad). A relative
+    [I_1] error [delta] moves the eq. 4 phase by about [delta] rad, so
+    quadrature chosen to [default_tol / 10] stays an order below it
+    (see {!Describing_function.choose_points}). *)
+
 val phi_d_boundary :
   ?points:int -> ?phi_d_cap:float -> ?tol:float -> Grid.t -> float
 (** Bisection on [phi_d in [0, phi_d_cap]] (default cap 1.4 rad, tol 1e-5)
