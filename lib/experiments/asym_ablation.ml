@@ -19,11 +19,23 @@ let band lo hi delta =
 let lock_band (lr : Shil.Lock_range.t) =
   band lr.f_inj_low lr.f_inj_high lr.delta_f_inj
 
+let recenter (lr : Shil.Lock_range.t) ~f0 ~tank =
+  let scale = f0 /. Shil.Tank.f_c tank in
+  {
+    lr with
+    Shil.Lock_range.f_osc_low = lr.f_osc_low *. scale;
+    f_osc_high = lr.f_osc_high *. scale;
+    f_inj_low = lr.f_inj_low *. scale;
+    f_inj_high = lr.f_inj_high *. scale;
+    delta_f_inj = lr.delta_f_inj *. scale;
+  }
+
 let run ~simulate =
   let osc = cell () in
   let n = 2 and vi = 0.06 in
-  (* one HB run gives the free-running spectrum, the HB lock band and
-     the plain DF band it rides along with *)
+  (* one HB run gives the free-running spectrum (whose f_0 recentres the
+     plain band), the HB lock band and the plain DF band it rides along
+     with *)
   let free, hb, plain =
     match
       Api.hb_run ~osc ~n ~vi ~k_max:9 ~samples:256
@@ -32,12 +44,10 @@ let run ~simulate =
     | { free; hb_mode = Hb_band { band; df }; _ } -> (free, band, df)
     | _ -> assert false (* Hb_lockrange always yields a band *)
   in
-  let f0 = Ppv.Refined.free_running_frequency osc.nl ~tank:osc.tank in
-  let recentred = Ppv.Refined.recenter plain ~f0 ~tank:osc.tank in
+  let recentred = recenter plain ~f0:free.f0 ~tank:osc.tank in
   let rows =
     [
       Output.row_f "tank f_c (Hz)" (Shil.Tank.f_c osc.tank);
-      Output.row_f "orbit f_0 (Hz)" f0;
       Output.row_f "harmonic-balance f_0 (Hz)" free.f0;
       Output.row_f "harmonic-balance THD" (Hb.Driver.thd free);
       ("plain prediction", lock_band plain);

@@ -5,12 +5,34 @@ type point = {
   simulated : float option;
 }
 
+let ppv_width (osc : Shil.Analysis.oscillator) ~n =
+  let free =
+    (Api.hb_run ~osc ~n ~vi:0.0 ~k_max:7 ~samples:1024
+       ~mode:Api.Request.Hb_osc)
+      .free
+  in
+  (* the injection enters the oscillation node [t]; the PPV there is
+     the ODE model's voltage PPV over C *)
+  let y = Hb.Driver.ppv (Circuits.Behavioural.circuit osc) free in
+  let yn = Numerics.Cx.abs y.(free.osc_node).(n) in
+  let nf = float_of_int n in
+  fun vi ->
+    let i_m =
+      Shil.Simulate.injection_current ~tank:osc.tank
+        { Shil.Simulate.vi; n; f_inj = nf *. free.f0; phase = 0.0 }
+    in
+    (* generalized Adler: the phase model
+       psi' = delta - n w0 I_m |Y_n| cos (psi - arg Y_n) locks while
+       |delta| <= n w0 I_m |Y_n| rad/s, a half-width of n f0 I_m |Y_n| Hz
+       (injection-referred) *)
+    2.0 *. nf *. free.f0 *. i_m *. yn
+
 let sweep ~simulate (osc : Shil.Analysis.oscillator) ~n =
+  let ppv = ppv_width osc ~n in
   List.map
     (fun vi ->
       let report = Shil.Analysis.run osc ~n ~vi in
       let rigorous = report.lock_range.delta_f_inj in
-      let baseline = Ppv.Lock_baseline.predict osc.nl ~tank:osc.tank ~n ~vi in
       let simulated =
         if not simulate then None
         else begin
@@ -24,7 +46,7 @@ let sweep ~simulate (osc : Shil.Analysis.oscillator) ~n =
           Some cmp.sim_delta
         end
       in
-      { vi; rigorous; ppv = baseline.delta_f_inj; simulated })
+      { vi; rigorous; ppv = ppv vi; simulated })
     [ 0.01; 0.02; 0.05; 0.1; 0.2 ]
 
 let output points =

@@ -1,4 +1,5 @@
 module Cx = Numerics.Cx
+module Linalg = Numerics.Linalg
 module Roots = Numerics.Roots
 module Err = Resilience.Oshil_error
 
@@ -149,7 +150,7 @@ let check_layout sys free =
     || free.nodes <> System.node_names sys
   then
     Err.raise_ Shil ~phase:"hb" Parse_failure
-      "injected circuit does not match the free-running solution's layout"
+      "circuit does not match the free-running solution's layout"
       ~remedy:"inject through an Isource (no new nodes or branches) and keep \
                k_max/samples"
 
@@ -186,6 +187,59 @@ let injected ?ident ?(tol = 1e-12) ~free ~n ~f_inj circuit =
           float "free_res" free.residual;
         ]
     (fun () -> injected_solve ~tol ~free ~n ~f_inj sys)
+
+(* --- perturbation projection vector ---------------------------------- *)
+
+let ppv circuit free =
+  Obs.Span.with_ ~cat:"hb" ~name:"hb.ppv" @@ fun () ->
+  let sys = System.compile ~k_max:free.k_max ~samples:free.samples circuit in
+  check_layout sys free;
+  let size = System.size sys and km = free.k_max in
+  let n_unk = size / ((2 * km) + 1) in
+  let omega0 = two_pi *. free.f0 in
+  let x = free.x in
+  let jac = Linalg.create size size and res = Array.make size 0.0 in
+  (* only the linear stamps depend on ω, and linearly, so
+     c = ω0 ∂R/∂ω = R(2 ω0) - R(ω0) exactly *)
+  System.eval (System.assemble sys ~omega0:(2.0 *. omega0)) ~x ~jac ~res;
+  let c = Array.copy res in
+  System.eval (System.assemble sys ~omega0) ~x ~jac ~res;
+  Array.iteri (fun i r -> c.(i) <- c.(i) -. r) res;
+  (* bordered system [Jᵀ u; cᵀ 0] [w; s] = [0; 1]: u is the phase-shift
+     direction (Re X_k, Im X_k) -> (-k Im X_k, k Re X_k), the right null
+     vector of J *)
+  let m = Linalg.create (size + 1) (size + 1) in
+  for i = 0 to size - 1 do
+    for j = 0 to size - 1 do
+      m.(j).(i) <- jac.(i).(j)
+    done;
+    m.(size).(i) <- c.(i)
+  done;
+  for i = 0 to n_unk - 1 do
+    for k = 1 to km do
+      let re = System.idx sys i ((2 * k) - 1) and im = System.idx sys i (2 * k) in
+      m.(re).(size) <- -.float_of_int k *. x.(im);
+      m.(im).(size) <- float_of_int k *. x.(re)
+    done
+  done;
+  let rhs = Array.make (size + 1) 0.0 in
+  rhs.(size) <- 1.0;
+  let w =
+    try Linalg.solve m rhs
+    with Linalg.Singular ->
+      Err.raise_ Shil ~phase:"hb" Singular_system
+        "singular bordered system: the Jacobian's phase null space is not \
+         one-dimensional"
+        ~context:[ ("f0", Printf.sprintf "%.8g" free.f0) ]
+        ~remedy:"pass a converged free-running (oscprobe) solution"
+  in
+  Array.init n_unk (fun i ->
+      Array.init (km + 1) (fun k ->
+          if k = 0 then Cx.of_float w.(System.idx sys i 0)
+          else
+            Cx.make
+              (w.(System.idx sys i ((2 * k) - 1)) /. 2.0)
+              (w.(System.idx sys i (2 * k)) /. 2.0)))
 
 (* --- HB lock range --------------------------------------------------- *)
 

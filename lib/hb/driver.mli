@@ -79,6 +79,24 @@ val injected :
     harmonics of [n]). Raises [Solver_divergence] when every Newton
     rung fails. *)
 
+val ppv : Spice.Circuit.t -> solution -> Numerics.Cx.t array array
+(** Perturbation projection vector (Demir & Roychowdhury, IEEE TCAD
+    2003) of a free-running solution, read off the harmonic-balance
+    Jacobian. [circuit] must be the one [free] solves, without the
+    probe; it is compiled at [free]'s [k_max]/[samples] and evaluated
+    at [2 pi free.f0]. The left null vector [w] of the Jacobian [J]
+    comes from one bordered solve [[J^T u; c^T 0] [w; s] = [0; 1]],
+    with [u] the phase-shift direction of the spectrum and
+    [c = omega0 dR/d omega], which normalises [<y, M x'> = 1].
+
+    One row per MNA unknown: the nodes in [free.nodes] order, then the
+    branch currents (inductors and voltage sources, device order). Row
+    [i] holds [Y_0 .. Y_kmax] in the repo-wide convention
+    [y(t) = Y_0 + sum_k 2 Re (Y_k e^{jk omega0 t})]; a current [b(t)]
+    injected into node [i] shifts the phase at the rate [<y_i, b>].
+    Raises a typed [Singular_system] when the bordered system is
+    singular (a solution that is not an isolated oscillation). *)
+
 type band = {
   n_band : int;
   f_center : float;  (** injection-referred band center, [n * f0] *)

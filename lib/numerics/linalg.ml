@@ -41,10 +41,6 @@ let mat_mul a b =
   done;
   m
 
-let transpose a =
-  let rows, cols = dims a in
-  Array.init cols (fun c -> Array.init rows (fun r -> a.(r).(c)))
-
 let vec_add x y = Array.mapi (fun k xi -> xi +. y.(k)) x
 let vec_sub x y = Array.mapi (fun k xi -> xi -. y.(k)) x
 let vec_scale s x = Array.map (fun xi -> s *. xi) x
@@ -71,7 +67,7 @@ let norm2 x = sqrt (dot x x)
 
 exception Singular
 
-type lu = { lu : mat; perm : int array; sign : float }
+type lu = { lu : mat; perm : int array }
 
 let lu_factor_in_place m perm =
   let n, cols = dims m in
@@ -79,7 +75,6 @@ let lu_factor_in_place m perm =
   for k = 0 to n - 1 do
     perm.(k) <- k
   done;
-  let sign = ref 1 in
   for k = 0 to n - 1 do
     (* partial pivoting: bring the largest remaining |entry| of column k up *)
     let piv = ref k in
@@ -92,8 +87,7 @@ let lu_factor_in_place m perm =
       m.(!piv) <- tmp;
       let tp = perm.(k) in
       perm.(k) <- perm.(!piv);
-      perm.(!piv) <- tp;
-      sign := - !sign
+      perm.(!piv) <- tp
     end;
     let pivot = m.(k).(k) in
     if Float.abs pivot < 1e-300 then raise Singular;
@@ -105,8 +99,7 @@ let lu_factor_in_place m perm =
           m.(r).(c) <- m.(r).(c) -. (factor *. m.(k).(c))
         done
     done
-  done;
-  !sign
+  done
 
 let lu_solve_into m perm b x =
   let n = Array.length perm in
@@ -133,27 +126,15 @@ let lu_solve_into m perm b x =
 let lu_factor a =
   let m = copy a in
   let perm = Array.make (Array.length m) 0 in
-  let sign = lu_factor_in_place m perm in
-  { lu = m; perm; sign = float_of_int sign }
+  lu_factor_in_place m perm;
+  { lu = m; perm }
 
 let lu_solve { lu = m; perm; _ } b =
   let x = Array.make (Array.length perm) 0.0 in
   lu_solve_into m perm b x;
   x
 
-let lu_det { lu = m; perm; sign } =
-  let n = Array.length perm in
-  let d = ref sign in
-  for k = 0 to n - 1 do
-    d := !d *. m.(k).(k)
-  done;
-  !d
-
 let solve a b = lu_solve (lu_factor a) b
-
-let solve_many a bs =
-  let f = lu_factor a in
-  List.map (lu_solve f) bs
 
 let solve_complex a b =
   let n = Array.length b in

@@ -17,7 +17,6 @@ val dims : mat -> int * int
 
 val mat_vec : mat -> float array -> float array
 val mat_mul : mat -> mat -> mat
-val transpose : mat -> mat
 
 val vec_add : float array -> float array -> float array
 val vec_sub : float array -> float array -> float array
@@ -39,18 +38,16 @@ val lu_factor : mat -> lu
 val lu_solve : lu -> float array -> float array
 (** [lu_solve f b] is a fresh solution of [a x = b], by {!lu_solve_into}. *)
 
-val lu_det : lu -> float
-
 (** {2 In-place kernels}
 
     The elimination loops behind {!lu_factor} and {!lu_solve}: they
     write only into the buffers the caller passes, and allocate
     nothing. Results are bit-identical to the allocating versions. *)
 
-val lu_factor_in_place : mat -> int array -> int
+val lu_factor_in_place : mat -> int array -> unit
 (** [lu_factor_in_place m perm] overwrites [m] with its packed LU factors
     (rows of [m] are swapped, not copied) and [perm] (length = rows of
-    [m]) with the row permutation; returns its sign, [1] or [-1].
+    [m]) with the row permutation.
     Raises {!Singular} as {!lu_factor} does, leaving [m] and [perm]
     partly overwritten. *)
 
@@ -63,9 +60,6 @@ val lu_solve_into : mat -> int array -> float array -> float array -> unit
 
 val solve : mat -> float array -> float array
 (** [solve a b] solves [a x = b] by LU with partial pivoting. *)
-
-val solve_many : mat -> float array list -> float array list
-(** Solves against several right-hand sides with a single factorisation. *)
 
 val solve_complex : Cx.t array array -> Cx.t array -> Cx.t array
 (** Complex Gaussian elimination with partial pivoting (by modulus); used by

@@ -2,7 +2,6 @@ type subsystem =
   | Numerics
   | Spice
   | Shil
-  | Ppv
   | Waveform
   | Circuits
   | Experiments
@@ -35,7 +34,6 @@ let subsystem_name = function
   | Numerics -> "numerics"
   | Spice -> "spice"
   | Shil -> "shil"
-  | Ppv -> "ppv"
   | Waveform -> "waveform"
   | Circuits -> "circuits"
   | Experiments -> "experiments"

@@ -16,7 +16,6 @@ type subsystem =
   | Numerics
   | Spice
   | Shil
-  | Ppv
   | Waveform
   | Circuits
   | Experiments

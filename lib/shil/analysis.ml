@@ -97,12 +97,15 @@ let run ?(check = `Enforce) ?points ?n_phi ?n_amp ?a_range ?reduction osc ~n ~vi
   let locks_at_center = lock_range.at_center in
   (* diagnostic: the n-th harmonic of the current at the reference
      amplitude — how much of the injected tone the nonlinearity itself
-     regenerates. Uses the amplitude the study actually centred on. *)
+     regenerates. Uses the amplitude of the stable lock the oscillator
+     settles into at the centre, else the natural amplitude. *)
   let injection_harmonic =
     let ref_a =
-      match locks_at_center with
-      | (p : Solutions.point) :: _ -> Some p.a
-      | [] -> natural_amplitude
+      match
+        List.find_opt (fun (p : Solutions.point) -> p.stable) locks_at_center
+      with
+      | Some p -> Some p.a
+      | None -> natural_amplitude
     in
     Option.map
       (fun a ->

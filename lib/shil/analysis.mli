@@ -16,10 +16,10 @@ type shil_report = {
   locks_at_center : Solutions.point list;  (** at [omega_i = omega_c] *)
   lock_range : Lock_range.t;
   injection_harmonic : Numerics.Cx.t option;
-      (** [I_n(A, V_i, 0)] at the first centre-frequency lock amplitude
-          (or the natural amplitude): how much of the injected tone the
-          nonlinearity regenerates. [None] when no reference amplitude
-          exists. *)
+      (** [I_n(A, V_i, 0)] at the amplitude of the first stable
+          centre-frequency lock (or the natural amplitude when none is
+          stable): how much of the injected tone the nonlinearity
+          regenerates. [None] when no reference amplitude exists. *)
   quadrature : Describing_function.points_choice option;
       (** the quadrature point count [N] chosen for this analysis and
           its stated error; [None] when the caller fixed [?points] *)

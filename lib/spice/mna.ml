@@ -295,5 +295,4 @@ let assemble c ~mode ~x ~jac ~res =
       add_jac jac ne ne (-.(dic_dve +. dib_dve))
   done
 
-let cap_count c = c.n_caps
 let ind_count c = c.n_inds

@@ -58,5 +58,4 @@ val assemble :
   res:float array -> unit
 (** Zeroes and fills [jac] and [res] for the given candidate solution. *)
 
-val cap_count : compiled -> int
 val ind_count : compiled -> int

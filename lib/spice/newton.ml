@@ -111,7 +111,7 @@ let solve ?(options = defaults) ?clamp_upto ?ectx ~ws ~assemble ~x0 () =
                damping = 1.0 })
       | None -> ());
       outcome := Some (Diverged "singular Jacobian")
-    | (_ : int) ->
+    | () ->
       Linalg.lu_solve_into jac perm res dx;
       (* clamp the per-component update: junction exponentials explode
          without it *)

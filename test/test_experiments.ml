@@ -83,6 +83,8 @@ let test_fig10_prediction_only () =
 
 (* Benches (construction + prediction side) *)
 
+let tanh_osc = Circuits.Tanh_osc.oscillator Circuits.Tanh_osc.default
+
 let test_diff_pair_bench () =
   let b = Experiments.Osc_experiments.diff_pair () in
   Alcotest.(check (float 1.0)) "fc" Circuits.Diff_pair.fc_paper b.fc;
@@ -140,6 +142,98 @@ let test_asym_hb_band () =
       "HB band width = ODE width" 28897.0 (band.f_hi -. band.f_lo)
   | _ -> Alcotest.fail "lock-range mode must return a band"
 
+(* The A1/A2 rows against the RK4 shooting-plus-adjoint path the HB
+   PPV replaced: each A1 PPV width within 1e-4 relative of the widths
+   that path printed (the HB PPV lands about 1.7e-5 lower), and A2's
+   recentred band within 5 Hz per edge of the band recentred at the
+   orbit's f_0 (HB f_0 is 0.9 Hz higher, which moves each edge about
+   +1.9 Hz) *)
+let test_rows_vs_rk4_path () =
+  let width = Experiments.Baseline_cmp.ppv_width tanh_osc ~n:3 in
+  List.iter
+    (fun (vi, old) ->
+      let w = width vi in
+      Alcotest.(check bool)
+        (Printf.sprintf "A1 Vi = %g: %.6g within 1e-4 of %.6g" vi w old)
+        true
+        (Float.abs (w -. old) <= 1e-4 *. old))
+    [
+      (0.01, 3016.05);
+      (0.02, 6032.09);
+      (0.05, 15080.2);
+      (0.1, 30160.5);
+      (0.2, 60320.9);
+    ];
+  let out = Experiments.Asym_ablation.run ~simulate:false in
+  Alcotest.(check bool) "A2 has no orbit f_0 row" false
+    (has_row out "orbit f_0 (Hz)");
+  let lo, hi =
+    Scanf.sscanf (List.assoc "orbit-recentred" out.rows) "[%f, %f]"
+      (fun lo hi -> (lo, hi))
+  in
+  Alcotest.(check (float 5.0)) "A2 recentred low edge" 3969029.4 lo;
+  Alcotest.(check (float 5.0)) "A2 recentred high edge" 3998131.0 hi
+
+(* PPV (generalized-Adler) baseline, [17] in the paper *)
+
+let test_baseline_matches_rigorous_weak () =
+  let ppv = Experiments.Baseline_cmp.ppv_width tanh_osc ~n:3 0.01 in
+  let report = Shil.Analysis.run tanh_osc ~n:3 ~vi:0.01 in
+  let rel =
+    Float.abs (ppv -. report.lock_range.delta_f_inj)
+    /. report.lock_range.delta_f_inj
+  in
+  Alcotest.(check bool) "weak injection: PPV within 2% of rigorous" true
+    (rel < 0.02)
+
+let test_baseline_linear_in_vi () =
+  let width = Experiments.Baseline_cmp.ppv_width tanh_osc ~n:3 in
+  Alcotest.(check (float 1e-3)) "first-order theory scales linearly" 2.0
+    (width 0.02 /. width 0.01)
+
+let test_baseline_overestimates_strong () =
+  (* the documented failure mode of the first-order baseline, and the
+     rigorous method's advantage (paper §I) *)
+  let ppv = Experiments.Baseline_cmp.ppv_width tanh_osc ~n:3 0.2 in
+  let report = Shil.Analysis.run tanh_osc ~n:3 ~vi:0.2 in
+  Alcotest.(check bool) "strong injection: PPV drifts above rigorous" true
+    (ppv > 1.04 *. report.lock_range.delta_f_inj)
+
+(* Predictions recentred at the harmonic-balance f_0 *)
+
+let hb_f0 osc =
+  (Api.hb_run ~osc ~n:1 ~vi:0.0 ~k_max:7 ~samples:1024
+     ~mode:Api.Request.Hb_osc)
+    .free
+    .f0
+
+let test_f0_close_to_fc_for_odd_cell () =
+  (* odd-symmetric tanh: tiny Groszkowski shift *)
+  Alcotest.(check bool) "within 0.1% of fc" true
+    (Float.abs (hb_f0 tanh_osc -. 1e6) /. 1e6 < 1e-3)
+
+let test_recenter_scales () =
+  let report = Shil.Analysis.run tanh_osc ~n:3 ~vi:0.05 in
+  let lr = report.lock_range in
+  let rc =
+    Experiments.Asym_ablation.recenter lr ~f0:1.01e6 ~tank:tanh_osc.tank
+  in
+  Alcotest.(check (float 1.0)) "low edge scaled" (lr.f_inj_low *. 1.01)
+    rc.f_inj_low;
+  Alcotest.(check (float 1.0)) "width scaled" (lr.delta_f_inj *. 1.01)
+    rc.delta_f_inj
+
+let test_recenter_fixes_asymmetric_cell () =
+  (* the asymmetric clipped cell: the recentred band must sit below the
+     plain band (negative Groszkowski shift), by several kHz *)
+  let osc = Experiments.Asym_ablation.cell () in
+  let f0 = hb_f0 osc in
+  Alcotest.(check bool) "f0 below fc" true (f0 < 2e6 -. 5e3);
+  let plain = (Shil.Analysis.run osc ~n:2 ~vi:0.06).lock_range in
+  let rc = Experiments.Asym_ablation.recenter plain ~f0 ~tank:osc.tank in
+  Alcotest.(check bool) "recentred band sits lower" true
+    (rc.f_inj_low < plain.f_inj_low -. 5e3)
+
 let () =
   Alcotest.run "experiments"
     [
@@ -162,5 +256,23 @@ let () =
           Alcotest.test_case "fhil ablation" `Slow test_fhil_ablation;
           Alcotest.test_case "A2 HB band vs ODE" `Quick test_asym_hb_band;
           Alcotest.test_case "arnold tongue" `Slow test_tongue_monotone;
+          Alcotest.test_case "A1/A2 rows vs the RK4 path" `Quick
+            test_rows_vs_rk4_path;
+        ] );
+      ( "lock_baseline",
+        [
+          Alcotest.test_case "matches rigorous (weak)" `Slow
+            test_baseline_matches_rigorous_weak;
+          Alcotest.test_case "linear in vi" `Quick test_baseline_linear_in_vi;
+          Alcotest.test_case "overestimates (strong)" `Slow
+            test_baseline_overestimates_strong;
+        ] );
+      ( "refined",
+        [
+          Alcotest.test_case "f0 near fc (odd cell)" `Quick
+            test_f0_close_to_fc_for_odd_cell;
+          Alcotest.test_case "recenter scales" `Slow test_recenter_scales;
+          Alcotest.test_case "fixes asymmetric cell" `Slow
+            test_recenter_fixes_asymmetric_cell;
         ] );
     ]

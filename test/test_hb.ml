@@ -1,6 +1,6 @@
 (* Harmonic-balance engine tests.
 
-   Five families:
+   Seven families:
 
    - fixed-point equivalence: the oscprobe solve at [k_max = 1] must
      reproduce the describing-function fixed point (same quadrature,
@@ -13,9 +13,14 @@
      DF itself, the odd cell's missing even harmonics, the asymmetric
      A2 cell's frequency converging in [k_max], and a cell that does
      not oscillate raising a typed error;
+   - the synthesized orbit's peak (the [orbit] group);
    - engine internals: the conversion-matrix Jacobian against finite
      differences, the injected-tone branch structure (locked at the
      band center, suppressed far outside), and the input guards;
+   - the PPV (the [sensitivity] group): the left null vector of the
+     Jacobian with its normalisation, the tanh |V_3| the RK4 adjoint
+     path gave, the tunnel cell that path could not solve, and the
+     typed error of a singular bordered system;
    - resilience and caching: the [hb-newton] fault site walks the
      policy ladder (recovery on the damped rung, typed
      [solver-divergence] when every rung is shot), and cached solves
@@ -155,6 +160,18 @@ let test_hb_groszkowski_shift () =
   let sol = free_solution ~k_max:7 ~samples:256 tanh_osc in
   Alcotest.(check (float 1.0)) "K=7 frequency = ODE truth" 999773.1
     sol.Driver.f0
+
+let test_orbit_amplitude () =
+  (* the peak of the synthesized K = 7 waveform, not just its
+     fundamental, sits at the describing-function amplitude *)
+  let sol = free_solution ~k_max:7 ~samples:1024 tanh_osc in
+  let sp = sol.Driver.spectra.(sol.Driver.osc_node) in
+  let peak = ref neg_infinity in
+  for s = 0 to 1023 do
+    let theta = 2.0 *. Float.pi *. float_of_int s /. 1024.0 in
+    peak := Float.max !peak (Numerics.Fourier.reconstruct sp ~theta)
+  done;
+  Alcotest.(check (float 3e-3)) "orbit peak" 1.1582 !peak
 
 let test_hb_k1_is_df () =
   (* with a single harmonic, HB is the describing-function analysis *)
@@ -343,6 +360,131 @@ let test_lockrange_hole_degrades () =
     <= clean.Driver.f_hi -. clean.Driver.f_lo +. 1.0)
 
 (* ------------------------------------------------------------------ *)
+(* PPV: the left null vector of the autonomous Jacobian *)
+
+let ppv_of ?(k_max = 7) osc =
+  let sol = free_solution ~k_max ~samples:1024 osc in
+  (sol, Driver.ppv (Circuits.Behavioural.circuit osc) sol)
+
+(* |V_n| of the ODE model's voltage PPV, C |Y_n|: the unit the RK4
+   shooting-plus-adjoint baseline printed *)
+let ode_vn osc (sol, y) ~n =
+  (osc.Shil.Analysis.tank : Shil.Tank.t).c
+  *. Cx.abs y.(sol.Driver.osc_node).(n)
+
+let test_ppv_null_vector () =
+  let sol, y = ppv_of tanh_osc in
+  let tank = (tanh_osc.Shil.Analysis.tank : Shil.Tank.t) in
+  let sys =
+    System.compile ~k_max:sol.Driver.k_max ~samples:sol.Driver.samples
+      (Circuits.Behavioural.circuit tanh_osc)
+  in
+  let size = System.size sys and km = sol.Driver.k_max in
+  let omega0 = 2.0 *. Float.pi *. sol.Driver.f0 in
+  (* w back from the rows: node t, then the inductor branch *)
+  let w = Array.make size 0.0 in
+  Array.iteri
+    (fun i row ->
+      w.(System.idx sys i 0) <- Cx.re row.(0);
+      for k = 1 to km do
+        w.(System.idx sys i ((2 * k) - 1)) <- 2.0 *. Cx.re row.(k);
+        w.(System.idx sys i (2 * k)) <- 2.0 *. Cx.im row.(k)
+      done)
+    y;
+  let jac = Numerics.Linalg.create size size and res = Array.make size 0.0 in
+  System.eval (System.assemble sys ~omega0) ~x:sol.Driver.x ~jac ~res;
+  let wj =
+    Array.init size (fun j ->
+        let s = ref 0.0 in
+        for i = 0 to size - 1 do
+          s := !s +. (w.(i) *. jac.(i).(j))
+        done;
+        !s)
+  in
+  let wj_rel = Numerics.Linalg.norm_inf wj /. Numerics.Linalg.norm_inf w in
+  Alcotest.(check bool)
+    (Printf.sprintf "||w^T J|| / ||w|| = %.3g < 1e-12" wj_rel)
+    true (wj_rel < 1e-12);
+  (* y . M x' = 1 with the charge derivatives C dv/dt on node t and
+     -L di/dt on the inductor branch row: exactly on average (the
+     bordering row), and along the orbit up to the K = 7 truncation *)
+  let dq i scale =
+    Array.init (km + 1) (fun k ->
+        let xk =
+          if k = 0 then Cx.zero
+          else
+            Cx.make
+              sol.Driver.x.(System.idx sys i ((2 * k) - 1))
+              sol.Driver.x.(System.idx sys i (2 * k))
+        in
+        Cx.mul (Cx.make 0.0 (scale *. float_of_int k *. omega0)) xk)
+  in
+  let q = [| dq 0 tank.c; dq 1 (-.tank.l) |] in
+  let mean = ref 0.0 in
+  for i = 0 to 1 do
+    for k = 1 to km do
+      mean := !mean +. (2.0 *. Cx.re (Cx.mul (Cx.conj y.(i).(k)) q.(i).(k)))
+    done
+  done;
+  Alcotest.(check (float 1e-9)) "<y, M x'> = 1" 1.0 !mean;
+  let worst = ref 0.0 in
+  for s = 0 to 63 do
+    let theta = 2.0 *. Float.pi *. float_of_int s /. 64.0 in
+    let at cs = Numerics.Fourier.reconstruct cs ~theta in
+    let dot = (at y.(0) *. at q.(0)) +. (at y.(1) *. at q.(1)) in
+    worst := Float.max !worst (Float.abs (dot -. 1.0))
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "y . M x' = 1 along the orbit (worst %.3g)" !worst)
+    true (!worst < 1e-3)
+
+let test_ppv_fundamental_dominates () =
+  let sol, y = ppv_of tanh_osc in
+  let row = y.(sol.Driver.osc_node) in
+  Alcotest.(check bool) "|Y_1| > |Y_3| for a mildly nonlinear oscillator"
+    true
+    (Cx.abs row.(1) > Cx.abs row.(3))
+
+(* the RK4 shooting-plus-adjoint path this replaces printed
+   |V_3| = 1.49976993e-9 for the tanh cell; the HB PPV at K = 7 lands
+   1.7e-5 below it *)
+let test_ppv_tanh_pinned () =
+  let v3 = ode_vn tanh_osc (ppv_of tanh_osc) ~n:3 in
+  Alcotest.(check bool)
+    (Printf.sprintf "|V_3| = %.9g within 1e-4 of 1.49976993e-9" v3)
+    true
+    (rel v3 1.49976993e-9 < 1e-4)
+
+(* the tunnel cell, on which the RK4 shooting did not converge *)
+let test_ppv_tunnel () =
+  let osc = Circuits.Tunnel_osc.oscillator Circuits.Tunnel_osc.default in
+  let v7 = ode_vn osc (ppv_of ~k_max:7 osc) ~n:3 in
+  let v15 = ode_vn osc (ppv_of ~k_max:15 osc) ~n:3 in
+  Alcotest.(check bool)
+    (Printf.sprintf "|V_3| = %.9g near 3.6201e-12" v7)
+    true
+    (rel v7 3.6201e-12 < 1e-4);
+  Alcotest.(check bool)
+    (Printf.sprintf "K = 7 vs K = 15: %.3g < 1e-6" (rel v7 v15))
+    true
+    (rel v7 v15 < 1e-6)
+
+let test_ppv_singular_typed () =
+  (* the zero spectrum has no phase direction: the bordered system is
+     singular, and that surfaces as a typed error *)
+  let sol = free_solution tanh_osc in
+  let dead = { sol with Driver.x = Array.map (fun _ -> 0.0) sol.Driver.x } in
+  match Driver.ppv (Circuits.Behavioural.circuit tanh_osc) dead with
+  | _ -> Alcotest.fail "a zero spectrum must not yield a PPV"
+  | exception Resilience.Oshil_error.Error e ->
+    Alcotest.(check string)
+      "typed singular-system" "singular-system"
+      (Resilience.Oshil_error.code e);
+    Alcotest.(check string)
+      "raised by shil.hb" "shil.hb"
+      (Resilience.Oshil_error.loc e)
+
+(* ------------------------------------------------------------------ *)
 (* caching: hb/v1 replays bit-identically *)
 
 let test_cache_roundtrip () =
@@ -421,6 +563,7 @@ let () =
             test_hb_asym_k_convergence;
           Alcotest.test_case "dead cell" `Quick test_hb_dead_cell;
         ] );
+      ("orbit", [ Alcotest.test_case "amplitude" `Quick test_orbit_amplitude ]);
       ( "engine",
         [
           Alcotest.test_case "Jacobian vs finite differences" `Quick
@@ -428,6 +571,16 @@ let () =
           Alcotest.test_case "injected-tone branches" `Quick
             test_injected_branches;
           Alcotest.test_case "compile guards" `Quick test_compile_guards;
+        ] );
+      ( "sensitivity",
+        [
+          Alcotest.test_case "normalization" `Quick test_ppv_null_vector;
+          Alcotest.test_case "fundamental dominates" `Quick
+            test_ppv_fundamental_dominates;
+          Alcotest.test_case "tanh |V_3| pinned" `Quick test_ppv_tanh_pinned;
+          Alcotest.test_case "tunnel cell solves" `Quick test_ppv_tunnel;
+          Alcotest.test_case "singular system is typed" `Quick
+            test_ppv_singular_typed;
         ] );
       ( "resilience",
         [

@@ -137,8 +137,8 @@ let test_error_of_exn () =
   (* typed errors pass through unchanged *)
   Alcotest.(check string) "passthrough" "singular-system"
     (E.code (E.of_exn Numerics ~phase:"other" (E.Error e)));
-  let wrapped = E.of_exn Ppv ~phase:"orbit" (Failure "raw") in
-  Alcotest.(check string) "wrapped loc" "ppv.orbit" (E.loc wrapped);
+  let wrapped = E.of_exn Waveform ~phase:"measure" (Failure "raw") in
+  Alcotest.(check string) "wrapped loc" "waveform.measure" (E.loc wrapped);
   Alcotest.(check bool) "exception recorded" true
     (List.mem_assoc "exception" wrapped.context)
 

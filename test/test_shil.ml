@@ -747,6 +747,31 @@ let test_chosen_edges_bit_identical name () =
   bits_equal "f_inj_low" old.f_inj_low r.lock_range.f_inj_low;
   bits_equal "f_inj_high" old.f_inj_high r.lock_range.f_inj_high
 
+(* The injection-harmonic line reads |I_n| at the stable centre lock,
+   not at the first lock in phi order (the unstable phi = 0 one) *)
+let test_injection_harmonic_stable_lock () =
+  let r = paper_report "tanh" in
+  let stable, unstable =
+    List.partition (fun (p : Solutions.point) -> p.stable) r.locks_at_center
+  in
+  let a =
+    match (stable, unstable) with
+    | [ s ], [ u ] ->
+      Alcotest.(check bool) "the unstable lock comes first" true
+        (List.hd r.locks_at_center = u);
+      s.a
+    | _ -> Alcotest.fail "expected one stable and one unstable centre lock"
+  in
+  let expected =
+    Describing_function.ik_two_tone ~points:(chosen r).points r.osc.nl ~n:3
+      ~a ~vi:0.03 ~phi:0.0 ~k:3
+  in
+  match r.injection_harmonic with
+  | Some z ->
+    bits_equal "Re I3" (Cx.re expected) (Cx.re z);
+    bits_equal "Im I3" (Cx.im expected) (Cx.im z)
+  | None -> Alcotest.fail "no injection harmonic"
+
 (* ------------------------------------------------------------------ *)
 (* Injection pulling *)
 
@@ -898,5 +923,7 @@ let () =
             (test_chosen_edges_bit_identical "tunnel");
           Alcotest.test_case "diff-pair edges match fixed points" `Quick
             (test_chosen_edges_bit_identical "diffpair");
+          Alcotest.test_case "injection harmonic at the stable lock" `Quick
+            test_injection_harmonic_stable_lock;
         ] );
     ]
