@@ -4,7 +4,7 @@ let site_names =
     ("device-nan", "NaN device evaluation at the k-th MNA Newton solve");
     ("tran-reject", "reject the k-th transient Newton step attempt");
     ("roots-fail", "Roots.newton2d fails on its k-th call");
-    ("grid-point", "fail the k-th amplitude row of Grid.sample");
+    ("grid-point", "fail the k-th Grid.sample phi row (torus: amplitude column)");
     ("pool-task", "fail the k-th task of a resilient pool fan-out");
     ("lock-probe", "fail the k-th lock-range stability probe");
     ("validate-point", "fail the k-th Validate.lock_range transient probe");

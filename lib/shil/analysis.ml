@@ -48,9 +48,16 @@ let run ?(check = `Enforce) ?points ?n_phi ?n_amp ?a_range ?reduction osc ~n ~vi
     ~attrs:[ ("n", string_of_int n); ("vi", Printf.sprintf "%g" vi) ]
   @@ fun () ->
   let r = (osc.tank : Tank.t).r in
+  (* without [?points], every quadrature is sized from its stated error:
+     to a tenth of the edge tolerance, since a relative I1 error delta
+     moves the eq. 4 phase by about delta rad. The caps keep every sum
+     at or below the fixed default counts. *)
+  let tol = Lock_range.default_tol /. 10.0 in
   let natural =
     Obs.Span.with_ ~cat:"shil" ~name:"shil.analysis.natural" (fun () ->
-        Natural.solve ?points osc.nl ~r)
+        match points with
+        | Some _ -> Natural.solve ?points osc.nl ~r
+        | None -> Natural.solve_within ~tol osc.nl ~r)
   in
   let natural_amplitude =
     List.fold_left
@@ -66,30 +73,26 @@ let run ?(check = `Enforce) ?points ?n_phi ?n_amp ?a_range ?reduction osc ~n ~vi
         "oscillator has no stable natural oscillation"
         ~remedy:"supply ~a_range explicitly"
   in
-  (* without [?points], the quadrature is sized from its stated error:
-     to a tenth of the edge tolerance, since a relative I1 error delta
-     moves the eq. 4 phase by about delta rad. The caps keep every sum
-     at or below the fixed default counts. *)
   let quadrature =
     match points with
     | Some _ -> None
     | None ->
       Some
         (Describing_function.choose_points ?reduction
-           ~tol:(Lock_range.default_tol /. 10.0) osc.nl ~n ~vi ~a_range)
+           ~grid_cap:Grid.default_points ~tol osc.nl ~n ~vi ~a_range)
   in
-  let points, grid_points =
+  let points, grid_points, psi =
     match quadrature with
-    | None -> (points, points)
-    | Some q -> (Some q.points, Some (min q.points Grid.default_points))
+    | None -> (points, points, None)
+    | Some q -> (Some q.points, Some (min q.points Grid.default_points), q.psi)
   in
   (* cooperative deadline probes between pipeline phases: a request
      whose budget expires unwinds with a typed [budget-exhausted] error
      at the next phase boundary instead of running to completion *)
   Resilience.Deadline.check Shil ~phase:"analysis.grid";
   let grid =
-    Grid.sample ?points:grid_points ?n_phi ?n_amp ?reduction osc.nl ~n ~r ~vi
-      ~a_range ()
+    Grid.sample ?points:grid_points ?psi ?n_phi ?n_amp ?reduction osc.nl ~n ~r
+      ~vi ~a_range ()
   in
   Resilience.Deadline.check Shil ~phase:"analysis.lock-range";
   let lock_range = Lock_range.predict ?points grid ~tank:osc.tank in

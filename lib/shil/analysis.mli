@@ -43,20 +43,30 @@ val run :
     quadrature mode for the grid and every downstream solve (default
     [`Exact]; see {!Describing_function.reduction}).
 
-    Quadrature points: an explicit [?points] is used everywhere (grid,
-    refinement, classification, injection harmonic) and [quadrature] is
-    [None]. Without it, the natural solve keeps
-    {!Describing_function.default_points}, and [N] comes from
-    {!Describing_function.choose_points} over the analysis box with
-    [tol = Lock_range.default_tol / 10] (1e-6), capped at
-    {!Describing_function.default_points}. A relative [I_1] error
+    Quadrature points: an explicit [?points] is used everywhere (natural
+    solve, grid, refinement, classification, injection harmonic), the
+    grid is the direct one, and [quadrature] is [None]. Without it,
+    every count comes from a stated error with
+    [tol = Lock_range.default_tol / 10] (1e-6): a relative [I_1] error
     [delta] moves the eq. 4 phase by about [delta] rad, so that
-    tolerance stays an order below the 1e-5 edge bisection. The grid
-    uses [min N Grid.default_points]; every later solve, and
-    {!locks_at}, uses [N]. Measured on the 72 paper cells: [N = 128] for
-    tanh and the tunnel diode (256 at [n = 5], [V_i = 0.08]), and the
-    1024 cap for the diff-pair, whose PCHIP curve is only C{^1}; band
-    edges are bit-identical to the fixed 512/1024 counts.
+    tolerance stays an order below the 1e-5 edge bisection.
+    - The natural solve is {!Natural.solve_within}: brackets at 128
+      points, refinement at the count its bracket-end pilot accepts
+      (128 for tanh and the tunnel diode; the 1024 cap for the
+      diff-pair, whose root is then bit-identical to {!Natural.solve}'s).
+    - [N] comes from {!Describing_function.choose_points} over the
+      analysis box, capped at {!Describing_function.default_points};
+      every later solve, and {!locks_at}, uses [N].
+    - The grid runs at [min N Grid.default_points] and, when the same
+      pilot accepts a torus count [N_ψ <= 64], from
+      {!Describing_function.torus} tables (see {!Grid.sample}); else
+      from direct sums.
+    Measured on the 72 paper cells: [N = 128] for tanh and the tunnel
+    diode (256 at [n = 5], [V_i = 0.08]) with [N_ψ] of 8 to 32, and the
+    1024 cap for the diff-pair, whose PCHIP curve is only C{^1} and
+    whose grid stays direct except at [n = 4], [V_i = 0.01] ([N_ψ = 64]).
+    Every printed report is byte-identical to the fixed 512/1024
+    counts: the grid only seeds the Newton refinement at [N].
 
     The configuration first passes {!preflight} under the [?check] gate
     policy (default [`Enforce]): errors raise [Check.Diagnostic.Failed],

@@ -115,47 +115,184 @@ let t_cap_f ?points ?reduction nl ~n ~r ~a ~vi ~phi ~phi_d =
 let arg_minus_i1 ?points ?reduction nl ~n ~a ~vi ~phi =
   Cx.arg (Cx.neg (i1_two_tone ?points ?reduction nl ~n ~a ~vi ~phi))
 
+(* The two-tone torus. g(θ, ψ) = f(A cos θ + 2 V_i cos ψ) is even in θ
+   and in ψ, so its 2-D Fourier coefficients G_{p,q} are real and the
+   half-range samples s = 0 .. N_θ/2, t = 0 .. N_ψ/2 determine them. On
+   the line ψ = nθ + φ the fundamental collects the terms p + nq = 1:
+     I1(φ) = Σ_q G_{1−nq,q} e^{iqφ},
+   so one table per amplitude serves every φ. With G taken from the
+   N_θ-point θ sum this is exactly the direct N_θ-point quadrature of
+   the trigonometric interpolant of g in ψ (Nyquist term halved): the
+   only difference from the direct grid is that interpolation error.
+   [re]/[im] hold the q >= 0 terms folded with their q < 0 mirrors:
+     I1(φ) = Σ_q re.(q) cos qφ + i Σ_q im.(q) sin qφ. *)
+type torus = { re : float array; im : float array }
+
+let torus_evals ~n_theta ~n_psi = ((n_theta / 2) + 1) * ((n_psi / 2) + 1)
+
+let torus ?(reduction = `Exact) ~n_theta ~n_psi nl ~n ~a ~vi =
+  if n < 1 then invalid_arg "Describing_function: n must be >= 1";
+  if n_theta < 2 || n_theta land 1 = 1 || n_psi < 2 || n_psi land 1 = 1 then
+    invalid_arg "Describing_function.torus: counts must be even and >= 2";
+  let hs = n_theta / 2 and ht = n_psi / 2 in
+  let cos_s, _ = Trig.get ~points:n_theta ~k:1 in
+  let cos_t, _ = Trig.get ~points:n_psi ~k:1 in
+  let eval =
+    match reduction with
+    | `Exact -> Nonlinearity.eval_batch
+    | `Symmetry -> Nonlinearity.eval_batch_fast
+  in
+  (* G_{1−nq,q} and G_{1+nq,q}, accumulated one θ sample at a time so
+     the scratch is one ψ column, not the whole table: per column, the
+     ψ transform at every q, then one term of the θ transform at the two
+     p each q needs. The cosine-table indices step by p (or q) modulo
+     the table length instead of dividing per term; p beyond N_θ/2
+     aliases exactly as the direct quadrature does. *)
+  let ga = Array.make (ht + 1) 0.0 and gb = Array.make (ht + 1) 0.0 in
+  let step_a = Array.init (ht + 1) (fun q -> abs (1 - (n * q)) mod n_theta)
+  and step_b = Array.init (ht + 1) (fun q -> (1 + (n * q)) mod n_theta) in
+  let idx_a = Array.make (ht + 1) 0 and idx_b = Array.make (ht + 1) 0 in
+  let advance idx step =
+    for q = 0 to ht do
+      let i = idx.(q) + step.(q) in
+      idx.(q) <- (if i >= n_theta then i - n_theta else i)
+    done
+  in
+  Kernel.with_bufs ~len:(ht + 1) 1 (fun bufs ->
+      let col = bufs.(0) in
+      for s = 0 to hs do
+        let x = a *. cos_s.(s) in
+        for t = 0 to ht do
+          col.(t) <- x +. (2.0 *. vi *. cos_t.(t))
+        done;
+        eval ~n:(ht + 1) nl ~src:col ~dst:col;
+        (* a half-range end sample stands for one point of the full
+           period, every other sample for two *)
+        let ws = if s = 0 || s = hs then 1.0 else 2.0 in
+        for q = 0 to ht do
+          let acc = ref (col.(0) +. (col.(ht) *. cos_t.(q * ht mod n_psi))) in
+          let idx = ref q in
+          for t = 1 to ht - 1 do
+            acc := !acc +. (2.0 *. col.(t) *. cos_t.(!idx));
+            idx := !idx + q;
+            if !idx >= n_psi then idx := !idx - n_psi
+          done;
+          let h = ws *. !acc in
+          ga.(q) <- ga.(q) +. (h *. cos_s.(idx_a.(q)));
+          gb.(q) <- gb.(q) +. (h *. cos_s.(idx_b.(q)))
+        done;
+        advance idx_a step_a;
+        advance idx_b step_b
+      done);
+  let norm = float_of_int (n_theta * n_psi) in
+  let re = Array.make (ht + 1) 0.0 and im = Array.make (ht + 1) 0.0 in
+  re.(0) <- ga.(0) /. norm;
+  for q = 1 to ht do
+    (* the Nyquist term stands for q = ±N_ψ/2 together: half each *)
+    let c = if q = ht then 0.5 /. norm else 1.0 /. norm in
+    re.(q) <- c *. (ga.(q) +. gb.(q));
+    im.(q) <- c *. (ga.(q) -. gb.(q))
+  done;
+  { re; im }
+
+let torus_phases ~n_psi phis =
+  let table trig =
+    Array.map
+      (fun phi ->
+        Array.init ((n_psi / 2) + 1) (fun q -> trig (float_of_int q *. phi)))
+      phis
+  in
+  (table cos, table sin)
+
+let torus_i1 t ~cos_q ~sin_q =
+  let re = ref 0.0 and im = ref 0.0 in
+  for q = 0 to Array.length t.re - 1 do
+    re := !re +. (t.re.(q) *. cos_q.(q));
+    im := !im +. (t.im.(q) *. sin_q.(q))
+  done;
+  Cx.make !re !im
+
 (* Quadrature by stated error. An N-point periodic sum of a smooth
    integrand converges geometrically, so the change from N/2 to N points
-   bounds the error left at N. The pilot evaluates I1 on a fixed set of
-   (A, phi) points spread over the analysis box and doubles N until that
-   change is below [tol] relative everywhere; a non-smooth f (a PCHIP
-   table) converges algebraically and runs into the [default_points]
-   cap. *)
-type points_choice = { points : int; estimate : float }
+   bounds the error left at N. A pilot evaluates the coefficients on a
+   fixed set of points and N doubles until that change is below [tol]
+   relative everywhere; a non-smooth f (a PCHIP table) converges
+   algebraically and runs into the [default_points] cap. *)
+type points_choice = {
+  points : int;
+  estimate : float;
+  psi : int option;
+  psi_estimate : float;
+}
 
 let () =
   Obs.Metrics.register_histogram ~name:"shil.quad.points"
-    ~buckets:[| 64.0; 128.0; 256.0; 512.0; 1024.0; 2048.0; 4096.0 |]
+    ~buckets:[| 64.0; 128.0; 256.0; 512.0; 1024.0; 2048.0; 4096.0 |];
+  Obs.Metrics.register_histogram ~name:"shil.quad.psi"
+    ~buckets:[| 8.0; 16.0; 32.0; 64.0 |]
+
+(* largest relative difference of [z] from [reference]; an exact zero
+   difference is converged even where the reference vanishes, and a NaN
+   never is *)
+let rel_diff ~reference z =
+  let worst = ref 0.0 in
+  Array.iteri
+    (fun i r ->
+      let d = Cx.abs (Cx.sub z.(i) r) in
+      if d <> 0.0 then worst := Float.max !worst (d /. Cx.abs r))
+    reference;
+  !worst
+
+let double_until ~tol pilot =
+  let rec double points coarse =
+    let fine = pilot points in
+    let e = rel_diff ~reference:fine coarse in
+    if e <= tol || 2 * points > default_points then (points, e, fine)
+    else double (2 * points) fine
+  in
+  double 128 (pilot 64)
+
+let stated_points ~tol pilot =
+  let points, estimate, _ = double_until ~tol pilot in
+  (points, estimate)
 
 let pilot_phis = [| 0.0; 0.5 *. Float.pi; Float.pi; 1.5 *. Float.pi |]
+let psi_start = 8
+let psi_cap = 64
 
-let choose_points ?reduction ~tol nl ~n ~vi ~a_range:(a_lo, a_hi) =
+let choose_points ?reduction ~grid_cap ~tol nl ~n ~vi ~a_range:(a_lo, a_hi) =
   if n < 1 then invalid_arg "Describing_function: n must be >= 1";
   let amps = [| a_lo; 0.5 *. (a_lo +. a_hi); a_hi |] in
   let n_phi = Array.length pilot_phis in
-  let pilot points =
-    Array.init (Array.length amps * n_phi) (fun i ->
-        i1_two_tone ~points ?reduction nl ~n ~a:amps.(i / n_phi) ~vi
-          ~phi:pilot_phis.(i mod n_phi))
+  let at f =
+    Array.init (Array.length amps * n_phi) (fun i -> f (i / n_phi) (i mod n_phi))
   in
-  (* largest relative change over the pilot; an exact zero change is
-     converged even where I1 itself vanishes, and a NaN never is *)
-  let estimate coarse fine =
-    let worst = ref 0.0 in
-    Array.iteri
-      (fun i z ->
-        let d = Cx.abs (Cx.sub z coarse.(i)) in
-        if d <> 0.0 then worst := Float.max !worst (d /. Cx.abs z))
-      fine;
-    !worst
+  let points, estimate, direct =
+    double_until ~tol (fun points ->
+        at (fun ia ip ->
+            i1_two_tone ~points ?reduction nl ~n ~a:amps.(ia) ~vi
+              ~phi:pilot_phis.(ip)))
   in
-  let rec double points coarse =
-    let fine = pilot points in
-    let e = estimate coarse fine in
-    if e <= tol || 2 * points > default_points then { points; estimate = e }
-    else double (2 * points) fine
+  Obs.Metrics.observe "shil.quad.points" (float_of_int points);
+  (* the torus grid's stated error: its I1 at the same pilot points
+     against the direct N-point pilot, N_ψ doubling to the cap *)
+  let n_theta = min points grid_cap in
+  let rec grow n_psi =
+    let tori =
+      Array.map (fun a -> torus ?reduction ~n_theta ~n_psi nl ~n ~a ~vi) amps
+    in
+    let cos_q, sin_q = torus_phases ~n_psi pilot_phis in
+    let e =
+      rel_diff ~reference:direct
+        (at (fun ia ip ->
+             torus_i1 tori.(ia) ~cos_q:cos_q.(ip) ~sin_q:sin_q.(ip)))
+    in
+    if e <= tol then (Some n_psi, e)
+    else if 2 * n_psi > psi_cap then (None, e)
+    else grow (2 * n_psi)
   in
-  let choice = double 128 (pilot 64) in
-  Obs.Metrics.observe "shil.quad.points" (float_of_int choice.points);
-  choice
+  let psi, psi_estimate = grow psi_start in
+  Option.iter
+    (fun p -> Obs.Metrics.observe "shil.quad.psi" (float_of_int p))
+    psi;
+  { points; estimate; psi; psi_estimate }

@@ -84,23 +84,78 @@ val arg_minus_i1 :
   vi:float -> phi:float -> float
 (** [angle (-I_1(A, V_i, phi))], the left side of eq. 4. *)
 
+(** {1 The two-tone torus}
+
+    [g(θ, ψ) = f(A cos θ + 2 V_i cos ψ)] has real 2-D Fourier
+    coefficients [G_{p,q}] (g is even in both angles), and on the line
+    [ψ = nθ + φ] the fundamental is [I_1(φ) = Σ_q G_{1−nq,q} e^{iqφ}]:
+    one table per [(A, V_i)] serves every [φ]. Built from
+    [N_θ]-point θ sums, the table reproduces the direct [N_θ]-point
+    quadrature of the trigonometric interpolant of [g] in [ψ], so its
+    only error against {!i1_two_tone} at [N_θ] points is that
+    interpolation error, geometric in [N_ψ] for an analytic [f]. *)
+
+type torus
+(** One amplitude's table, reduced to the [q = 0 .. N_ψ/2] terms of
+    the [I_1(φ)] series. *)
+
+val torus :
+  ?reduction:reduction -> n_theta:int -> n_psi:int -> Nonlinearity.t ->
+  n:int -> a:float -> vi:float -> torus
+(** The table at amplitude [a] from {!torus_evals} nonlinearity
+    evaluations on the half-range samples. [`Symmetry] evaluates them
+    with the tolerance-grade batch. Raises [Invalid_argument] unless
+    [n >= 1] and both counts are even and [>= 2]. *)
+
+val torus_evals : n_theta:int -> n_psi:int -> int
+(** Nonlinearity evaluations per {!torus}:
+    [(N_θ/2 + 1) (N_ψ/2 + 1)]. *)
+
+val torus_phases :
+  n_psi:int -> float array -> float array array * float array array
+(** [torus_phases ~n_psi phis] is the pair of per-[φ] tables
+    [cos (q φ)] and [sin (q φ)], [q = 0 .. N_ψ/2]: built once per set
+    of phases, they turn {!torus_i1} into two dot products. *)
+
+val torus_i1 : torus -> cos_q:float array -> sin_q:float array -> Numerics.Cx.t
+(** [I_1] at the phase whose {!torus_phases} rows are [cos_q]/[sin_q]. *)
+
+(** {1 Quadrature by stated error} *)
+
 type points_choice = {
   points : int;  (** the chosen point count [N] *)
   estimate : float;
       (** the stated error at [N]: the largest
           [|I_1(N) - I_1(N/2)| / |I_1(N)|] over the pilot set *)
+  psi : int option;
+      (** the [N_ψ] of the grid's {!torus} table; [None] when no count
+          up to the cap (64) met the tolerance and the grid is
+          sampled directly *)
+  psi_estimate : float;
+      (** the torus pilot's largest relative difference from the direct
+          [N]-point pilot, at [psi] or, on the fallback, at the cap *)
 }
 
+val stated_points : tol:float -> (int -> Numerics.Cx.t array) -> int * float
+(** [stated_points ~tol pilot] is the doubling behind {!choose_points}:
+    the first [N] in [128, 256, ...] whose largest relative change of
+    [pilot N] from [pilot (N/2)] is [<= tol], with that change, or
+    {!default_points} (the cap) with its larger one. *)
+
 val choose_points :
-  ?reduction:reduction -> tol:float -> Nonlinearity.t -> n:int -> vi:float ->
-  a_range:float * float -> points_choice
+  ?reduction:reduction -> grid_cap:int -> tol:float -> Nonlinearity.t ->
+  n:int -> vi:float -> a_range:float * float -> points_choice
 (** The quadrature point count for one analysis, chosen from a stated
     error estimate. The pilot evaluates {!i1_two_tone} at
     [A] in [{a_lo, (a_lo + a_hi)/2, a_hi}] x [phi] in
-    [{0, pi/2, pi, 3 pi/2}], starting at [N = 128] and doubling. It
-    returns the first [N] whose {!points_choice.estimate} is [<= tol]
-    at every pilot point, or {!default_points} (the cap) with its
-    larger estimate. A smooth nonlinearity converges geometrically, so
-    the change from [N/2] to [N] bounds the error left at [N].
+    [{0, pi/2, pi, 3 pi/2}] with {!stated_points}. A smooth
+    nonlinearity converges geometrically, so the change from [N/2] to
+    [N] bounds the error left at [N].
 
-    The chosen [N] is sampled into the [shil.quad.points] histogram. *)
+    It then sizes the grid's torus table at [N_θ = min N grid_cap]:
+    [N_ψ] doubles from 8 until the torus [I_1] at the same pilot points
+    is within [tol] (relative) of the direct [N]-point pilot; past the
+    cap of 64, [psi] is [None].
+
+    The chosen [N] is sampled into the [shil.quad.points] histogram and
+    an accepted [N_ψ] into [shil.quad.psi]. *)

@@ -18,7 +18,10 @@ type t = {
   phi_range : float * float;  (** the [phi_range] [phis] was spaced over *)
   a_range : float * float;  (** the [a_range] [amps] was spaced over *)
   i1 : Numerics.Cx.t array array;  (** [i1.(i).(j)] at [(phis.(i), amps.(j))] *)
-  points : int;  (** quadrature points used per sample *)
+  points : int;  (** quadrature points used per sample ([N_θ] on a torus grid) *)
+  psi : int option;
+      (** the [N_ψ] of the {!Describing_function.torus} tables the grid
+          was filled from; [None] for the direct quadrature *)
   reduction : Describing_function.reduction;
       (** quadrature mode the grid was sampled with; downstream solvers
           ([Solutions], [Lock_range]) inherit it for their own
@@ -29,18 +32,19 @@ type t = {
 }
 
 val cache_key :
-  reduction:Describing_function.reduction -> nl_key:string -> n:int ->
-  r:float -> vi:float -> p_lo:float -> p_hi:float -> n_phi:int -> n_amp:int ->
-  a_lo:float -> a_hi:float -> points:int -> Cache.Key.t
+  ?psi:int -> reduction:Describing_function.reduction -> nl_key:string ->
+  n:int -> r:float -> vi:float -> p_lo:float -> p_hi:float -> n_phi:int ->
+  n_amp:int -> a_lo:float -> a_hi:float -> points:int -> unit -> Cache.Key.t
 (** The content address of one grid evaluation (exposed for tests and
     tooling). [`Exact] keys are version 1 — unchanged since the scalar
     kernel, because the batch rewrite is bit-identical; [`Symmetry] keys
-    are version 2 with a [red=sym] field. *)
+    are version 2 with a [red=sym] field. A torus grid ([?psi]) adds a
+    trailing [psi] field, so it never shares a key with a direct grid. *)
 
 val key_fields : t -> nl_key:string -> Cache.Key.field list
-(** The {!cache_key} fields of this grid's inputs, reduction excluded —
-    for results derived from a grid ([Lock_range]) that must be keyed on
-    every input of it. *)
+(** The {!cache_key} fields of this grid's inputs, reduction excluded
+    and [psi] included — for results derived from a grid
+    ([Lock_range]) that must be keyed on every input of it. *)
 
 val versioned_key :
   kind:string -> reduction:Describing_function.reduction ->
@@ -54,8 +58,8 @@ val default_points : int
     omitted; also the cap [Analysis.run] applies to its chosen count. *)
 
 val sample :
-  ?points:int -> ?phi_range:float * float -> ?n_phi:int -> ?n_amp:int ->
-  ?reduction:Describing_function.reduction ->
+  ?points:int -> ?psi:int -> ?phi_range:float * float -> ?n_phi:int ->
+  ?n_amp:int -> ?reduction:Describing_function.reduction ->
   Nonlinearity.t -> n:int -> r:float -> vi:float -> a_range:float * float ->
   unit -> t
 (** Defaults: [phi_range = (0, 2 pi)], [n_phi = 121], [n_amp = 101],
@@ -64,44 +68,43 @@ val sample :
     amplitude); raises [Invalid_argument] on fewer than 2 samples per
     axis or a non-positive/empty [a_range].
 
-    The cost is [n_phi * n_amp * points] nonlinearity evaluations
-    (6.2 M at the defaults). [Analysis.run] without [?points] passes
+    Without [?psi] every cell is a direct [points]-sample quadrature
+    ([n_phi * n_amp * points] nonlinearity evaluations, 6.2 M at the
+    defaults; half the rows and half the samples under [`Symmetry]
+    where licensed). [Analysis.run] without [?points] passes
     [min N default_points], with [N] from
-    {!Describing_function.choose_points}: 128 for the analytic tanh and
-    tunnel cells on 46 of their 48 paper analyses, so those grids cost a
-    quarter of the default.
+    {!Describing_function.choose_points}.
 
-    [`Exact] grids are bit-identical to the historical scalar kernel.
-    [~reduction:`Symmetry] grids are tolerance-grade: for an odd
-    nonlinearity and odd [n] each row integrates half a period, and over
-    the default symmetric [phi_range] only half the rows are computed —
-    the rest are conjugate mirrors ([I1(2π−φ) = conj I1(φ)]).
+    [?psi] is the torus path, passed only by [Analysis.run] when the
+    stated-error pilot accepted an [N_ψ]: each amplitude column comes
+    from one {!Describing_function.torus} table with [N_θ = points]
+    ([n_amp * (points/2 + 1) * (psi/2 + 1)] evaluations, 59 k at 128 x
+    16 against 1.56 M direct), read at every phi through one phi-by-q
+    cos/sin table. Its cells differ from the direct grid at the same
+    [points] by the ψ-interpolation error the pilot bounded.
+
+    [`Exact] direct grids are bit-identical to the historical scalar
+    kernel. [~reduction:`Symmetry] direct grids are tolerance-grade: for
+    an odd nonlinearity and odd [n] each row integrates half a period,
+    and over the default symmetric [phi_range] only half the rows are
+    computed — the rest are conjugate mirrors ([I1(2π−φ) = conj I1(φ)]).
 
     With [Cache.Store] on, clean grids are cached under {!cache_key} on
     the disk tier only ([~memory:false]): a tile is about 200 KB at the
     default size, and repeated analyses are served by the small
     [shil.lockrange] entries instead.
 
-    A row whose evaluation raises becomes a NaN-filled typed hole in
-    [failures] (counter [resilience.grid.holes]) instead of aborting
-    the sweep — the contour extractors skip NaN cells — unless
-    {!Resilience.Policy.set_fail_fast} is on. Fault site [grid-point]
-    (by computed-row index) injects row failures for testing; under
-    [`Symmetry] mirroring, a failed source row also holes its mirror. *)
+    A work item whose evaluation raises — a phi row on the direct path,
+    an amplitude column on the torus path — becomes a NaN-filled typed
+    hole in [failures] (counter [resilience.grid.holes]) instead of
+    aborting the sweep — the contour extractors skip NaN cells — unless
+    {!Resilience.Policy.set_fail_fast} is on. An expired deadline holes
+    the items not yet started. Fault site [grid-point] (by computed
+    item index) injects failures for testing; under [`Symmetry]
+    mirroring, a failed source row also holes its mirror. *)
 
 val t_f_field : t -> float array array
 (** [T_f(phi, A) - 1] (eq. 3 residual). *)
-
-val phase_field : t -> phi_d:float -> float array array
-(** [sin(angle(-I_1) + phi_d)] — zero on the eq. 4 curve; pair with
-    {!phase_cos_ok} to discard the [cos <= 0] branch. *)
-
-val arg_minus_i1_field : t -> float array array
-
-val phase_cos_ok : t -> phi_d:float -> float * float -> bool
-(** Midpoint predicate for {!Contour.filter_segments}: true when
-    [cos(angle(-I_1) + phi_d) > 0] at the (bilinearly interpolated) grid
-    point. *)
 
 val interp_i1 : t -> phi:float -> a:float -> Numerics.Cx.t
 (** Bilinear interpolation of the sampled [I_1]; clamped at the grid

@@ -30,6 +30,20 @@ val solve :
     the solution list is cached under {!cache_key}; a hit is
     bit-identical to a cold solve. *)
 
+val solve_within : tol:float -> Nonlinearity.t -> r:float -> solution list
+(** {!solve} over its default scan with its sums sized by stated error
+    instead of the fixed count, for [Analysis.run] without [?points].
+    The scan brackets the roots at 128 points;
+    {!Describing_function.stated_points} then measures the relative
+    [I_1] change from [N/2] to [N] at the bracket ends and accepts the
+    first [N] (from 128, capped at
+    {!Describing_function.default_points}) within [tol]; Brent refines
+    each bracket at [N], which confirms its sign change there, and a
+    bracket that loses it sends the solve to a full rescan at [N]. The
+    stated error covers the bracket ends only: an oscillator with no
+    bracket at 128 points has no solutions. Cached like {!solve}, under
+    a key with [points=stated] and [tol]. *)
+
 val predicted_amplitude :
   ?points:int -> ?a_min:float -> ?a_max:float -> ?scan:int ->
   Nonlinearity.t -> r:float -> float option

@@ -469,13 +469,23 @@ let predict_small () =
 
 let test_df_analysis_cache_identity () =
   let natural () = Shil.Natural.solve ~points:256 tanh_nl ~r:1e3 in
+  let stated () = Shil.Natural.solve_within ~tol:1e-6 tanh_nl ~r:1e3 in
   let cold_nat = natural () and cold_lr = predict_small () in
+  let cold_st = stated () in
   Store.set_enabled true;
   let pop_nat = natural () and pop_lr = predict_small () in
+  let pop_st = stated () in
   let warm_nat = natural () and warm_lr = predict_small () in
+  let warm_st = stated () in
   Store.clear_memory ();
   let disk_nat = natural () and disk_lr = predict_small () in
+  let disk_st = stated () in
   Store.set_enabled false;
+  List.iter
+    (fun (what, st) ->
+      Alcotest.(check bool) ("stated natural " ^ what ^ " == cold") true
+        (natural_bits st = natural_bits cold_st))
+    [ ("populate", pop_st); ("warm", warm_st); ("disk replay", disk_st) ];
   Alcotest.(check bool) "natural populate == cold" true
     (natural_bits pop_nat = natural_bits cold_nat);
   Alcotest.(check bool) "natural warm == cold" true

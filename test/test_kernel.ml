@@ -439,16 +439,40 @@ let test_analysis_key_versions () =
     (Cache.Key.digest exact <> Cache.Key.digest reduced)
 
 let test_grid_key_versions () =
-  let key reduction =
-    Grid.cache_key ~reduction ~nl_key:"tanh|g0=2e-3" ~n:3 ~r:1e3 ~vi:0.2
-      ~p_lo:0.0 ~p_hi:6.28 ~n_phi:9 ~n_amp:7 ~a_lo:0.3 ~a_hi:1.4 ~points:64
+  let key ?psi reduction =
+    Grid.cache_key ?psi ~reduction ~nl_key:"tanh|g0=2e-3" ~n:3 ~r:1e3 ~vi:0.2
+      ~p_lo:0.0 ~p_hi:6.28 ~n_phi:9 ~n_amp:7 ~a_lo:0.3 ~a_hi:1.4 ~points:64 ()
   in
-  Alcotest.(check bool) "exact v1" true
-    (has_prefix ~prefix:"shil.grid/v1|" (Cache.Key.preimage (key `Exact)));
+  let direct = Cache.Key.preimage (key `Exact) in
+  Alcotest.(check bool) "exact v1" true (has_prefix ~prefix:"shil.grid/v1|" direct);
+  Alcotest.(check bool) "direct has no psi field" false
+    (contains ~sub:"psi=" direct);
   let reduced = Cache.Key.preimage (key `Symmetry) in
   Alcotest.(check bool) "sym v2" true
     (has_prefix ~prefix:"shil.grid/v2|" reduced);
-  Alcotest.(check bool) "sym red field" true (contains ~sub:"red=sym" reduced)
+  Alcotest.(check bool) "sym red field" true (contains ~sub:"red=sym" reduced);
+  (* a torus grid carries its psi count: it never shares a slot with the
+     direct grid of the same geometry, nor with another psi *)
+  let torus = Cache.Key.preimage (key ~psi:16 `Exact) in
+  Alcotest.(check bool) "torus psi field" true (contains ~sub:"psi=16" torus);
+  let digest ?psi r = Cache.Key.digest (key ?psi r) in
+  Alcotest.(check bool) "torus and direct keys differ" true
+    (digest ~psi:16 `Exact <> digest `Exact);
+  Alcotest.(check bool) "psi counts differ" true
+    (digest ~psi:16 `Exact <> digest ~psi:32 `Exact);
+  Alcotest.(check bool) "reduced torus and direct differ" true
+    (digest ~psi:16 `Symmetry <> digest `Symmetry);
+  (* the lock-range key inherits the psi field through key_fields *)
+  let g = key_grid () in
+  let lr_key (g : Grid.t) =
+    Shil.Lock_range.cache_key g ~nl_key:"tanh|g0=2e-3" ~tank:key_tank
+      ~points:1024 ~phi_d_cap:1.4 ~tol:1e-5
+  in
+  let lr_torus = lr_key { g with psi = Some 16 } in
+  Alcotest.(check bool) "lockrange torus psi field" true
+    (contains ~sub:"psi=16" (Cache.Key.preimage lr_torus));
+  Alcotest.(check bool) "lockrange torus and direct keys differ" true
+    (Cache.Key.digest lr_torus <> Cache.Key.digest (lr_key g))
 
 (* --- cache: warm hit == cold compute, in both modes ----------------- *)
 
@@ -489,6 +513,87 @@ let test_cached_reduced_equals_cold () =
       Alcotest.(check bool) "reduced warm == cold" true (warm_red = cold_red);
       (* the two modes must not have served each other's entries *)
       Alcotest.(check bool) "modes distinct" true (cold_exact <> cold_red))
+
+(* --- the torus table ------------------------------------------------ *)
+
+(* with psi fine enough that the interpolation error vanishes, the torus
+   reproduces the direct N_θ-point quadrature: the tables alias p
+   exactly as the direct sum does *)
+let prop_torus_matches_direct =
+  qtest ~count:60 "torus at psi 64 = direct N_θ quadrature"
+    QCheck.(
+      quad (int_range 1 5) (float_range 0.2 1.5) (float_range 0.0 0.2)
+        (float_range 0.0 6.28))
+    (fun (n, a, vi, phi) ->
+      let t = Df.torus ~n_theta:128 ~n_psi:64 tanh_nl ~n ~a ~vi in
+      let cos_q, sin_q = Df.torus_phases ~n_psi:64 [| phi |] in
+      let z = Df.torus_i1 t ~cos_q:cos_q.(0) ~sin_q:sin_q.(0) in
+      let z' = Df.i1_two_tone ~points:128 tanh_nl ~n ~a ~vi ~phi in
+      Cx.abs (Cx.sub z z') <= 1e-12 *. Cx.abs z')
+
+let test_torus_validation () =
+  Alcotest.check_raises "odd psi"
+    (Invalid_argument "Describing_function.torus: counts must be even and >= 2")
+    (fun () -> ignore (Df.torus ~n_theta:128 ~n_psi:9 tanh_nl ~n:3 ~a:1.0 ~vi:0.1));
+  Alcotest.(check int) "evals" (65 * 9) (Df.torus_evals ~n_theta:128 ~n_psi:16)
+
+let test_torus_f_evals_counted () =
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      Obs.reset ();
+      ignore
+        (Grid.sample ~points:128 ~psi:16 ~n_phi:31 ~n_amp:21 tanh_nl ~n:3
+           ~r:1e3 ~vi:0.2 ~a_range:(0.3, 1.45) ());
+      Alcotest.(check int) "one table per column" (21 * 65 * 9)
+        (Obs.Metrics.counter_value "shil.grid.f_evals"))
+
+let test_cached_torus_equals_cold () =
+  let was = Cache.Store.enabled () and dir = Cache.Store.dir () in
+  let tmp = Filename.temp_dir "oshil-test-kernel-torus" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Cache.Store.set_memory_capacity ();
+      Cache.Store.set_dir dir;
+      Cache.Store.set_enabled was)
+    (fun () ->
+      Cache.Store.set_dir tmp;
+      Cache.Store.set_memory_capacity ();
+      let grid ?psi () =
+        Grid.sample ~points:128 ?psi ~n_phi:31 ~n_amp:21 tanh_nl ~n:3 ~r:1e3
+          ~vi:0.2 ~a_range:(0.3, 1.45) ()
+      in
+      let bits (g : Grid.t) =
+        Array.map
+          (Array.map (fun z ->
+               (Int64.bits_of_float (Cx.re z), Int64.bits_of_float (Cx.im z))))
+          g.i1
+      in
+      let predict g =
+        lock_range_bits
+          (Shil.Lock_range.predict ~points:128 ~tol:1e-3 g ~tank:key_tank)
+      in
+      Cache.Store.set_enabled false;
+      let cold = grid ~psi:16 () in
+      let cold_direct = grid () in
+      Cache.Store.set_enabled true;
+      let pop = grid ~psi:16 () in
+      let warm = grid ~psi:16 () in
+      Alcotest.(check bool) "populate == cold" true (bits pop = bits cold);
+      Alcotest.(check bool) "warm == cold" true (bits warm = bits cold);
+      Alcotest.(check bool) "warm grid keeps its psi" true (warm.psi = Some 16);
+      Alcotest.(check bool) "lock range warm == cold" true
+        (predict warm = predict cold);
+      (* the direct grid of the same geometry is not served the torus
+         entry *)
+      let direct = grid () in
+      Alcotest.(check bool) "direct == cold direct" true
+        (bits direct = bits cold_direct);
+      Alcotest.(check bool) "torus and direct grids differ" true
+        (bits cold <> bits cold_direct))
 
 (* --- the residual memo inside Solutions.refine ----------------------- *)
 
@@ -710,6 +815,15 @@ let () =
           Alcotest.test_case "grid key versions" `Quick test_grid_key_versions;
           Alcotest.test_case "warm = cold both modes" `Quick
             test_cached_reduced_equals_cold;
+          Alcotest.test_case "warm = cold torus" `Quick
+            test_cached_torus_equals_cold;
+        ] );
+      ( "torus",
+        [
+          prop_torus_matches_direct;
+          Alcotest.test_case "validation" `Quick test_torus_validation;
+          Alcotest.test_case "f_evals per column" `Quick
+            test_torus_f_evals_counted;
         ] );
       ( "metrics",
         [

@@ -355,6 +355,46 @@ let test_grid_zero_fault_bit_identity () =
     (Summary.is_clean a.failures && Summary.is_clean b.failures);
   check_counter "resilience.grid.holes" 0
 
+(* the torus path fans out over amplitude columns: a failed column is
+   the typed hole, NaN in every phi row *)
+let small_torus_grid () =
+  Shil.Grid.sample ~points:128 ~psi:16 ~n_phi:31 ~n_amp:21 tanh_nl ~n:3
+    ~r:1e3 ~vi:0.2 ~a_range:(0.3, 1.45) ()
+
+let column_is p (g : Shil.Grid.t) j =
+  Array.for_all (fun row -> p (Numerics.Cx.re row.(j))) g.i1
+
+let test_torus_grid_holes () =
+  arm "grid-point@2";
+  let g = small_torus_grid () in
+  Alcotest.(check int) "one hole" 1 (Summary.failed g.failures);
+  Alcotest.(check int) "attempted all columns" 21 g.failures.attempted;
+  check_counter "resilience.grid.holes" 1;
+  Alcotest.(check bool) "failed column is NaN-filled" true
+    (column_is Float.is_nan g 2);
+  Alcotest.(check bool) "neighbour column survives" true
+    (column_is Float.is_finite g 3);
+  match g.failures.failures with
+  | [ f ] ->
+    Alcotest.(check string) "typed fault" "fault-injected" (E.code f.error)
+  | _ -> Alcotest.fail "expected one failure"
+
+let test_torus_grid_deadline_holes () =
+  let g =
+    Resilience.Deadline.with_deadline ~seconds:0.0 small_torus_grid
+  in
+  Alcotest.(check int) "every column is a hole" 21 (Summary.failed g.failures);
+  List.iter
+    (fun (f : Summary.failure) ->
+      Alcotest.(check bool) "typed budget-exhausted" true
+        (f.error.kind = E.Budget_exhausted))
+    g.failures.failures
+
+let test_torus_grid_fail_fast () =
+  arm "grid-point@2";
+  Policy.set_fail_fast true;
+  ignore (expect_error ~kind:"fault-injected" small_torus_grid)
+
 let test_lock_range_with_bad_grid_point () =
   (* acceptance scenario: one injected bad grid point; the lock-range
      sweep completes with a partial result plus a failure summary *)
@@ -494,6 +534,9 @@ let () =
           t "holes" test_grid_holes;
           t "fail-fast raises" test_grid_fail_fast;
           t "zero faults bit-identical" test_grid_zero_fault_bit_identity;
+          t "torus holes" test_torus_grid_holes;
+          t "torus deadline holes" test_torus_grid_deadline_holes;
+          t "torus fail-fast raises" test_torus_grid_fail_fast;
         ] );
       ( "lockrange",
         [

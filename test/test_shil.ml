@@ -465,6 +465,17 @@ let test_grid_parallel_equals_sequential () =
   Numerics.Pool.set_jobs 1;
   Alcotest.(check bool) "reduced i1 grids bit-identical" true
     (r_seq.i1 = r_par.i1);
+  (* the torus path fans out over amplitude columns instead of rows *)
+  let sample_torus () =
+    Grid.sample ~points:128 ~psi:16 ~n_phi:41 ~n_amp:31 tanh_nl ~n:3
+      ~r:fixture_r ~vi:0.05 ~a_range:(0.3, 1.45) ()
+  in
+  let t_seq = sample_torus () in
+  Numerics.Pool.set_jobs 4;
+  let t_par = sample_torus () in
+  Numerics.Pool.set_jobs 1;
+  Alcotest.(check bool) "torus i1 grids bit-identical" true
+    (t_seq.i1 = t_par.i1);
   List.iter
     (fun (name, g) ->
       let b_seq = Lock_range.phi_d_boundary ~tol:1e-3 g in
@@ -728,6 +739,26 @@ let test_explicit_points_bypass () =
   let lr = Lock_range.predict ~points:128 grid ~tank:osc.tank in
   bits_equal "phi_d_max" lr.phi_d_max run.lock_range.phi_d_max
 
+(* The natural solve sized by stated error finds the fixed-count
+   solve's roots: to 1e-12 where the pilot accepts 128 points, bit for
+   bit where the diff-pair's bracket ends need the 1024 cap. *)
+let test_natural_within_matches_solve () =
+  let within nl ~r = Natural.solve_within ~tol:quad_tol nl ~r in
+  List.iter
+    (fun name ->
+      let osc = paper_osc name in
+      let r = osc.tank.r in
+      match (within osc.nl ~r, Natural.solve osc.nl ~r) with
+      | [ s ], [ s' ] ->
+        Alcotest.(check bool) (name ^ " stable") s'.stable s.stable;
+        if name = "diffpair" then bits_equal "diff-pair root" s'.a s.a
+        else if Float.abs (s.a -. s'.a) > 1e-12 *. s'.a then
+          Alcotest.failf "%s: %.17g vs %.17g" name s.a s'.a
+      | _ -> Alcotest.failf "%s: expected one solution each" name)
+    [ "tanh"; "tunnel"; "diffpair" ];
+  Alcotest.(check int) "no oscillation" 0
+    (List.length (within tanh_nl ~r:400.0))
+
 (* The fixed-count pipeline the chosen N replaces: a 512-point grid and
    the 1024-point refinement default. *)
 let test_chosen_edges_bit_identical name () =
@@ -771,6 +802,110 @@ let test_injection_harmonic_stable_lock () =
     bits_equal "Re I3" (Cx.re expected) (Cx.re z);
     bits_equal "Im I3" (Cx.im expected) (Cx.im z)
   | None -> Alcotest.fail "no injection harmonic"
+
+(* ------------------------------------------------------------------ *)
+(* The torus grid: the grid Analysis.run fills without ?points *)
+
+let natural_a_range =
+  let memo = Hashtbl.create 3 in
+  fun name ->
+    match Hashtbl.find_opt memo name with
+    | Some range -> range
+    | None ->
+      let osc = paper_osc name in
+      let range =
+        match Natural.predicted_amplitude osc.nl ~r:osc.tank.r with
+        | Some a -> (0.25 *. a, 1.25 *. a)
+        | None -> Alcotest.fail "no natural oscillation"
+      in
+      Hashtbl.add memo name range;
+      range
+
+(* every paper cell's torus grid, as Analysis.run would sample it, or
+   [None] where the pilot chose the direct grid *)
+let torus_cells =
+  List.concat_map
+    (fun name ->
+      List.concat_map
+        (fun n ->
+          List.map
+            (fun vi ->
+              ( (name, n, vi),
+                lazy
+                  (let osc = paper_osc name in
+                   let a_range = natural_a_range name in
+                   let q =
+                     Describing_function.choose_points
+                       ~grid_cap:Grid.default_points ~tol:quad_tol osc.nl ~n
+                       ~vi ~a_range
+                   in
+                   Option.map
+                     (fun psi ->
+                       Grid.sample
+                         ~points:(min q.points Grid.default_points)
+                         ~psi osc.nl ~n ~r:osc.tank.r ~vi ~a_range ())
+                     q.psi) ))
+            [ 0.01; 0.03; 0.08 ])
+        [ 2; 3; 4; 5 ])
+    [ "tanh"; "tunnel"; "diffpair" ]
+
+let test_analytic_cells_take_torus () =
+  List.iter
+    (fun ((name, n, vi), g) ->
+      if name <> "diffpair" && Option.is_none (Lazy.force g) then
+        Alcotest.failf "%s n=%d vi=%g: no torus count met the tolerance" name
+          n vi)
+    torus_cells
+
+(* The error is measured against the grid's largest |I1|, the scale of
+   the eq. 3 and eq. 4 fields: the tunnel diode's I1 passes through zero
+   inside its analysis box, where no relative bound per cell can hold. *)
+let prop_torus_cells_match_direct =
+  qtest ~count:200 "torus grid cells within 10 tol of the direct grid"
+    QCheck.(
+      triple
+        (int_bound (List.length torus_cells - 1))
+        (float_range 0.0 1.0) (float_range 0.0 1.0))
+    (fun (c, u, v) ->
+      let (name, n, vi), g = List.nth torus_cells c in
+      match Lazy.force g with
+      | None -> true
+      | Some g ->
+        let i = int_of_float (u *. float_of_int (Array.length g.phis - 1)) in
+        let j = int_of_float (v *. float_of_int (Array.length g.amps - 1)) in
+        let direct =
+          Describing_function.i1_two_tone ~points:g.points (paper_osc name).nl
+            ~n ~a:g.amps.(j) ~vi ~phi:g.phis.(i)
+        in
+        let scale =
+          Array.fold_left
+            (Array.fold_left (fun m z -> Float.max m (Cx.abs z)))
+            0.0 g.i1
+        in
+        Cx.abs (Cx.sub g.i1.(i).(j) direct) <= 10.0 *. quad_tol *. scale)
+
+(* the PCHIP diff-pair never meets the torus tolerance: its grid is the
+   direct 512-point grid, bit for bit *)
+let test_diffpair_falls_back () =
+  let r = paper_report "diffpair" in
+  let q = chosen r in
+  Alcotest.(check (option int)) "no torus count" None q.psi;
+  Alcotest.(check bool) "torus estimate above tol" true
+    (q.psi_estimate > quad_tol);
+  Alcotest.(check (option int)) "direct grid" None r.grid.psi;
+  let direct =
+    Grid.sample ~points:512 r.osc.nl ~n:3 ~r:r.osc.tank.r ~vi:0.03
+      ~a_range:r.grid.a_range ()
+  in
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun j z ->
+          let z' = direct.i1.(i).(j) in
+          bits_equal "re" (Cx.re z') (Cx.re z);
+          bits_equal "im" (Cx.im z') (Cx.im z))
+        row)
+    r.grid.i1
 
 (* ------------------------------------------------------------------ *)
 (* Injection pulling *)
@@ -917,6 +1052,8 @@ let () =
             test_diffpair_hits_cap;
           Alcotest.test_case "explicit points bypass the pilot" `Quick
             test_explicit_points_bypass;
+          Alcotest.test_case "natural solve by stated error" `Quick
+            test_natural_within_matches_solve;
           Alcotest.test_case "tanh edges match fixed points" `Quick
             (test_chosen_edges_bit_identical "tanh");
           Alcotest.test_case "tunnel edges match fixed points" `Quick
@@ -925,5 +1062,13 @@ let () =
             (test_chosen_edges_bit_identical "diffpair");
           Alcotest.test_case "injection harmonic at the stable lock" `Quick
             test_injection_harmonic_stable_lock;
+        ] );
+      ( "torus grid",
+        [
+          Alcotest.test_case "analytic cells take the torus" `Quick
+            test_analytic_cells_take_torus;
+          prop_torus_cells_match_direct;
+          Alcotest.test_case "diff-pair falls back to the direct grid" `Quick
+            test_diffpair_falls_back;
         ] );
     ]
