@@ -17,8 +17,9 @@ lint:
 
 # Typed-AST static analysis (tools/dsa): walks the .cmt artifacts of
 # every lib/ module and enforces the domain-safety / cache-purity /
-# float-order / raise-escape contracts. --strict also fails on
-# warnings (bad or unused waivers).
+# float-order / raise-escape / unused-export contracts (uses of lib/
+# exports count from bin/, examples/, tools/ and perfbench/, never
+# from test/). --strict also fails on warnings (bad or unused waivers).
 analyze:
 	dune build @analyze
 

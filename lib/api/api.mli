@@ -37,18 +37,9 @@ val shil_run :
 val shil_report_text : Shil.Analysis.shil_report -> finj:float option -> string
 (** Render a {!shil_run} report (and, with [finj], its lock section). *)
 
-val shil_text :
-  osc:Shil.Analysis.oscillator ->
-  n:int ->
-  vi:float ->
-  reduced:bool ->
-  finj:float option ->
-  string
-(** {!shil_run} composed with {!shil_report_text}: the [oshil shil]
-    report bytes. *)
-
 (* --- harmonic balance ------------------------------------------------ *)
 
+(* dsa: allow unused-export — test hook: the HB cache tests key oscprobe runs by it *)
 val hb_ident : Shil.Analysis.oscillator -> string option
 (** Canonical cache identity of {!Circuits.Behavioural.circuit}'s
     free-running form — the nonlinearity's cache key joined with the
@@ -86,7 +77,7 @@ val hb_text : hb_outcome -> string
 (** The [oshil hb] report bytes (also the daemon's [hb] report). *)
 
 val hb_json : hb_outcome -> string
-(** The [oshil hb --json] single-line report ({!jf} floats). *)
+(** The [oshil hb --json] single-line report ([%.17g] floats). *)
 
 val op_text : circuit:Spice.Circuit.t -> Spice.Op.t -> string
 (** [v(node) = …] lines in the circuit's node order. *)
@@ -99,21 +90,14 @@ val tran_csv : Spice.Transient.result -> string
 val is_scenario_file : string -> bool
 (** [.scn] / [.scenario], case-insensitive. *)
 
-val jf : float -> string
-(** Report-JSON float rendering: [%.17g] (round-trips every double),
-    integral values as [x.0], NaN as ["nan"]. *)
-
 type scenario_outcome =
   | Scn_ok of string  (** rendered JSON body fields of a completed run *)
   | Scn_lint_error of string  (** likewise for a lint rejection *)
 
-val scenario_outcome : name:string -> string -> scenario_outcome
-(** Lint then analyze one scenario given inline as text; [name] anchors
-    diagnostics. Solver failures propagate (the batch pool and
-    {!execute} both convert them to typed errors per scenario). *)
-
 val scenario_file_outcome : string -> scenario_outcome
-(** Same, reading the scenario from disk ([oshil batch]'s path). *)
+(** Lint then analyze one scenario read from disk ([oshil batch]'s
+    path). Solver failures propagate (the batch pool and {!execute}
+    both convert them to typed errors per scenario). *)
 
 val scenario_entry : file:string -> scenario_outcome -> string
 (** The [{"file":…, …}] JSON entry of the batch report. *)
@@ -122,16 +106,6 @@ val scenario_entry : file:string -> scenario_outcome -> string
 
 val lint_file : string -> Check.Diagnostic.t list
 (** Scenario or netlist pre-flight by extension, from disk. *)
-
-val lint_text : name:string -> string -> Check.Diagnostic.t list
-(** Same from inline text; netlist parse errors are located
-    [basename name:line]. *)
-
-(* --- netlists ------------------------------------------------------- *)
-
-val netlist_of_text : name:string -> string -> Spice.Circuit.t
-(** Parse an inline netlist; parse errors raise a typed
-    [parse-failure] located [name:line]. *)
 
 (* --- request execution ---------------------------------------------- *)
 
@@ -154,23 +128,11 @@ val handle : ?default_deadline_s:float -> Request.t -> outcome
     payload runs inside {!Resilience.Deadline.with_deadline}, so
     overrunning work unwinds into a typed [budget-exhausted] error. *)
 
-val health_text : unit -> string
-(** The local [health] report: [{"status":"ok"}]. *)
-
-val stats_text : unit -> string
-(** The local [stats] report: run-health JSON when telemetry is on,
-    [null] otherwise, with no server section ([oshil serve] overrides
-    this with live queue counters). *)
-
 val run_health_json : unit -> string
 (** {!Obs.Report.to_json} of a live snapshot when telemetry is on,
     ["null"] otherwise — the [health] field of the [stats] report. *)
 
 (* --- responses ------------------------------------------------------ *)
-
-val error_json : Resilience.Oshil_error.t -> Json.t
-(** Typed error as a JSON object: code, subsystem, phase, msg,
-    context, remedy. *)
 
 val response_of_outcome : id:string -> outcome -> string
 (** The single-line wire response:

@@ -70,13 +70,9 @@ type t = { id : string; deadline_s : float option; payload : payload }
 val op_name : payload -> string
 (** Stable wire name of the operation, e.g. ["netlist-tran"]. *)
 
-val to_json : t -> Json.t
-val of_json : Json.t -> (t, string) result
-(** Total: malformed envelopes come back as [Error] with a message
-    naming the offending field. *)
-
 val of_string : string -> (t, string) result
-(** [of_json] composed with {!Json.parse}. *)
+(** Parse one wire line. Total: malformed envelopes come back as
+    [Error] with a message naming the offending field. *)
 
 val to_string : t -> string
 (** Single-line wire form (deterministic bytes). *)

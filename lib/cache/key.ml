@@ -7,16 +7,11 @@ let sanitize s =
 
 let str name v = Printf.sprintf "%s=%s" (sanitize name) (sanitize v)
 let int name v = Printf.sprintf "%s=%d" (sanitize name) v
-let bool name v = Printf.sprintf "%s=%b" (sanitize name) v
-
 (* %h is bit-exact for finite floats; nan/infinity render as words. The
    explicit check keeps -0.0 distinct from 0.0 (%h already does, but be
    explicit about the contract: equal bits <-> equal field). *)
 let float name v = Printf.sprintf "%s=%h" (sanitize name) v
 
-let float_opt name = function
-  | None -> Printf.sprintf "%s=none" (sanitize name)
-  | Some v -> float name v
 
 let digest_of_string s = Digest.to_hex (Digest.string s)
 

@@ -24,14 +24,10 @@ val str : string -> string -> field
     become ['_'] so a hostile value cannot alias another field list. *)
 
 val int : string -> int -> field
-val bool : string -> bool -> field
 
 val float : string -> float -> field
 (** Bit-exact ([%h]); distinguishes [0.0] from [-0.0] and preserves
     NaN/infinity. *)
-
-val float_opt : string -> float option -> field
-(** [None] renders as the literal [none], distinct from every number. *)
 
 val digest_of_string : string -> string
 (** Hex digest of arbitrary bytes — for embedding large blobs (sampled

@@ -22,9 +22,11 @@ val add : t -> string -> string -> unit
     holds just that entry) so oversized values degrade to a 1-slot
     cache rather than thrashing. *)
 
+(* dsa: allow unused-export — test hook: the eviction tests check which keys stay resident *)
 val mem : t -> string -> bool
 (** Does not refresh recency. *)
 
+(* dsa: allow unused-export — test hook: the eviction tests check the entry count *)
 val length : t -> int
 val bytes : t -> int
 

@@ -40,6 +40,7 @@
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 
+(* dsa: allow unused-export — test hook: the tests inspect and restore the disk tier's directory *)
 val dir : unit -> string
 val set_dir : string -> unit
 
@@ -52,6 +53,7 @@ val set_memory_capacity : ?entries:int -> ?bytes:int -> unit -> unit
 (** Replace the memory tier with a fresh one of the given capacity
     (defaults as {!Lru.create}). Discards resident entries. *)
 
+(* dsa: allow unused-export — test hook: forces disk-tier round-trips in the tests *)
 val clear_memory : unit -> unit
 (** Drop the memory tier (the disk tier is untouched) — lets tests
     force disk-tier round-trips. *)
@@ -90,6 +92,7 @@ val find_or_compute :
     stores it in both tiers when [cache_if] (default: always) accepts
     it. While the store is disabled this is exactly [f ()]. *)
 
+(* dsa: allow unused-export — test hook: the tests check what the memory tier holds *)
 val stats_bytes : unit -> int
 (** Current memory-tier payload bytes (also exported as the
     [cache.store_bytes] gauge on every mutation). *)

@@ -18,15 +18,6 @@ let errors ds = List.filter is_error ds
 let count_severity sev ds =
   List.length (List.filter (fun d -> d.severity = sev) ds)
 
-let worst ds =
-  List.fold_left
-    (fun acc d ->
-      match (acc, d.severity) with
-      | Some Error, _ | _, Error -> Some Error
-      | Some Warning, _ | _, Warning -> Some Warning
-      | _ -> Some Info)
-    None ds
-
 let pp ppf d =
   Format.fprintf ppf "%s[%s] %s: %s" (severity_label d.severity) d.code d.loc
     d.msg

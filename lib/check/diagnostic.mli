@@ -19,22 +19,14 @@ val error : code:string -> loc:string -> string -> t
 val warning : code:string -> loc:string -> string -> t
 val info : code:string -> loc:string -> string -> t
 
-val severity_label : severity -> string
-(** ["error"], ["warning"] or ["info"]. *)
-
-val is_error : t -> bool
 val errors : t list -> t list
 val count_severity : severity -> t list -> int
-
-val worst : t list -> severity option
-(** Most severe level present, [None] for an empty report. *)
 
 val pp : Format.formatter -> t -> unit
 (** [error[vsource-loop] V2: ...] single-line rendering. *)
 
 val pp_report : Format.formatter -> t list -> unit
 
-val to_json : t -> string
 val list_to_json : t list -> string
 (** Machine-readable rendering for [oshil lint --json]. *)
 

@@ -42,9 +42,6 @@ type device = {
   nodes : string list;  (** all terminals, in device order *)
 }
 
-val is_ground : string -> bool
-(** ["0"] or ["gnd"], case-insensitive. *)
-
 val resistor : name:string -> n1:string -> n2:string -> float -> device
 val capacitor : name:string -> n1:string -> n2:string -> float -> device
 val inductor : name:string -> n1:string -> n2:string -> float -> device

@@ -28,9 +28,6 @@ type t = {
   points : int option;
 }
 
-val default : t
-(** [osc = tanh, n = 3, vi = 0.03], everything else unset. *)
-
 val parse_string : ?name:string -> string -> t * Diagnostic.t list
 (** Never fails: parse problems are returned as diagnostics (located
     [name:line]) alongside the best-effort scenario. *)
@@ -40,8 +37,6 @@ val parse_file : string -> t * Diagnostic.t list
 val resolve_tank : t -> float * float * float
 (** [(r, l, c)] with fc/q converted and defaults filled in
     (r = 1 kOhm, fc = 1 MHz, Q = 10). *)
-
-val to_config : t -> Shil.config
 
 val check : ?nl:(float -> float) -> t -> Diagnostic.t list
 (** Validates the resolved configuration with {!Shil.check}; pass the

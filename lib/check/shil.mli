@@ -32,20 +32,11 @@ val config :
   ?a_range:float * float -> ?n_phi:int -> ?n_amp:int -> ?points:int ->
   r:float -> l:float -> c:float -> n:int -> vi:float -> unit -> config
 
-val check_tank : r:float -> l:float -> c:float -> Diagnostic.t list
-val check_injection : n:int -> vi:float -> Diagnostic.t list
-
-val check_grid :
-  ?a_range:float * float -> ?n_phi:int -> ?n_amp:int -> ?points:int ->
-  unit -> Diagnostic.t list
-
-val check_nonlinearity :
-  ?v_scale:float -> (float -> float) -> Diagnostic.t list
-(** Probes [f] on [[-v_scale, v_scale]] (default 1 V): finiteness,
-    [f(0) ~ 0], negative small-signal conductance, odd symmetry and
-    monotonicity. Exceptions raised by [f] are treated as non-finite
-    samples, never propagated. *)
-
 val check :
   ?nl:(float -> float) -> ?v_scale:float -> config -> Diagnostic.t list
-(** Union of all the above for one configuration. *)
+(** Tank well-posedness, order and injection sanity and grid geometry
+    for one configuration; with [nl], also probes [f] on
+    [[-v_scale, v_scale]] (default 1 V): finiteness, [f(0) ~ 0],
+    negative small-signal conductance, odd symmetry and monotonicity.
+    Exceptions raised by [f] are treated as non-finite samples, never
+    propagated. *)

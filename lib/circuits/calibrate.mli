@@ -8,6 +8,7 @@
     [delta_f_osc = f_c tan(phi_d_max) / Q] (with [Q = R / Z0] and
     [phi_d_max] independent of [L], [C]). *)
 
+(* dsa: allow unused-export — test reference implementation: the calibration step behind the circuit defaults *)
 val r_for_amplitude :
   ?r_lo:float -> ?r_hi:float -> nl:Shil.Nonlinearity.t -> target_a:float ->
   unit -> float
@@ -17,6 +18,7 @@ val r_for_amplitude :
 
 type tank_fit = { r : float; l : float; c : float; q : float; phi_d_max : float }
 
+(* dsa: allow unused-export — test reference implementation: the calibration behind the circuit defaults *)
 val fit_tank :
   ?points:int -> nl:Shil.Nonlinearity.t -> target_a:float -> f_c:float ->
   n:int -> vi:float -> target_delta_f_inj:float -> unit -> tank_fit

@@ -23,11 +23,12 @@ val default : params
     2 mA tail, [kp = 2 mA/V^2], [vth = 0.5 V]: small-signal loop gain
     1.5. *)
 
+(* dsa: allow unused-export — test hook: the tests check the extracted device curve *)
 val extraction_fv : ?v_span:float -> ?steps:int -> params -> float array * float array
 (** Differential one-port current across the drain pair (same convention
     as {!Diff_pair.extraction_fv}). *)
 
-val nonlinearity : params -> Shil.Nonlinearity.t
+(* dsa: allow unused-export — test hook: the tests pair the tank with a table nonlinearity *)
 val tank : params -> Shil.Tank.t
 val oscillator : params -> Shil.Analysis.oscillator
 

@@ -26,6 +26,7 @@ val default : params
     3rd-harmonic lock range [~0.0176 MHz] at [|V_i| = 0.03 V] (the paper
     does not print its R/L/C; see DESIGN.md §3). *)
 
+(* dsa: allow unused-export — test reference implementation: the paper's centre frequency *)
 val fc_paper : float
 (** 0.5033 MHz: [1/(2 pi sqrt(100 uH * 1 nF))], the paper's diff-pair
     oscillation frequency. *)

@@ -20,9 +20,7 @@ val default : params
     centre 0.5033 GHz, and the paper's 3rd-SHIL lock range
     [~5.109 MHz] at [|V_i| = 0.03 V]. *)
 
-val fc_paper : float
-(** 0.5033 GHz: [1/(2 pi sqrt(100 nH * 1 pF))]. *)
-
+(* dsa: allow unused-export — test hook: the bit-identity test maps non-paper device parameters *)
 val model : Spice.Device.tunnel_params -> Shil.Nonlinearity.tunnel_model
 (** The device parameters as {!Shil.Nonlinearity}'s tunnel model. *)
 

@@ -176,13 +176,6 @@ let lock_states ?(cycles = 900.0) ?(steps_per_cycle = 180) ~make_circuit
       Numerics.Cx.arg (Waveform.Measure.fundamental w ~freq:f_osc))
     boundaries ends
 
-let pp_natural ppf c =
-  Format.fprintf ppf
-    "natural: A pred %.4g V / sim %.4g V (%.2f%% err); f pred %.6g / sim %.6g"
-    c.predicted_a c.simulated_a
-    (100.0 *. Float.abs (c.simulated_a -. c.predicted_a) /. c.simulated_a)
-    c.predicted_f c.simulated_f
-
 let pp_lock ppf c =
   Format.fprintf ppf
     "@[<v>lock range (injection-referred):@,\

@@ -73,5 +73,4 @@ val lock_states :
     after each pulse (including the initial pulse-free window) — [n]
     distinct values spaced [2 pi / n] demonstrate the [n] states. *)
 
-val pp_natural : Format.formatter -> natural_cmp -> unit
 val pp_lock : Format.formatter -> lock_cmp -> unit

@@ -13,10 +13,12 @@
     - brute-force transient lock edges of the behavioural netlist
       (when [simulate]). *)
 
+(* dsa: allow unused-export — test hook: the experiment and HB tests analyse the ablation's cell directly *)
 val cell : unit -> Shil.Analysis.oscillator
 (** The asymmetric demonstration cell (van der Pol core + one-sided
     clipping diode), 2 MHz tank. *)
 
+(* dsa: allow unused-export — test hook: the tests check the recentring on known bands *)
 val recenter :
   Shil.Lock_range.t -> f0:float -> tank:Shil.Tank.t -> Shil.Lock_range.t
 (** Scales every band edge and the width by [f0 /. Shil.Tank.f_c tank]:

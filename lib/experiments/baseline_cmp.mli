@@ -5,6 +5,7 @@
     provides greater accuracy" — the two agree for weak injection and the
     PPV estimate drifts as [V_i] grows. *)
 
+(* dsa: allow unused-export — test hook: the tests check the baseline's widths without rendering the table *)
 val ppv_width : Shil.Analysis.oscillator -> n:int -> float -> float
 (** [ppv_width osc ~n] solves the free-running harmonic balance
     ([K = 7], 1024 samples, {!Api.hb_run}) and its PPV

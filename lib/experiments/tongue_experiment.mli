@@ -13,6 +13,7 @@ type point = {
   delta_f_inj : float;
 }
 
+(* dsa: allow unused-export — test hook: the tests check the tongue numbers without rendering the figure *)
 val compute :
   ?points:int -> ?vis:float list -> Shil.Analysis.oscillator -> n:int ->
   point list * Resilience.Summary.t

@@ -18,7 +18,6 @@ type solution = {
 }
 
 let amplitude s = 2.0 *. Cx.abs s.spectra.(s.osc_node).(1)
-let phase s = Cx.arg s.spectra.(s.osc_node).(1)
 
 let thd s =
   let sp = s.spectra.(s.osc_node) in
@@ -168,7 +167,7 @@ let injected_solve ~tol ~free ~n ~f_inj sys =
     f_inj;
     n_sub = n;
     amp;
-    lock_phase = phase sol;
+    lock_phase = Cx.arg sol.spectra.(sol.osc_node).(1);
     sol;
   }
 

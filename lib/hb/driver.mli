@@ -25,9 +25,6 @@ type solution = {
 val amplitude : solution -> float
 (** Fundamental amplitude [2 |X_1|] at the oscillation node. *)
 
-val phase : solution -> float
-(** [arg X_1] at the oscillation node, radians. *)
-
 val thd : solution -> float
 (** Total harmonic distortion [sqrt (Σ_{k>=2} |X_k|²) / |X_1|]. *)
 

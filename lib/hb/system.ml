@@ -35,7 +35,6 @@ type t = {
 
 let k_max t = t.k_max
 let samples t = t.samples
-let n_nodes t = t.n_nodes
 let node_names t = t.node_names
 
 (* slots per unknown: DC + (Re, Im) per harmonic *)
@@ -178,13 +177,11 @@ let spectrum_of_wave ~f0 ~k_max ~what wave =
 
 type assembled = {
   sys : t;
-  omega : float;
   a : Linalg.mat;  (* constant linear stamps *)
   b : float array;  (* source vector: residual = a x + NL(x) - b *)
 }
 
 let system asm = asm.sys
-let omega0 asm = asm.omega
 
 (* Admittance (or unit-coupling) entry between equation row [row] and
    variable column [col] at harmonic [k], with sign [s]: the real DC
@@ -268,7 +265,7 @@ let assemble t ~omega0 =
       if p >= 0 then add_spec t b p (-1.0) spec;
       if nn >= 0 then add_spec t b nn 1.0 spec)
     t.isources;
-  { sys = t; omega = omega0; a; b }
+  { sys = t; a; b }
 
 (* --- nonlinear devices: time-domain eval + conversion matrices ------- *)
 

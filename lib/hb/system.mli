@@ -33,7 +33,6 @@ val compile : ?k_max:int -> ?samples:int -> Spice.Circuit.t -> t
 
 val k_max : t -> int
 val samples : t -> int
-val n_nodes : t -> int
 val size : t -> int
 (** Total real unknowns: [(n_nodes + n_branches) * (2 k_max + 1)]. *)
 
@@ -65,7 +64,6 @@ val assemble : t -> omega0:float -> assembled
     [Invalid_argument] if [omega0 <= 0]. *)
 
 val system : assembled -> t
-val omega0 : assembled -> float
 
 val eval : assembled -> x:float array -> jac:Numerics.Linalg.mat -> res:float array -> unit
 (** Fill rows/columns [0 .. size-1] of [jac] and [res] with the

@@ -25,6 +25,3 @@ let unwrap a =
   end
 
 let dist a b = Float.abs (wrap_pi (a -. b))
-let deg_of_rad a = a *. 180.0 /. pi
-let rad_of_deg a = a *. pi /. 180.0
-let approx_equal ?(tol = 1e-9) a b = dist a b <= tol

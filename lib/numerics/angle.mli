@@ -1,8 +1,7 @@
-(** Angle arithmetic: wrapping, unwrapping and conversions.
+(** Angle arithmetic: wrapping and unwrapping.
 
     All angles are in radians unless a function name says otherwise. *)
 
-val pi : float
 val two_pi : float
 
 val wrap_pi : float -> float
@@ -19,10 +18,3 @@ val unwrap : float array -> float array
 val dist : float -> float -> float
 (** [dist a b] is the absolute angular distance between [a] and [b], wrapped
     into [[0, pi]]. *)
-
-val deg_of_rad : float -> float
-val rad_of_deg : float -> float
-
-val approx_equal : ?tol:float -> float -> float -> bool
-(** [approx_equal a b] is true when the wrapped distance between the two
-    angles is below [tol] (default [1e-9]). *)

@@ -1,8 +1,6 @@
 type t = Complex.t = { re : float; im : float }
 
 let zero = Complex.zero
-let one = Complex.one
-let i = Complex.i
 let make re im = { re; im }
 let of_float re = { re; im = 0.0 }
 let polar r theta = Complex.polar r theta
@@ -18,12 +16,3 @@ let mul = Complex.mul
 let div = Complex.div
 let scale k z = { re = k *. z.re; im = k *. z.im }
 let exp_j theta = { re = cos theta; im = sin theta }
-
-let approx_equal ?(tol = 1e-9) a b =
-  Float.abs (a.re -. b.re) <= tol && Float.abs (a.im -. b.im) <= tol
-
-let pp ppf z = Format.fprintf ppf "%.6g%+.6gi" z.re z.im
-let ( + ) = add
-let ( - ) = sub
-let ( * ) = mul
-let ( / ) = div

@@ -7,8 +7,6 @@
 type t = Complex.t = { re : float; im : float }
 
 val zero : t
-val one : t
-val i : t
 val make : float -> float -> t
 val of_float : float -> t
 val polar : float -> float -> t
@@ -28,15 +26,3 @@ val div : t -> t -> t
 val scale : float -> t -> t
 val exp_j : float -> t
 (** [exp_j theta] is [exp (j * theta)]. *)
-
-val approx_equal : ?tol:float -> t -> t -> bool
-(** Componentwise comparison with absolute tolerance [tol] (default
-    [1e-9]). *)
-
-val pp : Format.formatter -> t -> unit
-(** Prints as [a+bi] with 6 significant digits. *)
-
-val ( + ) : t -> t -> t
-val ( - ) : t -> t -> t
-val ( * ) : t -> t -> t
-val ( / ) : t -> t -> t

@@ -1,6 +1,6 @@
 let two_pi = 2.0 *. Float.pi
 
-(* All three quadratures below project onto the cached cos/sin tables of
+(* The quadratures below project onto the cached cos/sin tables of
    Trig_tables instead of calling cos/sin per sample: the trig work per
    (points, harmonic) pair is paid once per process, and the inner loops
    reduce to the nonlinearity/signal evaluation plus fused multiply-adds. *)
@@ -9,13 +9,6 @@ let project_sampled x ~cos_t ~sin_t =
   let n = Array.length x in
   let re, im = Kernel.dot2 ~n x ~cos_t ~sin_t in
   Cx.make (re /. float_of_int n) (im /. float_of_int n)
-
-let coeffs ?(n = 1024) ~f ~kmax () =
-  assert (n >= 1 && kmax >= 0);
-  let samples = Array.init n (fun s -> f (two_pi *. float_of_int s /. float_of_int n)) in
-  Array.init (kmax + 1) (fun k ->
-      let cos_t, sin_t = Trig_tables.get ~points:n ~k in
-      project_sampled samples ~cos_t ~sin_t)
 
 let coeff ?(n = 1024) ~f ~k () =
   assert (n >= 1);

@@ -6,16 +6,14 @@
     [2 |X_1| cos(w t + arg X_1)] is the fundamental component and
     [X_{-k} = conj X_k]. This is exactly the [I_k] of the paper (eq. 1). *)
 
+(* dsa: allow unused-export — test reference implementation: the scalar quadrature the kernels are checked against *)
 val coeff : ?n:int -> f:(float -> float) -> k:int -> unit -> Cx.t
 (** [coeff ~f ~k ()] is the [k]-th Fourier coefficient of the 2π-periodic
     function [f] of phase [theta], computed with [n]-point (default 1024)
     periodic trapezoid quadrature:
     [X_k = 1/2π ∫ f(θ) exp(-j k θ) dθ]. *)
 
-val coeffs : ?n:int -> f:(float -> float) -> kmax:int -> unit -> Cx.t array
-(** [coeffs ~f ~kmax ()] is [[|X_0; X_1; ...; X_kmax|]], sharing the [n]
-    samples of [f] across all harmonics. *)
-
+(* dsa: allow unused-export — test reference implementation: the reference HB solver's projection *)
 val coeff_sampled : float array -> k:int -> Cx.t
 (** [coeff_sampled x ~k] treats [x] as [n] uniform samples over exactly one
     period and returns [X_k]. *)
@@ -28,6 +26,7 @@ val of_time_series :
     span of [t], normalised by that span. The span should cover an integer
     number of periods for best accuracy. *)
 
+(* dsa: allow unused-export — test reference implementation: synthesises HB spectra for the HB tests *)
 val reconstruct : Cx.t array -> theta:float -> float
 (** [reconstruct cs ~theta] evaluates the real series
     [X_0 + sum_{k>=1} 2 Re (X_k exp(j k θ))] where [cs.(k) = X_k]. *)

@@ -1,12 +1,10 @@
 (* Each interval [x_i, x_{i+1}) carries cubic coefficients (a, b, c, d) so
-   that y(x) = a + b dx + c dx^2 + d dx^3 with dx = x - x_i. All three
-   interpolant kinds reduce to this representation. *)
+   that y(x) = a + b dx + c dx^2 + d dx^3 with dx = x - x_i. *)
 
 type t = {
   xs : float array;
   ys : float array;
   coeffs : (float * float * float * float) array; (* per interval *)
-  x_shift : float;
 }
 
 let check_knots xs ys =
@@ -17,61 +15,6 @@ let check_knots xs ys =
     if not (xs.(i) < xs.(i + 1)) then
       invalid_arg "Interp: abscissae must be strictly increasing"
   done
-
-let linear ~xs ~ys =
-  check_knots xs ys;
-  let n = Array.length xs in
-  let coeffs =
-    Array.init (n - 1) (fun i ->
-        let slope = (ys.(i + 1) -. ys.(i)) /. (xs.(i + 1) -. xs.(i)) in
-        (ys.(i), slope, 0.0, 0.0))
-  in
-  { xs = Array.copy xs; ys = Array.copy ys; coeffs; x_shift = 0.0 }
-
-(* Natural cubic spline: solve the tridiagonal system for second
-   derivatives, then convert to per-interval cubics. *)
-let cubic_spline ~xs ~ys =
-  check_knots xs ys;
-  let n = Array.length xs in
-  let h = Array.init (n - 1) (fun i -> xs.(i + 1) -. xs.(i)) in
-  let m = Array.make n 0.0 in
-  if n > 2 then begin
-    let sub = Array.make n 0.0
-    and diag = Array.make n 0.0
-    and sup = Array.make n 0.0
-    and rhs = Array.make n 0.0 in
-    for i = 1 to n - 2 do
-      sub.(i) <- h.(i - 1);
-      diag.(i) <- 2.0 *. (h.(i - 1) +. h.(i));
-      sup.(i) <- h.(i);
-      rhs.(i) <-
-        6.0
-        *. (((ys.(i + 1) -. ys.(i)) /. h.(i))
-            -. ((ys.(i) -. ys.(i - 1)) /. h.(i - 1)))
-    done;
-    (* Thomas algorithm on rows 1..n-2 (natural ends: m.(0)=m.(n-1)=0) *)
-    for i = 2 to n - 2 do
-      let w = sub.(i) /. diag.(i - 1) in
-      diag.(i) <- diag.(i) -. (w *. sup.(i - 1));
-      rhs.(i) <- rhs.(i) -. (w *. rhs.(i - 1))
-    done;
-    m.(n - 2) <- rhs.(n - 2) /. diag.(n - 2);
-    for i = n - 3 downto 1 do
-      m.(i) <- (rhs.(i) -. (sup.(i) *. m.(i + 1))) /. diag.(i)
-    done
-  end;
-  let coeffs =
-    Array.init (n - 1) (fun i ->
-        let a = ys.(i) in
-        let c = m.(i) /. 2.0 in
-        let d = (m.(i + 1) -. m.(i)) /. (6.0 *. h.(i)) in
-        let b =
-          ((ys.(i + 1) -. ys.(i)) /. h.(i))
-          -. (h.(i) *. ((2.0 *. m.(i)) +. m.(i + 1)) /. 6.0)
-        in
-        (a, b, c, d))
-  in
-  { xs = Array.copy xs; ys = Array.copy ys; coeffs; x_shift = 0.0 }
 
 (* Fritsch-Carlson monotone Hermite slopes. *)
 let pchip_slopes xs ys =
@@ -118,7 +61,7 @@ let pchip ~xs ~ys =
         let d = (m.(i) +. m.(i + 1) -. (2.0 *. delta)) /. (h *. h) in
         (a, b, c, d))
   in
-  { xs = Array.copy xs; ys = Array.copy ys; coeffs; x_shift = 0.0 }
+  { xs = Array.copy xs; ys = Array.copy ys; coeffs }
 
 let interval t x =
   (* binary search: largest i with xs.(i) <= x, clamped to a valid interval *)
@@ -135,7 +78,6 @@ let interval t x =
   end
 
 let eval t x =
-  let x = x +. t.x_shift in
   let i = interval t x in
   let a, b, c, d = t.coeffs.(i) in
   let n = Array.length t.xs in
@@ -168,7 +110,7 @@ let eval_batch ?n t ~src ~dst =
   let nk = Array.length t.xs in
   let last = ref 0 in
   for idx = 0 to n - 1 do
-    let x = src.(idx) +. t.x_shift in
+    let x = src.(idx) in
     let i =
       if x <= t.xs.(0) then 0
       else if x >= t.xs.(nk - 1) then nk - 2
@@ -212,7 +154,6 @@ let eval_batch ?n t ~src ~dst =
   done
 
 let eval_deriv t x =
-  let x = x +. t.x_shift in
   let n = Array.length t.xs in
   if x < t.xs.(0) then
     let _, b, _, _ = t.coeffs.(0) in
@@ -228,10 +169,3 @@ let eval_deriv t x =
     let dx = x -. t.xs.(i) in
     b +. (dx *. ((2.0 *. c) +. (dx *. 3.0 *. d)))
   end
-
-let domain t = (t.xs.(0) -. t.x_shift, t.xs.(Array.length t.xs - 1) -. t.x_shift)
-
-let knots t =
-  Array.init (Array.length t.xs) (fun i -> (t.xs.(i) -. t.x_shift, t.ys.(i)))
-
-let shift_x t dx = { t with x_shift = t.x_shift +. dx }

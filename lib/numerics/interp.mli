@@ -2,19 +2,13 @@
 
     Used to turn DC-sweep [i = f(v)] tables extracted from the circuit
     simulator into smooth nonlinearities for the describing-function
-    machinery. Knot abscissae must be strictly increasing; the
-    constructors raise [Invalid_argument] on a length mismatch, fewer
-    than two knots, or non-increasing abscissae. *)
+    machinery. Knot abscissae must be strictly increasing; {!pchip}
+    raises [Invalid_argument] on a length mismatch, fewer than two
+    knots, or non-increasing abscissae. *)
 
 type t
 (** An interpolant with an evaluation domain [[x_min, x_max]]. Evaluation
     outside the domain extrapolates linearly from the boundary slope. *)
-
-val linear : xs:float array -> ys:float array -> t
-(** Piecewise-linear interpolant. *)
-
-val cubic_spline : xs:float array -> ys:float array -> t
-(** Natural cubic spline (zero second derivative at the ends). *)
 
 val pchip : xs:float array -> ys:float array -> t
 (** Monotone piecewise-cubic Hermite (Fritsch–Carlson slopes): shape
@@ -33,11 +27,3 @@ val eval_batch : ?n:int -> t -> src:float array -> dst:float array -> unit
 val eval_deriv : t -> float -> float
 (** First derivative of the interpolant (exact for the polynomial pieces;
     boundary slope outside the domain). *)
-
-val domain : t -> float * float
-val knots : t -> (float * float) array
-
-val shift_x : t -> float -> t
-(** [shift_x t dx] evaluates as [fun x -> eval t (x +. dx)] — used for
-    bias-shifting device curves (the paper shifts the tunnel-diode curve by
-    the 0.25 V bias). *)

@@ -335,10 +335,6 @@ let parallel_init ?pool ?chunk n f =
 let parallel_map_array ?pool ?chunk f xs =
   parallel_init ?pool ?chunk (Array.length xs) (fun i -> f xs.(i))
 
-let parallel_reduce ?pool ?chunk ~n ~init ~map ~fold () =
-  let vals = parallel_init ?pool ?chunk n map in
-  Array.fold_left fold init vals
-
 let parallel_try_map_array ?pool ?chunk ~subsystem ~phase f xs =
   parallel_init ?pool ?chunk (Array.length xs) (fun i ->
       if Resilience.Fault.fire_at "pool-task" ~k:i then begin

@@ -27,14 +27,17 @@ type t
     chunks, so a pool of size [k] runs work on [k] domains total
     ([k - 1] workers plus the submitting domain). *)
 
+(* dsa: allow unused-export — test hook: the pool tests build and size their own pools *)
 val create : size:int -> t
 (** [create ~size] spawns [size - 1] worker domains. [size >= 1]
     (raises [Invalid_argument] otherwise); a size-1 pool has no workers
     and runs everything in the caller. Pools not shut down explicitly
     are shut down [at_exit]. *)
 
+(* dsa: allow unused-export — test hook: checks the default pool's size *)
 val size : t -> int
 
+(* dsa: allow unused-export — test hook: releases the pools the tests build *)
 val shutdown : t -> unit
 (** Joins the worker domains. Idempotent. Submitting to a shut-down
     pool falls back to sequential execution. *)
@@ -56,6 +59,7 @@ val set_jobs : int -> unit
     default pool if it was already running at a different size. This is
     what [--jobs] flags call. *)
 
+(* dsa: allow unused-export — test hook: checks that set_jobs resizes the default pool *)
 val get_default : unit -> t option
 (** The default pool, created on first use; [None] when the effective
     size is 1. *)
@@ -86,6 +90,7 @@ type stats = {
   per_domain : domain_stat array;  (** sorted by [dom] *)
 }
 
+(* dsa: allow unused-export — test hook: the pool accounting test reads it *)
 val stats : unit -> stats
 (** Cumulative since process start (counts work from every pool,
     including retired default pools). Values are exact after a
@@ -100,6 +105,7 @@ val stats : unit -> stats
     in result). Raises [Invalid_argument] on a negative element count
     or a [chunk < 1]. *)
 
+(* dsa: allow unused-export — test hook: the primitive the pool tests drive directly *)
 val parallel_for : ?pool:t -> ?chunk:int -> n:int -> (int -> unit) -> unit
 (** [parallel_for ~n f] runs [f 0 .. f (n-1)], any order, all complete
     (or an exception from the lowest failing chunk) on return. *)
@@ -109,14 +115,6 @@ val parallel_init : ?pool:t -> ?chunk:int -> int -> (int -> 'a) -> 'a array
 
 val parallel_map_array : ?pool:t -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Parallel [Array.map]; result order matches the input order. *)
-
-val parallel_reduce :
-  ?pool:t -> ?chunk:int -> n:int -> init:'acc -> map:(int -> 'a) ->
-  fold:('acc -> 'a -> 'acc) -> unit -> 'acc
-(** [parallel_reduce ~n ~init ~map ~fold ()] computes
-    [fold (... (fold init (map 0)) ...) (map (n-1))]: the [map]s run in
-    parallel, the [fold] runs left-to-right in index order, so the
-    result is identical to the sequential evaluation. *)
 
 val parallel_try_map_array :
   ?pool:t ->

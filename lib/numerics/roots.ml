@@ -106,41 +106,6 @@ let brent ?(tol = 1e-12) ?(max_iter = 200) ~f ~a ~b () =
     | None -> raise (No_convergence "brent")
   end
 
-let newton ?(tol = 1e-12) ?(max_iter = 100) ~f ~df ~x0 () =
-  let x = ref x0 in
-  let result = ref None in
-  let k = ref 0 in
-  while !result = None && !k < max_iter do
-    incr k;
-    let fx = f !x and dfx = df !x in
-    if dfx = 0.0 then raise (No_convergence "newton: zero derivative");
-    let step = fx /. dfx in
-    x := !x -. step;
-    if Float.abs step < tol then result := Some !x
-  done;
-  match !result with
-  | Some r -> r
-  | None -> raise (No_convergence "newton")
-
-let secant ?(tol = 1e-12) ?(max_iter = 100) ~f ~x0 ~x1 () =
-  let xa = ref x0 and xb = ref x1 in
-  let fa = ref (f x0) and fb = ref (f x1) in
-  let result = ref None in
-  let k = ref 0 in
-  while !result = None && !k < max_iter do
-    incr k;
-    if !fb -. !fa = 0.0 then raise (No_convergence "secant: flat");
-    let x = !xb -. (!fb *. (!xb -. !xa) /. (!fb -. !fa)) in
-    xa := !xb;
-    fa := !fb;
-    xb := x;
-    fb := f x;
-    if Float.abs (!xb -. !xa) < tol then result := Some !xb
-  done;
-  match !result with
-  | Some r -> r
-  | None -> raise (No_convergence "secant")
-
 let bracket_roots ~f ~a ~b ~n =
   assert (n >= 1);
   let h = (b -. a) /. float_of_int n in

@@ -18,15 +18,6 @@ val brent :
 (** Brent's method (inverse quadratic / secant / bisection hybrid) on a
     bracketing interval. *)
 
-val newton :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> df:(float -> float) ->
-  x0:float -> unit -> float
-(** Newton-Raphson from [x0]; [tol] is on the step size. *)
-
-val secant :
-  ?tol:float -> ?max_iter:int -> f:(float -> float) -> x0:float -> x1:float ->
-  unit -> float
-
 val bracket_roots :
   f:(float -> float) -> a:float -> b:float -> n:int -> (float * float) list
 (** [bracket_roots ~f ~a ~b ~n] scans [n] uniform sub-intervals of [[a, b]]

@@ -12,23 +12,11 @@ let variance x =
 
 let stddev x = sqrt (variance x)
 
-let rms x =
-  check x;
-  let s = Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 x in
-  sqrt (s /. float_of_int (Array.length x))
-
 let min_max x =
   check x;
   Array.fold_left
     (fun (lo, hi) v -> (Float.min lo v, Float.max hi v))
     (x.(0), x.(0)) x
-
-let median x =
-  check x;
-  let y = Array.copy x in
-  Array.sort Float.compare y;
-  let n = Array.length y in
-  if n mod 2 = 1 then y.(n / 2) else 0.5 *. (y.((n / 2) - 1) +. y.(n / 2))
 
 let linear_fit ~xs ~ys =
   check xs;
@@ -47,7 +35,3 @@ let linear_fit ~xs ~ys =
     let intercept = (sy -. (slope *. sx)) /. n in
     (slope, intercept)
   end
-
-let max_abs_dev x =
-  let m = mean x in
-  Array.fold_left (fun acc v -> Float.max acc (Float.abs (v -. m))) 0.0 x

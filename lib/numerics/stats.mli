@@ -2,19 +2,11 @@
     an empty array — or a [linear_fit] length mismatch — raises
     [Invalid_argument]). *)
 
-val mean : float array -> float
-val variance : float array -> float
-(** Population variance (divides by [n]). *)
-
 val stddev : float array -> float
-val rms : float array -> float
+(** Population standard deviation (divides by [n]). *)
+
 val min_max : float array -> float * float
-val median : float array -> float
-(** Does not modify its argument. *)
 
 val linear_fit : xs:float array -> ys:float array -> float * float
 (** Least-squares line [(slope, intercept)]; used for detecting phase drift
     (an unlocked oscillator has a linearly growing phase error). *)
-
-val max_abs_dev : float array -> float
-(** Maximum absolute deviation from the mean. *)

@@ -40,8 +40,6 @@ type payload = Registry.event_payload =
     }
 
 let enabled () = Atomic.get Registry.events_enabled
-let set_enabled b = Atomic.set Registry.events_enabled b
-
 let ctx ?rung ?cell solver =
   { solver; rung = Option.value ~default:"" rung; cell }
 

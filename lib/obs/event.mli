@@ -48,9 +48,6 @@ type payload = Registry.event_payload =
 val enabled : unit -> bool
 (** Whether the event stream is currently recording. *)
 
-val set_enabled : bool -> unit
-(** Turn the event stream on or off (independent of spans). *)
-
 val ctx : ?rung:string -> ?cell:float * float -> string -> solve_ctx
 (** [ctx ?rung ?cell solver] builds a solve identity; [rung] defaults
     to [""] (direct solve). *)

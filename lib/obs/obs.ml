@@ -12,7 +12,6 @@ module Report = Report
 
 let enabled () = Atomic.get Registry.enabled
 let set_enabled b = Atomic.set Registry.enabled b
-let events_enabled () = Atomic.get Registry.events_enabled
 let set_events_enabled b = Atomic.set Registry.events_enabled b
 let snapshot = Registry.snapshot
 let reset = Registry.reset

@@ -31,13 +31,11 @@ val set_enabled : bool -> unit
 (** Turn recording on or off. Cheap and safe at any time; events
     recorded so far are kept. *)
 
-val events_enabled : unit -> bool
-(** Whether the introspection {e event} stream ({!Event}) is on. Off
-    by default even when spans are on — events are per-iteration
-    volume. *)
-
+(* dsa: allow unused-export — test hook: the event tests switch the stream on and off around each case *)
 val set_events_enabled : bool -> unit
-(** Turn the introspection event stream on or off. *)
+(** Turn the introspection event stream ({!Event}) on or off. Off by
+    default even when spans are on — events are per-iteration
+    volume. *)
 
 val snapshot : unit -> Registry.snapshot
 (** Merge all per-domain buffers into one consistent snapshot

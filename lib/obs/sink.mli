@@ -19,13 +19,12 @@
     sinks create missing parent directories. *)
 
 val chrome_trace : path:string -> Registry.snapshot -> unit
+(* dsa: allow unused-export — test hook: the tests parse the trace without a file *)
 val chrome_trace_string : Registry.snapshot -> string
 
 val jsonl : path:string -> Registry.snapshot -> unit
 (** The path ["-"] streams the JSONL log to stderr instead of a file,
     so traced runs compose in shell pipelines. *)
-
-val jsonl_string : Registry.snapshot -> string
 
 val quantile : float array -> int array -> float -> float
 (** [quantile bounds counts q] estimates the [q]-quantile of a bucketed
@@ -33,6 +32,7 @@ val quantile : float array -> int array -> float -> float
     — conservative and deterministic. Samples past the last bound clamp
     to it; nan when the histogram is empty. *)
 
+(* dsa: allow unused-export — test hook: the summary test checks every headline counter is printed *)
 val headline_counters : string list
 (** Counters the summary always prints (as 0 when absent):
     [spice.newton.iters] and [shil.grid.f_evals]. *)

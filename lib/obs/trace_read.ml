@@ -273,11 +273,6 @@ let empty_acc () =
     hists = Hashtbl.create 16;
   }
 
-let load path =
-  let acc = empty_acc () in
-  load_into acc path;
-  finish acc
-
 let load_many paths =
   let acc = empty_acc () in
   List.iter (load_into acc) paths;

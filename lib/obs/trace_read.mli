@@ -15,9 +15,6 @@
 exception Parse_error of string
 (** Raised with a [file:line: reason] message on malformed input. *)
 
-val load : string -> Registry.snapshot
-(** Load one JSONL trace file. Raises {!Parse_error} on malformed
-    lines and [Sys_error] if the file cannot be read. *)
-
 val load_many : string list -> Registry.snapshot
-(** Load and merge several JSONL trace files. *)
+(** Load and merge JSONL trace files. Raises {!Parse_error} on
+    malformed lines and [Sys_error] if a file cannot be read. *)

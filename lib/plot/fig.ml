@@ -5,7 +5,6 @@ let red = { r = 204; g = 37; b = 41 }
 let blue = { r = 57; g = 106; b = 177 }
 let green = { r = 62; g = 150; b = 81 }
 let orange = { r = 218; g = 124; b = 48 }
-let purple = { r = 107; g = 76; b = 154 }
 let gray = { r = 140; g = 140; b = 140 }
 
 type line_style = { color : color; width : float; dash : float list }
@@ -35,8 +34,6 @@ type t = {
 let create ?(title = "") ?(xlabel = "") ?(ylabel = "") () =
   { title; xlabel; ylabel; x_range = None; y_range = None; series = [] }
 
-let with_x_range t r = { t with x_range = Some r }
-let with_y_range t r = { t with y_range = Some r }
 let push t s = { t with series = t.series @ [ s ] }
 
 let add_line ?label ?(style = solid blue) t ~xs ~ys =
@@ -59,8 +56,6 @@ let add_polylines ?label ?(style = solid green) t ~curves =
 
 let add_hline ?(style = dashed gray) t ~y = push t (Hline { y; style })
 let add_vline ?(style = dashed gray) t ~x = push t (Vline { x; style })
-let add_text ?(color = black) t ~x ~y ~text = push t (Text { x; y; text; color })
-
 let finite v = Float.is_finite v
 
 let data_bounds t =

@@ -12,7 +12,6 @@ val red : color
 val blue : color
 val green : color
 val orange : color
-val purple : color
 val gray : color
 
 type line_style = {
@@ -45,9 +44,6 @@ type t = {
 
 val create : ?title:string -> ?xlabel:string -> ?ylabel:string -> unit -> t
 
-val with_x_range : t -> float * float -> t
-val with_y_range : t -> float * float -> t
-
 val add_line :
   ?label:string -> ?style:line_style -> t -> xs:float array -> ys:float array -> t
 
@@ -66,7 +62,6 @@ val add_polylines :
 
 val add_hline : ?style:line_style -> t -> y:float -> t
 val add_vline : ?style:line_style -> t -> x:float -> t
-val add_text : ?color:color -> t -> x:float -> y:float -> text:string -> t
 
 val data_bounds : t -> (float * float) * (float * float)
 (** [(x_lo, x_hi), (y_lo, y_hi)] over all series data (respecting the

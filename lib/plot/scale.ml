@@ -13,8 +13,6 @@ let make ~domain ~range =
   { d0; d1; r0; r1 }
 
 let apply { d0; d1; r0; r1 } x = r0 +. ((x -. d0) /. (d1 -. d0) *. (r1 -. r0))
-let invert { d0; d1; r0; r1 } p = d0 +. ((p -. r0) /. (r1 -. r0) *. (d1 -. d0))
-let domain { d0; d1; _ } = (d0, d1)
 
 let nice_step raw =
   (* snap to 1/2/5 x 10^k *)

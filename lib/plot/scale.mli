@@ -9,8 +9,6 @@ val make : domain:float * float -> range:float * float -> t
     so the mapping stays well defined. *)
 
 val apply : t -> float -> float
-val invert : t -> float -> float
-val domain : t -> float * float
 
 val nice_ticks : lo:float -> hi:float -> count:int -> float list
 (** Round tick positions covering [[lo, hi]] at 1/2/5×10^k spacing, aiming

@@ -44,11 +44,6 @@ let expired_abs = function
 
 let expired () = expired_abs (current ())
 
-let remaining_s () =
-  match current () with
-  | None -> None
-  | Some abs -> Some (Float.max 0. (abs -. Obs.Clock.wall_s ()))
-
 let error subsystem ~phase =
   Oshil_error.make subsystem ~phase Budget_exhausted
     "wall-clock deadline exceeded"
@@ -64,6 +59,3 @@ let check_abs d subsystem ~phase =
   if expired_abs d then raise (Oshil_error.Error (note subsystem ~phase))
 
 let check subsystem ~phase = check_abs (current ()) subsystem ~phase
-
-let check_result subsystem ~phase =
-  if expired () then Error (note subsystem ~phase) else Ok ()

@@ -23,12 +23,8 @@ val with_deadline : seconds:float -> (unit -> 'a) -> 'a
 val save : unit -> float option
 (** The current thread's absolute deadline, if one is active. Capture
     this before fanning work out to pool domains and probe it there with
-    {!expired_abs} / {!check_abs}: pool workers run on other threads and
-    do not inherit the submitter's deadline. *)
-
-val remaining_s : unit -> float option
-(** Seconds left on the current thread's deadline ([Some 0.] once
-    expired), or [None] when no deadline is active. *)
+    {!expired_abs}: pool workers run on other threads and do not inherit
+    the submitter's deadline. *)
 
 val expired : unit -> bool
 (** [true] iff the current thread has a deadline and it has passed. *)
@@ -42,10 +38,3 @@ val error : Oshil_error.subsystem -> phase:string -> Oshil_error.t
 val check : Oshil_error.subsystem -> phase:string -> unit
 (** Raise {!Oshil_error.Error} (kind [Budget_exhausted]) if the current
     thread's deadline has passed; no-op otherwise. *)
-
-val check_abs : float option -> Oshil_error.subsystem -> phase:string -> unit
-(** {!check} against a deadline captured with {!save}. *)
-
-val check_result :
-  Oshil_error.subsystem -> phase:string -> (unit, Oshil_error.t) result
-(** Non-raising {!check}, for sites that thread [result] values. *)

@@ -22,14 +22,9 @@ type site_state = {
 
 (* The active plan. [None] keeps the hot path to a single atomic load. *)
 let plan : site_state list option Atomic.t = Atomic.make None
-let plan_text : string option ref = ref None
 
 let armed () = Atomic.get plan <> None
-let plan_string () = !plan_text
-
-let clear () =
-  Atomic.set plan None;
-  plan_text := None
+let clear () = Atomic.set plan None
 
 exception Bad_spec of string
 
@@ -104,7 +99,6 @@ let configure text =
   | Error _ as e -> e
   | Ok sites ->
     set_windows sites;
-    plan_text := Some text;
     Ok ()
 
 let configure_from_env () =

@@ -18,9 +18,7 @@
 
 type window = { start : int; count : int }
 
-val site_names : (string * string) list
-(** Known sites with one-line descriptions (for [--help] and docs). *)
-
+(* dsa: allow unused-export — test hook: the tests check plan parsing without installing a plan *)
 val parse : string -> ((string * window) list, string) result
 val configure : string -> (unit, string) result
 (** Parse and install a plan; resets all occurrence counters. *)
@@ -29,10 +27,9 @@ val configure_from_env : unit -> unit
 (** Install the plan from [OSHIL_FAULTS] if set; raises
     {!Oshil_error.Error} ([Parse_failure]) on a malformed plan. *)
 
-val set_windows : (string * window) list -> unit
+(* dsa: allow unused-export — test hook: disarms the plan between test cases *)
 val clear : unit -> unit
 val armed : unit -> bool
-val plan_string : unit -> string option
 
 val fire : string -> bool
 (** [fire site] — true iff this occurrence (per-site counter, counted

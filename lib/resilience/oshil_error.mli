@@ -73,9 +73,9 @@ val subsystem_name : subsystem -> string
 val code : t -> string
 (** Stable kebab-case code of the kind, e.g. ["solver-divergence"]. *)
 
+(* dsa: allow unused-export — test hook: the tests check where a typed error is anchored *)
 val loc : t -> string
 (** ["subsystem.phase"] — the diagnostic anchor. *)
 
-val to_diagnostic : t -> Check.Diagnostic.t
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -102,8 +102,6 @@ let track_steps ?(budget = default_budget) ~subsystem ~phase () =
     rejected = 0;
   }
 
-let rejections t = t.rejected
-
 let note_rejection ?(context = []) t =
   t.rejected <- t.rejected + 1;
   Obs.Metrics.incr ("resilience." ^ t.tphase ^ ".rejected_steps");

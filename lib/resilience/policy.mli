@@ -52,5 +52,3 @@ val note_rejection :
   ?context:(string * string) list -> step_tracker -> (unit, Oshil_error.t) result
 (** Record one rejected step; [Error] once the rejected-step or
     wall-clock budget is exhausted. *)
-
-val rejections : step_tracker -> int

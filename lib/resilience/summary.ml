@@ -1,16 +1,12 @@
 type failure = { site : string; error : Oshil_error.t }
 type t = { attempted : int; failures : failure list }
 
-let empty = { attempted = 0; failures = [] }
 let make ~attempted failures = { attempted; failures }
 let failed t = List.length t.failures
 let is_clean t = t.failures = []
 
 let merge a b =
   { attempted = a.attempted + b.attempted; failures = a.failures @ b.failures }
-
-let to_diagnostics t =
-  List.map (fun f -> Oshil_error.to_diagnostic f.error) t.failures
 
 let pp ppf t =
   if is_clean t then

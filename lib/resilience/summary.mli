@@ -12,11 +12,9 @@ type failure = { site : string; error : Oshil_error.t }
 
 type t = { attempted : int; failures : failure list }
 
-val empty : t
 val make : attempted:int -> failure list -> t
 val failed : t -> int
 val is_clean : t -> bool
 val merge : t -> t -> t
-val to_diagnostics : t -> Check.Diagnostic.t list
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

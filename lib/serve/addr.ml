@@ -36,10 +36,6 @@ let of_string s =
         | Some (h, p) when not (String.contains s '/') -> Ok (Tcp (h, p))
         | _ -> Ok (Unix_sock s)))
 
-let to_string = function
-  | Unix_sock path -> "unix:" ^ path
-  | Tcp (h, p) -> Printf.sprintf "tcp:%s:%d" h p
-
 let sockaddr = function
   | Unix_sock path -> Unix.ADDR_UNIX path
   | Tcp (host, port) ->

@@ -9,8 +9,5 @@ val of_string : string -> (t, string) result
     suffix parses as a port, or a bare filesystem path (anything
     else). *)
 
-val to_string : t -> string
-(** Round-trips through {!of_string}. *)
-
 val sockaddr : t -> Unix.sockaddr
 val domain : t -> Unix.socket_domain

@@ -23,8 +23,6 @@ let locked t f =
 
 let capacity t = t.capacity
 let length t = locked t (fun () -> Queue.length t.items)
-let closed t = locked t (fun () -> t.is_closed)
-
 let try_push t x =
   locked t (fun () ->
       if t.is_closed || Queue.length t.items >= t.capacity then false

@@ -23,5 +23,3 @@ val pop : 'a t -> 'a option
 val close : 'a t -> unit
 (** Reject further pushes; wake every blocked {!pop}. Items already
     queued still drain. Idempotent. *)
-
-val closed : 'a t -> bool

@@ -14,8 +14,5 @@ val request : conn -> string -> string
     response line. The payload must not contain newlines (the protocol
     is newline-framed); {!Json.to_string} output never does. *)
 
-val with_conn : Addr.t -> (conn -> 'a) -> 'a
-(** Connect, run, always close. *)
-
 val call : Addr.t -> string -> string
 (** One-shot [with_conn] + {!request}. *)

@@ -67,6 +67,7 @@ type stats = {
   cache_corrupt : int;
 }
 
+(* dsa: allow unused-export — test hook: the golden test pins the stats report's byte layout *)
 val stats_to_json : ?health:string -> stats -> string
 (** Deterministic rendering of the [stats] report; [health] is a raw
     JSON value (default [null]) carrying {!Obs.Report.to_json}
@@ -77,6 +78,7 @@ val request_drain : unit -> unit
     is what the daemon's SIGTERM/SIGINT handlers call. Process-global —
     it addresses every {!run} in the process (there is normally one). *)
 
+(* dsa: allow unused-export — test hook: the drain tests observe and reset the drain flag *)
 val draining : unit -> bool
 
 val run : config -> unit

@@ -25,13 +25,6 @@ type shil_report = {
           its stated error; [None] when the caller fixed [?points] *)
 }
 
-val preflight :
-  ?points:int -> ?n_phi:int -> ?n_amp:int -> ?a_range:float * float ->
-  oscillator -> n:int -> vi:float -> Check.Diagnostic.t list
-(** The static pre-flight report for a study: tank well-posedness, order
-    and injection sanity, grid geometry and pointwise probes of the
-    nonlinearity (see [Check.Shil]). *)
-
 val run :
   ?check:Check.Diagnostic.gate_mode -> ?points:int -> ?n_phi:int ->
   ?n_amp:int -> ?a_range:float * float ->
@@ -63,13 +56,15 @@ val run :
       from direct sums.
     Measured on the 72 paper cells: [N = 128] for tanh and the tunnel
     diode (256 at [n = 5], [V_i = 0.08]) with [N_ψ] of 8 to 32, and the
-    1024 cap for the diff-pair, whose PCHIP curve is only C{^1} and
-    whose grid stays direct except at [n = 4], [V_i = 0.01] ([N_ψ = 64]).
+    1024 cap for the diff-pair, whose PCHIP curve is only C{^1}: its
+    torus pilot stalls and its grid stays direct.
     Every printed report is byte-identical to the fixed 512/1024
     counts: the grid only seeds the Newton refinement at [N].
 
-    The configuration first passes {!preflight} under the [?check] gate
-    policy (default [`Enforce]): errors raise [Check.Diagnostic.Failed],
+    The configuration first passes a static pre-flight (tank, order,
+    injection, grid geometry and pointwise probes of the nonlinearity,
+    see [Check.Shil]) under the [?check] gate policy (default
+    [`Enforce]): errors raise [Check.Diagnostic.Failed],
     warnings go to the [oshil.shil] log source; [`Warn] never raises and
     [`Off] skips the analysis. Raises [Failure] when the oscillator does
     not oscillate (no stable [T_f = 1] solution) and no [a_range]

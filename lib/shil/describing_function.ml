@@ -67,9 +67,6 @@ let single_tone_coeff ?(reduction = `Exact) ~points ~k nl ~a =
 let i1 ?(points = default_points) ?reduction nl ~a =
   Cx.re (single_tone_coeff ?reduction ~points ~k:1 nl ~a)
 
-let ik ?(points = default_points) ?reduction nl ~a ~k =
-  single_tone_coeff ?reduction ~points ~k nl ~a
-
 let two_tone_input nl ~n ~a ~vi ~phi theta =
   Nonlinearity.eval nl
     ((a *. cos theta) +. (2.0 *. vi *. cos ((float_of_int n *. theta) +. phi)))
@@ -106,14 +103,6 @@ let t_f ?points ?reduction nl ~n ~r ~a ~vi ~phi =
   if a <= 0.0 then invalid_arg "Describing_function.t_f: a must be > 0";
   let i1c = i1_two_tone ?points ?reduction nl ~n ~a ~vi ~phi in
   -.r *. Cx.re i1c /. (a /. 2.0)
-
-let t_cap_f ?points ?reduction nl ~n ~r ~a ~vi ~phi ~phi_d =
-  if a <= 0.0 then invalid_arg "Describing_function.t_cap_f: a must be > 0";
-  let i1c = i1_two_tone ?points ?reduction nl ~n ~a ~vi ~phi in
-  Float.abs (r *. Cx.abs i1c *. cos phi_d /. (a /. 2.0))
-
-let arg_minus_i1 ?points ?reduction nl ~n ~a ~vi ~phi =
-  Cx.arg (Cx.neg (i1_two_tone ?points ?reduction nl ~n ~a ~vi ~phi))
 
 (* The two-tone torus. g(θ, ψ) = f(A cos θ + 2 V_i cos ψ) is even in θ
    and in ψ, so its 2-D Fourier coefficients G_{p,q} are real and the
@@ -260,6 +249,12 @@ let pilot_phis = [| 0.0; 0.5 *. Float.pi; Float.pi; 1.5 *. Float.pi |]
 let psi_start = 8
 let psi_cap = 64
 
+(* A doubling of N_ψ that cuts the torus pilot's error by less than
+   this factor has stalled: the torus error of an analytic f falls
+   geometrically in N_ψ, that of a C¹ PCHIP table does not, and an
+   estimate that stops falling is no longer a bound. *)
+let psi_stall = 10.0
+
 let choose_points ?reduction ~grid_cap ~tol nl ~n ~vi ~a_range:(a_lo, a_hi) =
   if n < 1 then invalid_arg "Describing_function: n must be >= 1";
   let amps = [| a_lo; 0.5 *. (a_lo +. a_hi); a_hi |] in
@@ -275,9 +270,10 @@ let choose_points ?reduction ~grid_cap ~tol nl ~n ~vi ~a_range:(a_lo, a_hi) =
   in
   Obs.Metrics.observe "shil.quad.points" (float_of_int points);
   (* the torus grid's stated error: its I1 at the same pilot points
-     against the direct N-point pilot, N_ψ doubling to the cap *)
+     against the direct N-point pilot, N_ψ doubling to the cap while
+     each doubling cuts it [psi_stall]-fold *)
   let n_theta = min points grid_cap in
-  let rec grow n_psi =
+  let rec grow n_psi prev =
     let tori =
       Array.map (fun a -> torus ?reduction ~n_theta ~n_psi nl ~n ~a ~vi) amps
     in
@@ -288,10 +284,10 @@ let choose_points ?reduction ~grid_cap ~tol nl ~n ~vi ~a_range:(a_lo, a_hi) =
              torus_i1 tori.(ia) ~cos_q:cos_q.(ip) ~sin_q:sin_q.(ip)))
     in
     if e <= tol then (Some n_psi, e)
-    else if 2 * n_psi > psi_cap then (None, e)
-    else grow (2 * n_psi)
+    else if 2 * n_psi > psi_cap || e > prev /. psi_stall then (None, e)
+    else grow (2 * n_psi) e
   in
-  let psi, psi_estimate = grow psi_start in
+  let psi, psi_estimate = grow psi_start Float.infinity in
   Option.iter
     (fun p -> Obs.Metrics.observe "shil.quad.psi" (float_of_int p))
     psi;

@@ -39,11 +39,7 @@ val i1 : ?points:int -> ?reduction:reduction -> Nonlinearity.t -> a:float -> flo
 (** Single-tone fundamental coefficient [I_1(A)] — real by symmetry
     (footnote 3 of the paper). *)
 
-val ik :
-  ?points:int -> ?reduction:reduction -> Nonlinearity.t -> a:float -> k:int ->
-  Numerics.Cx.t
-(** Single-tone [k]-th coefficient. *)
-
+(* dsa: allow unused-export — test reference implementation: the scalar closure the batch kernels are checked against *)
 val two_tone_input :
   Nonlinearity.t -> n:int -> a:float -> vi:float -> phi:float -> float -> float
 (** The scalar per-θ evaluation
@@ -67,22 +63,12 @@ val t_f_free :
 (** Free-running loop gain (eq. 2): [T_f(A) = -R I_1(A) / (A/2)].
     [A > 0]. *)
 
+(* dsa: allow unused-export — test reference implementation: eq. 3, which the grid field is checked against *)
 val t_f :
   ?points:int -> ?reduction:reduction -> Nonlinearity.t -> n:int -> r:float ->
   a:float -> vi:float -> phi:float -> float
 (** Injected loop gain (eq. 3):
     [T_f(A,V_i,phi) = -R Re(I_1(A,V_i,phi)) / (A/2)]. *)
-
-val t_cap_f :
-  ?points:int -> ?reduction:reduction -> Nonlinearity.t -> n:int -> r:float ->
-  a:float -> vi:float -> phi:float -> phi_d:float -> float
-(** The magnitude form (eq. 5):
-    [T_F = |R I_1 cos(phi_d) / (A/2)|]. *)
-
-val arg_minus_i1 :
-  ?points:int -> ?reduction:reduction -> Nonlinearity.t -> n:int -> a:float ->
-  vi:float -> phi:float -> float
-(** [angle (-I_1(A, V_i, phi))], the left side of eq. 4. *)
 
 (** {1 The two-tone torus}
 
@@ -128,12 +114,13 @@ type points_choice = {
       (** the stated error at [N]: the largest
           [|I_1(N) - I_1(N/2)| / |I_1(N)|] over the pilot set *)
   psi : int option;
-      (** the [N_ψ] of the grid's {!torus} table; [None] when no count
-          up to the cap (64) met the tolerance and the grid is
-          sampled directly *)
+      (** the [N_ψ] of the grid's {!torus} table; [None] when the
+          doubling stalled or no count up to the cap (64) met the
+          tolerance, and the grid is sampled directly *)
   psi_estimate : float;
       (** the torus pilot's largest relative difference from the direct
-          [N]-point pilot, at [psi] or, on the fallback, at the cap *)
+          [N]-point pilot, at [psi] or, on the fallback, at the last
+          [N_ψ] tried *)
 }
 
 val stated_points : tol:float -> (int -> Numerics.Cx.t array) -> int * float
@@ -154,8 +141,11 @@ val choose_points :
 
     It then sizes the grid's torus table at [N_θ = min N grid_cap]:
     [N_ψ] doubles from 8 until the torus [I_1] at the same pilot points
-    is within [tol] (relative) of the direct [N]-point pilot; past the
-    cap of 64, [psi] is [None].
+    is within [tol] (relative) of the direct [N]-point pilot. [psi] is
+    [None] past the cap of 64, and as soon as a doubling cuts that
+    difference less than tenfold: the torus error of an analytic
+    nonlinearity falls geometrically in [N_ψ], a stalled one (a
+    PCHIP table's) no longer bounds the grid's error.
 
     The chosen [N] is sampled into the [shil.quad.points] histogram and
     an accepted [N_ψ] into [shil.quad.psi]. *)

@@ -1,10 +1,10 @@
 let grid ?points ?n_phi ?n_amp nl ~r ~vi ~a_range =
   Grid.sample ?points ?n_phi ?n_amp nl ~n:1 ~r ~vi ~a_range ()
 
-let adler_half_range ~tank ~a ~vi =
-  Tank.f_c tank /. (2.0 *. Tank.q tank) *. (2.0 *. vi /. a)
-
+(* Adler's half lock range, oscillator-referred: f_c/(2Q) * (2 V_i / A),
+   with 2 V_i the injected waveform amplitude in this paper's phasor
+   convention *)
 let adler_range ~tank ~a ~vi =
-  let half = adler_half_range ~tank ~a ~vi in
+  let half = Tank.f_c tank /. (2.0 *. Tank.q tank) *. (2.0 *. vi /. a) in
   let fc = Tank.f_c tank in
   (fc -. half, fc +. half)

@@ -13,10 +13,5 @@ val grid :
   vi:float -> a_range:float * float -> Grid.t
 (** Convenience: {!Grid.sample} with [n = 1]. *)
 
-val adler_half_range : tank:Tank.t -> a:float -> vi:float -> float
-(** Adler half lock range in Hz (oscillator-referred): [f_c/(2Q) * (2 V_i
-    / A)] — [2 V_i] because the injected waveform amplitude is [2 V_i] in
-    this paper's phasor convention. *)
-
 val adler_range : tank:Tank.t -> a:float -> vi:float -> float * float
 (** [(f_low, f_high)] around the tank centre frequency. *)

@@ -31,6 +31,7 @@ type t = {
           [i1]); clean grids have [Resilience.Summary.is_clean] *)
 }
 
+(* dsa: allow unused-export — test hook: the kernel tests pin the key layout and versions *)
 val cache_key :
   ?psi:int -> reduction:Describing_function.reduction -> nl_key:string ->
   n:int -> r:float -> vi:float -> p_lo:float -> p_hi:float -> n_phi:int ->
@@ -103,6 +104,7 @@ val sample :
     item index) injects failures for testing; under [`Symmetry]
     mirroring, a failed source row also holes its mirror. *)
 
+(* dsa: allow unused-export — test hook: the tests check the sampled field against eq. 3 cell by cell *)
 val t_f_field : t -> float array array
 (** [T_f(phi, A) - 1] (eq. 3 residual). *)
 

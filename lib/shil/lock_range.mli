@@ -29,6 +29,7 @@ val phi_d_boundary :
     invariance trick). Returns 0. when even [phi_d = 0] has no stable
     lock. By §VI-B3 the boundary is symmetric in [+-phi_d]. *)
 
+(* dsa: allow unused-export — test hook: the kernel tests pin the key layout and versions *)
 val cache_key :
   Grid.t -> nl_key:string -> tank:Tank.t -> points:int -> phi_d_cap:float ->
   tol:float -> Cache.Key.t

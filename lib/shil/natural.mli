@@ -13,6 +13,7 @@ type solution = {
 val small_signal_gain : Nonlinearity.t -> r:float -> float
 (** [lim A->0 T_f(A) = -R f'(0)]: start-up condition is [> 1]. *)
 
+(* dsa: allow unused-export — test hook: the kernel tests pin the key layout and versions *)
 val cache_key :
   nl_key:string -> r:float -> points:int -> a_min:float -> a_max:float ->
   scan:int -> Cache.Key.t

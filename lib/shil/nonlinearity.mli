@@ -67,6 +67,7 @@ val neg_tanh : g0:float -> isat:float -> t
 (** The paper's illustration nonlinearity: [f v = -. isat *. tanh (g0 *. v
     /. isat)]. Small-signal conductance [-g0]; saturation current [isat]. *)
 
+(* dsa: allow unused-export — test reference implementation: its describing function is known in closed form *)
 val cubic : g1:float -> g3:float -> t
 (** Van der Pol cubic [f v = -. g1 *. v +. g3 *. v ** 3.] — the classic
     textbook negative resistance, used as an analytic cross-check (its
@@ -86,6 +87,7 @@ type tunnel_model = {
     Field for field the same as [Spice.Device.tunnel_params], and the
     currents agree with [Spice.Device.tunnel_iv] bit for bit. *)
 
+(* dsa: allow unused-export — test hook: the tests check the default model and build variants of it *)
 val paper_tunnel : tunnel_model
 (** The appendix §VI-C values: [is = 1e-12], [eta = 1], [vth = 0.025],
     [r0 = 1000], [v0 = 0.2], [m = 2]. *)
@@ -104,6 +106,7 @@ val of_table : ?name:string -> vs:float array -> is:float array -> unit -> t
 val shift_bias : t -> float -> t
 (** [shift_bias nl vb] is [fun v -> eval nl (vb +. v) -. eval nl vb]. *)
 
+(* dsa: allow unused-export — test reference implementation: scales every coefficient, as the kernel tests check *)
 val scale_current : t -> float -> t
 (** Multiplies the output current (e.g. flipping sign or changing units). *)
 

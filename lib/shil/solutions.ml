@@ -35,6 +35,10 @@ let flow ?points ?reduction nl ~n ~r ~vi ~phi_d ~phi ~a =
   let f2 = -.Angle.wrap_pi (Cx.arg m +. phi_d) in
   (f1, f2)
 
+(* Stability from the reduced phase/amplitude flow
+   dA/dt ∝ T_F - 1, dphi/dt ∝ -(angle(-I_1) + phi_d): stable iff the
+   Jacobian has negative trace and positive determinant — the rigorous
+   form of the paper's slope-comparison rule (§VI-B3). *)
 let classify ?points ?reduction nl ~n ~r ~vi ~phi_d ~phi ~a =
   let ha = 1e-5 *. (1.0 +. Float.abs a) in
   let hp = 1e-5 in

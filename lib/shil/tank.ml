@@ -7,7 +7,6 @@ let make ~r ~l ~c =
     invalid_arg "Tank.make: r, l, c must be positive";
   { r; l; c }
 
-let with_r t r = make ~r ~l:t.l ~c:t.c
 let omega_c t = 1.0 /. sqrt (t.l *. t.c)
 let f_c t = omega_c t /. (2.0 *. Float.pi)
 let q t = t.r *. sqrt (t.c /. t.l)
@@ -30,17 +29,6 @@ let omega_of_phase t ~phi_d =
   let b = -.tan phi_d /. q t in
   let x = (b +. sqrt ((b *. b) +. 4.0)) /. 2.0 in
   x *. omega_c t
-
-let circle_point _t ~b_center ~phi_d =
-  Cx.mul b_center (Cx.scale (cos phi_d) (Cx.exp_j phi_d))
-
-let circle_locus t ~b_center ~n =
-  Array.init n (fun k ->
-      let phi_d =
-        -.(Float.pi /. 2.0)
-        +. (Float.pi *. (float_of_int k +. 0.5) /. float_of_int n)
-      in
-      circle_point t ~b_center ~phi_d)
 
 let pp ppf t =
   Format.fprintf ppf "RLC(R=%g, L=%g, C=%g; fc=%g Hz, Q=%.3g)" t.r t.l t.c

@@ -10,12 +10,11 @@ type t = private { r : float; l : float; c : float }
 val make : r:float -> l:float -> c:float -> t
 (** All values must be positive; raises [Invalid_argument] otherwise. *)
 
-val with_r : t -> float -> t
-
 val omega_c : t -> float
 val f_c : t -> float
 val q : t -> float
 
+(* dsa: allow unused-export — test hook: the tests check the transfer function against the RLC admittance *)
 val h : t -> omega:float -> Numerics.Cx.t
 val mag : t -> omega:float -> float
 val phase : t -> omega:float -> float
@@ -25,16 +24,5 @@ val omega_of_phase : t -> phi_d:float -> float
 (** Inverse of {!phase}: the unique positive frequency at which the tank
     contributes [phi_d]. Requires [|phi_d| < pi/2] (raises
     [Invalid_argument]). *)
-
-val circle_point : t -> b_center:Numerics.Cx.t -> phi_d:float -> Numerics.Cx.t
-(** Circle property (§VI-B1): given the output phasor [b_center] at the
-    centre frequency, the output phasor at the frequency where the tank
-    phase is [phi_d] is the projection
-    [b_center * cos(phi_d) * exp(j phi_d)]. *)
-
-val circle_locus : t -> b_center:Numerics.Cx.t -> n:int -> Numerics.Cx.t array
-(** [n] samples of the full circle swept by the output phasor as the
-    operating frequency runs over (0, infinity) — for the Fig. 20
-    visualization. *)
 
 val pp : Format.formatter -> t -> unit

@@ -13,13 +13,6 @@ let add t d =
 
 let of_devices ds = List.fold_left add empty ds
 let devices t = List.rev t.devices
-let find t name = List.find_opt (fun d -> Device.name d = name) t.devices
-
-let replace t name d =
-  if not (List.exists (fun d' -> Device.name d' = name) t.devices) then
-    raise Not_found;
-  { devices = List.map (fun d' -> if Device.name d' = name then d else d') t.devices }
-
 let node_names t =
   let tbl = Hashtbl.create 16 in
   List.iter
@@ -29,20 +22,3 @@ let node_names t =
         (Device.nodes d))
     t.devices;
   List.sort String.compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl [])
-
-let pp ppf t =
-  let open Format in
-  let pp_dev ppf (d : Device.t) =
-    match d with
-    | Resistor { name; n1; n2; r } -> fprintf ppf "R %s %s %s %g" name n1 n2 r
-    | Capacitor { name; n1; n2; c; _ } -> fprintf ppf "C %s %s %s %g" name n1 n2 c
-    | Inductor { name; n1; n2; l; _ } -> fprintf ppf "L %s %s %s %g" name n1 n2 l
-    | Vsource { name; np; nn; _ } -> fprintf ppf "V %s %s %s" name np nn
-    | Isource { name; np; nn; _ } -> fprintf ppf "I %s %s %s" name np nn
-    | Diode { name; np; nn; _ } -> fprintf ppf "D %s %s %s" name np nn
-    | Bjt { name; nc; nb; ne; _ } -> fprintf ppf "Q %s %s %s %s" name nc nb ne
-    | Tunnel_diode { name; np; nn; _ } -> fprintf ppf "TD %s %s %s" name np nn
-    | Mosfet { name; nd; ng; ns; _ } -> fprintf ppf "M %s %s %s %s" name nd ng ns
-    | Nonlinear_cs { name; np; nn; _ } -> fprintf ppf "G %s %s %s" name np nn
-  in
-  pp_print_list ~pp_sep:pp_print_newline pp_dev ppf (devices t)

@@ -3,23 +3,13 @@
 
 type t
 
-val empty : t
-val add : t -> Device.t -> t
+val of_devices : Device.t list -> t
 (** Raises [Invalid_argument] on a duplicate device name. *)
 
-val of_devices : Device.t list -> t
 val devices : t -> Device.t list
 (** In insertion order. *)
-
-val find : t -> string -> Device.t option
-val replace : t -> string -> Device.t -> t
-(** [replace c name d] substitutes the device called [name]; raises
-    [Not_found] when absent. Used by DC sweeps to re-value a source. *)
 
 val node_names : t -> string list
 (** All non-ground node names, sorted, after ground aliasing. *)
 
 val is_ground : string -> bool
-
-val pp : Format.formatter -> t -> unit
-(** One line per device, netlist-like. *)

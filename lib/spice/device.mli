@@ -85,6 +85,7 @@ val diode_iv : diode_params -> float -> float * float
 val tunnel_iv : tunnel_params -> float -> float * float
 (** Tunnel-diode current and slope, eqs. (11)–(13) of the paper. *)
 
+(* dsa: allow unused-export — test reference implementation: the Ebers-Moll currents bjt_iv is checked against *)
 val bjt_currents : bjt_params -> vbe:float -> vbc:float -> float * float
 (** [(ic, ib)] of the Ebers–Moll model (ie = -(ic+ib)). *)
 

@@ -295,4 +295,3 @@ let assemble c ~mode ~x ~jac ~res =
       add_jac jac ne ne (-.(dic_dve +. dib_dve))
   done
 
-let ind_count c = c.n_inds

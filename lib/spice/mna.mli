@@ -58,4 +58,3 @@ val assemble :
   res:float array -> unit
 (** Zeroes and fills [jac] and [res] for the given candidate solution. *)
 
-val ind_count : compiled -> int

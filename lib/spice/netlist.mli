@@ -24,6 +24,7 @@
 
 type error = { line : int; message : string }
 
+(* dsa: allow unused-export — test hook: the SPICE suffix table is tested value by value *)
 val parse_value : string -> (float, string) result
 (** SPICE number with optional suffix: [parse_value "100u" = Ok 1e-4]. *)
 

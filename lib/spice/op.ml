@@ -106,10 +106,3 @@ let run ?newton ?(check = `Enforce) ?x0 circuit =
 
 let voltage t name = Mna.node_voltage t.compiled t.x name
 let current t name = t.x.(Mna.branch_index t.compiled name)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>operating point (%d unknowns):@,%a@]"
-    (Array.length t.x)
-    (Format.pp_print_array ~pp_sep:Format.pp_print_space (fun ppf v ->
-         Format.fprintf ppf "%.6g" v))
-    t.x

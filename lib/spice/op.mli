@@ -25,5 +25,3 @@ val voltage : t -> string -> float
 
 val current : t -> string -> float
 (** Branch current of a voltage source or inductor. *)
-
-val pp : Format.formatter -> t -> unit

@@ -2,7 +2,7 @@
    structurally bad circuit (floating island, V-source loop, zero-valued
    L/C, rank-deficient zero pattern) is rejected here with located
    diagnostics instead of surfacing as an opaque Newton divergence deep
-   inside Op/Transient/Ac. *)
+   inside Op/Transient. *)
 
 let src = Logs.Src.create "oshil.preflight" ~doc:"netlist pre-flight checks"
 

@@ -1,11 +1,10 @@
-(** Static pre-flight analysis of a circuit, run by {!Op.run},
-    {!Transient.run} and {!Ac.run} before any matrix is assembled.
+(** Static pre-flight analysis of a circuit, run by {!Op.run} and
+    {!Transient.run} before any matrix is assembled.
 
     The structural rules live in [Check.Netlist]; this module only
     translates a {!Circuit.t} into the engine-independent device view
     and applies the gate policy. *)
 
-val view : Circuit.t -> Check.Netlist.device list
 val check : Circuit.t -> Check.Diagnostic.t list
 
 type mode = Check.Diagnostic.gate_mode

@@ -31,13 +31,6 @@ let default_options ~dt ~t_stop =
     budget = Resilience.Policy.default_budget;
   }
 
-let adaptive ?(lte_tol = 1e-4) opts =
-  {
-    opts with
-    step_control =
-      Adaptive { lte_tol; dt_min = opts.dt /. 1000.0; dt_max = 10.0 *. opts.dt };
-  }
-
 type result = {
   times : float array;
   signals : (probe * float array) list;

@@ -38,10 +38,6 @@ val default_options : dt:float -> t_stop:float -> options
     {!Resilience.Policy.default_budget}. {!run} raises
     [Invalid_argument] unless [dt] and [t_stop] are positive. *)
 
-val adaptive : ?lte_tol:float -> options -> options
-(** Switches the options to adaptive stepping ([lte_tol] default 1e-4;
-    [dt_min = dt / 1000], [dt_max = 10 dt]). *)
-
 type result = {
   times : float array;
   signals : (probe * float array) list;  (** in the order requested *)

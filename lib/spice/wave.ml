@@ -60,10 +60,3 @@ let dc_value = function
   | Sine { offset; _ } -> offset
   | Pulse { v1; _ } -> v1
   | Pwl pts -> ( match pts with [] -> 0.0 | (_, v) :: _ -> v)
-
-let scale w k =
-  match w with
-  | Dc v -> Dc (k *. v)
-  | Sine s -> Sine { s with offset = k *. s.offset; ampl = k *. s.ampl }
-  | Pulse p -> Pulse { p with v1 = k *. p.v1; v2 = k *. p.v2 }
-  | Pwl pts -> Pwl (List.map (fun (t, v) -> (t, k *. v)) pts)

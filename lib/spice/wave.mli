@@ -24,7 +24,3 @@ val value : t -> float -> float
 val dc_value : t -> float
 (** Value used during DC analyses: the [t = 0] value except for [Sine],
     which contributes its offset. *)
-
-val scale : t -> float -> t
-(** [scale w k] multiplies the waveform's values by [k] (used by source
-    stepping). *)

@@ -37,8 +37,3 @@ let analyze ?(steady_fraction = 0.5) ?(windows = 16) ?drift_tol s ~f_target =
     phase_sigma = sigma;
     amplitude = Measure.amplitude tail;
   }
-
-let relative_phase s ~f_target =
-  let tail = Signal.tail_fraction s 0.3 in
-  let x = Measure.fundamental tail ~freq:f_target in
-  Numerics.Angle.wrap_pi (Numerics.Cx.arg x)

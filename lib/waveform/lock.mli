@@ -22,8 +22,3 @@ val analyze :
     [windows] (default 16) spans has |slope| < [drift_tol] (default: the
     slope corresponding to a frequency error of 1e-4 of [f_target]) and
     the measured zero-crossing frequency is within 0.2%% of [f_target]. *)
-
-val relative_phase : Signal.t -> f_target:float -> float
-(** Steady-state phase (radians, wrapped to (-pi, pi]) of the oscillation
-    fundamental against a [cos(2 pi f_target t)] reference — the quantity
-    whose [n] distinct values distinguish the [n] SHIL states. *)

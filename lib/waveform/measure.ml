@@ -33,39 +33,6 @@ let amplitude (s : Signal.t) =
   let lo, hi = Numerics.Stats.min_max s.values in
   0.5 *. (hi -. lo)
 
-let peaks (s : Signal.t) =
-  let out = ref [] in
-  let n = Signal.length s in
-  for i = 1 to n - 2 do
-    let a = s.values.(i - 1) and b = s.values.(i) and c = s.values.(i + 1) in
-    if b >= a && b > c then begin
-      (* parabolic refinement through the three samples *)
-      let denom = a -. (2.0 *. b) +. c in
-      if Float.abs denom > 1e-300 then begin
-        let delta = 0.5 *. (a -. c) /. denom in
-        let dt = s.times.(i + 1) -. s.times.(i) in
-        let t = s.times.(i) +. (delta *. dt) in
-        let v = b -. (0.25 *. (a -. c) *. delta) in
-        out := (t, v) :: !out
-      end
-      else out := (s.times.(i), b) :: !out
-    end
-  done;
-  Array.of_list (List.rev !out)
-
-let is_steady ?(window_fraction = 0.15) ?(rel_tol = 0.01) s =
-  let t1 = s.Signal.times.(Signal.length s - 1) in
-  let span = Signal.duration s in
-  let w = window_fraction *. span in
-  if w <= 0.0 then false
-  else begin
-    let last = Signal.slice s ~t_min:(t1 -. w) ~t_max:t1 in
-    let prev = Signal.slice s ~t_min:(t1 -. (2.0 *. w)) ~t_max:(t1 -. w) in
-    let a1 = amplitude last and a0 = amplitude prev in
-    let scale = Float.max (Float.abs a1) 1e-30 in
-    Float.abs (a1 -. a0) /. scale < rel_tol
-  end
-
 let fundamental (s : Signal.t) ~freq =
   (* trim the tail to an integer number of periods for a clean projection *)
   let period = 1.0 /. freq in

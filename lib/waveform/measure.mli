@@ -1,5 +1,6 @@
-(** Waveform measurements: crossings, frequency, amplitude, steady state. *)
+(** Waveform measurements: crossings, frequency, amplitude, phasors. *)
 
+(* dsa: allow unused-export — test hook: the crossing finder behind frequency is tested directly *)
 val rising_crossings : ?level:float -> Signal.t -> float array
 (** Times of rising crossings through [level] (default the signal's
     time-weighted mean), located by linear interpolation. *)
@@ -14,15 +15,6 @@ val frequency_opt : ?level:float -> Signal.t -> float option
 val amplitude : Signal.t -> float
 (** Half the peak-to-peak excursion — the [A] of the paper's sinusoidal
     steady state. *)
-
-val peaks : Signal.t -> (float * float) array
-(** Local maxima [(time, value)] found by three-point comparison with
-    parabolic refinement. *)
-
-val is_steady : ?window_fraction:float -> ?rel_tol:float -> Signal.t -> bool
-(** Compares the amplitude over the last window against the previous one:
-    steady when they differ by less than [rel_tol] (default 1%%,
-    [window_fraction] default 0.15). *)
 
 val fundamental : Signal.t -> freq:float -> Numerics.Cx.t
 (** One-sided phasor of the component at [freq]: the real waveform

@@ -17,10 +17,10 @@ val tail_fraction : t -> float -> t
 (** [tail_fraction s 0.3] keeps the last 30% of the time span — the usual
     "steady state" window. *)
 
+(* dsa: allow unused-export — test hook: the tests sample transient waveforms at arbitrary times *)
 val value_at : t -> float -> float
 (** Linear interpolation; clamped at the ends. *)
 
-val map : (float -> float) -> t -> t
 val shift_values : t -> float -> t
 (** Adds a constant to every value (DC removal). *)
 

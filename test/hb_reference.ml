@@ -37,7 +37,7 @@ let admittance (tank : Tank.t) omega k =
   let w = float_of_int k *. omega in
   Cx.add
     (Cx.add (Cx.of_float (1.0 /. tank.r)) (Cx.make 0.0 (w *. tank.c)))
-    (Cx.div Cx.one (Cx.make 0.0 (w *. tank.l)))
+    (Cx.div (Cx.of_float 1.0) (Cx.make 0.0 (w *. tank.l)))
 
 let residual_vec nl tank ~k_max ~samples u =
   let coeffs, omega = unpack k_max u in

@@ -69,12 +69,6 @@ let test_key_sanitization () =
   Alcotest.(check bool) "preimage stays single-line" false
     (String.contains (Key.preimage k3) '\n')
 
-let test_key_option_fields () =
-  let some = key [ Key.float_opt "w" (Some 1.0) ] in
-  let none = key [ Key.float_opt "w" None ] in
-  Alcotest.(check bool) "Some vs None distinct" false
-    (String.equal (Key.digest some) (Key.digest none))
-
 (* ------------------------------------------------------------------ *)
 (* Lru *)
 
@@ -738,7 +732,6 @@ let () =
             (fresh test_key_float_bits);
           Alcotest.test_case "separator sanitization" `Quick
             (fresh test_key_sanitization);
-          Alcotest.test_case "option fields" `Quick (fresh test_key_option_fields);
         ] );
       ( "lru",
         [

@@ -137,18 +137,21 @@ let test_shil_bad_order_and_tank () =
   Alcotest.(check bool) "order" true (List.mem "order" ec);
   Alcotest.(check bool) "tank-nonpositive" true (List.mem "tank-nonpositive" ec)
 
+(* a well-posed tank and injection, so only the part under test reports *)
+let good_config = S.config ~r:1e3 ~l:1.59e-5 ~c:1.59e-9 ~n:3 ~vi:0.03
+
 let test_shil_grid () =
   check_codes "inverted range" [ "grid-range" ]
-    (error_codes (S.check_grid ~a_range:(2.0, 1.0) ()));
+    (error_codes (S.check (good_config ~a_range:(2.0, 1.0) ())));
   check_codes "bad sizes" [ "grid-size" ]
-    (error_codes (S.check_grid ~n_phi:0 ~n_amp:(-3) ()))
+    (error_codes (S.check (good_config ~n_phi:0 ~n_amp:(-3) ())))
 
 let test_shil_nl_probes () =
   (* a passive resistor i = v/R: not an oscillator nonlinearity *)
-  let ds = S.check_nonlinearity (fun v -> v /. 50.0) in
+  let ds = S.check ~nl:(fun v -> v /. 50.0) (good_config ()) in
   Alcotest.(check bool) "nl-passive" true (List.mem "nl-passive" (codes ds));
   (* a probe that raises must surface as nl-nonfinite, not escape *)
-  let ds = S.check_nonlinearity (fun _ -> failwith "boom") in
+  let ds = S.check ~nl:(fun _ -> failwith "boom") (good_config ()) in
   Alcotest.(check bool) "nl-nonfinite" true (List.mem "nl-nonfinite" (codes ds))
 
 (* ------------------------------------------------------------------ *)
@@ -209,8 +212,8 @@ let test_diagnostic_json () =
     (Json.escape "line1\nline2");
   let d = D.error ~code:"x" ~loc:{|a "b"|} "line1\nline2" in
   Alcotest.(check string) "to_json"
-    {|{"severity":"error","code":"x","loc":"a \"b\"","msg":"line1\nline2"}|}
-    (D.to_json d)
+    {|[{"severity":"error","code":"x","loc":"a \"b\"","msg":"line1\nline2"}]|}
+    (D.list_to_json [ d ])
 
 (* ------------------------------------------------------------------ *)
 

@@ -81,7 +81,11 @@ let test_diff_pair_circuit_has_injection () =
       ~injection:{ vi = 0.03; n = 3; f_inj = 1.5e6; phase = 0.0 }
       Circuits.Diff_pair.default
   in
-  match Spice.Circuit.find c "VINJ" with
+  match
+    List.find_opt
+      (fun d -> Spice.Device.name d = "VINJ")
+      (Spice.Circuit.devices c)
+  with
   | Some (Spice.Device.Vsource { wave = Spice.Wave.Sine s; _ }) ->
     check_float ~eps:1e-12 "injection amplitude 2 vi" 0.06 s.ampl;
     check_float "injection frequency" 1.5e6 s.freq

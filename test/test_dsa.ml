@@ -94,11 +94,15 @@ let test_waiver_scan () =
 (* ------------------------------------------------------------------ *)
 (* The report aggregator and the lib/ cleanliness contract. *)
 
+let fixture_report = lazy (Analyze.run ~src_root:".." [ "dsa_fixtures" ])
+
 let test_run_report () =
-  let report = Analyze.run ~src_root:".." [ "dsa_fixtures" ] in
+  let report = Lazy.force fixture_report in
   Alcotest.(check bool) "analyzed all fixture modules" true
     (report.Analyze.modules >= 10);
-  Alcotest.(check int) "one suppressed finding" 1 report.Analyze.waived;
+  (* ok_waived.ml's float-order, export_waived.mli's export and the four
+     exports of the raise-escape fixtures' interfaces *)
+  Alcotest.(check int) "suppressed findings" 6 report.Analyze.waived;
   let files = List.map fst report.Analyze.diags in
   Alcotest.(check bool) "files sorted" true
     (files = List.sort String.compare files);
@@ -108,10 +112,63 @@ let test_run_report () =
           (fun f -> Filename.basename f = "ok_pool_atomic.ml")
           files))
 
+(* unused-export over the fixture library: per interface, the codes it
+   reports (files without findings are absent) *)
+let test_unused_export () =
+  (* the one reference to Export_test_only: from a test, so it counts
+     for nothing *)
+  Alcotest.(check int) "probe" 42 (Dsa_fixtures.Export_test_only.probe ());
+  let report = Lazy.force fixture_report in
+  let codes_of base =
+    match
+      List.find_opt
+        (fun (f, _) -> Filename.basename f = base)
+        report.Analyze.diags
+    with
+    | Some (_, ds) -> List.sort String.compare (codes ds)
+    | None -> []
+  in
+  List.iter
+    (fun (base, expected) ->
+      Alcotest.(check (list string)) base expected (codes_of base))
+    [
+      ("export_used.mli", []);
+      ("export_internal.mli", [ "unused-export" ]);
+      ("export_test_only.mli", [ "unused-export" ]);
+      ("export_waived.mli", []);
+      ("export_stale_waiver.mli", [ "unused-waiver" ]);
+      ("export_bad_waiver.mli", [ "bad-waiver"; "unused-export" ]);
+      ("ok_raise_escape.mli", []);
+    ];
+  let msg base =
+    match
+      List.find_opt
+        (fun (f, _) -> Filename.basename f = base)
+        report.Analyze.diags
+    with
+    | Some (_, [ d ]) -> d.D.msg
+    | _ -> Alcotest.failf "%s: expected one finding" base
+  in
+  let has_prefix ~prefix s =
+    String.length s >= String.length prefix
+    && String.sub s 0 (String.length prefix) = prefix
+  in
+  Alcotest.(check bool) "internal use named" true
+    (has_prefix ~prefix:"helper is exported but only its own module uses it"
+       (msg "export_internal.mli"));
+  Alcotest.(check bool) "test use does not count" true
+    (has_prefix ~prefix:"probe is exported but no other module uses it"
+       (msg "export_test_only.mli"))
+
 let test_lib_clean () =
   (* the @analyze alias enforces this at build time; asserting it here
-     too keeps the contract visible in the unit-test report *)
-  let report = Analyze.run ~src_root:".." [ "../lib" ] in
+     too keeps the contract visible in the unit-test report. The same
+     use directories as @analyze: test/ is not one of them. *)
+  let report =
+    Analyze.run ~src_root:".."
+      ~uses:[ "../bin"; "../examples"; "../tools"; "../perfbench" ]
+      [ "../lib" ]
+  in
   Alcotest.(check bool) "lib modules found" true (report.Analyze.modules > 50);
   List.iter
     (fun (file, ds) -> check_codes file [] (codes ds))
@@ -149,6 +206,11 @@ let () =
             test_raise_escape_bad;
           Alcotest.test_case "ok: documented / caught / typed" `Quick
             test_raise_escape_ok;
+        ] );
+      ( "unused-export",
+        [
+          Alcotest.test_case "used / internal / test-only / waivers" `Quick
+            test_unused_export;
         ] );
       ( "waivers",
         [

@@ -204,7 +204,9 @@ let test_hb_dead_cell () =
      describing-function amplitude to seed the oscprobe *)
   let dead =
     { tanh_osc with
-      Shil.Analysis.tank = Shil.Tank.with_r tanh_osc.Shil.Analysis.tank 400.0 }
+      Shil.Analysis.tank =
+        (let t = tanh_osc.Shil.Analysis.tank in
+         Shil.Tank.make ~r:400.0 ~l:t.l ~c:t.c) }
   in
   match
     Api.hb_run ~osc:dead ~n:3 ~vi:0.03 ~k_max:7 ~samples:256

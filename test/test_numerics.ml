@@ -16,8 +16,8 @@ let test_wrap_ranges () =
       let w2 = Angle.wrap_two_pi a in
       Alcotest.(check bool) "wrap_two_pi in [0, 2pi)" true (w2 >= 0.0 && w2 < Angle.two_pi);
       let wp = Angle.wrap_pi a in
-      Alcotest.(check bool) "wrap_pi in (-pi, pi]" true (wp > -.Angle.pi -. 1e-12 && wp <= Angle.pi +. 1e-12))
-    [ 0.0; 1.0; -1.0; 7.0; -7.0; 100.0; -100.0; Angle.pi; -.Angle.pi; 2.0 *. Angle.pi ]
+      Alcotest.(check bool) "wrap_pi in (-pi, pi]" true (wp > -.Float.pi -. 1e-12 && wp <= Float.pi +. 1e-12))
+    [ 0.0; 1.0; -1.0; 7.0; -7.0; 100.0; -100.0; Float.pi; -.Float.pi; 2.0 *. Float.pi ]
 
 let test_wrap_identity () =
   check_float "wrap of 0.3" 0.3 (Angle.wrap_pi 0.3);
@@ -35,11 +35,11 @@ let test_unwrap () =
 
 let test_dist () =
   check_float "dist symmetric wrap" 0.2 (Angle.dist 0.1 (-0.1));
-  check_float "dist across seam" 0.2 (Angle.dist (Angle.pi -. 0.1) (-.Angle.pi +. 0.1))
+  check_float "dist across seam" 0.2 (Angle.dist (Float.pi -. 0.1) (-.Float.pi +. 0.1))
 
 let prop_wrap_dist_bounded =
   qtest "wrap: dist <= pi" QCheck.(pair (float_bound_exclusive 100.0) (float_bound_exclusive 100.0))
-    (fun (a, b) -> Angle.dist a b <= Angle.pi +. 1e-9)
+    (fun (a, b) -> Angle.dist a b <= Float.pi +. 1e-9)
 
 (* ------------------------------------------------------------------ *)
 (* Cx *)
@@ -67,7 +67,7 @@ let prop_cx_conj_involution =
     QCheck.(pair (float_range (-100.) 100.) (float_range (-100.) 100.))
     (fun (re, im) ->
       let z = Cx.make re im in
-      Cx.approx_equal (Cx.conj (Cx.conj z)) z)
+      Cx.conj (Cx.conj z) = z)
 
 (* ------------------------------------------------------------------ *)
 (* Linalg *)
@@ -93,9 +93,11 @@ let prop_lu_solve =
         (n, random_system st n))
   in
   qtest ~count:100 "linalg: solve recovers x" gen (fun (_, (a, x)) ->
-      let b = Linalg.mat_vec a x in
+      let b =
+        Array.map (fun row -> Array.fold_left ( +. ) 0.0 (Array.map2 ( *. ) row x)) a
+      in
       let x' = Linalg.solve a b in
-      Linalg.norm_inf (Linalg.vec_sub x x') < 1e-8)
+      Linalg.norm_inf (Array.map2 ( -. ) x x') < 1e-8)
 
 (* A random n x n matrix that pivots (no diagonal dominance), with
    exact zeros, and a 1-in-4 chance of exact singularity (a repeated
@@ -145,12 +147,12 @@ let prop_lu_in_place =
       List.for_all
         (fun (a, b) ->
           let allocating =
-            match Linalg.lu_factor a with
+            match Linalg.solve a b with
             | exception Linalg.Singular -> None
-            | f -> Some (bits (Linalg.lu_solve f b))
+            | x -> Some (bits x)
           in
           let fresh =
-            in_place (Linalg.copy a) (Array.make n 0) (Array.make n 0.0) b
+            in_place (Array.map Array.copy a) (Array.make n 0) (Array.make n 0.0) b
           in
           Array.iteri (fun r row -> Array.blit row 0 ws.(r) 0 n) a;
           let reused = in_place ws perm x b in
@@ -164,95 +166,9 @@ let test_singular () =
       ignore (Linalg.solve a [| 1.0; 1.0 |]))
 
 let test_identity_solve () =
-  let x = Linalg.solve (Linalg.identity 4) [| 1.0; 2.0; 3.0; 4.0 |] in
+  let identity = Array.init 4 (fun r -> Array.init 4 (fun c -> if r = c then 1.0 else 0.0)) in
+  let x = Linalg.solve identity [| 1.0; 2.0; 3.0; 4.0 |] in
   Array.iteri (fun k v -> check_float "identity" (float_of_int (k + 1)) v) x
-
-let test_mat_mul_assoc () =
-  let a = [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
-  let b = [| [| 0.0; 1.0 |]; [| 1.0; 1.0 |] |] in
-  let c = [| [| 2.0; 0.0 |]; [| 0.0; 2.0 |] |] in
-  let left = Linalg.mat_mul (Linalg.mat_mul a b) c in
-  let right = Linalg.mat_mul a (Linalg.mat_mul b c) in
-  Array.iteri
-    (fun i row -> Array.iteri (fun j v -> check_float "assoc" right.(i).(j) v) row)
-    left
-
-let test_complex_solve () =
-  (* (1 + j) x = 2 -> x = 1 - j *)
-  let a = [| [| Cx.make 1.0 1.0 |] |] in
-  let b = [| Cx.make 2.0 0.0 |] in
-  let x = Linalg.solve_complex a b in
-  check_float ~eps:1e-12 "re" 1.0 (Cx.re x.(0));
-  check_float ~eps:1e-12 "im" (-1.0) (Cx.im x.(0))
-
-let test_complex_solve_2x2 () =
-  let j = Cx.i in
-  let a = [| [| Cx.one; j |]; [| j; Cx.one |] |] in
-  let x_true = [| Cx.make 1.0 2.0; Cx.make (-1.0) 0.5 |] in
-  let b =
-    Array.init 2 (fun r ->
-        Cx.add (Cx.mul a.(r).(0) x_true.(0)) (Cx.mul a.(r).(1) x_true.(1)))
-  in
-  let x = Linalg.solve_complex a b in
-  Array.iteri
-    (fun k z -> Alcotest.(check bool) "complex 2x2" true (Cx.approx_equal ~tol:1e-10 z x_true.(k)))
-    x
-
-(* ------------------------------------------------------------------ *)
-(* Fft *)
-
-let complex_array_gen n =
-  QCheck.Gen.(
-    array_size (return n)
-      (map (fun (re, im) -> Cx.make re im)
-         (pair (float_range (-10.0) 10.0) (float_range (-10.0) 10.0))))
-
-let prop_fft_roundtrip =
-  let gen =
-    QCheck.make
-      ~print:(fun a -> Printf.sprintf "len=%d" (Array.length a))
-      QCheck.Gen.(int_range 1 64 >>= complex_array_gen)
-  in
-  qtest ~count:100 "fft: idft (dft x) = x" gen (fun x ->
-      let y = Fft.idft (Fft.dft x) in
-      Array.for_all2 (fun a b -> Cx.approx_equal ~tol:1e-8 a b) x y)
-
-let test_fft_delta () =
-  let x = Array.make 8 Cx.zero in
-  x.(0) <- Cx.one;
-  let y = Fft.dft x in
-  Array.iter (fun z -> check_float ~eps:1e-12 "delta flat" 1.0 (Cx.abs z)) y
-
-let test_fft_sine_bin () =
-  let n = 64 in
-  let x =
-    Array.init n (fun k ->
-        Cx.of_float (cos (2.0 *. Float.pi *. 5.0 *. float_of_int k /. float_of_int n)))
-  in
-  let y = Fft.dft x in
-  check_float ~eps:1e-9 "bin 5 magnitude" (float_of_int n /. 2.0) (Cx.abs y.(5));
-  check_float ~eps:1e-9 "bin 6 empty" 0.0 (Cx.abs y.(6))
-
-let test_fft_bluestein_matches_naive () =
-  (* length 12 (non power of two) against the O(n^2) definition *)
-  let n = 12 in
-  let x = Array.init n (fun k -> Cx.make (float_of_int k) (float_of_int (k * k))) in
-  let y = Fft.dft x in
-  for k = 0 to n - 1 do
-    let acc = ref Cx.zero in
-    for s = 0 to n - 1 do
-      let theta = -2.0 *. Float.pi *. float_of_int (k * s) /. float_of_int n in
-      acc := Cx.add !acc (Cx.mul x.(s) (Cx.exp_j theta))
-    done;
-    Alcotest.(check bool) "bluestein vs naive" true (Cx.approx_equal ~tol:1e-7 !acc y.(k))
-  done
-
-let test_next_power_of_two () =
-  Alcotest.(check int) "npot 1" 1 (Fft.next_power_of_two 1);
-  Alcotest.(check int) "npot 5" 8 (Fft.next_power_of_two 5);
-  Alcotest.(check int) "npot 8" 8 (Fft.next_power_of_two 8);
-  Alcotest.(check bool) "ispot" true (Fft.is_power_of_two 64);
-  Alcotest.(check bool) "not pot" false (Fft.is_power_of_two 48)
 
 (* ------------------------------------------------------------------ *)
 (* Fourier *)
@@ -272,16 +188,19 @@ let test_fourier_odd_function () =
   Alcotest.(check bool) "odd harmonic present" true (Cx.abs c3 > 1e-4)
 
 let test_fourier_coeffs_consistent () =
+  (* the projection of f's own 1024 samples is [coeff] of f *)
   let f theta = exp (cos theta) in
-  let cs = Fourier.coeffs ~f ~kmax:5 () in
+  let samples =
+    Array.init 1024 (fun s -> f (2.0 *. Float.pi *. float_of_int s /. 1024.0))
+  in
   for k = 0 to 5 do
-    let single = Fourier.coeff ~f ~k () in
-    Alcotest.(check bool) "coeffs = coeff" true (Cx.approx_equal ~tol:1e-10 cs.(k) single)
+    let d = Cx.sub (Fourier.coeff_sampled samples ~k) (Fourier.coeff ~f ~k ()) in
+    Alcotest.(check bool) "coeff_sampled = coeff" true (Cx.abs d < 1e-10)
   done
 
 let test_fourier_reconstruct () =
   let f theta = 1.0 +. (2.0 *. cos theta) +. (0.5 *. cos (3.0 *. theta)) in
-  let cs = Fourier.coeffs ~f ~kmax:4 () in
+  let cs = Array.init 5 (fun k -> Fourier.coeff ~f ~k ()) in
   List.iter
     (fun theta ->
       check_float ~eps:1e-9 "reconstruct" (f theta) (Fourier.reconstruct cs ~theta))
@@ -306,7 +225,8 @@ let prop_fourier_linearity =
       let combo theta = (a *. f1 theta) +. (b *. f2 theta) in
       let c = Fourier.coeff ~f:combo ~k:1 () in
       let c1 = Fourier.coeff ~f:f1 ~k:1 () in
-      Cx.approx_equal ~tol:1e-9 c (Cx.scale a c1))
+      let d = Cx.sub c (Cx.scale a c1) in
+      Float.abs (Cx.re d) <= 1e-9 && Float.abs (Cx.im d) <= 1e-9)
 
 (* ------------------------------------------------------------------ *)
 (* Roots *)
@@ -318,14 +238,6 @@ let test_bisect_sqrt2 () =
 let test_brent_cos () =
   let r = Roots.brent ~f:cos ~a:1.0 ~b:2.0 () in
   check_float ~eps:1e-9 "brent pi/2" (Float.pi /. 2.0) r
-
-let test_newton_cbrt () =
-  let r = Roots.newton ~f:(fun x -> (x ** 3.0) -. 8.0) ~df:(fun x -> 3.0 *. x *. x) ~x0:3.0 () in
-  check_float ~eps:1e-9 "newton cbrt 8" 2.0 r
-
-let test_secant () =
-  let r = Roots.secant ~f:(fun x -> exp x -. 3.0) ~x0:0.5 ~x1:1.5 () in
-  check_float ~eps:1e-8 "secant ln 3" (log 3.0) r
 
 let test_no_bracket () =
   Alcotest.check_raises "no bracket" Roots.No_bracket (fun () ->
@@ -357,25 +269,11 @@ let prop_brent_polynomial =
 (* Interp *)
 
 let test_linear_exact () =
-  let itp = Interp.linear ~xs:[| 0.0; 1.0; 2.0 |] ~ys:[| 0.0; 2.0; 4.0 |] in
+  (* collinear knots: the Fritsch-Carlson slopes all equal the line's *)
+  let itp = Interp.pchip ~xs:[| 0.0; 1.0; 2.0 |] ~ys:[| 0.0; 2.0; 4.0 |] in
   check_float "linear mid" 1.0 (Interp.eval itp 0.5);
   check_float "linear deriv" 2.0 (Interp.eval_deriv itp 0.5);
   check_float "linear extrapolate" 6.0 (Interp.eval itp 3.0)
-
-let test_spline_reproduces_knots () =
-  let xs = [| 0.0; 0.5; 1.1; 2.0; 3.0 |] in
-  let ys = Array.map (fun x -> sin x) xs in
-  let itp = Interp.cubic_spline ~xs ~ys in
-  Array.iteri (fun k x -> check_float ~eps:1e-12 "spline knot" ys.(k) (Interp.eval itp x)) xs
-
-let test_spline_accuracy () =
-  let n = 30 in
-  let xs = Array.init n (fun k -> float_of_int k /. float_of_int (n - 1) *. 3.0) in
-  let ys = Array.map sin xs in
-  let itp = Interp.cubic_spline ~xs ~ys in
-  List.iter
-    (fun x -> check_float ~eps:1e-4 "spline vs sin" (sin x) (Interp.eval itp x))
-    [ 0.31; 1.17; 2.53 ]
 
 let test_pchip_knots () =
   let xs = [| 0.0; 1.0; 2.0; 3.0 |] in
@@ -409,15 +307,10 @@ let prop_pchip_monotone =
       done;
       !ok)
 
-let test_shift_x () =
-  let itp = Interp.linear ~xs:[| 0.0; 1.0 |] ~ys:[| 0.0; 1.0 |] in
-  let shifted = Interp.shift_x itp 0.5 in
-  check_float "shift" 0.75 (Interp.eval shifted 0.25)
-
 let test_interp_deriv_fd () =
   let xs = Array.init 20 (fun k -> float_of_int k /. 5.0) in
   let ys = Array.map (fun x -> (x *. x) +. x) xs in
-  let itp = Interp.cubic_spline ~xs ~ys in
+  let itp = Interp.pchip ~xs ~ys in
   let x = 1.37 in
   let h = 1e-6 in
   let fd = (Interp.eval itp (x +. h) -. Interp.eval itp (x -. h)) /. (2.0 *. h) in
@@ -426,21 +319,17 @@ let test_interp_deriv_fd () =
 let test_interp_invalid () =
   Alcotest.check_raises "non-monotone knots"
     (Invalid_argument "Interp: abscissae must be strictly increasing") (fun () ->
-      ignore (Interp.linear ~xs:[| 0.0; 0.0 |] ~ys:[| 1.0; 2.0 |]))
+      ignore (Interp.pchip ~xs:[| 0.0; 0.0 |] ~ys:[| 1.0; 2.0 |]))
 
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
 let test_stats_basic () =
   let x = [| 1.0; 2.0; 3.0; 4.0 |] in
-  check_float "mean" 2.5 (Stats.mean x);
-  check_float "variance" 1.25 (Stats.variance x);
-  check_float "median even" 2.5 (Stats.median x);
-  check_float "median odd" 2.0 (Stats.median [| 3.0; 1.0; 2.0 |]);
+  check_float "stddev" (sqrt 1.25) (Stats.stddev x);
   let lo, hi = Stats.min_max x in
   check_float "min" 1.0 lo;
-  check_float "max" 4.0 hi;
-  check_float "rms" (sqrt 7.5) (Stats.rms x)
+  check_float "max" 4.0 hi
 
 let prop_linear_fit_exact =
   qtest ~count:100 "stats: fit recovers line"
@@ -450,9 +339,6 @@ let prop_linear_fit_exact =
       let ys = Array.map (fun x -> (m *. x) +. b) xs in
       let m', b' = Stats.linear_fit ~xs ~ys in
       Float.abs (m -. m') < 1e-9 && Float.abs (b -. b') < 1e-8)
-
-let test_max_abs_dev () =
-  check_float "mad" 2.0 (Stats.max_abs_dev [| 1.0; 3.0; 5.0 |])
 
 let () =
   Alcotest.run "numerics"
@@ -478,17 +364,6 @@ let () =
           prop_lu_in_place;
           Alcotest.test_case "singular" `Quick test_singular;
           Alcotest.test_case "identity" `Quick test_identity_solve;
-          Alcotest.test_case "mat_mul assoc" `Quick test_mat_mul_assoc;
-          Alcotest.test_case "complex 1x1" `Quick test_complex_solve;
-          Alcotest.test_case "complex 2x2" `Quick test_complex_solve_2x2;
-        ] );
-      ( "fft",
-        [
-          prop_fft_roundtrip;
-          Alcotest.test_case "delta" `Quick test_fft_delta;
-          Alcotest.test_case "sine bin" `Quick test_fft_sine_bin;
-          Alcotest.test_case "bluestein vs naive" `Quick test_fft_bluestein_matches_naive;
-          Alcotest.test_case "powers of two" `Quick test_next_power_of_two;
         ] );
       ( "fourier",
         [
@@ -503,8 +378,6 @@ let () =
         [
           Alcotest.test_case "bisect" `Quick test_bisect_sqrt2;
           Alcotest.test_case "brent" `Quick test_brent_cos;
-          Alcotest.test_case "newton" `Quick test_newton_cbrt;
-          Alcotest.test_case "secant" `Quick test_secant;
           Alcotest.test_case "no bracket" `Quick test_no_bracket;
           Alcotest.test_case "find_all sin" `Quick test_find_all_sin;
           Alcotest.test_case "newton2d" `Quick test_newton2d;
@@ -513,11 +386,8 @@ let () =
       ( "interp",
         [
           Alcotest.test_case "linear" `Quick test_linear_exact;
-          Alcotest.test_case "spline knots" `Quick test_spline_reproduces_knots;
-          Alcotest.test_case "spline accuracy" `Quick test_spline_accuracy;
           Alcotest.test_case "pchip knots" `Quick test_pchip_knots;
           prop_pchip_monotone;
-          Alcotest.test_case "shift_x" `Quick test_shift_x;
           Alcotest.test_case "deriv vs fd" `Quick test_interp_deriv_fd;
           Alcotest.test_case "invalid knots" `Quick test_interp_invalid;
         ] );
@@ -525,6 +395,5 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_stats_basic;
           prop_linear_fit_exact;
-          Alcotest.test_case "max abs dev" `Quick test_max_abs_dev;
         ] );
     ]

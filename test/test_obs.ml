@@ -137,7 +137,7 @@ let test_jsonl_round_trip () =
   let s = populate () in
   with_temp_file ".jsonl" (fun path ->
       Obs.Sink.jsonl ~path s;
-      let back = Obs.Trace_read.load path in
+      let back = Obs.Trace_read.load_many [ path ] in
       Alcotest.(check int)
         "span count" (List.length s.Obs.Registry.spans)
         (List.length back.Obs.Registry.spans);
@@ -218,7 +218,7 @@ let test_sink_escapes_round_trip () =
   let s = Obs.snapshot () in
   with_temp_file ".jsonl" (fun path ->
       Obs.Sink.jsonl ~path s;
-      match (Obs.Trace_read.load path).Obs.Registry.spans with
+      match (Obs.Trace_read.load_many [ path ]).Obs.Registry.spans with
       | [ e ] ->
         Alcotest.(check string) "jsonl name" nasty e.name;
         Alcotest.(check (list (pair string string)))
@@ -251,7 +251,7 @@ let test_reader_rejects_non_json_numbers () =
           let oc = open_out path in
           List.iter (fun l -> output_string oc (l ^ "\n")) lines;
           close_out oc;
-          match Obs.Trace_read.load path with
+          match Obs.Trace_read.load_many [ path ] with
           | _ -> Alcotest.failf "value %s was accepted" bad
           | exception Obs.Trace_read.Parse_error msg ->
             let prefix = path ^ ":3:" in
@@ -314,7 +314,7 @@ let sample_events () =
 let test_events_off_is_noop () =
   (* spans on, events off: the separate gate must hold *)
   Obs.set_enabled true;
-  Alcotest.(check bool) "events off by default" false (Obs.events_enabled ());
+  Alcotest.(check bool) "events off by default" false (Obs.Event.enabled ());
   sample_events ();
   Obs.Event.gc_sample ~where:"t.here" ();
   let s = Obs.snapshot () in
@@ -355,7 +355,7 @@ let test_events_jsonl_round_trip () =
   let s = Obs.snapshot () in
   with_temp_file ".jsonl" (fun path ->
       Obs.Sink.jsonl ~path s;
-      let back = Obs.Trace_read.load path in
+      let back = Obs.Trace_read.load_many [ path ] in
       Alcotest.(check int)
         "event count survives" (List.length s.Obs.Registry.events)
         (List.length back.Obs.Registry.events);
@@ -372,8 +372,8 @@ let test_events_jsonl_round_trip () =
 let health_fixture = "fixtures/trace_health.jsonl"
 
 let test_report_deterministic () =
-  let r1 = Obs.Report.of_snapshot (Obs.Trace_read.load health_fixture) in
-  let r2 = Obs.Report.of_snapshot (Obs.Trace_read.load health_fixture) in
+  let r1 = Obs.Report.of_snapshot (Obs.Trace_read.load_many [ health_fixture ]) in
+  let r2 = Obs.Report.of_snapshot (Obs.Trace_read.load_many [ health_fixture ]) in
   Alcotest.(check string)
     "same trace renders to byte-identical JSON" (Obs.Report.to_json r1)
     (Obs.Report.to_json r2);
@@ -383,7 +383,7 @@ let test_report_deterministic () =
     (Format.asprintf "%a" Obs.Report.pp r2)
 
 let test_report_solver_facts () =
-  let r = Obs.Report.of_snapshot (Obs.Trace_read.load health_fixture) in
+  let r = Obs.Report.of_snapshot (Obs.Trace_read.load_many [ health_fixture ]) in
   let refine =
     List.find (fun s -> s.Obs.Report.ssolver = "shil.refine") r.Obs.Report.solvers
   in

@@ -47,9 +47,10 @@ let test_reduce_matches_sequential () =
   done;
   with_pool 3 (fun p ->
       let got =
-        Pool.parallel_reduce ~pool:p ~n ~init:0.0 ~map ~fold:( +. ) ()
+        Array.fold_left ( +. ) 0.0 (Pool.parallel_init ~pool:p n map)
       in
-      (* fold runs in index order, so this is equality, not approximation *)
+      (* results land by index and the fold runs in index order, so this
+         is equality, not approximation *)
       Alcotest.(check bool) "reduce bit-identical" true (!expect = got))
 
 exception Boom of int

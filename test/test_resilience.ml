@@ -81,8 +81,6 @@ let test_fault_fire () =
   Alcotest.(check bool) "unarmed fire" false (Fault.fire "roots-fail");
   arm "roots-fail@1x2";
   Alcotest.(check bool) "armed" true (Fault.armed ());
-  Alcotest.(check (option string)) "plan string" (Some "roots-fail@1x2")
-    (Fault.plan_string ());
   (* occurrences 0..3: only 1 and 2 are in the window *)
   Alcotest.(check (list bool)) "occurrence window"
     [ false; true; true; false ]
@@ -126,11 +124,13 @@ let test_error_render () =
            i + fl <= sl && (String.sub s i fl = frag || scan (i + 1))
          in
          scan 0))
-    [ "newton diverged"; "iteration"; "17"; "loosen tolerances" ];
-  let d = E.to_diagnostic e in
-  Alcotest.(check string) "diagnostic code" "solver-divergence"
-    d.Check.Diagnostic.code;
-  Alcotest.(check string) "diagnostic loc" "spice.op" d.Check.Diagnostic.loc
+    [
+      "error[solver-divergence] spice.op";
+      "newton diverged";
+      "iteration";
+      "17";
+      "loosen tolerances";
+    ]
 
 let test_error_of_exn () =
   let e = E.make Shil ~phase:"grid" Singular_system "boom" in

@@ -143,21 +143,26 @@ let prop_tank_phase_roundtrip =
       Float.abs (Tank.phase fixture_tank ~omega -. phi_d) < 1e-9)
 
 let test_tank_circle_point () =
-  let b = Cx.make 2.0 0.0 in
-  let p = Tank.circle_point fixture_tank ~b_center:b ~phi_d:0.5 in
-  check_float ~eps:1e-12 "projection magnitude" (2.0 *. cos 0.5) (Cx.abs p);
+  (* circle property (§VI-B1): where the tank phase is phi_d, the output
+     phasor is the centre-frequency one (R, for a unit current)
+     projected, R cos(phi_d) e^{j phi_d} *)
+  let r = fixture_tank.Tank.r in
+  let omega = Tank.omega_of_phase fixture_tank ~phi_d:0.5 in
+  let p = Tank.h fixture_tank ~omega in
+  check_float ~eps:(1e-12 *. r) "projection magnitude" (r *. cos 0.5) (Cx.abs p);
   check_float ~eps:1e-12 "projection angle" 0.5 (Cx.arg p)
 
 let test_tank_circle_locus () =
-  (* every point of the locus lies on the circle with diameter b_center *)
-  let b = Cx.make 1.0 1.0 in
-  let centre = Cx.scale 0.5 b in
-  let radius = 0.5 *. Cx.abs b in
-  let pts = Tank.circle_locus fixture_tank ~b_center:b ~n:64 in
-  Array.iter
-    (fun p ->
-      check_float ~eps:1e-9 "on circle" radius (Cx.abs (Cx.sub p centre)))
-    pts
+  (* as the frequency sweeps (0, infinity) the output phasor runs over
+     the circle with diameter R *)
+  let r = fixture_tank.Tank.r in
+  let wc = Tank.omega_c fixture_tank in
+  List.iter
+    (fun x ->
+      let p = Tank.h fixture_tank ~omega:(x *. wc) in
+      check_float ~eps:(1e-9 *. r) "on circle" (0.5 *. r)
+        (Cx.abs (Cx.sub p (Cx.of_float (0.5 *. r)))))
+    [ 0.01; 0.5; 0.9; 1.0; 1.1; 2.0; 100.0 ]
 
 let test_tank_validation () =
   Alcotest.check_raises "negative R"
@@ -173,9 +178,9 @@ let test_tank_h_formula () =
   let y =
     Cx.add
       (Cx.add (Cx.of_float (1.0 /. r)) (Cx.make 0.0 (omega *. c)))
-      (Cx.div Cx.one (Cx.make 0.0 (omega *. l)))
+      (Cx.div (Cx.of_float 1.0) (Cx.make 0.0 (omega *. l)))
   in
-  let expected = Cx.div Cx.one y in
+  let expected = Cx.div (Cx.of_float 1.0) y in
   Alcotest.(check bool) "h = 1/Y" true (Cx.abs (Cx.sub h expected) < 1e-6)
 
 (* ------------------------------------------------------------------ *)
@@ -200,10 +205,13 @@ let prop_df_cubic_closed_form =
       Float.abs (Describing_function.i1 nl ~a -. expected) < 1e-12)
 
 let test_df_even_harmonics_vanish () =
-  (* odd f: even harmonics of f(A cos) vanish *)
-  let i2 = Describing_function.ik tanh_nl ~a:1.0 ~k:2 in
+  (* odd f: even harmonics of f(A cos) vanish (no injected tone) *)
+  let ik k =
+    Describing_function.ik_two_tone tanh_nl ~n:3 ~a:1.0 ~vi:0.0 ~phi:0.0 ~k
+  in
+  let i2 = ik 2 in
   check_float ~eps:1e-12 "I2 = 0" 0.0 (Cx.abs i2);
-  let i3 = Describing_function.ik tanh_nl ~a:1.0 ~k:3 in
+  let i3 = ik 3 in
   Alcotest.(check bool) "I3 nonzero" true (Cx.abs i3 > 1e-6)
 
 let prop_df_two_tone_reduces_to_single =
@@ -271,15 +279,14 @@ let test_df_t_f_requires_positive_a () =
       ignore (Describing_function.t_f_free tanh_nl ~r:fixture_r ~a:0.0))
 
 let test_df_t_cap_f_vs_t_f_on_solution () =
-  (* on the phase condition, T_F = |T_f| *)
+  (* on the phase condition (eq. 4), eq. 5's magnitude form
+     T_F = |R I_1 cos(phi_d) / (A/2)| equals |T_f| *)
   let a = 1.0 and phi = 2.0 and vi = 0.05 in
   let i1 = Describing_function.i1_two_tone tanh_nl ~n:3 ~a ~vi ~phi in
   let phi_d = -.Cx.arg (Cx.neg i1) in
   let tf = Describing_function.t_f tanh_nl ~n:3 ~r:fixture_r ~a ~vi ~phi in
-  let tcf =
-    Describing_function.t_cap_f tanh_nl ~n:3 ~r:fixture_r ~a ~vi ~phi ~phi_d
-  in
-  check_float ~eps:1e-9 "T_F = |T_f| on eq. 4" (Float.abs tf) tcf
+  let t_cap_f = Float.abs (fixture_r *. Cx.abs i1 *. cos phi_d /. (a /. 2.0)) in
+  check_float ~eps:1e-9 "T_F = |T_f| on eq. 4" (Float.abs tf) t_cap_f
 
 let test_df_quadrature_convergence () =
   (* 256 points already agree with 4096 to near machine precision *)
@@ -857,6 +864,15 @@ let test_analytic_cells_take_torus () =
           n vi)
     torus_cells
 
+(* the diff-pair's PCHIP table stalls the torus pilot's doubling, so
+   every diff-pair cell samples the direct grid *)
+let test_diffpair_cells_fall_back () =
+  List.iter
+    (fun ((name, n, vi), g) ->
+      if name = "diffpair" && Option.is_some (Lazy.force g) then
+        Alcotest.failf "diffpair n=%d vi=%g: took a torus count" n vi)
+    torus_cells
+
 (* The error is measured against the grid's largest |I1|, the scale of
    the eq. 3 and eq. 4 fields: the tunnel diode's I1 passes through zero
    inside its analysis box, where no relative bound per cell can hold. *)
@@ -1070,5 +1086,7 @@ let () =
           prop_torus_cells_match_direct;
           Alcotest.test_case "diff-pair falls back to the direct grid" `Quick
             test_diffpair_falls_back;
+          Alcotest.test_case "every diff-pair cell falls back" `Quick
+            test_diffpair_cells_fall_back;
         ] );
     ]

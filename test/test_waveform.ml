@@ -77,22 +77,6 @@ let test_no_oscillation () =
   Alcotest.(check (option (float 0.1))) "flat has no frequency" None
     (Waveform.Measure.frequency_opt s)
 
-let test_peaks () =
-  let s = sine ~freq:5.0 ~t1:1.0 ~n:5000 () in
-  let peaks = Waveform.Measure.peaks s in
-  Alcotest.(check int) "5 maxima (minus boundary)" 4 (Array.length peaks);
-  Array.iter (fun (_, v) -> check_float ~eps:1e-5 "peak value" 1.0 v) peaks
-
-let test_is_steady () =
-  let steady = sine ~t1:2.0 () in
-  Alcotest.(check bool) "steady sine" true (Waveform.Measure.is_steady steady);
-  let times = Array.init 4000 (fun k -> float_of_int k /. 2000.0) in
-  let values =
-    Array.map (fun t -> exp (0.8 *. t) *. cos (2.0 *. Float.pi *. 10.0 *. t)) times
-  in
-  let growing = Waveform.Signal.make ~times ~values in
-  Alcotest.(check bool) "growing not steady" false (Waveform.Measure.is_steady growing)
-
 let prop_fundamental_phasor =
   qtest ~count:50 "measure: fundamental recovers amplitude and phase"
     QCheck.(pair (float_range 0.2 3.0) (float_range (-3.0) 3.0))
@@ -115,29 +99,31 @@ let test_phase_profile_drifts_when_detuned () =
   let span = profile.(15) -. profile.(0) in
   check_float ~eps:0.3 "drift slope" (2.0 *. Float.pi *. 0.2 *. 4.0 *. 15.0 /. 16.0) span
 
-(* Spectrum *)
+(* Spectrum: single-bin projections pick one tone out of a mixture *)
 
-let test_spectrum_dominant () =
-  let s = sine ~freq:50.0 ~t1:1.0 ~n:4096 () in
-  let spec = Waveform.Spectrum.compute s in
-  let f, m = Waveform.Spectrum.dominant spec in
-  check_float ~eps:0.5 "dominant freq" 50.0 f;
-  check_float ~eps:0.05 "dominant magnitude" 1.0 m
-
-let test_spectrum_two_tone () =
+let two_tone () =
   let times = Array.init 8192 (fun k -> float_of_int k /. 8191.0) in
   let values =
     Array.map
       (fun t ->
-        cos (2.0 *. Float.pi *. 40.0 *. t) +. (0.3 *. cos (2.0 *. Float.pi *. 120.0 *. t)))
+        cos (2.0 *. Float.pi *. 40.0 *. t)
+        +. (0.3 *. cos ((2.0 *. Float.pi *. 120.0 *. t) +. 0.4)))
       times
   in
-  let s = Waveform.Signal.make ~times ~values in
-  let spec = Waveform.Spectrum.compute s in
-  let f, _ = Waveform.Spectrum.dominant spec in
-  check_float ~eps:0.5 "strongest tone" 40.0 f;
-  Alcotest.(check bool) "second tone visible" true
-    (Waveform.Spectrum.magnitude_at spec 120.0 > 0.2)
+  Waveform.Signal.make ~times ~values
+
+let test_two_tone_phasors () =
+  let s = two_tone () in
+  let x40 = Waveform.Measure.fundamental s ~freq:40.0 in
+  let x120 = Waveform.Measure.fundamental s ~freq:120.0 in
+  check_float ~eps:1e-3 "40 Hz magnitude" 0.5 (Numerics.Cx.abs x40);
+  check_float ~eps:1e-2 "40 Hz phase" 0.0 (Numerics.Cx.arg x40);
+  check_float ~eps:1e-3 "120 Hz magnitude" 0.15 (Numerics.Cx.abs x120);
+  check_float ~eps:1e-2 "120 Hz phase" 0.4 (Numerics.Cx.arg x120)
+
+let test_absent_tone () =
+  let x = Waveform.Measure.fundamental (two_tone ()) ~freq:80.0 in
+  Alcotest.(check bool) "80 Hz empty" true (Numerics.Cx.abs x < 1e-3)
 
 (* Lock *)
 
@@ -153,10 +139,6 @@ let test_lock_detects_unlocked () =
   let v = Waveform.Lock.analyze s ~f_target:10.0 in
   Alcotest.(check bool) "unlocked" false v.locked;
   Alcotest.(check bool) "drift detected" true (Float.abs v.phase_drift > 0.1)
-
-let test_relative_phase () =
-  let s = sine ~freq:10.0 ~t1:5.0 ~n:50000 ~phase:1.1 () in
-  check_float ~eps:1e-2 "relative phase" 1.1 (Waveform.Lock.relative_phase s ~f_target:10.0)
 
 let () =
   Alcotest.run "waveform"
@@ -175,21 +157,18 @@ let () =
           prop_frequency_estimate;
           prop_amplitude_estimate;
           Alcotest.test_case "no oscillation" `Quick test_no_oscillation;
-          Alcotest.test_case "peaks" `Quick test_peaks;
-          Alcotest.test_case "is_steady" `Quick test_is_steady;
           prop_fundamental_phasor;
           Alcotest.test_case "phase flat when locked" `Quick test_phase_profile_flat_for_locked;
           Alcotest.test_case "phase drifts when detuned" `Quick test_phase_profile_drifts_when_detuned;
         ] );
       ( "spectrum",
         [
-          Alcotest.test_case "dominant" `Quick test_spectrum_dominant;
-          Alcotest.test_case "two tone" `Quick test_spectrum_two_tone;
+          Alcotest.test_case "two-tone phasors" `Quick test_two_tone_phasors;
+          Alcotest.test_case "absent tone reads zero" `Quick test_absent_tone;
         ] );
       ( "lock",
         [
           Alcotest.test_case "locked" `Quick test_lock_detects_locked;
           Alcotest.test_case "unlocked" `Quick test_lock_detects_unlocked;
-          Alcotest.test_case "relative phase" `Quick test_relative_phase;
         ] );
     ]

@@ -3,7 +3,8 @@
 
 module D = Check.Diagnostic
 
-let rule_codes = [ "domain-escape"; "cache-purity"; "float-order"; "raise-escape" ]
+let rule_codes =
+  [ "domain-escape"; "cache-purity"; "float-order"; "raise-escape"; "unused-export" ]
 
 type finding = { line : int; code : string; msg : string }
 
@@ -105,7 +106,6 @@ let pool_entry_points =
     "Pool.parallel_for";
     "Pool.parallel_init";
     "Pool.parallel_map_array";
-    "Pool.parallel_reduce";
     "Pool.parallel_try_map_array";
   ]
 
@@ -625,6 +625,170 @@ let analyze_structure ~modname ~mli_text (str : Typedtree.structure) =
   List.rev ctx.out
 
 (* ------------------------------------------------------------------ *)
+(* unused-export: a whole-program pass. Every path is flattened to
+   components headed by a compilation-unit name
+   (["Numerics__Roots"; "brent"]); dune's wrapper aliases and facade
+   re-exports are then rewritten through the [module M = P] bindings
+   the units themselves declare. *)
+
+type uses = {
+  unit_name : string;
+  values : string list list;  (** every value identifier *)
+  whole : string list list;
+      (** modules used as a whole: included, packed, functor arguments *)
+  aliases : (string * string list) list;  (** top-level [module M = P] *)
+}
+
+let rec alias_target (me : Typedtree.module_expr) =
+  match me.Typedtree.mod_desc with
+  | Typedtree.Tmod_ident (p, _) -> Some p
+  | Typedtree.Tmod_constraint (me, _, _, _) -> alias_target me
+  | _ -> None
+
+let scan_uses ~modname (str : Typedtree.structure) =
+  let locals = Hashtbl.create 16 in
+  let rec comps = function
+    | Path.Pident id when Ident.global id -> Some [ Ident.name id ]
+    | Path.Pident id -> (
+      match Hashtbl.find_opt locals (Ident.unique_name id) with
+      | Some target -> comps target
+      | None -> Some [ modname; Ident.name id ])
+    | Path.Pdot (p, s) -> Option.map (fun c -> c @ [ s ]) (comps p)
+    | _ -> None
+  in
+  let bind id me =
+    match (id, alias_target me) with
+    | Some id, Some p ->
+      Hashtbl.replace locals (Ident.unique_name id) p;
+      true
+    | _ -> false
+  in
+  let values = ref [] and whole = ref [] in
+  let record acc p = Option.iter (fun c -> acc := c :: !acc) (comps p) in
+  let open Tast_iterator in
+  let it =
+    {
+      default_iterator with
+      module_binding =
+        (fun sub mb ->
+          if not (bind mb.Typedtree.mb_id mb.Typedtree.mb_expr) then
+            default_iterator.module_binding sub mb);
+      open_declaration =
+        (fun sub od ->
+          if alias_target od.Typedtree.open_expr = None then
+            default_iterator.open_declaration sub od);
+      module_expr =
+        (fun sub me ->
+          match me.Typedtree.mod_desc with
+          | Typedtree.Tmod_ident (p, _) -> record whole p
+          | _ -> default_iterator.module_expr sub me);
+      expr =
+        (fun sub e ->
+          match e.Typedtree.exp_desc with
+          | Typedtree.Texp_ident (p, _, _) -> record values p
+          | Typedtree.Texp_letmodule (id, _, _, me, body) when bind id me ->
+            sub.expr sub body
+          | _ -> default_iterator.expr sub e);
+    }
+  in
+  it.structure it str;
+  let aliases =
+    List.filter_map
+      (fun item ->
+        match item.Typedtree.str_desc with
+        | Typedtree.Tstr_module { mb_id = Some id; mb_expr; _ } ->
+          Option.bind (alias_target mb_expr) (fun p ->
+              Option.map (fun c -> (Ident.name id, c)) (comps p))
+        | _ -> None)
+      str.Typedtree.str_items
+  in
+  { unit_name = modname; values = !values; whole = !whole; aliases }
+
+(* [val]s of an interface, nested signatures included, as
+   (path headed by the unit name, line of the [val]) *)
+let exports ~modname (sg : Typedtree.signature) =
+  let rec go prefix (sg : Typedtree.signature) acc =
+    List.fold_left
+      (fun acc item ->
+        match item.Typedtree.sig_desc with
+        | Typedtree.Tsig_value vd ->
+          ( prefix @ [ Ident.name vd.Typedtree.val_id ],
+            vd.Typedtree.val_loc.Location.loc_start.Lexing.pos_lnum )
+          :: acc
+        | Typedtree.Tsig_module
+            {
+              md_id = Some id;
+              md_type = { mty_desc = Typedtree.Tmty_signature sg; _ };
+              _;
+            } ->
+          go (prefix @ [ Ident.name id ]) sg acc
+        | _ -> acc)
+      acc sg.Typedtree.sig_items
+  in
+  List.rev (go [ modname ] sg [])
+
+(* The unused-export findings of one interface, given every unit's
+   uses. A use from the exporting unit itself only picks the message. *)
+let unused_exports all_uses =
+  let aliases = Hashtbl.create 64 in
+  List.iter
+    (fun u ->
+      List.iter
+        (fun (m, target) -> Hashtbl.replace aliases (u.unit_name, m) target)
+        u.aliases)
+    all_uses;
+  let rec canonical fuel = function
+    | u :: m :: rest as c -> (
+      match Hashtbl.find_opt aliases (u, m) with
+      | Some target when fuel > 0 -> canonical (fuel - 1) (target @ rest)
+      | _ -> c)
+    | c -> c
+  in
+  let outside = Hashtbl.create 1024 and inside = Hashtbl.create 1024 in
+  let outside_whole = ref [] in
+  List.iter
+    (fun u ->
+      List.iter
+        (fun v ->
+          match canonical 16 v with
+          | head :: _ as c when head = u.unit_name -> Hashtbl.replace inside c ()
+          | c -> Hashtbl.replace outside c ())
+        u.values;
+      List.iter
+        (fun m -> outside_whole := canonical 16 m :: !outside_whole)
+        u.whole)
+    all_uses;
+  let rec is_prefix a b =
+    match (a, b) with
+    | [], _ -> true
+    | x :: a', y :: b' -> x = y && is_prefix a' b'
+    | _ :: _, [] -> false
+  in
+  fun ~modname sg ->
+    List.filter_map
+      (fun (path, line) ->
+        if
+          Hashtbl.mem outside path
+          || List.exists (fun m -> is_prefix m path) !outside_whole
+        then None
+        else
+          let name = String.concat "." (List.tl path) in
+          let msg =
+            if Hashtbl.mem inside path then
+              Printf.sprintf
+                "%s is exported but only its own module uses it; take it out \
+                 of the .mli"
+                name
+            else
+              Printf.sprintf
+                "%s is exported but no other module uses it (tests do not \
+                 count); delete it, or waive with the reason it stays"
+                name
+          in
+          Some { line; code = "unused-export"; msg })
+      (exports ~modname sg)
+
+(* ------------------------------------------------------------------ *)
 (* Artifact discovery, source resolution, waiver filtering *)
 
 let read_file path =
@@ -641,101 +805,78 @@ let resolve_source ?src_root rel =
   in
   List.find_opt Sys.file_exists candidates
 
-let analyze_file ?src_root cmt_path =
-  let diag severity ~code ~line ~file msg =
+(* Drop the findings a justified waiver in [file] covers and report the
+   waivers that lack a justification or cover nothing. Returns the
+   diagnostics and the number of findings waived. *)
+let apply_waivers ?src_root ~file findings =
+  let diag severity ~code ~line msg =
     D.make severity ~code ~loc:(Printf.sprintf "%s:%d" file line) msg
   in
-  match Cmt_format.read_cmt cmt_path with
-  | exception _ ->
-    [
-      D.warning ~code:"cmt-read" ~loc:cmt_path
-        "unreadable .cmt artifact (compiler version mismatch?)";
-    ]
-  | cmt -> (
-    match (cmt.Cmt_format.cmt_annots, cmt.Cmt_format.cmt_sourcefile) with
-    | Cmt_format.Implementation str, Some src
-      when not (Filename.check_suffix src ".ml-gen") ->
-      let mli_text =
-        Option.map read_file (resolve_source ?src_root (src ^ "i"))
-      in
-      let findings =
-        analyze_structure ~modname:cmt.Cmt_format.cmt_modname ~mli_text str
-      in
-      let waivers =
-        match resolve_source ?src_root src with
-        | Some path -> Waiver.scan (read_file path)
-        | None -> []
-      in
-      let kept =
-        List.filter
-          (fun f ->
-            match
-              List.find_opt
-                (fun w -> Waiver.covers w ~code:f.code ~line:f.line)
-                waivers
-            with
-            | Some w ->
-              w.Waiver.used <- true;
-              false
-            | None -> true)
-          findings
-      in
-      let unjustified =
-        List.filter_map
-          (fun (w : Waiver.t) ->
-            if w.justified then None
-            else
-              Some
-                (diag D.Warning ~code:"bad-waiver" ~line:w.line ~file:src
-                   (Printf.sprintf
-                      "waiver for %s has no justification — write (* dsa: \
-                       allow %s — why *); the finding is not suppressed"
-                      w.code w.code)))
-          waivers
-      in
-      let unused =
-        List.filter_map
-          (fun (w : Waiver.t) ->
-            if w.justified && not w.used then
-              Some
-                (diag D.Warning ~code:"unused-waiver" ~line:w.line ~file:src
-                   (Printf.sprintf "waiver for %s matches no finding" w.code))
-            else None)
-          waivers
-      in
-      List.map
-        (fun f -> diag D.Error ~code:f.code ~line:f.line ~file:src f.msg)
-        kept
-      @ unjustified @ unused
-    | _ -> [])
+  let waivers =
+    match resolve_source ?src_root file with
+    | Some path -> Waiver.scan (read_file path)
+    | None -> []
+  in
+  let kept =
+    List.filter
+      (fun f ->
+        match
+          List.find_opt
+            (fun w -> Waiver.covers w ~code:f.code ~line:f.line)
+            waivers
+        with
+        | Some w ->
+          w.Waiver.used <- true;
+          false
+        | None -> true)
+      findings
+  in
+  let meta (w : Waiver.t) =
+    if not w.justified then
+      Some
+        (diag D.Warning ~code:"bad-waiver" ~line:w.line
+           (Printf.sprintf
+              "waiver for %s has no justification — write (* dsa: allow %s — \
+               why *); the finding is not suppressed"
+              w.code w.code))
+    else if not w.used then
+      Some
+        (diag D.Warning ~code:"unused-waiver" ~line:w.line
+           (Printf.sprintf "waiver for %s matches no finding" w.code))
+    else None
+  in
+  ( List.map (fun f -> diag D.Error ~code:f.code ~line:f.line f.msg) kept
+    @ List.filter_map meta waivers,
+    List.length findings - List.length kept )
 
-(* waived count needs the pre-filter view; recompute cheaply *)
-let waived_count ?src_root cmt_path =
+(* The per-module rules over one artifact: its source file, the
+   diagnostics left after waivers, and how many were waived; [None] for
+   dune's generated alias modules and artifacts of no implementation *)
+let check_implementation ?src_root (cmt : Cmt_format.cmt_infos) =
+  match (cmt.Cmt_format.cmt_annots, cmt.Cmt_format.cmt_sourcefile) with
+  | Cmt_format.Implementation str, Some src
+    when not (Filename.check_suffix src ".ml-gen") ->
+    let mli_text =
+      Option.map read_file (resolve_source ?src_root (src ^ "i"))
+    in
+    let ds, waived =
+      apply_waivers ?src_root ~file:src
+        (analyze_structure ~modname:cmt.Cmt_format.cmt_modname ~mli_text str)
+    in
+    Some (src, ds, waived)
+  | _ -> None
+
+let cmt_read_warning path =
+  D.warning ~code:"cmt-read" ~loc:path
+    "unreadable .cmt artifact (compiler version mismatch?)"
+
+let analyze_file ?src_root cmt_path =
   match Cmt_format.read_cmt cmt_path with
-  | exception _ -> 0
+  | exception _ -> [ cmt_read_warning cmt_path ]
   | cmt -> (
-    match (cmt.Cmt_format.cmt_annots, cmt.Cmt_format.cmt_sourcefile) with
-    | Cmt_format.Implementation str, Some src
-      when not (Filename.check_suffix src ".ml-gen") ->
-      let mli_text =
-        Option.map read_file (resolve_source ?src_root (src ^ "i"))
-      in
-      let findings =
-        analyze_structure ~modname:cmt.Cmt_format.cmt_modname ~mli_text str
-      in
-      let waivers =
-        match resolve_source ?src_root src with
-        | Some path -> Waiver.scan (read_file path)
-        | None -> []
-      in
-      List.length
-        (List.filter
-           (fun f ->
-             List.exists
-               (fun w -> Waiver.covers w ~code:f.code ~line:f.line)
-               waivers)
-           findings)
-    | _ -> 0)
+    match check_implementation ?src_root cmt with
+    | Some (_, ds, _) -> ds
+    | None -> [])
 
 type report = {
   diags : (string * D.t list) list;
@@ -761,41 +902,77 @@ let collect_cmts root =
   else if Sys.file_exists root then walk_dir root []
   else []
 
-let run ?src_root roots =
-  let cmts, src_root =
-    let direct = List.concat_map collect_cmts roots in
-    if direct <> [] then (direct, src_root)
-    else
+let run ?src_root ?(uses = []) roots =
+  let collect prefix dirs =
+    List.sort_uniq String.compare
+      (List.concat_map (fun r -> collect_cmts (prefix r)) dirs)
+  in
+  let cmts, prefix, src_root =
+    match collect Fun.id roots with
+    | [] ->
       (* source-checkout convenience: retry under the build context *)
-      let prefixed =
-        List.concat_map
-          (fun r -> collect_cmts (Filename.concat "_build/default" r))
-          roots
-      in
-      ( prefixed,
+      let prefix = Filename.concat "_build/default" in
+      ( collect prefix roots,
+        prefix,
         match src_root with Some _ -> src_root | None -> Some "_build/default"
       )
+    | direct -> (direct, Fun.id, src_root)
   in
-  let cmts = List.sort_uniq String.compare cmts in
-  let modules = ref 0 in
-  let waived = ref 0 in
   let by_file = Hashtbl.create 64 in
+  let add file ds =
+    if ds <> [] then
+      Hashtbl.replace by_file file
+        (ds @ Option.value ~default:[] (Hashtbl.find_opt by_file file))
+  in
+  let waived = ref 0 in
+  let interfaces = ref [] in
+  let read path =
+    match Cmt_format.read_cmt path with exception _ -> None | cmt -> Some cmt
+  in
+  let uses_of (cmt : Cmt_format.cmt_infos) =
+    match cmt.Cmt_format.cmt_annots with
+    | Cmt_format.Implementation str ->
+      Some (scan_uses ~modname:cmt.Cmt_format.cmt_modname str)
+    | _ -> None
+  in
+  let root_uses =
+    List.filter_map
+      (fun cmt_path ->
+        match read cmt_path with
+        | None ->
+          add cmt_path [ cmt_read_warning cmt_path ];
+          None
+        | Some cmt ->
+          Option.iter
+            (fun (src, ds, w) ->
+              add src ds;
+              waived := !waived + w)
+            (check_implementation ?src_root cmt);
+          (match read (Filename.remove_extension cmt_path ^ ".cmti") with
+          | Some
+              {
+                cmt_annots = Cmt_format.Interface sg;
+                cmt_sourcefile = Some mli;
+                cmt_modname;
+                _;
+              } ->
+            interfaces := (cmt_modname, mli, sg) :: !interfaces
+          | _ -> ());
+          uses_of cmt)
+      cmts
+  in
+  let other_uses =
+    List.filter_map
+      (fun path -> Option.bind (read path) uses_of)
+      (collect prefix uses)
+  in
+  let unused = unused_exports (root_uses @ other_uses) in
   List.iter
-    (fun cmt ->
-      let ds = analyze_file ?src_root cmt in
-      incr modules;
-      waived := !waived + waived_count ?src_root cmt;
-      List.iter
-        (fun (d : D.t) ->
-          let file =
-            match String.index_opt d.D.loc ':' with
-            | Some i -> String.sub d.D.loc 0 i
-            | None -> d.D.loc
-          in
-          let cur = Option.value ~default:[] (Hashtbl.find_opt by_file file) in
-          Hashtbl.replace by_file file (d :: cur))
-        ds)
-    cmts;
+    (fun (modname, mli, sg) ->
+      let ds, w = apply_waivers ?src_root ~file:mli (unused ~modname sg) in
+      add mli ds;
+      waived := !waived + w)
+    !interfaces;
   let line_no (d : D.t) =
     match String.index_opt d.D.loc ':' with
     | Some i -> (
@@ -819,4 +996,4 @@ let run ?src_root roots =
                ds ))
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  { diags; modules = !modules; waived = !waived }
+  { diags; modules = List.length cmts; waived = !waived }

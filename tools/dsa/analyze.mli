@@ -29,6 +29,14 @@
       that is not [Resilience.Oshil_error.Error], not declared or
       mentioned in the module's own [.mli], and not caught by a
       lexically enclosing handler.
+    - [unused-export] — a [val] in an analyzed [.mli] (nested
+      signatures included) that no other compilation unit references.
+      Uses come from the analyzed roots and the [uses] directories;
+      references from [test/] never count, so a value only a test calls
+      is a finding. Paths are resolved through dune's wrapper aliases
+      ([Numerics.Roots] is [Numerics__Roots]) and facade re-exports
+      ([Obs.Report]); a module included, packed or passed to a functor
+      uses all its values. Waive next to the [val] in the [.mli].
 
     Meta codes: [bad-waiver] (waiver without justification — does not
     suppress), [unused-waiver] (justified waiver matching no finding),
@@ -44,12 +52,13 @@
     user aliases for [Hashtbl.t] & co). *)
 
 val rule_codes : string list
-(** The four stable rule-family codes. *)
+(** The five stable rule-family codes. *)
 
 val analyze_file : ?src_root:string -> string -> Check.Diagnostic.t list
 (** Analyze one [.cmt] file: raw rule findings filtered through the
     waivers of its source file, plus [bad-waiver]/[unused-waiver]
-    warnings. [src_root] locates sources when the analyzer does not run
+    warnings. [unused-export] needs the whole program and is reported
+    by {!run} only. [src_root] locates sources when the analyzer does not run
     from the directory [cmt_sourcefile] paths are relative to (the
     workspace/build root); resolution tries [src_root/path], [path] and
     [_build/default/path]. *)
@@ -62,9 +71,12 @@ type report = {
   waived : int;  (** findings suppressed by justified waivers *)
 }
 
-val run : ?src_root:string -> string list -> report
-(** [run roots] walks each root (directory or literal [.cmt] path) for
-    artifacts and analyzes them. A directory root that contains no
-    [.cmt] is retried under [_build/default/] so the tool works both
-    from a dune action (cwd = build context) and from a source
-    checkout. *)
+val run : ?src_root:string -> ?uses:string list -> string list -> report
+(** [run ~uses roots] walks each root (directory or literal [.cmt]
+    path) for artifacts and analyzes them, then reports the [val]s of
+    the roots' interfaces that no unit of [roots] or [uses] references
+    from outside its own module. The [uses] directories only supply
+    references; nothing in them is checked. When the roots contain no
+    [.cmt], roots and [uses] are retried under [_build/default/] so
+    the tool works both from a dune action (cwd = build context) and
+    from a source checkout. *)

@@ -1,21 +1,25 @@
 (* dsa — typed-AST domain-safety & determinism analyzer.
 
-   Usage: dsa [--json] [--strict] [--src-root DIR] ROOT...
+   Usage: dsa [--json] [--strict] [--src-root DIR] [--uses DIR]... ROOT...
 
    Each ROOT is a directory walked for .cmt artifacts (or a literal
-   .cmt path). Output mirrors `oshil lint`: human per-file sections or
+   .cmt path). Each --uses DIR is walked the same way, but only for
+   references that keep a ROOT export in use; nothing in it is
+   checked. Output mirrors `oshil lint`: human per-file sections or
    a single-line JSON array with --json; exit 1 on errors, or on
    warnings too under --strict. *)
 
 module Analyze = Dsa_core.Analyze
 module D = Check.Diagnostic
 
-let usage = "usage: dsa [--json] [--strict] [--src-root DIR] ROOT..."
+let usage =
+  "usage: dsa [--json] [--strict] [--src-root DIR] [--uses DIR]... ROOT..."
 
 let () =
   let json = ref false in
   let strict = ref false in
   let src_root = ref None in
+  let uses = ref [] in
   let roots = ref [] in
   let rec parse = function
     | [] -> ()
@@ -27,6 +31,9 @@ let () =
       parse rest
     | "--src-root" :: dir :: rest ->
       src_root := Some dir;
+      parse rest
+    | "--uses" :: dir :: rest ->
+      uses := dir :: !uses;
       parse rest
     | ("--help" | "-h") :: _ ->
       print_endline usage;
@@ -45,7 +52,9 @@ let () =
     prerr_endline usage;
     exit 2
   end;
-  let report = Analyze.run ?src_root:!src_root roots in
+  let report =
+    Analyze.run ?src_root:!src_root ~uses:(List.rev !uses) roots
+  in
   if report.Analyze.modules = 0 then begin
     prerr_endline
       "dsa: no .cmt artifacts found (build the tree first: dune build)";
