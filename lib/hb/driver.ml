@@ -1,6 +1,6 @@
 module Cx = Numerics.Cx
 module Linalg = Numerics.Linalg
-module Roots = Numerics.Roots
+module Newton = Numerics.Newton
 module Err = Resilience.Oshil_error
 
 let two_pi = 2.0 *. Float.pi
@@ -93,34 +93,41 @@ let oscprobe ?ident ?(k_max = 7) ?(samples = 1024) ?(tol = 1e-12) ?probe_node
     let total_iters = ref 0 in
     let warm = ref None in
     let last = ref None in
-    let inner (a, omega) =
-      let asm = System.assemble sys ~omega0:omega in
+    (* the probe current at (A, omega) = (u.(0), u.(1)), each inner
+       solve warm-started from the last *)
+    let inner ~x:u ~res =
+      let asm = System.assemble sys ~omega0:u.(1) in
       let x0 =
         match !warm with Some x -> x | None -> Array.make base 0.0
       in
-      let x, st = Solve.solve ~tol ~x0 asm ~probe:(Some (pnode, a)) in
+      let x, st = Solve.solve ~tol ~x0 asm ~probe:(Some (pnode, u.(0))) in
       total_iters := !total_iters + st.iters;
       warm := Some (Array.sub x 0 base);
       last := Some (Array.sub x 0 base, st);
-      (z *. x.(base), z *. x.(base + 1))
+      res.(0) <- z *. x.(base);
+      res.(1) <- z *. x.(base + 1)
     in
-    let ectx = Obs.Event.ctx ~rung:"oscprobe" "hb" in
-    let outer_tol = Float.max 3e-11 (30.0 *. tol) in
-    let a_star, omega_star =
-      try
-        Roots.newton2d ~tol:outer_tol ~max_iter:80 ~ectx ~f:inner
-          ~x0:(a_guess, two_pi *. f_guess) ()
-      with Roots.No_convergence msg ->
-        Err.raise_ Shil ~phase:"hb" Root_failure
-          ("oscprobe outer Newton failed: " ^ msg)
-          ~context:
-            [
-              ("f_guess", Printf.sprintf "%.6g" f_guess);
-              ("a_guess", Printf.sprintf "%.6g" a_guess);
-            ]
-          ~remedy:"improve the (f, A) seeds or raise k_max/samples"
+    let failed why =
+      Err.raise_ Shil ~phase:"hb" Root_failure
+        ("oscprobe outer Newton failed: " ^ why)
+        ~context:
+          [
+            ("f_guess", Printf.sprintf "%.6g" f_guess);
+            ("a_guess", Printf.sprintf "%.6g" a_guess);
+          ]
+        ~remedy:"improve the (f, A) seeds or raise k_max/samples"
     in
-    ignore (inner (a_star, omega_star));
+    if Resilience.Fault.fire "roots-fail" then
+      failed "injected fault (roots-fail)";
+    let u = [| a_guess; two_pi *. f_guess |] in
+    let o =
+      Newton.solve_2d ~ectx:(Obs.Event.ctx ~rung:"oscprobe" "hb")
+        ~reuse:false ~tol:(Float.max 3e-11 (30.0 *. tol)) ~max_iter:80 inner u
+    in
+    if not o.converged then failed o.failure;
+    let omega_star = u.(1) in
+    (* the converged point, solved once more for the reported solution *)
+    inner ~x:u ~res:(Array.make 2 0.0);
     let x, st =
       match !last with Some v -> v | None -> assert false
     in

@@ -1,4 +1,4 @@
-(** Newton on the spectral residual.
+(** Newton on the spectral residual, by {!Numerics.Newton}.
 
     The solver runs under the {!Resilience.Policy} ladder (plain
     Newton, then damped Newton with a halving line search) with phase
@@ -20,14 +20,14 @@ type stats = { iters : int; residual : float; rung : string }
 
 val solve :
   ?tol:float ->
-  ?max_iter:int ->
   ?x0:float array ->
   System.assembled ->
   probe:(int * float) option ->
   float array * stats
 (** [solve asm ~probe] returns the converged unknown vector (length
     [System.size] plus two probe-current slots when [probe] is given)
-    and solve statistics. [tol] defaults to 1e-12, [max_iter] to 60.
+    and solve statistics. [tol] defaults to 1e-12; each rung stops
+    after 60 iterations.
 
     [probe = Some (node, a)] augments the system with an ideal
     fundamental-only AC probe at [node]: two extra unknowns (the probe

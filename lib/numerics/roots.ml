@@ -127,82 +127,3 @@ let find_all ?(tol = 1e-12) ~f ~a ~b ~n () =
     try Some (brent ~tol ~f ~a:lo ~b:hi ()) with No_bracket -> None
   in
   List.filter_map refine (bracket_roots ~f ~a ~b ~n)
-
-let newton2d ?(tol = 1e-10) ?(max_iter = 60) ?ectx ~f ~x0 () =
-  if Resilience.Fault.fire "roots-fail" then
-    raise (No_convergence "newton2d: injected fault (roots-fail)");
-  (* solver-health events: one atomic load when the stream is off *)
-  let ectx = if Obs.Event.enabled () then ectx else None in
-  let emit_iter k residual step damping =
-    match ectx with
-    | Some ctx ->
-      Obs.Event.emit
-        (Obs.Event.Newton_iter { ctx; iter = k; residual; step; damping })
-    | None -> ()
-  in
-  let emit_done k converged residual =
-    match ectx with
-    | Some ctx ->
-      Obs.Event.emit
-        (Obs.Event.Newton_done { ctx; iters = k; converged; residual })
-    | None -> ()
-  in
-  let x = ref (fst x0) and y = ref (snd x0) in
-  let result = ref None in
-  let k = ref 0 in
-  let last_res = ref infinity in
-  let res_norm (r1, r2) = Float.max (Float.abs r1) (Float.abs r2) in
-  while !result = None && !k < max_iter do
-    incr k;
-    let r1, r2 = f (!x, !y) in
-    last_res := res_norm (r1, r2);
-    if res_norm (r1, r2) < tol then begin
-      emit_iter !k (res_norm (r1, r2)) 0.0 1.0;
-      result := Some (!x, !y)
-    end
-    else begin
-      let hx = 1e-7 *. (1.0 +. Float.abs !x) in
-      let hy = 1e-7 *. (1.0 +. Float.abs !y) in
-      let r1x, r2x = f (!x +. hx, !y) in
-      let r1y, r2y = f (!x, !y +. hy) in
-      let j11 = (r1x -. r1) /. hx
-      and j12 = (r1y -. r1) /. hy
-      and j21 = (r2x -. r2) /. hx
-      and j22 = (r2y -. r2) /. hy in
-      let det = (j11 *. j22) -. (j12 *. j21) in
-      if Float.abs det < 1e-300 then begin
-        emit_done !k false !last_res;
-        raise (No_convergence "newton2d: singular Jacobian")
-      end;
-      let dx = ((j22 *. r1) -. (j12 *. r2)) /. det in
-      let dy = ((j11 *. r2) -. (j21 *. r1)) /. det in
-      (* damped update: halve the step until the residual decreases *)
-      let base = res_norm (r1, r2) in
-      let rec damp lambda tries =
-        let xn = !x -. (lambda *. dx) and yn = !y -. (lambda *. dy) in
-        let rn = res_norm (f (xn, yn)) in
-        if rn < base || tries >= 8 then (xn, yn, lambda)
-        else damp (lambda /. 2.0) (tries + 1)
-      in
-      let xn, yn, lambda = damp 1.0 0 in
-      emit_iter !k base
-        (Float.max (Float.abs (lambda *. dx)) (Float.abs (lambda *. dy)))
-        lambda;
-      x := xn;
-      y := yn
-    end
-  done;
-  match !result with
-  | Some r ->
-    emit_done !k true !last_res;
-    r
-  | None ->
-    let r1, r2 = f (!x, !y) in
-    if res_norm (r1, r2) < sqrt tol then begin
-      emit_done !k true (res_norm (r1, r2));
-      (!x, !y)
-    end
-    else begin
-      emit_done !k false (res_norm (r1, r2));
-      raise (No_convergence "newton2d")
-    end

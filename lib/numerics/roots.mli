@@ -28,15 +28,3 @@ val find_all :
   ?tol:float -> f:(float -> float) -> a:float -> b:float -> n:int -> unit ->
   float list
 (** Scan + Brent refinement of every bracketed root. *)
-
-val newton2d :
-  ?tol:float -> ?max_iter:int -> ?ectx:Obs.Event.solve_ctx ->
-  f:(float * float -> float * float) -> x0:float * float -> unit ->
-  (float * float)
-(** Damped 2-D Newton with finite-difference Jacobian, for refining curve
-    intersections in the [(phi, A)] plane. Raises {!No_convergence} if the
-    residual does not drop below [tol] (default [1e-10], measured on the
-    residual infinity norm). When [ectx] is given and the introspection
-    event stream is on, each iteration emits a [Newton_iter] (residual,
-    damped step norm, damping factor) and the solve a [Newton_done] —
-    observation only. *)

@@ -1,7 +1,7 @@
 module Cx = Numerics.Cx
 module Df = Describing_function
 module Angle = Numerics.Angle
-module Roots = Numerics.Roots
+module Newton = Numerics.Newton
 
 type point = {
   phi : float;
@@ -55,30 +55,21 @@ let classify ?points ?reduction nl ~n ~r ~vi ~phi_d ~phi ~a =
   let det = (j11 *. j22) -. (j12 *. j21) in
   { phi; a; stable = trace < 0.0 && det > 0.0; trace; det }
 
-(* One-entry memo on a bit-equal argument pair. [Roots.newton2d]
-   evaluates the residual at the accepted damped point, then again at
-   the same point to open the next iteration; the memo answers the
-   second call, saving one exact quadrature per iteration. *)
-let memo_last f =
-  let last = ref None in
-  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
-  fun ((x, y) as arg) ->
-    match !last with
-    | Some ((x', y'), r) when same x x' && same y y' -> r
-    | _ ->
-      let r = f arg in
-      last := Some (arg, r);
-      r
-
 let refine ?points ?reduction nl ~n ~r ~vi ~phi_d ~phi0 ~a0 =
-  let f = memo_last (residuals ?points ?reduction nl ~n ~r ~vi ~phi_d) in
-  let ectx =
-    if Obs.Event.enabled () then
-      Some (Obs.Event.ctx ~cell:(phi0, a0) "shil.refine")
-    else None
-  in
-  try Some (Roots.newton2d ~tol:1e-12 ?ectx ~f ~x0:(phi0, a0) ())
-  with Roots.No_convergence _ -> None
+  if Resilience.Fault.fire "roots-fail" then None
+  else begin
+    let f ~x ~res =
+      let r1, r2 = residuals ?points ?reduction nl ~n ~r ~vi ~phi_d (x.(0), x.(1)) in
+      res.(0) <- r1;
+      res.(1) <- r2
+    in
+    let x = [| phi0; a0 |] in
+    let o =
+      Newton.solve_2d ~ectx:(Obs.Event.ctx ~cell:(phi0, a0) "shil.refine")
+        ~reuse:true ~tol:1e-12 ~max_iter:60 f x
+    in
+    if o.converged then Some (x.(0), x.(1)) else None
+  end
 
 (* Start points for [refine]: the brackets of the (wrapped) phase
    residual's sign changes along the gridded [T_f = 1] polylines, most

@@ -22,11 +22,13 @@ val refine :
   ?points:int -> ?reduction:Describing_function.reduction ->
   Nonlinearity.t -> n:int -> r:float -> vi:float -> phi_d:float ->
   phi0:float -> a0:float -> (float * float) option
-(** [Numerics.Roots.newton2d] (tol 1e-12) on {!residuals} from
-    [(phi0, a0)]; [None] when it does not converge. The residual is
-    memoised on its last (bit-equal) argument, so the accepted damped
-    point is not quadrated again when the next iteration opens on it:
-    same result, one exact quadrature fewer per iteration. *)
+(** Newton ({!Numerics.Newton}, halving line search, forward-difference
+    Jacobian) on {!residuals} from [(phi0, a0)], to a residual
+    inf-norm below 1e-12 (below 1e-6 after 60 steps); [None] when it
+    does not converge, or when the fault site [roots-fail] fires. Each
+    step costs two quadratures for the Jacobian plus one per
+    line-search trial; the accepted trial's residual opens the next
+    step. *)
 
 val find :
   ?points:int -> Grid.t -> phi_d:float -> point list

@@ -6,8 +6,7 @@ type t = {
 }
 
 val run :
-  ?newton:Newton.options -> ?check:Preflight.mode -> ?x0:float array ->
-  Circuit.t -> t
+  ?check:Preflight.mode -> ?x0:float array -> Circuit.t -> t
 (** Finds the DC operating point. The circuit first passes the
     {!Preflight} gate ([?check], default [`Enforce]), which raises
     [Check.Diagnostic.Failed] on structural errors. Solve strategy is a
@@ -15,7 +14,7 @@ val run :
     failure, gmin stepping ([1e-2] down to [1e-12] in decades); on
     failure, source stepping (ramping all independent sources from 10%%
     to 100%%); on failure, heavily damped Newton with an extended
-    iteration budget. Each rung taken bumps a
+    iteration budget (clamp ÷ 8, cap × 4; {!Newton}). Each rung taken bumps a
     [resilience.op.rung.<name>] counter. Raises
     {!Resilience.Oshil_error.Error} ([solver-divergence], subsystem
     [spice], phase ["op"]) when every rung fails. *)

@@ -1,5 +1,6 @@
 (** Transient analysis: fixed-step trapezoidal (default) or backward-Euler
-    integration with a full Newton solve per step.
+    integration with a full Newton solve per step (the last step lands
+    on [t_stop]).
 
     On a Newton failure at a step, the step is retried with up to 8 binary
     subdivisions before giving up. *)
@@ -9,14 +10,6 @@ type probe =
   | Diff of string * string  (** differential voltage [v a - v b] *)
   | Branch of string  (** branch current of a V source or inductor *)
 
-type step_control =
-  | Fixed  (** constant [dt] (the last step lands on [t_stop]) *)
-  | Adaptive of { lte_tol : float; dt_min : float; dt_max : float }
-      (** step-doubling local-truncation-error control: each step is also
-          taken as two half steps; the Richardson error estimate must stay
-          below [lte_tol] (relative, with a 1 uV/uA floor) or the step is
-          retried at half size. [dt] becomes the initial step. *)
-
 type options = {
   dt : float;  (** time step, s *)
   t_stop : float;
@@ -24,17 +17,14 @@ type options = {
   integ : Mna.integ;
   use_ic : bool;  (** start from device ICs instead of the DC operating point *)
   record_stride : int;  (** keep every k-th accepted step (>= 1) *)
-  newton : Newton.options;
   gmin : float;
-  step_control : step_control;
   budget : Resilience.Policy.budget;
       (** caps on rejected steps / wall clock; exhausting one stops
           integration with a typed [budget-exhausted] failure *)
 }
 
 val default_options : dt:float -> t_stop:float -> options
-(** Trapezoidal, [t_start = 0.], OP start, stride 1, default Newton
-    options, [gmin = 1e-12], [Fixed] stepping,
+(** Trapezoidal, [t_start = 0.], OP start, stride 1, [gmin = 1e-12],
     {!Resilience.Policy.default_budget}. {!run} raises
     [Invalid_argument] unless [dt] and [t_stop] are positive. *)
 

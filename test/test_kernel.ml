@@ -597,7 +597,7 @@ let test_cached_torus_equals_cold () =
 
 (* --- the residual memo inside Solutions.refine ----------------------- *)
 
-let test_refine_memo () =
+let test_refine_evaluates_once () =
   Obs.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
@@ -631,24 +631,38 @@ let test_refine_memo () =
       in
       (* a start off the solution, so Newton needs several iterations *)
       let phi0 = p.phi +. 0.05 and a0 = p.a *. 1.03 in
-      let raw, raw_evals =
-        i1_evals (fun () ->
-            Numerics.Roots.newton2d ~tol:1e-12
-              ~f:(Shil.Solutions.residuals ~points:256 nl ~n ~r ~vi ~phi_d)
-              ~x0:(phi0, a0) ())
+      (* the same Newton, with every residual argument logged *)
+      let args = ref [] in
+      let f ~x ~res =
+        args := (x.(0), x.(1)) :: !args;
+        let r1, r2 =
+          Shil.Solutions.residuals ~points:256 nl ~n ~r ~vi ~phi_d (x.(0), x.(1))
+        in
+        res.(0) <- r1;
+        res.(1) <- r2
       in
-      let memo, memo_evals =
+      let x = [| phi0; a0 |] in
+      let o =
+        Numerics.Newton.solve_2d ~reuse:true ~tol:1e-12 ~max_iter:60 f x
+      in
+      Alcotest.(check bool) "logged Newton converged" true o.converged;
+      Alcotest.(check bool) "several iterations" true (o.iters > 1);
+      let refined, evals =
         i1_evals (fun () ->
             Shil.Solutions.refine ~points:256 nl ~n ~r ~vi ~phi_d ~phi0 ~a0)
       in
-      (match memo with
+      (match refined with
       | Some (phi, a) ->
-        check_bits "phi" (fst raw) phi;
-        check_bits "a" (snd raw) a
-      | None -> Alcotest.fail "memoised refine did not converge");
-      if not (memo_evals < raw_evals) then
-        Alcotest.failf "memo saved nothing: %d vs %d quadratures" memo_evals
-          raw_evals)
+        check_bits "phi" x.(0) phi;
+        check_bits "a" x.(1) a
+      | None -> Alcotest.fail "refine did not converge");
+      (* one quadrature per residual, and no point is evaluated twice:
+         the accepted trial's residual opens the next iteration *)
+      Alcotest.(check int) "one quadrature per residual" (List.length !args)
+        evals;
+      let key (x, y) = (Int64.bits_of_float x, Int64.bits_of_float y) in
+      Alcotest.(check int) "no point evaluated twice" (List.length !args)
+        (List.length (List.sort_uniq compare (List.map key !args))))
 
 (* --- lock-range probes: stable_exists == exists stable (find) -------- *)
 
@@ -828,7 +842,8 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "ik counter" `Quick test_ik_evals_counter;
-          Alcotest.test_case "refine memo" `Quick test_refine_memo;
+          Alcotest.test_case "refine evaluates each point once" `Quick
+            test_refine_evaluates_once;
         ] );
       ( "probes",
         [

@@ -330,15 +330,6 @@ let prop_op_divider_ratio =
 (* ------------------------------------------------------------------ *)
 (* Transient *)
 
-(* step-doubling control with dt_min = dt / 1000 and dt_max = 10 dt *)
-let adaptive ~lte_tol (opts : Transient.options) =
-  {
-    opts with
-    Transient.step_control =
-      Transient.Adaptive
-        { lte_tol; dt_min = opts.dt /. 1000.0; dt_max = 10.0 *. opts.dt };
-  }
-
 let transient_signal circuit probe opts =
   let res = Transient.run circuit ~probes:[ probe ] opts in
   Waveform.Signal.make ~times:res.Transient.times
@@ -497,82 +488,6 @@ let test_tran_stride () =
   let res = Transient.run c ~probes:[ Transient.Node "a" ] opts in
   Alcotest.(check bool) "stride decimates" true (Array.length res.Transient.times <= 12)
 
-
-(* adaptive stepping *)
-
-let test_tran_adaptive_rc () =
-  (* adaptive run matches the analytic RC charge *)
-  let tau = 1e-3 in
-  let c =
-    Circuit.of_devices
-      [
-        Device.Vsource { name = "V1"; np = "in"; nn = "0"; wave = Wave.Dc 1.0 };
-        r "R1" "in" "out" 1e3;
-        Device.Capacitor { name = "C1"; n1 = "out"; n2 = "0"; c = 1e-6; ic = Some 0.0 };
-      ]
-  in
-  let opts =
-    adaptive ~lte_tol:1e-6
-      { (Transient.default_options ~dt:(tau /. 50.0) ~t_stop:(3.0 *. tau)) with use_ic = true }
-  in
-  let s = transient_signal c (Transient.Node "out") opts in
-  List.iter
-    (fun t ->
-      check_float ~eps:1e-4 "adaptive rc" (1.0 -. exp (-.t /. tau))
-        (Waveform.Signal.value_at s t))
-    [ 0.5 *. tau; tau; 2.0 *. tau ]
-
-let test_tran_adaptive_fewer_steps_when_quiet () =
-  (* a pulse followed by a long quiet plateau: the adaptive mesh must use
-     far fewer steps than the fixed one at comparable accuracy *)
-  let c =
-    Circuit.of_devices
-      [
-        Device.Vsource
-          {
-            name = "V1";
-            np = "in";
-            nn = "0";
-            wave =
-              Wave.Pulse
-                { v1 = 0.0; v2 = 1.0; delay = 1e-5; rise = 1e-6; fall = 1e-6;
-                  width = 2e-5; period = 0.0 };
-          };
-        r "R1" "in" "out" 1e3;
-        Device.Capacitor { name = "C1"; n1 = "out"; n2 = "0"; c = 1e-9; ic = None };
-      ]
-  in
-  let fixed_opts = Transient.default_options ~dt:1e-7 ~t_stop:1e-3 in
-  let adaptive_opts = adaptive ~lte_tol:1e-5 fixed_opts in
-  let fixed = Transient.run c ~probes:[ Transient.Node "out" ] fixed_opts in
-  let adap = Transient.run c ~probes:[ Transient.Node "out" ] adaptive_opts in
-  Alcotest.(check bool) "adaptive uses fewer points" true
-    (Array.length adap.Transient.times < Array.length fixed.Transient.times / 2);
-  (* both agree on the final value *)
-  let last a = a.(Array.length a - 1) in
-  check_float ~eps:1e-6 "final value agrees"
-    (last (Transient.signal fixed (Transient.Node "out")))
-    (last (Transient.signal adap (Transient.Node "out")))
-
-let test_tran_adaptive_lc_frequency () =
-  (* adaptive trap on the lossless LC keeps the frequency *)
-  let c =
-    Circuit.of_devices
-      [
-        Device.Capacitor { name = "C1"; n1 = "t"; n2 = "0"; c = 1e-9; ic = Some 1.0 };
-        Device.Inductor { name = "L1"; n1 = "t"; n2 = "0"; l = 1e-3; ic = None };
-      ]
-  in
-  let f0 = 1.0 /. (2.0 *. Float.pi *. sqrt (1e-3 *. 1e-9)) in
-  let opts =
-    adaptive ~lte_tol:1e-6
-      {
-        (Transient.default_options ~dt:(1.0 /. (f0 *. 100.0)) ~t_stop:(30.0 /. f0)) with
-        use_ic = true;
-      }
-  in
-  let s = transient_signal c (Transient.Node "t") opts in
-  check_float ~eps:(f0 *. 2e-3) "adaptive LC frequency" f0 (Waveform.Measure.frequency s)
 
 (* ------------------------------------------------------------------ *)
 (* Netlist parser *)
@@ -850,15 +765,6 @@ let test_tran_pins () =
   check_pin "colpitts_like" "336b7be85e677a33379d2b20da8b273d" ~steps:2500
     (Transient.run circuit ~probes:[ Node "t"; Branch "LT" ]
        (Transient.default_options ~dt:20e-12 ~t_stop:50e-9));
-  (* adaptive stepping: rejected steps restore the saved x and state *)
-  let circuit, opts = tanh_probe ~vi:0.08 ~cycles:8.0 ~spc:40 () in
-  let r, rejected =
-    counting "spice.transient.steps_rejected" (fun () ->
-        Transient.run circuit ~probes:[ Node "t" ] (adaptive ~lte_tol:1e-4 opts))
-  in
-  Alcotest.(check bool) "adaptive: some steps rejected" true (rejected > 0);
-  check_pin "adaptive" "84539f8c0a3778b26857e479e3f3772f"
-    ~steps:(Array.length r.times - 1) r;
   (* an injected singular Jacobian on a step forces step halving *)
   let circuit, opts = tanh_probe ~cycles:4.0 ~spc:160 () in
   (match Resilience.Fault.configure "newton-singular@40x3" with
@@ -939,9 +845,6 @@ let () =
           Alcotest.test_case "be damps lc" `Quick test_tran_be_damps_lc;
           Alcotest.test_case "record window" `Quick test_tran_record_window;
           Alcotest.test_case "stride" `Quick test_tran_stride;
-          Alcotest.test_case "adaptive rc" `Quick test_tran_adaptive_rc;
-          Alcotest.test_case "adaptive mesh economy" `Quick test_tran_adaptive_fewer_steps_when_quiet;
-          Alcotest.test_case "adaptive lc frequency" `Quick test_tran_adaptive_lc_frequency;
           Alcotest.test_case "waveform bit pins" `Quick test_tran_pins;
           Alcotest.test_case "allocation per step" `Quick test_tran_alloc;
         ] );
