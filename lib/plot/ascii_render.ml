@@ -68,8 +68,7 @@ let to_string ?(cols = 72) ?(rows = 24) (fig : Fig.t) =
         if c >= 0 && c < cols then
           for r = 0 to rows - 1 do
             if grid.(r).(c) = ' ' then grid.(r).(c) <- '|'
-          done
-      | Text _ -> ())
+          done)
     fig.series;
   let buf = Buffer.create ((rows + 4) * (cols + 4)) in
   if fig.title <> "" then Buffer.add_string buf (fig.title ^ "\n");

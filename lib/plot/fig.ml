@@ -20,7 +20,6 @@ type series =
   | Polylines of { curves : (float array * float array) list; style : line_style; label : string option }
   | Hline of { y : float; style : line_style }
   | Vline of { x : float; style : line_style }
-  | Text of { x : float; y : float; text : string; color : color }
 
 type t = {
   title : string;
@@ -72,9 +71,6 @@ let data_bounds t =
     | Polylines { curves; _ } -> List.iter (fun (xs, ys) -> see_arrays xs ys) curves
     | Hline { y; _ } -> see_y y
     | Vline { x; _ } -> see_x x
-    | Text { x; y; _ } ->
-      see_x x;
-      see_y y
   in
   List.iter see t.series;
   let default lo hi = if !lo > !hi then (0.0, 1.0) else (!lo, !hi) in

@@ -31,7 +31,6 @@ type series =
   | Polylines of { curves : (float array * float array) list; style : line_style; label : string option }
   | Hline of { y : float; style : line_style }
   | Vline of { x : float; style : line_style }
-  | Text of { x : float; y : float; text : string; color : color }
 
 type t = {
   title : string;

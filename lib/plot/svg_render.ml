@@ -73,7 +73,7 @@ let legend_entries (fig : Fig.t) =
       | Line { label = Some l; style; _ } -> Some (l, style.color)
       | Scatter { label = Some l; color; _ } -> Some (l, color)
       | Polylines { label = Some l; style; _ } -> Some (l, style.color)
-      | Line _ | Scatter _ | Polylines _ | Hline _ | Vline _ | Text _ -> None)
+      | Line _ | Scatter _ | Polylines _ | Hline _ | Vline _ -> None)
     fig.series
 
 let to_string ?(width = 640) ?(height = 480) (fig : Fig.t) =
@@ -167,12 +167,6 @@ let to_string ?(width = 640) ?(height = 480) (fig : Fig.t) =
       Buffer.add_string buf
         (Printf.sprintf "<line x1=\"%.1f\" y1=\"%.1f\" x2=\"%.1f\" y2=\"%.1f\" %s/>\n"
            px py0 px py1 (style_attrs style))
-    | Text { x; y; text; color } ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "<text x=\"%.1f\" y=\"%.1f\" font-size=\"11\" fill=\"%s\">%s</text>\n"
-           (Scale.apply xscale x) (Scale.apply yscale y) (css_color color)
-           (escape text))
   in
   List.iter draw_series fig.series;
   Buffer.add_string buf "</g>\n";

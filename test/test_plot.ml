@@ -105,10 +105,7 @@ let sample_fig () =
   let fig = Fig.add_line ~label:"curve" fig ~xs:[| 0.0; 1.0; 2.0 |] ~ys:[| 0.0; 1.0; 0.0 |] in
   let fig = Fig.add_scatter fig ~xs:[| 0.5 |] ~ys:[| 0.5 |] in
   let fig = Fig.add_hline fig ~y:0.5 in
-  let fig = Fig.add_vline fig ~x:1.0 in
-  { fig with
-    Fig.series =
-      fig.Fig.series @ [ Fig.Text { x = 1.0; y = 0.8; text = "note"; color = Fig.black } ] }
+  Fig.add_vline fig ~x:1.0
 
 let test_svg_structure () =
   let svg = Svg_render.to_string (sample_fig ()) in
