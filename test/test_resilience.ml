@@ -483,7 +483,7 @@ let test_measure_typed () =
          Waveform.Measure.frequency s))
 
 let test_solutions_swallow_root_failure () =
-  (* Solutions.find refines candidates with Roots.newton2d and drops a
+  (* Solutions.find refines candidates with a 2-D Newton and drops a
      candidate whose refinement fails — injected root failures must
      yield an empty (not raised) result *)
   let g = small_grid () in
