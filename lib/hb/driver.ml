@@ -1,6 +1,5 @@
 module Cx = Numerics.Cx
 module Linalg = Numerics.Linalg
-module Newton = Numerics.Newton
 module Err = Resilience.Oshil_error
 
 let two_pi = 2.0 *. Float.pi
@@ -36,7 +35,7 @@ let cached ?ident ~mode ~k_max ~samples ~tol ~fields compute =
   | Some id when Cache.Store.enabled () ->
     let key =
       let open Cache.Key in
-      v ~kind:"hb" ~version:1
+      v ~kind:"hb" ~version:2
         ([
            str "circuit" id;
            str "mode" mode;
@@ -65,74 +64,47 @@ let mk_solution sys ~f0 ~osc_node ~x ~iters ~residual =
 
 (* --- autonomous oscillator: oscprobe --------------------------------- *)
 
-let oscprobe ?ident ?(k_max = 7) ?(samples = 1024) ?(tol = 1e-12) ?probe_node
-    ~f_guess ~a_guess circuit =
+(* a converged fundamental below this share of the seed amplitude is
+   the trivial orbit X = 0, which every autonomous system has *)
+let trivial_share = 1e-6
+
+let oscprobe ?ident ?(k_max = 7) ?(samples = 1024) ?(tol = 1e-12) ~f_guess
+    ~a_guess circuit =
   Obs.Span.with_ ~cat:"hb" ~name:"hb.oscprobe" @@ fun () ->
   let sys = System.compile ~k_max ~samples circuit in
-  let pnode =
-    match probe_node with
-    | Some nm -> (
-      match System.node_index sys nm with
-      | Some i -> i
-      | None ->
-        Err.raise_ Shil ~phase:"hb" Parse_failure
-          (Printf.sprintf "unknown probe node %S" nm)
-          ~remedy:"probe one of the circuit's non-ground nodes")
-    | None -> (
-      match System.default_probe sys with
-      | Some i -> i
-      | None ->
-        Err.raise_ Shil ~phase:"hb" No_oscillation
-          "circuit has no nonlinear device to sustain an oscillation"
-          ~remedy:"oscprobe needs an active nonlinearity; add one or use AC \
-                   analysis")
+  let node =
+    match System.osc_node sys with
+    | Some i -> i
+    | None ->
+      Err.raise_ Shil ~phase:"hb" No_oscillation
+        "circuit has no nonlinear device to sustain an oscillation"
+        ~remedy:"oscprobe needs an active nonlinearity; add one or use AC \
+                 analysis"
   in
   let compute () =
-    let z = System.probe_zscale sys pnode in
-    let base = System.size sys in
-    let total_iters = ref 0 in
-    let warm = ref None in
-    let last = ref None in
-    (* the probe current at (A, omega) = (u.(0), u.(1)), each inner
-       solve warm-started from the last *)
-    let inner ~x:u ~res =
-      let asm = System.assemble sys ~omega0:u.(1) in
-      let x0 =
-        match !warm with Some x -> x | None -> Array.make base 0.0
-      in
-      let x, st = Solve.solve ~tol ~x0 asm ~probe:(Some (pnode, u.(0))) in
-      total_iters := !total_iters + st.iters;
-      warm := Some (Array.sub x 0 base);
-      last := Some (Array.sub x 0 base, st);
-      res.(0) <- z *. x.(base);
-      res.(1) <- z *. x.(base + 1)
+    (* the seed orbit: the node's fundamental at (a_guess / 2, 0), all
+       else zero; the gauge keeps Im X_1 = 0 there *)
+    let x0 = Array.make (System.size sys) 0.0 in
+    x0.(System.idx sys node 1) <- a_guess /. 2.0;
+    let asm = System.assemble sys ~omega0:(two_pi *. f_guess) in
+    let x, st = Solve.solve ~tol ~x0 ~gauge:node asm in
+    let sol =
+      mk_solution sys ~f0:(st.Solve.omega /. two_pi) ~osc_node:node ~x
+        ~iters:st.Solve.iters ~residual:st.Solve.residual
     in
-    let failed why =
-      Err.raise_ Shil ~phase:"hb" Root_failure
-        ("oscprobe outer Newton failed: " ^ why)
+    if not (amplitude sol >= trivial_share *. Float.abs a_guess) then
+      Err.raise_ Shil ~phase:"hb" No_oscillation
+        (Printf.sprintf
+           "the solve converged to the trivial orbit (amplitude %.3g V)"
+           (amplitude sol))
         ~context:
           [
             ("f_guess", Printf.sprintf "%.6g" f_guess);
             ("a_guess", Printf.sprintf "%.6g" a_guess);
           ]
-        ~remedy:"improve the (f, A) seeds or raise k_max/samples"
-    in
-    if Resilience.Fault.fire "roots-fail" then
-      failed "injected fault (roots-fail)";
-    let u = [| a_guess; two_pi *. f_guess |] in
-    let o =
-      Newton.solve_2d ~ectx:(Obs.Event.ctx ~rung:"oscprobe" "hb")
-        ~reuse:false ~tol:(Float.max 3e-11 (30.0 *. tol)) ~max_iter:80 inner u
-    in
-    if not o.converged then failed o.failure;
-    let omega_star = u.(1) in
-    (* the converged point, solved once more for the reported solution *)
-    inner ~x:u ~res:(Array.make 2 0.0);
-    let x, st =
-      match !last with Some v -> v | None -> assert false
-    in
-    mk_solution sys ~f0:(omega_star /. two_pi) ~osc_node:pnode ~x
-      ~iters:!total_iters ~residual:st.Solve.residual
+        ~remedy:"seed the amplitude nearer the oscillation's, e.g. at the \
+                 describing-function amplitude";
+    sol
   in
   cached ?ident ~mode:"oscprobe" ~k_max ~samples ~tol
     ~fields:
@@ -163,7 +135,7 @@ let check_layout sys free =
 let injected_solve ~tol ~free ~n ~f_inj sys =
   let f0 = f_inj /. float_of_int n in
   let asm = System.assemble sys ~omega0:(two_pi *. f0) in
-  let x, st = Solve.solve ~tol ~x0:free.x asm ~probe:None in
+  let x, st = Solve.solve ~tol ~x0:free.x asm in
   let sol =
     mk_solution sys ~f0 ~osc_node:free.osc_node ~x ~iters:st.Solve.iters
       ~residual:st.Solve.residual
@@ -205,12 +177,8 @@ let ppv circuit free =
   let omega0 = two_pi *. free.f0 in
   let x = free.x in
   let jac = Linalg.create size size and res = Array.make size 0.0 in
-  (* only the linear stamps depend on ω, and linearly, so
-     c = ω0 ∂R/∂ω = R(2 ω0) - R(ω0) exactly *)
-  System.eval (System.assemble sys ~omega0:(2.0 *. omega0)) ~x ~jac ~res;
-  let c = Array.copy res in
   System.eval (System.assemble sys ~omega0) ~x ~jac ~res;
-  Array.iteri (fun i r -> c.(i) <- c.(i) -. r) res;
+  let c = Array.map (fun d -> omega0 *. d) (System.omega_column sys ~x) in
   (* bordered system [Jᵀ u; cᵀ 0] [w; s] = [0; 1]: u is the phase-shift
      direction (Re X_k, Im X_k) -> (-k Im X_k, k Re X_k), the right null
      vector of J *)
@@ -286,12 +254,12 @@ let lock_range ?ident ?(tol = 1e-12) ~free ~n ~guess_width ~inject () =
         end
         else false
       in
-      match Solve.solve ~tol ~x0:!warm asm ~probe:None with
+      match Solve.solve ~tol ~x0:!warm asm with
       | x, st -> classify x st
       | exception Err.Error _ -> (
         (* the warm (locked-branch) start found no solution; retry cold —
            the suppressed branch is a mild solve from zero *)
-        match Solve.solve ~tol asm ~probe:None with
+        match Solve.solve ~tol asm with
         | x, st -> classify x st
         | exception Err.Error _ ->
           incr holes;

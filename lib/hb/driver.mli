@@ -2,7 +2,7 @@
     oscillator solve (oscprobe), injected-tone SHIL solve, and the
     HB lock-range search.
 
-    Results are cached under kind ["hb"] version 1 when the caller
+    Results are cached under kind ["hb"] version 2 when the caller
     supplies [?ident] — a canonical string identifying the circuit (the
     API layer derives it from the resolved oscillator spec and the
     nonlinearity cache key). Cached values are Marshal round-trips of
@@ -18,7 +18,7 @@ type solution = {
   spectra : Numerics.Cx.t array array;  (** per node, [X_0 .. X_kmax] *)
   osc_node : int;  (** index of the reported oscillation node *)
   x : float array;  (** raw unknown vector (warm starts) *)
-  iters : int;  (** total inner Newton iterations *)
+  iters : int;  (** Newton iterations of the converged attempt *)
   residual : float;  (** converged scaled residual *)
 }
 
@@ -33,21 +33,23 @@ val oscprobe :
   ?k_max:int ->
   ?samples:int ->
   ?tol:float ->
-  ?probe_node:string ->
   f_guess:float ->
   a_guess:float ->
   Spice.Circuit.t ->
   solution
-(** Autonomous oscillator steady state via the oscprobe technique: an
-    ideal fundamental-only AC probe pins the oscillation node's
-    fundamental to [(A/2, 0)], and an outer 2-D Newton on [(A, ω)]
-    drives the probe current to zero (zero probe admittance — the
-    probe neither sources nor sinks power at the solution).
-    [probe_node] defaults to the first nonlinear device's node;
-    [f_guess]/[a_guess] seed the outer Newton (resonance frequency and
-    a describing-function amplitude are good seeds). Raises typed
-    errors: [Root_failure] when the outer Newton fails,
-    [No_oscillation] when the circuit has no nonlinear device. *)
+(** Autonomous oscillator steady state: one {!Solve.solve} for the
+    spectrum and the frequency, gauged at the first nonlinear device's
+    node, where [X_1] comes out real. The seed is the fundamental
+    [(a_guess / 2, 0)] at that node, all else zero, at [f_guess]
+    (resonance frequency and a describing-function amplitude are good
+    seeds).
+
+    Raises typed errors: [Solver_divergence] when every Newton rung
+    fails; [No_oscillation] when the circuit has no nonlinear device,
+    or when the solve converges to the trivial orbit, i.e. to a
+    fundamental amplitude [2 |X_1|] at the node below [1e-6 *
+    |a_guess|] (every autonomous system has [X = 0] as a solution, and
+    seeds well below the oscillation's amplitude can fall into it). *)
 
 type verdict = {
   locked : bool;
@@ -79,12 +81,13 @@ val injected :
 val ppv : Spice.Circuit.t -> solution -> Numerics.Cx.t array array
 (** Perturbation projection vector (Demir & Roychowdhury, IEEE TCAD
     2003) of a free-running solution, read off the harmonic-balance
-    Jacobian. [circuit] must be the one [free] solves, without the
-    probe; it is compiled at [free]'s [k_max]/[samples] and evaluated
-    at [2 pi free.f0]. The left null vector [w] of the Jacobian [J]
-    comes from one bordered solve [[J^T u; c^T 0] [w; s] = [0; 1]],
-    with [u] the phase-shift direction of the spectrum and
-    [c = omega0 dR/d omega], which normalises [<y, M x'> = 1].
+    Jacobian. [circuit] must be the one [free] solves; it is compiled
+    at [free]'s [k_max]/[samples] and evaluated at [2 pi free.f0]. The
+    left null vector [w] of the Jacobian [J] comes from one bordered
+    solve [[J^T u; c^T 0] [w; s] = [0; 1]], with [u] the phase-shift
+    direction of the spectrum and [c = omega0 dR/d omega] (the
+    oscprobe's frequency column, {!System.omega_column}), which
+    normalises [<y, M x'> = 1].
 
     One row per MNA unknown: the nodes in [free.nodes] order, then the
     branch currents (inductors and voltage sources, device order). Row

@@ -3,7 +3,7 @@ module Newton = Numerics.Newton
 module Fault = Resilience.Fault
 module Policy = Resilience.Policy
 
-type stats = { iters : int; residual : float; rung : string }
+type stats = { iters : int; residual : float; rung : string; omega : float }
 
 (* converged scaled residuals, by decade *)
 let () =
@@ -29,46 +29,14 @@ let scaled_norm ~jac ~res =
   done;
   !m
 
-let attempt ~tol ~ws ~rung ~damped asm ~probe ~x0 () =
+let attempt ~tol ~ws ~rung ~damped ~eval ~omega ~x0 () =
   if Fault.fire "hb-newton" then Error (rung ^ ": injected fault (hb-newton)")
   else begin
-    let t = System.system asm in
-    let base = System.size t in
-    let n = base + (match probe with Some _ -> 2 | None -> 0) in
-    let x = Array.make n 0.0 in
-    Array.blit x0 0 x 0 (min (Array.length x0) n);
-    (match probe with
-    | Some (p, a) ->
-      x.(System.idx t p 1) <- a /. 2.0;
-      x.(System.idx t p 2) <- 0.0
-    | None -> ());
-    let eval ~x ~jac ~res =
-      System.eval asm ~x ~jac ~res;
-      match probe with
-      | Some (p, a) ->
-        let r1 = System.idx t p 1 and r2 = System.idx t p 2 in
-        (* System.eval leaves the probe columns alone: clear what an
-           in-place LU may have left there *)
-        for i = 0 to base - 1 do
-          jac.(i).(base) <- 0.0;
-          jac.(i).(base + 1) <- 0.0
-        done;
-        (* the probe current flows into the node: KCL sees -Ip *)
-        res.(r1) <- res.(r1) -. x.(base);
-        res.(r2) <- res.(r2) -. x.(base + 1);
-        jac.(r1).(base) <- -1.0;
-        jac.(r2).(base + 1) <- -1.0;
-        (* pin rows: Re V_1 = a/2, Im V_1 = 0 *)
-        res.(base) <- x.(r1) -. (a /. 2.0);
-        res.(base + 1) <- x.(r2);
-        Array.fill jac.(base) 0 n 0.0;
-        Array.fill jac.(base + 1) 0 n 0.0;
-        jac.(base).(r1) <- 1.0;
-        jac.(base + 1).(r2) <- 1.0
-      | None -> ()
-    in
+    let x = Array.copy x0 in
     let stop ~iter ~residual ~x =
-      if Float.is_nan residual then Newton.Failed "residual is NaN"
+      if not (omega x > 0.0) then
+        Newton.Failed "base frequency is not positive"
+      else if Float.is_nan residual then Newton.Failed "residual is NaN"
       else if residual > 1e12 then Newton.Failed "residual diverged"
       else if residual <= tol *. Float.max 1.0 (Linalg.norm_inf x) then
         Newton.Converged
@@ -80,34 +48,60 @@ let attempt ~tol ~ws ~rung ~damped asm ~probe ~x0 () =
     in
     let o =
       Newton.solve ~ectx:(Obs.Event.ctx ~rung "hb") ~ws ~eval
-        ~update:(if damped then Line_search { reuse = true } else Plain)
+        ~update:(if damped then Line_search else Plain)
         ~measure:scaled_norm ~stop:(Before_step stop) x
     in
     Obs.Metrics.incr ~by:o.iters "hb.newton_iters";
-    if o.converged then Ok (x, { iters = o.iters; residual = o.residual; rung })
+    if o.converged then
+      Ok (x, { iters = o.iters; residual = o.residual; rung; omega = omega x })
     else Error (rung ^ ": " ^ o.failure)
   end
 
-let solve ?(tol = 1e-12) ?x0 asm ~probe =
+let solve ?(tol = 1e-12) ?x0 ?gauge asm =
   let t = System.system asm in
-  let x0 =
-    match x0 with Some x -> x | None -> Array.make (System.size t) 0.0
+  let size = System.size t in
+  let omega_s = System.omega0 asm in
+  let x0 = match x0 with Some x -> x | None -> Array.make size 0.0 in
+  let eval, omega, start =
+    match gauge with
+    | None -> (System.eval asm, (fun _ -> omega_s), x0)
+    | Some node ->
+      (* unknown [size] is ω / omega_s; row [size] is the gauge *)
+      let n = size + 1 and im1 = System.idx t node 2 in
+      let column = System.omega_column t in
+      let eval ~x ~jac ~res =
+        let omega = omega_s *. x.(size) in
+        if not (omega > 0.0) then
+          (* no system to assemble: a residual the line search backs
+             off from and the stop test fails on *)
+          for i = 0 to n - 1 do
+            Array.fill jac.(i) 0 n 0.0;
+            res.(i) <- infinity
+          done
+        else begin
+          System.eval (System.assemble t ~omega0:omega) ~x ~jac ~res;
+          let col = column ~x in
+          for i = 0 to size - 1 do
+            jac.(i).(size) <- omega_s *. col.(i)
+          done;
+          Array.fill jac.(size) 0 n 0.0;
+          jac.(size).(im1) <- 1.0;
+          res.(size) <- x.(im1)
+        end
+      in
+      (eval, (fun x -> omega_s *. x.(size)), Array.append x0 [| 1.0 |])
   in
-  let ws =
-    Newton.workspace
-      (System.size t + match probe with Some _ -> 2 | None -> 0)
+  let ws = Newton.workspace (Array.length start) in
+  let rung name ~damped =
+    Policy.rung name
+      (attempt ~tol ~ws ~rung:name ~damped ~eval ~omega ~x0:start)
   in
   match
     Policy.escalate ~subsystem:Shil ~phase:"hb"
-      [
-        Policy.rung "newton"
-          (attempt ~tol ~ws ~rung:"newton" ~damped:false asm ~probe ~x0);
-        Policy.rung "damped-newton"
-          (attempt ~tol ~ws ~rung:"damped-newton" ~damped:true asm ~probe ~x0);
-      ]
+      [ rung "newton" ~damped:false; rung "damped-newton" ~damped:true ]
   with
   | Ok (x, st) ->
     Obs.Metrics.incr "hb.solves";
     Obs.Metrics.observe "hb.residual" st.residual;
-    (x, st)
+    (Array.sub x 0 size, st)
   | Error e -> raise (Resilience.Oshil_error.Error e)

@@ -16,25 +16,35 @@
     (each row divided by its Jacobian row maximum), relative to
     [max 1 ||x||_inf]. *)
 
-type stats = { iters : int; residual : float; rung : string }
+type stats = {
+  iters : int;
+  residual : float;
+  rung : string;
+  omega : float;
+      (** base angular frequency of the solution: the assembled one,
+          or with a gauge the converged one *)
+}
 
 val solve :
   ?tol:float ->
   ?x0:float array ->
+  ?gauge:int ->
   System.assembled ->
-  probe:(int * float) option ->
   float array * stats
-(** [solve asm ~probe] returns the converged unknown vector (length
-    [System.size] plus two probe-current slots when [probe] is given)
-    and solve statistics. [tol] defaults to 1e-12; each rung stops
+(** [solve asm] returns the converged unknown vector (length
+    [System.size]) and solve statistics. [x0] (same length; default
+    zero) starts both rungs; [tol] defaults to 1e-12; each rung stops
     after 60 iterations.
 
-    [probe = Some (node, a)] augments the system with an ideal
-    fundamental-only AC probe at [node]: two extra unknowns (the probe
-    current's Re/Im parts, stored after the base unknowns) and two pin
-    equations [Re V_{node,1} = a/2], [Im V_{node,1} = 0]. The probe is
-    an open circuit at every other harmonic; the oscprobe outer loop
-    drives its fundamental current to zero.
+    Without [gauge] the base frequency is [asm]'s. With [gauge = Some
+    node] it is one more unknown (the autonomous steady state), carried
+    as [omega / omega0] from 1 so that it is of order 1 in
+    [||x||_inf]; the system is bordered by the gauge row [Im X_1 = 0]
+    at [node] and the exact column {!System.omega_column}, and each
+    iteration re-assembles at the iterate's frequency. An iterate with
+    [omega <= 0] fails the attempt (a line-search trial there is backed
+    off). [X = 0] solves this system too: telling it apart is the
+    caller's.
 
     Raises {!Resilience.Oshil_error.Error} ([Solver_divergence]) when
     every rung fails. *)

@@ -42,11 +42,6 @@ let nh t = (2 * t.k_max) + 1
 let size t = t.n_unk * nh t
 let idx t i h = (i * nh t) + h
 
-let node_index t name =
-  let r = ref None in
-  Array.iteri (fun i nm -> if nm = name && !r = None then r := Some i) t.node_names;
-  !r
-
 let unsupported name what =
   Err.raise_ Spice ~phase:"hb" Parse_failure
     (Printf.sprintf "device %s (%s) is not supported by harmonic balance" name
@@ -124,19 +119,11 @@ let compile ?(k_max = 7) ?(samples = 1024) circuit =
     nls = Array.of_list (List.rev !nls);
   }
 
-let default_probe t =
+let osc_node t =
   let pick { np; nn; _ } = if np >= 0 then Some np else if nn >= 0 then Some nn else None in
   Array.fold_left
     (fun acc d -> match acc with Some _ -> acc | None -> pick d)
     None t.nls
-
-let probe_zscale t node =
-  let g =
-    Array.fold_left
-      (fun acc (p, n, g) -> if p = node || n = node then acc +. g else acc)
-      0.0 t.resistors
-  in
-  if g > 0.0 then 1.0 /. g else 1.0
 
 (* --- source spectra -------------------------------------------------- *)
 
@@ -177,11 +164,13 @@ let spectrum_of_wave ~f0 ~k_max ~what wave =
 
 type assembled = {
   sys : t;
+  omega0 : float;
   a : Linalg.mat;  (* constant linear stamps *)
   b : float array;  (* source vector: residual = a x + NL(x) - b *)
 }
 
 let system asm = asm.sys
+let omega0 asm = asm.omega0
 
 (* Admittance (or unit-coupling) entry between equation row [row] and
    variable column [col] at harmonic [k], with sign [s]: the real DC
@@ -217,6 +206,29 @@ let add_spec t vec u s spec =
     vec.(r2) <- vec.(r2) +. (s *. Cx.im spec.(k))
   done
 
+(* The capacitor and inductor stamps at [omega]: the only part of the
+   residual that depends on the base frequency, and linearly. In their
+   own pass the inductor stamps come before the branch couplings, which
+   touch other entries, so [assemble]'s sums are as they were. *)
+let stamp_reactive a t ~omega =
+  Array.iter
+    (fun (p, nn, c) ->
+      for k = 1 to t.k_max do
+        stamp_pair a t ~k p nn 0.0 (float_of_int k *. omega *. c)
+      done)
+    t.capacitors;
+  Array.iteri
+    (fun j br ->
+      match br with
+      | Ind { l; _ } ->
+        (* V - jkω L I = 0; at DC the inductor is a short *)
+        let u = t.n_nodes + j in
+        for k = 1 to t.k_max do
+          stamp a t ~k ~row:u ~col:u ~s:(-1.0) 0.0 (float_of_int k *. omega *. l)
+        done
+      | Vsrc _ -> ())
+    t.branches
+
 let assemble t ~omega0 =
   if not (omega0 > 0.0) then
     invalid_arg "Hb.System.assemble: omega0 must be > 0";
@@ -229,12 +241,7 @@ let assemble t ~omega0 =
         stamp_pair a t ~k p nn g 0.0
       done)
     t.resistors;
-  Array.iter
-    (fun (p, nn, c) ->
-      for k = 1 to t.k_max do
-        stamp_pair a t ~k p nn 0.0 (float_of_int k *. omega0 *. c)
-      done)
-    t.capacitors;
+  stamp_reactive a t ~omega:omega0;
   Array.iteri
     (fun j br ->
       let u = t.n_nodes + j in
@@ -248,11 +255,7 @@ let assemble t ~omega0 =
         if bn >= 0 then stamp a t ~k ~row:u ~col:bn ~s:(-1.0) 1.0 0.0
       done;
       match br with
-      | Ind { l; _ } ->
-        (* V - jkω L I = 0; at DC the inductor is a short *)
-        for k = 1 to t.k_max do
-          stamp a t ~k ~row:u ~col:u ~s:(-1.0) 0.0 (float_of_int k *. omega0 *. l)
-        done
+      | Ind _ -> ()
       | Vsrc { wave; _ } ->
         let spec = spectrum_of_wave ~f0 ~k_max:t.k_max ~what:"vsource" wave in
         add_spec t b u 1.0 spec)
@@ -265,7 +268,19 @@ let assemble t ~omega0 =
       if p >= 0 then add_spec t b p (-1.0) spec;
       if nn >= 0 then add_spec t b nn 1.0 spec)
     t.isources;
-  { sys = t; a; b }
+  { sys = t; omega0; a; b }
+
+let omega_column t =
+  let n = size t in
+  let d = Linalg.create n n in
+  stamp_reactive d t ~omega:1.0;
+  fun ~x ->
+  Array.init n (fun i ->
+      let acc = ref 0.0 in
+      for j = 0 to n - 1 do
+        acc := !acc +. (d.(i).(j) *. x.(j))
+      done;
+      !acc)
 
 (* --- nonlinear devices: time-domain eval + conversion matrices ------- *)
 

@@ -42,16 +42,9 @@ val idx : t -> int -> int -> int
 val node_names : t -> string array
 (** Non-ground node names, sorted (same order as {!Spice.Mna}). *)
 
-val node_index : t -> string -> int option
-
-val default_probe : t -> int option
-(** The natural oscillation probe node: the first non-ground terminal
-    of the first nonlinear device, if any. *)
-
-val probe_zscale : t -> int -> float
-(** Impedance scale at a node (reciprocal of the total resistive
-    conductance touching it, 1.0 when none): multiplying a probe
-    current by this yields a voltage-like residual. *)
+val osc_node : t -> int option
+(** The natural oscillation node: the first non-ground terminal of the
+    first nonlinear device, if any. *)
 
 type assembled
 (** The system frozen at a base frequency: linear stamps and source
@@ -65,11 +58,22 @@ val assemble : t -> omega0:float -> assembled
 
 val system : assembled -> t
 
+val omega0 : assembled -> float
+(** The base angular frequency the system was assembled at. *)
+
 val eval : assembled -> x:float array -> jac:Numerics.Linalg.mat -> res:float array -> unit
 (** Fill rows/columns [0 .. size-1] of [jac] and [res] with the
-    spectral Jacobian and residual at [x]. [jac]/[res] may be larger
-    (probe augmentation); the extra rows and columns are left
+    spectral Jacobian and residual at [x]. [x], [jac] and [res] may be
+    larger (a bordered system); the extra rows and columns are left
     untouched. *)
+
+val omega_column : t -> x:float array -> float array
+(** [dR/d omega] at [x] (length [size]; [x] may be longer). The
+    capacitor and inductor stamps are the only part of the residual
+    that depends on the base frequency, and they depend on it
+    linearly, so this is exactly those stamps at unit frequency times
+    [x]: no second evaluation of the nonlinear devices. The partial
+    application [omega_column t] stamps them once. *)
 
 val spectra : t -> x:float array -> Numerics.Cx.t array array
 (** Per-node harmonic coefficients [X_0 .. X_{k_max}] of a solution

@@ -37,7 +37,7 @@ let linear_solve { jac; res; dx; perm; cramer; _ } =
 type update =
   | Plain
   | Clamp of { limit : float; upto : int }
-  | Line_search of { reuse : bool }
+  | Line_search
 
 type verdict = Continue | Converged | Failed of string
 
@@ -107,7 +107,7 @@ let solve ?ectx ?jacobian ?measure ~ws ~update ~eval ~stop x =
             end
           done;
           if !limited && raw > 0.0 then damping := Linalg.norm_inf dx /. raw
-        | Line_search { reuse } ->
+        | Line_search ->
           (* λ = 1, 1/2, ...: the first trial below the entering
              residual, else the 8th halving *)
           let halvings = ref 0 and searching = ref true in
@@ -130,13 +130,13 @@ let solve ?ectx ?jacobian ?measure ~ws ~update ~eval ~stop x =
               incr halvings
             end
           done;
-          fresh := reuse;
+          fresh := true;
           limited := !damping < 1.0);
         let finite = ref true in
         for k = 0 to size - 1 do
           let v =
             match update with
-            | Line_search _ -> trial.(k)
+            | Line_search -> trial.(k)
             | Plain | Clamp _ -> x.(k) -. dx.(k)
           in
           x.(k) <- v;
@@ -144,7 +144,7 @@ let solve ?ectx ?jacobian ?measure ~ws ~update ~eval ~stop x =
         done;
         let step =
           match update with
-          | Line_search _ -> !damping *. Linalg.norm_inf dx
+          | Line_search -> !damping *. Linalg.norm_inf dx
           | Plain | Clamp _ -> Linalg.norm_inf dx
         in
         if events then
@@ -191,7 +191,7 @@ let fd_jacobian f ~x ~jac ~res =
     xp.(j) <- x.(j)
   done
 
-let solve_2d ?ectx ~reuse ~tol ~max_iter f x =
+let solve_2d ?ectx ~tol ~max_iter f x =
   let stop ~iter ~residual ~x:_ =
     if residual < tol then Converged
     else if iter < max_iter then Continue
@@ -199,6 +199,6 @@ let solve_2d ?ectx ~reuse ~tol ~max_iter f x =
     else Failed (Printf.sprintf "no convergence in %d iterations" max_iter)
   in
   solve ?ectx ~jacobian:(fd_jacobian f) ~ws:(make ~cramer:true 2)
-    ~update:(Line_search { reuse })
+    ~update:Line_search
     ~eval:(fun ~x ~jac:_ ~res -> f ~x ~res)
     ~stop:(Before_step stop) x

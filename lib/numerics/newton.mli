@@ -2,7 +2,11 @@
     steps, harmonic balance and the 2-D lock-point solves all iterate
     here. One call to {!solve} is one attempt; the caller supplies the
     evaluation, the residual measure, the update and the stop test.
-    Recovery ladders, fault sites and counters stay with the callers. *)
+    Recovery ladders, fault sites and counters stay with the callers.
+    There is no bordered variant: a caller that adds unknowns and
+    equations (the HB autonomous solve's frequency and gauge row)
+    appends them in its own [eval], and the same in-place LU factors
+    the larger system. *)
 
 type workspace
 (** The buffers an attempt overwrites, for one system size: Jacobian
@@ -20,17 +24,13 @@ type update =
       (** the first [upto] components of [dx] clamped to [±limit]
           before the plain update (MNA: junction exponentials explode
           without it; branch currents stay unclamped) *)
-  | Line_search of { reuse : bool }
+  | Line_search
       (** [x <- x - λ dx] with [λ = 1, 1/2, …]: the first trial whose
           residual measure is below the entering one is accepted, and
           after 8 halvings the last trial is taken whatever its
-          residual. With [reuse] the accepted trial's evaluation opens
-          the next iteration, so no point is evaluated twice: right
-          when [eval] is a function of the iterate alone. Without it
-          the next iteration evaluates the accepted point afresh, for
-          an [eval] with state of its own (the HB oscprobe's inner
-          solve, warm-started from the last one, lands a few ulps from
-          where the trial's solve did). *)
+          residual. The accepted trial's evaluation opens the next
+          iteration, so no point is evaluated twice: [eval] must be a
+          function of the iterate alone. *)
 
 type verdict = Continue | Converged | Failed of string
 
@@ -89,18 +89,16 @@ val solve :
 
 val solve_2d :
   ?ectx:Obs.Event.solve_ctx ->
-  reuse:bool ->
   tol:float ->
   max_iter:int ->
   (x:float array -> res:float array -> unit) ->
   float array ->
   outcome
-(** [solve_2d ~reuse ~tol ~max_iter f x]: {!solve} for the lock-point
-    solves ([Solutions.refine], the HB oscprobe's outer loop), two
-    unknowns without an analytic Jacobian. [f] fills the residual; the
-    Jacobian is its forward differences at each iterate (column [j]
-    steps [x_j] by [1e-7 (1 + |x_j|)]: two more [f] calls); the update
-    is the line search ([reuse] as in {!update}); the measure is the
+(** [solve_2d ~tol ~max_iter f x]: {!solve} for the lock-point solves
+    of [Solutions.refine], two unknowns without an analytic Jacobian.
+    [f] fills the residual; the Jacobian is its forward differences at
+    each iterate (column [j] steps [x_j] by [1e-7 (1 + |x_j|)]: two
+    more [f] calls); the update is the line search; the measure is the
     residual's inf-norm. Converged once it is below [tol]; after
     [max_iter] steps, converged if below [sqrt tol], else failed. The
     linear step is Cramer's rule, the rounding these solves have always

@@ -3,7 +3,7 @@ let site_names =
     ("newton-singular", "singular Jacobian at the k-th MNA Newton solve");
     ("device-nan", "NaN device evaluation at the k-th MNA Newton solve");
     ("tran-reject", "reject the k-th transient Newton step attempt");
-    ("roots-fail", "the k-th 2-D lock-point Newton fails (Solutions.refine, HB oscprobe)");
+    ("roots-fail", "the k-th 2-D lock-point Newton fails (Solutions.refine)");
     ("grid-point", "fail the k-th Grid.sample phi row (torus: amplitude column)");
     ("pool-task", "fail the k-th task of a resilient pool fan-out");
     ("lock-probe", "fail the k-th lock-range stability probe");

@@ -66,7 +66,7 @@ let refine ?points ?reduction nl ~n ~r ~vi ~phi_d ~phi0 ~a0 =
     let x = [| phi0; a0 |] in
     let o =
       Newton.solve_2d ~ectx:(Obs.Event.ctx ~cell:(phi0, a0) "shil.refine")
-        ~reuse:true ~tol:1e-12 ~max_iter:60 f x
+        ~tol:1e-12 ~max_iter:60 f x
     in
     if o.converged then Some (x.(0), x.(1)) else None
   end

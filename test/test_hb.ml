@@ -1,6 +1,6 @@
 (* Harmonic-balance engine tests.
 
-   Seven families:
+   Nine families:
 
    - fixed-point equivalence: the oscprobe solve at [k_max = 1] must
      reproduce the describing-function fixed point (same quadrature,
@@ -24,7 +24,13 @@
    - resilience and caching: the [hb-newton] fault site walks the
      policy ladder (recovery on the damped rung, typed
      [solver-divergence] when every rung is shot), and cached solves
-     replay bit-identically. *)
+     replay bit-identically;
+   - the oscprobe's seeds: a table of seeds around the default reaches
+     one orbit, a seed that falls into the trivial orbit raises a typed
+     error, and a plain rung that leaves for a negative frequency hands
+     over to the damped one;
+   - pins: MD5s of solution vectors, and one [hb.solves] per
+     oscprobe. *)
 
 module Cx = Numerics.Cx
 module Nl = Shil.Nonlinearity
@@ -42,11 +48,14 @@ let df_amplitude ?points nl ~r =
   | Some a -> a
   | None -> Alcotest.fail "cell must have a natural amplitude"
 
-let free_solution ?(k_max = 5) ?(samples = 256) osc =
+(* the oscprobe seeded at [f_scale] x f_c and [a_scale] x the DF
+   amplitude, the seeds [Api.hb_run] passes when both are 1 *)
+let free_solution ?(k_max = 5) ?(samples = 256) ?(f_scale = 1.0)
+    ?(a_scale = 1.0) osc =
   let tank = (osc.Shil.Analysis.tank : Shil.Tank.t) in
   Driver.oscprobe ~k_max ~samples
-    ~f_guess:(Shil.Tank.f_c tank)
-    ~a_guess:(df_amplitude osc.Shil.Analysis.nl ~r:tank.r)
+    ~f_guess:(f_scale *. Shil.Tank.f_c tank)
+    ~a_guess:(a_scale *. df_amplitude osc.Shil.Analysis.nl ~r:tank.r)
     (Circuits.Behavioural.circuit osc)
 
 (* ------------------------------------------------------------------ *)
@@ -361,21 +370,82 @@ let test_lockrange_hole_degrades () =
     (faulted.Driver.f_hi -. faulted.Driver.f_lo
     <= clean.Driver.f_hi -. clean.Driver.f_lo +. 1.0)
 
-let test_oscprobe_root_failure () =
-  (* the outer 2-D Newton of the oscprobe is shot: the failure surfaces
-     as a typed root-failure, not as a bare exception *)
-  with_fault_plan "roots-fail@0" (fun () ->
-      match free_solution tanh_osc with
-      | _ -> Alcotest.fail "oscprobe must not survive roots-fail@0"
+(* ------------------------------------------------------------------ *)
+(* the oscprobe's seeds *)
+
+let tunnel_osc = Circuits.Tunnel_osc.oscillator Circuits.Tunnel_osc.default
+
+(* X = 0 solves every autonomous system; a seed at a tenth of the
+   oscillation's amplitude falls into it, and that must not pass for
+   an oscillation *)
+let test_trivial_orbit_typed () =
+  List.iter
+    (fun (name, osc) ->
+      match free_solution ~k_max:7 ~samples:1024 ~a_scale:0.1 osc with
+      | sol ->
+        Alcotest.failf "%s: seed 0.1 x A_DF returned an orbit of amplitude %g"
+          name (Driver.amplitude sol)
       | exception Resilience.Oshil_error.Error e ->
         Alcotest.(check string)
-          "typed root-failure" "root-failure"
-          (Resilience.Oshil_error.code e);
-        Alcotest.(check bool)
-          (Printf.sprintf "message %S names the outer Newton" e.msg)
-          true
-          (String.starts_with ~prefix:"oscprobe outer Newton failed"
-             e.Resilience.Oshil_error.msg))
+          (name ^ ": typed no-oscillation")
+          "no-oscillation"
+          (Resilience.Oshil_error.code e))
+    [ ("tanh", tanh_osc); ("tunnel", tunnel_osc) ]
+
+(* seeds around the ones [Api.hb_run] passes reach its orbit *)
+let test_seed_table () =
+  List.iter
+    (fun (name, osc) ->
+      let solve = free_solution ~k_max:7 ~samples:1024 osc in
+      let f_ref = solve.Driver.f0 and a_ref = Driver.amplitude solve in
+      List.iter
+        (fun a_scale ->
+          List.iter
+            (fun f_scale ->
+              let sol =
+                free_solution ~k_max:7 ~samples:1024 ~f_scale ~a_scale osc
+              in
+              let df = rel sol.Driver.f0 f_ref
+              and da = rel (Driver.amplitude sol) a_ref in
+              Alcotest.(check bool)
+                (Printf.sprintf
+                   "%s seeded at %g x A_DF, %g x f_c: f0 %.2g, A %.2g < 1e-8"
+                   name a_scale f_scale df da)
+                true
+                (df < 1e-8 && da < 1e-8))
+            [ 0.98; 1.0; 1.02 ])
+        [ 0.5; 0.8; 1.25; 2.0 ])
+    builtins
+
+(* from 0.3 x A_DF the diff-pair's plain Newton steps to a negative
+   frequency: that fails the attempt, and the damped rung, backing off
+   from such trials, reaches the orbit *)
+let test_negative_frequency_rung () =
+  let osc = List.assoc "diffpair" builtins in
+  let reference = free_solution ~k_max:7 ~samples:1024 osc in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+  let damped = Obs.Metrics.counter_value "resilience.hb.rung.damped-newton" in
+  let sol = free_solution ~k_max:7 ~samples:1024 ~a_scale:0.3 osc in
+  Alcotest.(check int) "the damped rung solved it" 1
+    (Obs.Metrics.counter_value "resilience.hb.rung.damped-newton" - damped);
+  Alcotest.(check bool) "the default-seed orbit" true
+    (rel sol.Driver.f0 reference.Driver.f0 < 1e-8
+    && rel (Driver.amplitude sol) (Driver.amplitude reference) < 1e-8)
+
+(* the oscprobe is one HB solve *)
+let test_one_solve_per_oscprobe () =
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+  List.iter
+    (fun (name, osc) ->
+      let solves = Obs.Metrics.counter_value "hb.solves" in
+      ignore (free_solution ~k_max:7 ~samples:1024 osc);
+      Alcotest.(check int)
+        (name ^ ": hb.solves per oscprobe")
+        1
+        (Obs.Metrics.counter_value "hb.solves" - solves))
+    builtins
 
 (* ------------------------------------------------------------------ *)
 (* bit pins of HB solution vectors (tanh cell, K = 5, 256 samples) *)
@@ -398,14 +468,20 @@ let test_solution_pins () =
       osc
   in
   let free = free_solution osc in
+  (* the solution these bits pin is the nested oscprobe's to 1e-9: its
+     f0 and amplitude were 999774.19372845592 Hz and 1.1581626716173314 V *)
+  Alcotest.(check bool) "f0 within 1e-9 of the nested solve's" true
+    (rel free.Driver.f0 999774.19372845592 < 1e-9);
+  Alcotest.(check bool) "amplitude within 1e-9 of the nested solve's" true
+    (rel (Driver.amplitude free) 1.1581626716173314 < 1e-9);
   let pin name expected got =
     Alcotest.(check string) (name ^ ": md5") expected got
   in
-  pin "oscprobe" "c0bd08921d9f59eb9c6c186e22f33308" (digest_solution free);
+  pin "oscprobe" "736e86186f932583823666727a7fb622" (digest_solution free);
   let inj =
     Driver.injected ~free ~n ~f_inj:2998000.0 (inject ~f_inj:2998000.0)
   in
-  pin "injected" "486a87921e8faadeef13a7fd24ec17e8"
+  pin "injected" "9fb770be5c8bba4b993ceca8e4e81a98"
     (digest_solution inj.Driver.sol);
   (* the lock-range search: its probe frequencies and band, and its
      first two probes re-solved the way the search solves them (the
@@ -417,7 +493,7 @@ let test_solution_pins () =
     inject ~f_inj
   in
   let band = Driver.lock_range ~free ~n ~guess_width ~inject:inject_logged () in
-  pin "lock-range probes and band" "a663647e31eab244ba12b77d99144df4"
+  pin "lock-range probes and band" "fbe1344f1933a9b59a5432a3692fd355"
     (digest_floats
        (List.rev !probed @ [ band.Driver.f_lo; band.Driver.f_hi ]));
   let fc = float_of_int n *. free.Driver.f0 in
@@ -425,31 +501,13 @@ let test_solution_pins () =
   Alcotest.(check (list (float 0.0))) "first two probe frequencies" [ fc; f2 ]
     (match List.rev !probed with a :: b :: _ -> [ a; b ] | l -> l);
   let p1 = Driver.injected ~free ~n ~f_inj:fc (inject ~f_inj:fc) in
-  pin "probe 1" "0df347667456c7dec3a7a42173b70a18"
+  pin "probe 1" "52900b5a6c96da43e7bc5e577b36c0a4"
     (digest_solution p1.Driver.sol);
   let p2 =
     Driver.injected ~free:{ free with Driver.x = p1.Driver.sol.Driver.x } ~n
       ~f_inj:f2 (inject ~f_inj:f2)
   in
-  pin "probe 2" "e311a38aed0771ab09a07788197ae28a" (digest_solution p2.Driver.sol)
-
-(* a probed solve from a cold start takes several Newton steps, each
-   re-assembling a Jacobian the last step factored in place; its bits
-   are the ones the allocating solve gave *)
-let test_cold_probe_pin () =
-  let sys =
-    System.compile ~k_max:5 ~samples:256 (Circuits.Behavioural.circuit tanh_osc)
-  in
-  let node =
-    match System.default_probe sys with
-    | Some i -> i
-    | None -> Alcotest.fail "tanh cell has a probe node"
-  in
-  let asm = System.assemble sys ~omega0:(2.0 *. Float.pi *. 0.999e6) in
-  let x, st = Hb.Solve.solve asm ~probe:(Some (node, 1.1)) in
-  Alcotest.(check bool) "several Newton steps" true (st.Hb.Solve.iters > 1);
-  Alcotest.(check string) "cold probed solve: md5" "bd7e9da1e273cf1f46c83537b07bc3cf"
-    (digest_floats (Array.to_list x))
+  pin "probe 2" "27850e2d4c87d40ac6e0324fb8d55644" (digest_solution p2.Driver.sol)
 
 (* ------------------------------------------------------------------ *)
 (* PPV: the left null vector of the autonomous Jacobian *)
@@ -577,7 +635,7 @@ let test_ppv_singular_typed () =
       (Resilience.Oshil_error.loc e)
 
 (* ------------------------------------------------------------------ *)
-(* caching: hb/v1 replays bit-identically *)
+(* caching: hb/v2 replays bit-identically *)
 
 let test_cache_roundtrip () =
   let dir = Filename.temp_file "oshil_hb_cache" "" in
@@ -682,17 +740,25 @@ let () =
             test_fault_divergence;
           Alcotest.test_case "lock-range holes degrade, not abort" `Quick
             test_lockrange_hole_degrades;
-          Alcotest.test_case "roots-fail: typed oscprobe failure" `Quick
-            test_oscprobe_root_failure;
+        ] );
+      ( "seeds",
+        [
+          Alcotest.test_case "trivial orbit is typed" `Quick
+            test_trivial_orbit_typed;
+          Alcotest.test_case "seed table reaches the orbit" `Quick
+            test_seed_table;
+          Alcotest.test_case "negative frequency moves the ladder" `Quick
+            test_negative_frequency_rung;
         ] );
       ( "pins",
         [
           Alcotest.test_case "solution vectors" `Quick test_solution_pins;
-          Alcotest.test_case "cold probed solve" `Quick test_cold_probe_pin;
+          Alcotest.test_case "one hb.solves per oscprobe" `Quick
+            test_one_solve_per_oscprobe;
         ] );
       ( "cache",
         [
-          Alcotest.test_case "hb/v1 replays bit-identically" `Quick
+          Alcotest.test_case "hb/v2 replays bit-identically" `Quick
             test_cache_roundtrip;
         ] );
     ]

@@ -643,7 +643,7 @@ let test_refine_evaluates_once () =
       in
       let x = [| phi0; a0 |] in
       let o =
-        Numerics.Newton.solve_2d ~reuse:true ~tol:1e-12 ~max_iter:60 f x
+        Numerics.Newton.solve_2d ~tol:1e-12 ~max_iter:60 f x
       in
       Alcotest.(check bool) "logged Newton converged" true o.converged;
       Alcotest.(check bool) "several iterations" true (o.iters > 1);

@@ -263,7 +263,7 @@ let test_newton_line_search () =
     incr evals;
     circle ~x ~res
   in
-  let o = Newton.solve_2d ~reuse:true ~tol:1e-10 ~max_iter:60 f x in
+  let o = Newton.solve_2d ~tol:1e-10 ~max_iter:60 f x in
   Alcotest.(check bool) "converged" true o.converged;
   check_float ~eps:1e-8 "2d x" (sqrt 2.0) x.(0);
   check_float ~eps:1e-8 "2d y" (sqrt 2.0) x.(1);
