@@ -1,7 +1,7 @@
 # Convenience targets; everything here is a thin wrapper over dune.
 
 .PHONY: all test lint analyze bench report batch cache-smoke \
-        kernel-smoke serve serve-smoke hb-smoke coverage clean
+        kernel-smoke serve serve-smoke hb-smoke shil-reports coverage clean
 
 all:
 	dune build
@@ -77,6 +77,23 @@ serve-smoke:
 # op, solver counters on the trace, hb-newton fault ladder.
 hb-smoke:
 	dune build @hb-smoke
+
+# The 72 `oshil shil` reports of the paper cells (tanh, diff-pair and
+# tunnel at n = 2..5 and V_i in {0.01, 0.03, 0.08}, exact and
+# --reduced), one file per cell under OUT, with one worker. Run it on
+# two builds and `diff -r` the directories to see which report lines a
+# change moves.  Usage: make shil-reports OUT=out/shil-reports
+OUT ?= out/shil-reports
+shil-reports:
+	dune build bin/oshil.exe
+	mkdir -p $(OUT)
+	for osc in tanh diffpair tunnel; do for n in 2 3 4 5; do \
+	  for vi in 0.01 0.03 0.08; do \
+	    ./_build/default/bin/oshil.exe shil -j 1 --osc $$osc -n $$n --vi $$vi \
+	      > $(OUT)/$$osc-n$$n-vi$$vi-exact.txt || exit 1; \
+	    ./_build/default/bin/oshil.exe shil -j 1 --osc $$osc -n $$n --vi $$vi \
+	      --reduced > $(OUT)/$$osc-n$$n-vi$$vi-reduced.txt || exit 1; \
+	  done; done; done
 
 # Coverage (requires bisect_ppx, not part of the default environment):
 #   opam install bisect_ppx

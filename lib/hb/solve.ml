@@ -33,7 +33,7 @@ let attempt ~tol ~ws ~rung ~damped ~eval ~omega ~x0 () =
   if Fault.fire "hb-newton" then Error (rung ^ ": injected fault (hb-newton)")
   else begin
     let x = Array.copy x0 in
-    let stop ~iter ~residual ~x =
+    let stop ~iter ~residual ~stalled:_ ~x =
       if not (omega x > 0.0) then
         Newton.Failed "base frequency is not positive"
       else if Float.is_nan residual then Newton.Failed "residual is NaN"

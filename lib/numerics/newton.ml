@@ -5,34 +5,21 @@ type workspace = {
   dx : float array;
   perm : int array;
   trial : float array;
-  cramer : bool;  (* two unknowns, solved in closed form *)
 }
 
-let make ~cramer size =
+let workspace size =
   let vec () = Array.make size 0.0 in
   { size; jac = Linalg.create size size; res = vec (); dx = vec ();
-    perm = Array.make size 0; trial = vec (); cramer }
-
-let workspace size = make ~cramer:false size
+    perm = Array.make size 0; trial = vec () }
 
 (* [dx = jac⁻¹ res], overwriting [jac] with its LU factors; [false]
-   on a pivot (or determinant) below 1e-300. A NaN determinant passes:
-   its NaN step fails the finite check. *)
-let linear_solve { jac; res; dx; perm; cramer; _ } =
-  if cramer then begin
-    let j11 = jac.(0).(0) and j12 = jac.(0).(1) in
-    let j21 = jac.(1).(0) and j22 = jac.(1).(1) in
-    let det = (j11 *. j22) -. (j12 *. j21) in
-    dx.(0) <- ((j22 *. res.(0)) -. (j12 *. res.(1))) /. det;
-    dx.(1) <- ((j11 *. res.(1)) -. (j21 *. res.(0))) /. det;
-    not (Float.abs det < 1e-300)
-  end
-  else
-    match Linalg.lu_factor_in_place jac perm with
-    | exception Linalg.Singular -> false
-    | () ->
-      Linalg.lu_solve_into jac perm res dx;
-      true
+   on a pivot below 1e-300 *)
+let linear_solve { jac; res; dx; perm; _ } =
+  match Linalg.lu_factor_in_place jac perm with
+  | exception Linalg.Singular -> false
+  | () ->
+    Linalg.lu_solve_into jac perm res dx;
+    true
 
 type update =
   | Plain
@@ -42,7 +29,8 @@ type update =
 type verdict = Continue | Converged | Failed of string
 
 type stop =
-  | Before_step of (iter:int -> residual:float -> x:float array -> verdict)
+  | Before_step of
+      (iter:int -> residual:float -> stalled:bool -> x:float array -> verdict)
   | Small_step of { abs : float; rel : float; residual : float; cap : int }
 
 type outcome = {
@@ -60,7 +48,7 @@ let emit_iter ectx ~iter ~residual ~step ~damping =
     Obs.Event.emit (Obs.Event.Newton_iter { ctx; iter; residual; step; damping })
   | None -> ()
 
-let solve ?ectx ?jacobian ?measure ~ws ~update ~eval ~stop x =
+let solve ?ectx ?measure ~ws ~update ~eval ~stop x =
   let { size; jac; res; dx; trial; _ } = ws in
   assert (Array.length x = size);
   (* solver-health events: one atomic load when the stream is off *)
@@ -72,6 +60,8 @@ let solve ?ectx ?jacobian ?measure ~ws ~update ~eval ~stop x =
   (* [jac] and [res] already hold the evaluation at [x]: the accepted
      line-search trial *)
   let fresh = ref false in
+  (* the last line search ended on its 8th halving without descent *)
+  let stalled = ref false in
   let verdict = ref Continue in
   while running !verdict do
     if not !fresh then begin
@@ -81,10 +71,10 @@ let solve ?ectx ?jacobian ?measure ~ws ~update ~eval ~stop x =
     end;
     fresh := false;
     (match stop with
-    | Before_step test -> verdict := test ~iter:!iter ~residual:!residual ~x
+    | Before_step test ->
+      verdict := test ~iter:!iter ~residual:!residual ~stalled:!stalled ~x
     | Small_step _ -> ());
     if running !verdict then begin
-      (match jacobian with Some fill -> fill ~x ~jac ~res | None -> ());
       incr iter;
       let entering = !residual in
       if not (linear_solve ws) then begin
@@ -123,6 +113,7 @@ let solve ?ectx ?jacobian ?measure ~ws ~update ~eval ~stop x =
             in
             if r < entering || !halvings >= 8 then begin
               residual := r;
+              stalled := not (r < entering);
               searching := false
             end
             else begin
@@ -176,29 +167,3 @@ let solve ?ectx ?jacobian ?measure ~ws ~update ~eval ~stop x =
       (Obs.Event.Newton_done { ctx; iters = !iter; converged; residual = !residual })
   | None -> ());
   { converged; iters = !iter; residual = !residual; failure }
-
-(* forward differences of [f] at [x], given [res = f x] *)
-let fd_jacobian f ~x ~jac ~res =
-  let n = Array.length x in
-  let xp = Array.copy x and rp = Array.make n 0.0 in
-  for j = 0 to n - 1 do
-    let h = 1e-7 *. (1.0 +. Float.abs x.(j)) in
-    xp.(j) <- x.(j) +. h;
-    f ~x:xp ~res:rp;
-    for i = 0 to n - 1 do
-      jac.(i).(j) <- (rp.(i) -. res.(i)) /. h
-    done;
-    xp.(j) <- x.(j)
-  done
-
-let solve_2d ?ectx ~tol ~max_iter f x =
-  let stop ~iter ~residual ~x:_ =
-    if residual < tol then Converged
-    else if iter < max_iter then Continue
-    else if residual < sqrt tol then Converged
-    else Failed (Printf.sprintf "no convergence in %d iterations" max_iter)
-  in
-  solve ?ectx ~jacobian:(fd_jacobian f) ~ws:(make ~cramer:true 2)
-    ~update:Line_search
-    ~eval:(fun ~x ~jac:_ ~res -> f ~x ~res)
-    ~stop:(Before_step stop) x

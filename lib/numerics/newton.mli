@@ -3,10 +3,10 @@
     here. One call to {!solve} is one attempt; the caller supplies the
     evaluation, the residual measure, the update and the stop test.
     Recovery ladders, fault sites and counters stay with the callers.
-    There is no bordered variant: a caller that adds unknowns and
+    Every step solves its linear system by the same in-place LU, and
+    there is no bordered variant: a caller that adds unknowns and
     equations (the HB autonomous solve's frequency and gauge row)
-    appends them in its own [eval], and the same in-place LU factors
-    the larger system. *)
+    appends them in its own [eval]. *)
 
 type workspace
 (** The buffers an attempt overwrites, for one system size: Jacobian
@@ -28,19 +28,24 @@ type update =
       (** [x <- x - λ dx] with [λ = 1, 1/2, …]: the first trial whose
           residual measure is below the entering one is accepted, and
           after 8 halvings the last trial is taken whatever its
-          residual. The accepted trial's evaluation opens the next
-          iteration, so no point is evaluated twice: [eval] must be a
-          function of the iterate alone. *)
+          residual; that last case is a stall, which the next
+          [Before_step] test is told of. The accepted trial's
+          evaluation opens the next iteration, so no point is evaluated
+          twice: [eval] must be a function of the iterate alone. *)
 
 type verdict = Continue | Converged | Failed of string
 
 (** The stop test, and where it runs. It owns the iteration cap: an
     attempt runs until it returns [Converged] or [Failed]. *)
 type stop =
-  | Before_step of (iter:int -> residual:float -> x:float array -> verdict)
+  | Before_step of
+      (iter:int -> residual:float -> stalled:bool -> x:float array -> verdict)
       (** tested at every iterate once its residual is measured, before
-          a step is taken from it; [iter] steps were taken so far. On
-          [Converged] the attempt returns that iterate. *)
+          a step is taken from it; [iter] steps were taken so far.
+          [stalled] is [true] when the step that reached this iterate
+          was a line search that used up its halvings without descent:
+          the lock-point solves fail on it, HB takes the trial and goes
+          on. On [Converged] the attempt returns that iterate. *)
   | Small_step of { abs : float; rel : float; residual : float; cap : int }
       (** tested after each update: converged when the clamp or line
           search did not shorten it, its inf-norm is at most
@@ -57,7 +62,6 @@ type outcome = {
 
 val solve :
   ?ectx:Obs.Event.solve_ctx ->
-  ?jacobian:(x:float array -> jac:Linalg.mat -> res:float array -> unit) ->
   ?measure:(jac:Linalg.mat -> res:float array -> float) ->
   ws:workspace ->
   update:update ->
@@ -69,12 +73,9 @@ val solve :
     (length = the workspace size). Each iteration evaluates [x] with
     [eval] (skipped when an accepted line-search trial already did),
     measures the residual with [measure] (which reads [res] and may
-    read [jac]; default the inf-norm of [res]), completes the Jacobian
-    with [jacobian] when given (e.g. by finite differences from [res];
-    [eval] alone must otherwise fill it), factors it and steps. [eval]
-    must overwrite every entry of [res], and of [jac] when there is no
-    [jacobian]: they hold the previous factors and trial on entry.
-    Line-search trials are evaluated with [eval] alone.
+    read [jac]; default the inf-norm of [res]), factors the Jacobian
+    and steps. [eval] must overwrite every entry of [res] and [jac]:
+    they hold the previous factors and trial on entry.
 
     The attempt fails with ["singular Jacobian"] when the LU meets a
     pivot below 1e-300, and with ["non-finite iterate"] when an update
@@ -86,22 +87,3 @@ val solve :
     step norm, damping: the clamp's shrink factor or [λ]; a singular
     Jacobian gives a NaN step) and the attempt ends with a
     [Newton_done]: pure observation. *)
-
-val solve_2d :
-  ?ectx:Obs.Event.solve_ctx ->
-  tol:float ->
-  max_iter:int ->
-  (x:float array -> res:float array -> unit) ->
-  float array ->
-  outcome
-(** [solve_2d ~tol ~max_iter f x]: {!solve} for the lock-point solves
-    of [Solutions.refine], two unknowns without an analytic Jacobian.
-    [f] fills the residual; the Jacobian is its forward differences at
-    each iterate (column [j] steps [x_j] by [1e-7 (1 + |x_j|)]: two
-    more [f] calls); the update is the line search; the measure is the
-    residual's inf-norm. Converged once it is below [tol]; after
-    [max_iter] steps, converged if below [sqrt tol], else failed. The
-    linear step is Cramer's rule, the rounding these solves have always
-    had: with the LU, the refinements that fail wander along other
-    paths, and on the diff-pair cell at n = 3, V_i = 0.03 cost 3477
-    quadratures against 3356. *)

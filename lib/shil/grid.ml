@@ -45,11 +45,12 @@ let key_fields_of ~nl_key ~n ~r ~vi ~p_lo ~p_hi ~n_phi ~n_amp ~a_lo ~a_hi
   ]
   @ match psi with None -> [] | Some p -> [ int "psi" p ]
 
-let versioned_key ~kind ~reduction fields =
+let versioned_key ?(exact = 1) ~kind ~reduction fields =
   match (reduction : Df.reduction) with
-  | `Exact -> Cache.Key.v ~kind ~version:1 fields
+  | `Exact -> Cache.Key.v ~kind ~version:exact fields
   | `Symmetry ->
-    Cache.Key.v ~kind ~version:2 (fields @ [ Cache.Key.str "red" "sym" ])
+    Cache.Key.v ~kind ~version:(exact + 1)
+      (fields @ [ Cache.Key.str "red" "sym" ])
 
 let cache_key ?psi ~reduction ~nl_key ~n ~r ~vi ~p_lo ~p_hi ~n_phi ~n_amp
     ~a_lo ~a_hi ~points () =

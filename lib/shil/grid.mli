@@ -48,11 +48,13 @@ val key_fields : t -> nl_key:string -> Cache.Key.field list
     ([Lock_range]) that must be keyed on every input of it. *)
 
 val versioned_key :
-  kind:string -> reduction:Describing_function.reduction ->
+  ?exact:int -> kind:string -> reduction:Describing_function.reduction ->
   Cache.Key.field list -> Cache.Key.t
 (** The key-versioning convention shared by every kind derived from the
-    describing-function quadrature: [`Exact] is version 1, [`Symmetry]
-    is version 2 with a trailing [red=sym] field. *)
+    describing-function quadrature: [`Exact] is version [exact]
+    (default 1), [`Symmetry] is version [exact + 1] with a trailing
+    [red=sym] field. A kind whose computation changes raises [exact]
+    by 2, so entries written before the change are not replayed. *)
 
 val default_points : int
 (** The grid's quadrature points per sample (512) when [?points] is

@@ -36,8 +36,9 @@ val cache_key :
 (** The content address of one {!predict} (exposed for tests and
     tooling): kind [shil.lockrange], every {!Grid.key_fields} field plus
     the tank's [r]/[l]/[c], the refinement [points], [phi_d_cap] and
-    [tol]; versioned like {!Grid.cache_key} ([`Exact] v1, [`Symmetry]
-    v2 with [red=sym]). *)
+    [tol]; versioned by {!Grid.versioned_key} with [exact = 3]
+    ([`Exact] v3, [`Symmetry] v4 with [red=sym]): v1 and v2 entries
+    were written by the finite-difference lock-point refinement. *)
 
 val predict :
   ?points:int -> ?phi_d_cap:float -> ?tol:float -> Grid.t -> tank:Tank.t -> t

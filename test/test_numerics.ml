@@ -257,23 +257,6 @@ let circle ~x ~res =
   res.(0) <- (x.(0) *. x.(0)) +. (x.(1) *. x.(1)) -. 4.0;
   res.(1) <- x.(1) -. x.(0)
 
-let test_newton_line_search () =
-  let x = [| 1.0; 1.2 |] and evals = ref 0 in
-  let f ~x ~res =
-    incr evals;
-    circle ~x ~res
-  in
-  let o = Newton.solve_2d ~tol:1e-10 ~max_iter:60 f x in
-  Alcotest.(check bool) "converged" true o.converged;
-  check_float ~eps:1e-8 "2d x" (sqrt 2.0) x.(0);
-  check_float ~eps:1e-8 "2d y" (sqrt 2.0) x.(1);
-  (* every full step is accepted here: the start is evaluated once,
-     then two finite-difference columns and one trial per step, and
-     each accepted trial opens the next step without a second
-     evaluation *)
-  Alcotest.(check int) "three evaluations per step, plus the start"
-    ((3 * o.iters) + 1) !evals
-
 (* the circle with its analytic Jacobian, by the LU; [log] sees every
    evaluated iterate *)
 let solve_circle ~update ~stop ~log x =
@@ -286,6 +269,60 @@ let solve_circle ~update ~stop ~log x =
       jac.(1).(0) <- -1.0;
       jac.(1).(1) <- 1.0)
     ~stop x
+
+let test_newton_line_search () =
+  let evals = ref 0 in
+  let stop ~iter ~residual ~stalled ~x:_ =
+    if residual < 1e-10 then Newton.Converged
+    else if stalled then Newton.Failed "line search stalled"
+    else if iter < 60 then Newton.Continue
+    else Newton.Failed "no convergence"
+  in
+  let x = [| 1.0; 1.2 |] in
+  let o =
+    solve_circle ~update:Line_search ~stop:(Before_step stop)
+      ~log:(fun _ -> incr evals)
+      x
+  in
+  Alcotest.(check bool) "converged" true o.converged;
+  check_float ~eps:1e-8 "2d x" (sqrt 2.0) x.(0);
+  check_float ~eps:1e-8 "2d y" (sqrt 2.0) x.(1);
+  (* every full step is accepted here: the start is evaluated once,
+     then one trial per step, and each accepted trial opens the next
+     step without a second evaluation *)
+  Alcotest.(check int) "one evaluation per step, plus the start"
+    (o.iters + 1) !evals
+
+(* (x^2 + 1, y) has no root: the line search runs into x = 0, where
+   no halving of the overshooting Newton step descends. The core says
+   so to the stop test, and the attempt fails at the first stall. *)
+let test_newton_stall () =
+  let evals = ref 0 and at_stop = ref [] in
+  let stop ~iter:_ ~residual:_ ~stalled ~x:_ =
+    at_stop := (stalled, !evals) :: !at_stop;
+    if stalled then Newton.Failed "line search stalled" else Newton.Continue
+  in
+  let o =
+    Newton.solve ~ws:(Newton.workspace 2) ~update:Line_search
+      ~eval:(fun ~x ~jac ~res ->
+        incr evals;
+        res.(0) <- (x.(0) *. x.(0)) +. 1.0;
+        res.(1) <- x.(1);
+        jac.(0).(0) <- 2.0 *. x.(0);
+        jac.(0).(1) <- 0.0;
+        jac.(1).(0) <- 0.0;
+        jac.(1).(1) <- 1.0)
+      ~stop:(Before_step stop) [| 2.0; 1.0 |]
+  in
+  Alcotest.(check bool) "not converged" false o.converged;
+  Alcotest.(check string) "failure" "line search stalled" o.failure;
+  match !at_stop with
+  | (true, last) :: (false, before) :: earlier ->
+    Alcotest.(check int) "the stalled step tried 9 trials" 9 (last - before);
+    Alcotest.(check bool) "no earlier stall" true
+      (List.for_all (fun (s, _) -> not s) earlier);
+    if o.iters > 30 then Alcotest.failf "stalled only after %d steps" o.iters
+  | _ -> Alcotest.fail "no stall reported"
 
 let test_newton_clamp () =
   (* from far away: no clamped step converges, and the clamp holds
@@ -321,7 +358,7 @@ let test_newton_singular () =
       ~eval:(fun ~x:_ ~jac ~res ->
         Array.iter (fun row -> Array.fill row 0 2 0.0) jac;
         Array.fill res 0 2 1.0)
-      ~stop:(Before_step (fun ~iter:_ ~residual:_ ~x:_ -> Newton.Continue))
+      ~stop:(Before_step (fun ~iter:_ ~residual:_ ~stalled:_ ~x:_ -> Newton.Continue))
       [| 0.0; 0.0 |]
   in
   Alcotest.(check bool) "not converged" false o.converged;
@@ -458,6 +495,7 @@ let () =
           Alcotest.test_case "2-d line search" `Quick test_newton_line_search;
           Alcotest.test_case "componentwise clamp" `Quick test_newton_clamp;
           Alcotest.test_case "singular Jacobian" `Quick test_newton_singular;
+          Alcotest.test_case "line search stall" `Quick test_newton_stall;
         ] );
       ( "interp",
         [

@@ -961,11 +961,11 @@ let test_pulling_measured_tracks_prediction () =
 
 (* Lock-point pins: the refined points at the band centre (phi_d = 0)
    of the three paper cells at n = 3, V_i = 0.03. The values were
-   recorded with the 2-D Newton step taken by Cramer's rule on the
-   finite-difference Jacobian; a linear solve that rounds differently
-   may move them, but by no more than [pin_tol] relative. A phase
-   pinned at 0 must stay exactly 0: [Solutions] snaps a lock within
-   1e-9 of 0 to 0. *)
+   recorded with a finite-difference Jacobian and Cramer's rule; the
+   exact-Jacobian Newton takes other steps to the same roots, which
+   may move them by no more than [pin_tol] relative. A phase pinned
+   at 0 must stay exactly 0: [Solutions] snaps a lock within 1e-9 of
+   0 to 0. *)
 let pin_tol = 1e-10
 
 let lock_point_pins =
@@ -1013,6 +1013,111 @@ let test_lock_point_pins () =
         expected got)
     lock_point_pins
 
+(* The diff-pair cell at n = 2, V_i = 0.01, exact quadrature, just past
+   the fold of its stable branch: the largest -arg(-I_1) along
+   T_f = 1 is 0.0078973 there (1024 points), and the lock range's
+   bisection probes 0.00789795. A refinement that counts a residual
+   below 1e-6 after 60 steps as converged returned 3-4 near-duplicate
+   non-roots at these phases, two "stable" points 3.4e-4 rad apart.
+   Every point [find] returns must be a root (residual <= 1e-10), no
+   two of one stability within 1e-2 rad; just inside the fold both
+   stable points are still found. *)
+let test_no_spurious_points_near_fold () =
+  let r =
+    Analysis.run (Circuits.Diff_pair.oscillator Circuits.Diff_pair.default)
+      ~n:2 ~vi:0.01
+  in
+  let g = r.grid in
+  let points = Option.map (fun (q : Describing_function.points_choice) -> q.points) r.quadrature in
+  let locks phi_d =
+    let pts = Solutions.find ?points g ~phi_d in
+    List.iter
+      (fun (p : Solutions.point) ->
+        let r1, r2 =
+          Solutions.residuals ?points g.nl ~n:g.n ~r:g.r ~vi:g.vi ~phi_d (p.phi, p.a)
+        in
+        let res = Float.max (Float.abs r1) (Float.abs r2) in
+        if not (res <= 1e-10) then
+          Alcotest.failf "phi_d = %g: point (%.9g, %.9g) has residual %.2e" phi_d
+            p.phi p.a res)
+      pts;
+    List.iteri
+      (fun i (p : Solutions.point) ->
+        List.iteri
+          (fun j (q : Solutions.point) ->
+            if i < j && p.stable = q.stable && Angle.dist p.phi q.phi < 1e-2 then
+              Alcotest.failf "phi_d = %g: duplicates at phi %.9g and %.9g" phi_d
+                p.phi q.phi)
+          pts)
+      pts;
+    pts
+  in
+  List.iter
+    (fun phi_d -> ignore (locks phi_d))
+    [ 0.0078975; 0.0078980; 0.0078982; 0.00789795 ];
+  Alcotest.(check int) "both stable points just inside the fold" 2
+    (List.length
+       (List.filter (fun (p : Solutions.point) -> p.stable) (locks 0.0078972)))
+
+(* The fused pass against central differences of [i1_two_tone] on the
+   same samples, for an analytic odd f (tanh), an analytic asymmetric
+   one (the tunnel diode) and the C^1 PCHIP diff-pair table, in both
+   reductions. The steps are 1e-6 relative in A and 1e-6 rad in phi;
+   the central differences then carry ~1e-10 rounding and, where a
+   sample straddles a PCHIP knot, ~3e-8 truncation error (measured),
+   so the bound is 1e-6 of |I_1|/A for the A derivative and of |I_1|
+   for the phi derivative. Its I_1 is i1_two_tone's, bit for bit. *)
+let test_df_jacobian_matches_differences () =
+  let cells =
+    [
+      ("tanh", tanh_nl, 1.15);
+      ("tunnel", (Circuits.Tunnel_osc.oscillator Circuits.Tunnel_osc.default).nl, 0.2);
+      ("diffpair", (Circuits.Diff_pair.oscillator Circuits.Diff_pair.default).nl, 0.5);
+    ]
+  in
+  let vi = 0.03 and points = 256 in
+  List.iter
+    (fun (name, nl, a) ->
+      List.iter
+        (fun (n, reduction, phi) ->
+          let i1 ~a ~phi =
+            Describing_function.i1_two_tone ~points ~reduction nl ~n ~a ~vi ~phi
+          in
+          let d =
+            Describing_function.i1_jacobian ~points ~reduction nl ~n ~a ~vi ~phi
+          in
+          let label =
+            Printf.sprintf "%s n=%d %s phi=%g" name n
+              (if reduction = `Exact then "exact" else "symmetry")
+              phi
+          in
+          let z = i1 ~a ~phi in
+          if
+            Int64.bits_of_float (Cx.re d.i1) <> Int64.bits_of_float (Cx.re z)
+            || Int64.bits_of_float (Cx.im d.i1) <> Int64.bits_of_float (Cx.im z)
+          then Alcotest.failf "%s: I1 is not i1_two_tone's" label;
+          let ha = 1e-6 *. a and hp = 1e-6 in
+          let cd h zp zm = Cx.scale (1.0 /. (2.0 *. h)) (Cx.sub zp zm) in
+          let check what got want bound =
+            let err = Cx.abs (Cx.sub got want) in
+            if not (err <= bound) then
+              Alcotest.failf "%s: %s off by %.2e (bound %.2e)" label what err bound
+          in
+          check "dI1/dA" d.d_a
+            (cd ha (i1 ~a:(a +. ha) ~phi) (i1 ~a:(a -. ha) ~phi))
+            (1e-6 *. Cx.abs z /. a);
+          check "dI1/dphi" d.d_phi
+            (cd hp (i1 ~a ~phi:(phi +. hp)) (i1 ~a ~phi:(phi -. hp)))
+            (1e-6 *. Cx.abs z))
+        (List.concat_map
+           (fun n ->
+             List.concat_map
+               (fun reduction ->
+                 List.map (fun phi -> (n, reduction, phi)) [ 0.3; 2.0; 4.5 ])
+               [ `Exact; `Symmetry ])
+           [ 2; 3 ]))
+    cells
+
 let () =
   Alcotest.run "shil"
     [
@@ -1053,6 +1158,8 @@ let () =
           Alcotest.test_case "a > 0 required" `Quick test_df_t_f_requires_positive_a;
           Alcotest.test_case "T_F vs T_f" `Quick test_df_t_cap_f_vs_t_f_on_solution;
           Alcotest.test_case "quadrature convergence" `Quick test_df_quadrature_convergence;
+          Alcotest.test_case "fused pass vs differences" `Quick
+            test_df_jacobian_matches_differences;
         ] );
       ( "natural",
         [
@@ -1086,6 +1193,8 @@ let () =
           Alcotest.test_case "boundary" `Quick test_solutions_disappear_past_boundary;
           Alcotest.test_case "n states" `Quick test_n_states;
           Alcotest.test_case "lock point pins" `Quick test_lock_point_pins;
+          Alcotest.test_case "no spurious points near a fold" `Quick
+            test_no_spurious_points_near_fold;
         ] );
       ( "lock_range",
         [
