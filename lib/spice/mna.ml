@@ -7,8 +7,8 @@ type inst =
   | IR of { i1 : int; i2 : int; g : float }
   | IC of { i1 : int; i2 : int; c : float; ic : float option; si : int }
   | IL of { i1 : int; i2 : int; l : float; ic : float option; br : int; si : int }
-  | IV of { ip : int; inn : int; wave : Wave.t; br : int }
-  | II of { ip : int; inn : int; wave : Wave.t }
+  | IV of { ip : int; inn : int; wave : Wave.t; br : int; sv : int }
+  | II of { ip : int; inn : int; wave : Wave.t; sv : int }
   | ID of { ip : int; inn : int; p : Device.diode_params }
   | IQ of { nc : int; nb : int; ne : int; p : Device.bjt_params }
   | ITD of { ip : int; inn : int; p : Device.tunnel_params }
@@ -23,6 +23,7 @@ type compiled = {
   branch_tbl : (string, int) Hashtbl.t;  (* device name -> unknown index *)
   n_caps : int;
   n_inds : int;
+  waves : Wave.t array;  (* the independent sources' waves, by [sv] *)
 }
 
 let compile circuit =
@@ -33,6 +34,13 @@ let compile circuit =
   let idx n = if Circuit.is_ground n then -1 else Hashtbl.find node_tbl n in
   let branch_tbl = Hashtbl.create 8 in
   let next_branch = ref 0 and next_cap = ref 0 and next_ind = ref 0 in
+  (* each independent source's wave gets a slot in [state.src] *)
+  let waves = ref [] and next_src = ref 0 in
+  let source wave =
+    waves := wave :: !waves;
+    incr next_src;
+    !next_src - 1
+  in
   let insts =
     List.map
       (fun (d : Device.t) ->
@@ -55,8 +63,9 @@ let compile circuit =
           let br = n_nodes + !next_branch in
           incr next_branch;
           Hashtbl.replace branch_tbl name br;
-          IV { ip = idx np; inn = idx nn; wave; br }
-        | Isource { np; nn; wave; _ } -> II { ip = idx np; inn = idx nn; wave }
+          IV { ip = idx np; inn = idx nn; wave; br; sv = source wave }
+        | Isource { np; nn; wave; _ } ->
+          II { ip = idx np; inn = idx nn; wave; sv = source wave }
         | Diode { np; nn; p; _ } -> ID { ip = idx np; inn = idx nn; p }
         | Bjt { nc; nb; ne; p; _ } -> IQ { nc = idx nc; nb = idx nb; ne = idx ne; p }
         | Tunnel_diode { np; nn; p; _ } -> ITD { ip = idx np; inn = idx nn; p }
@@ -72,6 +81,7 @@ let compile circuit =
     branch_tbl;
     n_caps = !next_cap;
     n_inds = !next_ind;
+    waves = Array.of_list (List.rev !waves);
   }
 
 let size c = c.n_nodes + c.n_branches
@@ -93,6 +103,7 @@ type state = {
   cap_i : float array;
   ind_v : float array;
   ind_i : float array;
+  src : float array;
 }
 
 let[@inline] v_at x i = if i < 0 then 0.0 else x.(i)
@@ -102,6 +113,7 @@ let init_state c ~use_ic ~x =
   let cap_i = Array.make (max c.n_caps 1) 0.0 in
   let ind_v = Array.make (max c.n_inds 1) 0.0 in
   let ind_i = Array.make (max c.n_inds 1) 0.0 in
+  let src = Array.make (Array.length c.waves) 0.0 in
   Array.iter
     (fun inst ->
       match inst with
@@ -113,36 +125,36 @@ let init_state c ~use_ic ~x =
         ind_i.(si) <- (match ic with Some i when use_ic -> i | _ -> x.(br))
       | IR _ | IV _ | II _ | ID _ | IQ _ | ITD _ | IM _ | INL _ -> ())
     c.insts;
-  { cap_v; cap_i; ind_v; ind_i }
+  { cap_v; cap_i; ind_v; ind_i; src }
 
-let update_state c ~integ ~h ~prev ~x =
-  let cap_v = Array.copy prev.cap_v in
-  let cap_i = Array.copy prev.cap_i in
-  let ind_v = Array.copy prev.ind_v in
-  let ind_i = Array.copy prev.ind_i in
-  Array.iter
-    (fun inst ->
-      match inst with
-      | IC { i1; i2; c = cval; si; _ } ->
-        let v_new = v_at x i1 -. v_at x i2 in
-        let i_new =
-          match integ with
-          | Trap ->
-            (2.0 *. cval /. h *. (v_new -. prev.cap_v.(si))) -. prev.cap_i.(si)
-          | Backward_euler -> cval /. h *. (v_new -. prev.cap_v.(si))
-        in
-        cap_v.(si) <- v_new;
-        cap_i.(si) <- i_new
-      | IL { i1; i2; si; br; _ } ->
-        ind_v.(si) <- v_at x i1 -. v_at x i2;
-        ind_i.(si) <- x.(br)
-      | IR _ | IV _ | II _ | ID _ | IQ _ | ITD _ | IM _ | INL _ -> ())
-    c.insts;
-  { cap_v; cap_i; ind_v; ind_i }
+let set_time c state t =
+  for k = 0 to Array.length c.waves - 1 do
+    state.src.(k) <- Wave.value c.waves.(k) t
+  done
+
+let advance_state c ~integ ~h state ~x =
+  let insts = c.insts in
+  for k = 0 to Array.length insts - 1 do
+    match insts.(k) with
+    | IC { i1; i2; c = cval; si; _ } ->
+      let v_new = v_at x i1 -. v_at x i2 in
+      let i_new =
+        match integ with
+        | Trap ->
+          (2.0 *. cval /. h *. (v_new -. state.cap_v.(si))) -. state.cap_i.(si)
+        | Backward_euler -> cval /. h *. (v_new -. state.cap_v.(si))
+      in
+      state.cap_v.(si) <- v_new;
+      state.cap_i.(si) <- i_new
+    | IL { i1; i2; si; br; _ } ->
+      state.ind_v.(si) <- v_at x i1 -. v_at x i2;
+      state.ind_i.(si) <- x.(br)
+    | IR _ | IV _ | II _ | ID _ | IQ _ | ITD _ | IM _ | INL _ -> ()
+  done
 
 type mode =
   | Dc of { gmin : float; source_scale : float }
-  | Tran of { t : float; h : float; integ : integ; state : state; gmin : float }
+  | Tran of { h : float; integ : integ; state : state; gmin : float }
 
 (* Stamping helpers. They live at top level and are inlined, so the
    stamped floats stay unboxed; the ground index (-1) is dropped. *)
@@ -165,10 +177,10 @@ let[@inline] stamp_conductance x res jac i1 i2 g i0 =
   let v = v_at x i1 -. v_at x i2 in
   stamp_nonlinear res jac i1 i2 ((g *. v) +. i0) g
 
-let src_value mode wave =
+let[@inline] src_value mode wave sv =
   match mode with
   | Dc { source_scale; _ } -> source_scale *. Wave.dc_value wave
-  | Tran { t; _ } -> Wave.value wave t
+  | Tran { state; _ } -> state.src.(sv)
 
 let assemble c ~mode ~x ~jac ~res =
   let n = size c in
@@ -227,17 +239,17 @@ let assemble c ~mode ~x ~jac ~res =
         add_jac jac br i2 (-1.0);
         jac.(br).(br) <- jac.(br).(br) -. k
     end
-    | IV { ip; inn; wave; br } ->
+    | IV { ip; inn; wave; br; sv } ->
       let ibr = x.(br) in
       add_res res ip ibr;
       add_res res inn (-.ibr);
       add_jac jac ip br 1.0;
       add_jac jac inn br (-1.0);
-      res.(br) <- v_at x ip -. v_at x inn -. src_value mode wave;
+      res.(br) <- v_at x ip -. v_at x inn -. src_value mode wave sv;
       add_jac jac br ip 1.0;
       add_jac jac br inn (-1.0)
-    | II { ip; inn; wave } ->
-      let i = src_value mode wave in
+    | II { ip; inn; wave; sv } ->
+      let i = src_value mode wave sv in
       add_res res ip i;
       add_res res inn (-.i)
     | ID { ip; inn; p } ->

@@ -29,29 +29,36 @@ val node_voltage : compiled -> float array -> string -> float
 
 type integ = Trap | Backward_euler
 
-type state = {
-  cap_v : float array;  (** capacitor voltages at the previous accepted step *)
-  cap_i : float array;  (** capacitor currents at the previous accepted step *)
-  ind_v : float array;  (** inductor voltages at the previous accepted step *)
-  ind_i : float array;  (** inductor currents at the previous accepted step *)
-}
+type state
+(** The stepping state of one transient run, advanced in place: the
+    companion-model history of the last accepted step (capacitor
+    voltages and currents, inductor voltages and currents) and the
+    value of every independent source at the end of the step being
+    solved. *)
 
 val init_state : compiled -> use_ic:bool -> x:float array -> state
 (** Builds the time-zero state: capacitor voltages and inductor currents
     come from the device [ic] when [use_ic] and one is present, else from
     the solution [x]; capacitor currents start at zero. *)
 
-val update_state :
-  compiled -> integ:integ -> h:float -> prev:state -> x:float array -> state
-(** Advances the companion-model state after an accepted step to [x]. *)
+val set_time : compiled -> state -> float -> unit
+(** [set_time c state t] evaluates every source's wave at [t], the end
+    of the next step to solve, once for all of that step's Newton
+    iterations. *)
+
+val advance_state :
+  compiled -> integ:integ -> h:float -> state -> x:float array -> unit
+(** Advances the companion-model history in place after an accepted
+    step of size [h] to [x]. *)
 
 type mode =
   | Dc of { gmin : float; source_scale : float }
       (** Capacitors open, inductors short; sources scaled by
           [source_scale] (for source stepping); [gmin] leak on every
           node. *)
-  | Tran of { t : float; h : float; integ : integ; state : state; gmin : float }
-      (** Assemble the step ending at time [t] with step size [h]. *)
+  | Tran of { h : float; integ : integ; state : state; gmin : float }
+      (** Assemble a step of size [h] from the history in [state] to
+          the time of its last {!set_time}. *)
 
 val assemble :
   compiled -> mode:mode -> x:float array -> jac:Numerics.Linalg.mat ->

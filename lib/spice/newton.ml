@@ -72,7 +72,7 @@ let stop cap =
 let plain_stop = stop max_iter
 let damped_stop = stop (max_iter * 4)
 
-let solve ?ectx ?(damped = false) ~ws ~assemble ~x0 () =
+let solve ?ectx ?(damped = false) ~ws ~assemble x =
   (* fault sites count one occurrence per solve, so plans address the
      k-th Newton solve of a run deterministically *)
   let inject_singular = Resilience.Fault.fire "newton-singular" in
@@ -85,7 +85,6 @@ let solve ?ectx ?(damped = false) ~ws ~assemble ~x0 () =
       if inject_singular then
         Array.iter (fun row -> Array.fill row 0 (Array.length row) 0.0) jac
   in
-  let x = Array.copy x0 in
   let o =
     Core.solve ?ectx ~ws:ws.core ~eval
       ~update:(if damped then ws.damped_clamp else ws.clamp)
@@ -93,4 +92,4 @@ let solve ?ectx ?(damped = false) ~ws ~assemble ~x0 () =
       x
   in
   note_solve ws o;
-  if o.converged then Ok x else Error o.failure
+  if o.converged then Ok () else Error o.failure

@@ -30,12 +30,13 @@ val flush : workspace -> unit
 val solve :
   ?ectx:Obs.Event.solve_ctx -> ?damped:bool -> ws:workspace ->
   assemble:(x:float array -> jac:Numerics.Linalg.mat -> res:float array -> unit) ->
-  x0:float array -> unit -> (float array, string) result
-(** [solve ~ws ~assemble ~x0 ()] iterates from [x0] (length = the
-    workspace size). Returns the converged iterate as a fresh array ([x0] is
-    not modified), or why the solve failed. [assemble] must overwrite
-    every entry of [jac] and [res]. [damped] (default [false]) divides
-    the clamp by 8 and multiplies the cap by 4.
+  float array -> (unit, string) result
+(** [solve ~ws ~assemble x] iterates in place on [x] (length = the
+    workspace size), the caller's start on entry and the converged
+    iterate on [Ok ()]; on [Error why], [x] holds the iterate reached.
+    [assemble] must overwrite every entry of [jac] and [res]. [damped]
+    (default [false]) divides the clamp by 8 and multiplies the cap
+    by 4.
 
     The fault sites [newton-singular] (the Jacobian is zeroed) and
     [device-nan] (a NaN residual) fire once per solve. [ectx] names the

@@ -17,7 +17,8 @@ let attempt ?damped ?(rung = "direct") compiled ~ws ~gmin ~source_scale ~x0 =
            "spice.op")
     else None
   in
-  Newton.solve ?ectx ?damped ~ws ~assemble ~x0 ()
+  let x = Array.copy x0 in
+  Result.map (fun () -> x) (Newton.solve ?ectx ?damped ~ws ~assemble x)
 
 let run ?(check = `Enforce) ?x0 circuit =
   Preflight.gate ~mode:check circuit;
