@@ -31,17 +31,22 @@ let of_time_series ~t ~x ~freq ~k =
   let n = Array.length t in
   assert (n = Array.length x && n >= 2);
   let w = two_pi *. freq *. float_of_int k in
-  let g i =
-    let theta = w *. t.(i) in
-    Cx.scale x.(i) (Cx.exp_j (-.theta))
-  in
-  let acc = ref Cx.zero in
+  (* trapezoids of the phasor x_i e^{-j w t_i}: each sample's phasor is
+     evaluated once and carried to the next trapezoid *)
+  let theta = w *. t.(0) in
+  let g_re = ref (x.(0) *. cos (-.theta)) and g_im = ref (x.(0) *. sin (-.theta)) in
+  let re = ref 0.0 and im = ref 0.0 in
   for i = 0 to n - 2 do
-    let dt = t.(i + 1) -. t.(i) in
-    acc := Cx.add !acc (Cx.scale (0.5 *. dt) (Cx.add (g i) (g (i + 1))))
+    let theta = w *. t.(i + 1) in
+    let h_re = x.(i + 1) *. cos (-.theta) and h_im = x.(i + 1) *. sin (-.theta) in
+    let half_dt = 0.5 *. (t.(i + 1) -. t.(i)) in
+    re := !re +. (half_dt *. (!g_re +. h_re));
+    im := !im +. (half_dt *. (!g_im +. h_im));
+    g_re := h_re;
+    g_im := h_im
   done;
   let span = t.(n - 1) -. t.(0) in
-  Cx.scale (1.0 /. span) !acc
+  Cx.scale (1.0 /. span) (Cx.make !re !im)
 
 let reconstruct cs ~theta =
   let n = Array.length cs in

@@ -13,18 +13,22 @@ let make ~times ~values =
 let length s = Array.length s.times
 let duration s = s.times.(length s - 1) -. s.times.(0)
 
-let slice s ~t_min ~t_max =
-  let keep = ref [] in
-  for i = length s - 1 downto 0 do
-    if s.times.(i) >= t_min && s.times.(i) <= t_max then
-      keep := i :: !keep
+(* the first index whose time satisfies [p], for [p] false then true
+   along the increasing times *)
+let first_index s p =
+  let lo = ref 0 and hi = ref (length s) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if p s.times.(mid) then hi := mid else lo := mid + 1
   done;
-  let idx = Array.of_list !keep in
-  if Array.length idx = 0 then invalid_arg "Signal.slice: empty window";
-  {
-    times = Array.map (fun i -> s.times.(i)) idx;
-    values = Array.map (fun i -> s.values.(i)) idx;
-  }
+  !lo
+
+let slice s ~t_min ~t_max =
+  (* written so that a NaN bound keeps nothing *)
+  let a = first_index s (fun t -> t >= t_min) in
+  let b = first_index s (fun t -> not (t <= t_max)) in
+  if b <= a then invalid_arg "Signal.slice: empty window";
+  { times = Array.sub s.times a (b - a); values = Array.sub s.values a (b - a) }
 
 let tail_fraction s frac =
   let t1 = s.times.(length s - 1) in

@@ -217,6 +217,35 @@ let test_fourier_time_series () =
   check_float ~eps:1e-4 "ts abs" 0.4 (Cx.abs c);
   check_float ~eps:1e-3 "ts arg" 0.9 (Cx.arg c)
 
+(* the trapezoid loop of_time_series ran before it carried each
+   sample's phasor to the next trapezoid, kept longhand *)
+let time_series_longhand ~t ~x ~freq ~k =
+  let n = Array.length t in
+  let w = 2.0 *. Float.pi *. freq *. float_of_int k in
+  let g i = Cx.scale x.(i) (Cx.exp_j (-.(w *. t.(i)))) in
+  let acc = ref Cx.zero in
+  for i = 0 to n - 2 do
+    let dt = t.(i + 1) -. t.(i) in
+    acc := Cx.add !acc (Cx.scale (0.5 *. dt) (Cx.add (g i) (g (i + 1))))
+  done;
+  Cx.scale (1.0 /. (t.(n - 1) -. t.(0))) !acc
+
+let prop_fourier_time_series_bits =
+  qtest ~count:100 "fourier: time series as the longhand loop, same bits"
+    QCheck.(
+      triple
+        (list_of_size Gen.(2 -- 300) (pair (float_range 1e-4 1e-2) (float_range (-2.0) 2.0)))
+        (float_range 1.0 500.0) (int_range 1 5))
+    (fun (samples, freq, k) ->
+      let t = Array.of_list (List.map fst samples) in
+      for i = 1 to Array.length t - 1 do
+        t.(i) <- t.(i - 1) +. t.(i)
+      done;
+      let x = Array.of_list (List.map snd samples) in
+      let bits z = (Int64.bits_of_float (Cx.re z), Int64.bits_of_float (Cx.im z)) in
+      bits (Fourier.of_time_series ~t ~x ~freq ~k)
+      = bits (time_series_longhand ~t ~x ~freq ~k))
+
 let prop_fourier_linearity =
   qtest ~count:50 "fourier: coeff is linear"
     QCheck.(pair (float_range (-3.0) 3.0) (float_range (-3.0) 3.0))
@@ -480,6 +509,7 @@ let () =
           Alcotest.test_case "coeffs consistent" `Quick test_fourier_coeffs_consistent;
           Alcotest.test_case "reconstruct" `Quick test_fourier_reconstruct;
           Alcotest.test_case "time series" `Quick test_fourier_time_series;
+          prop_fourier_time_series_bits;
           prop_fourier_linearity;
         ] );
       ( "roots",

@@ -28,7 +28,51 @@ let test_signal_slice () =
   let w = Waveform.Signal.slice s ~t_min:0.25 ~t_max:0.75 in
   Alcotest.(check bool) "bounds" true
     (w.times.(0) >= 0.25 && w.times.(Waveform.Signal.length w - 1) <= 0.75);
-  check_float ~eps:1e-3 "duration" 0.5 (Waveform.Signal.duration w)
+  check_float ~eps:1e-3 "duration" 0.5 (Waveform.Signal.duration w);
+  List.iter
+    (fun (t_min, t_max) ->
+      Alcotest.check_raises "NaN bound keeps nothing"
+        (Invalid_argument "Signal.slice: empty window") (fun () ->
+          ignore (Waveform.Signal.slice s ~t_min ~t_max)))
+    [ (Float.nan, 0.75); (0.25, Float.nan) ]
+
+(* the linear scan slice ran before it bisected the increasing times,
+   kept longhand; [None] for an empty window *)
+let slice_longhand (s : Waveform.Signal.t) ~t_min ~t_max =
+  let keep = ref [] in
+  for i = Array.length s.times - 1 downto 0 do
+    if s.times.(i) >= t_min && s.times.(i) <= t_max then keep := i :: !keep
+  done;
+  match Array.of_list !keep with
+  | [||] -> None
+  | idx -> Some (Array.map (fun i -> s.times.(i)) idx, Array.map (fun i -> s.values.(i)) idx)
+
+(* random irregular times and windows, a bound sometimes on a sample
+   time, sometimes reversed or outside the signal *)
+let prop_slice_matches_scan =
+  qtest ~count:300 "signal: slice equals the linear scan"
+    QCheck.(
+      triple
+        (list_of_size Gen.(1 -- 200) (float_range 1e-3 1.0))
+        (pair (float_range (-1.0) 101.0) (float_range (-1.0) 101.0))
+        (pair bool bool))
+    (fun (steps, (a, b), (snap_a, snap_b)) ->
+      let times = Array.of_list steps in
+      for i = 1 to Array.length times - 1 do
+        times.(i) <- times.(i - 1) +. times.(i)
+      done;
+      let n = Array.length times in
+      let s =
+        Waveform.Signal.make ~times ~values:(Array.mapi (fun i t -> float_of_int i -. t) times)
+      in
+      let bound snap v = if snap then times.(int_of_float (Float.abs v) mod n) else v in
+      let t_min = bound snap_a a and t_max = bound snap_b b in
+      let sliced =
+        match Waveform.Signal.slice s ~t_min ~t_max with
+        | w -> Some (w.times, w.values)
+        | exception Invalid_argument _ -> None
+      in
+      sliced = slice_longhand s ~t_min ~t_max)
 
 let test_signal_value_at () =
   let s =
@@ -147,6 +191,7 @@ let () =
         [
           Alcotest.test_case "validation" `Quick test_signal_validation;
           Alcotest.test_case "slice" `Quick test_signal_slice;
+          prop_slice_matches_scan;
           Alcotest.test_case "value_at" `Quick test_signal_value_at;
           Alcotest.test_case "mean" `Quick test_signal_mean;
           Alcotest.test_case "tail fraction" `Quick test_tail_fraction;
