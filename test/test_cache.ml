@@ -644,7 +644,21 @@ let test_transient_cache_identity () =
     (fun (_, c) (_, w) ->
       Alcotest.(check bool) "signal bit-identical" true (bits c = bits w))
     cold.signals warm.signals;
-  Alcotest.(check bool) "complete run was cached" true (Store.stats_bytes () > 0)
+  Alcotest.(check bool) "complete run was cached" true (Store.stats_bytes () > 0);
+  (* the entry's header carries the key version: v2 since each step's
+     Newton start is extrapolated, so v1 waveforms never replay *)
+  let shard = Filename.concat (Store.dir ()) "spice.transient" in
+  let headers =
+    Array.to_list (Sys.readdir shard)
+    |> List.filter (fun f -> Filename.check_suffix f ".bin")
+    |> List.map (fun f ->
+           In_channel.with_open_bin (Filename.concat shard f) In_channel.input_line)
+  in
+  Alcotest.(check bool) "one spice.transient/v2 entry" true
+    (match headers with
+    | [ Some h ] ->
+      String.starts_with ~prefix:"oshil-cache/1 spice.transient/v2|" h
+    | _ -> false)
 
 let test_transient_closure_circuit_bypasses () =
   (* a circuit with a behavioural Nonlinear_cs device must never be
