@@ -2,85 +2,76 @@
 
    Subcommands: natural, shil, lockrange, hb, dcsweep, transient,
    netlist, lint, stats, batch, serve, call, api, experiments.
-   Oscillators are selected with --osc (tanh | diffpair | tunnel) or
-   described inline with --g0/--isat/--r/--fc/--q for a custom tanh
-   cell. *)
+
+   The analysis subcommands (natural through transient, and netlist's
+   op and tran) are a thin shell over lib/api: their flags build an
+   [Api.Request] payload, [Api.run] executes it, and the report bytes
+   [Api.report_text] returns are printed. [oshil api] and [oshil call]
+   build the same payloads from the same flags, so a subcommand, an
+   in-process request and a daemon request print the same report.
+   Only what has no request field stays here: the --ascii plots,
+   hb --json, netlist --force and --analysis print.
+
+   Oscillators are selected with --osc (a cell name or alias, see
+   Check.Cell) or described inline with --g0/--isat/-r/--fc/-q for a
+   custom tanh cell. *)
 
 open Cmdliner
+
+(* print to stderr and exit 2, the status of every usage error *)
+let usage_error fmt =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "%s@." msg;
+      exit 2)
+    fmt
+
+let read_source file = (file, In_channel.with_open_bin file In_channel.input_all)
 
 (* ------------------------------------------------------------------ *)
 (* Oscillator selection *)
 
-type osc_choice = Tanh | Diffpair | Tunnel
-
 let osc_conv =
-  let parse = function
-    | "tanh" -> Ok Tanh
-    | "diffpair" | "diff-pair" | "dp" -> Ok Diffpair
-    | "tunnel" | "td" -> Ok Tunnel
-    | s -> Error (`Msg (Printf.sprintf "unknown oscillator %S" s))
+  let parse s =
+    match Check.Cell.of_name s with
+    | Some cell -> Ok cell
+    | None -> Error (`Msg (Printf.sprintf "unknown oscillator %S" s))
   in
-  let print ppf = function
-    | Tanh -> Format.pp_print_string ppf "tanh"
-    | Diffpair -> Format.pp_print_string ppf "diffpair"
-    | Tunnel -> Format.pp_print_string ppf "tunnel"
-  in
+  let print ppf cell = Format.pp_print_string ppf (Check.Cell.name cell) in
   Arg.conv (parse, print)
 
 let osc_arg =
   let doc = "Oscillator: tanh (behavioural), diffpair (BJT, §IV-A) or tunnel (§IV-B)." in
-  Arg.(value & opt osc_conv Tanh & info [ "osc" ] ~docv:"NAME" ~doc)
+  Arg.(value & opt osc_conv Check.Cell.Tanh & info [ "osc" ] ~docv:"NAME" ~doc)
 
 let custom_args =
-  let g0 =
+  let arg name docv doc =
     Arg.(value & opt (some float) None
-         & info [ "g0" ] ~docv:"S" ~doc:"Custom tanh: small-signal conductance magnitude.")
+         & info [ name ] ~docv ~doc:("Custom tanh: " ^ doc ^ "."))
   in
-  let isat =
-    Arg.(value & opt (some float) None
-         & info [ "isat" ] ~docv:"A" ~doc:"Custom tanh: saturation current.")
-  in
-  let r =
-    Arg.(value & opt (some float) None
-         & info [ "r" ] ~docv:"OHM" ~doc:"Custom tanh: tank resistance.")
-  in
-  let fc =
-    Arg.(value & opt (some float) None
-         & info [ "fc" ] ~docv:"HZ" ~doc:"Custom tanh: tank centre frequency.")
-  in
-  let q =
-    Arg.(value & opt (some float) None
-         & info [ "q" ] ~docv:"Q" ~doc:"Custom tanh: tank quality factor.")
-  in
-  Term.(const (fun a b c d e -> (a, b, c, d, e)) $ g0 $ isat $ r $ fc $ q)
+  Term.(const (fun g0 isat r fc q -> (g0, isat, r, fc, q))
+        $ arg "g0" "S" "small-signal conductance magnitude"
+        $ arg "isat" "A" "saturation current"
+        $ arg "r" "OHM" "tank resistance"
+        $ arg "fc" "HZ" "tank centre frequency"
+        $ arg "q" "Q" "tank quality factor")
 
-(* the CLI flags reduced to the request-level oscillator description;
-   Api owns the actual table so the daemon resolves identically *)
-let osc_spec choice (g0, isat, r, fc, q) : Api.Request.osc_spec =
-  match (choice, g0) with
-  | (Diffpair | Tunnel), Some _ ->
-    Format.eprintf
-      "oshil: --osc %a takes no custom cell; --g0 describes a tanh cell@."
-      (Arg.conv_printer osc_conv) choice;
-    exit 2
-  | _, Some g0 ->
-    Api.Request.Custom
-      {
-        g0;
-        isat = Option.value isat ~default:1e-3;
-        r = Option.value r ~default:1e3;
-        fc = Option.value fc ~default:1e6;
-        q = Option.value q ~default:10.0;
-      }
-  | _, None ->
-    Api.Request.Builtin
-      (match choice with
-      | Tanh -> "tanh"
-      | Diffpair -> "diffpair"
-      | Tunnel -> "tunnel")
+(* The oscillator flags as the request's osc_spec, which Api.Cells
+   resolves for the CLI and the daemon alike. Built when forced, like
+   every payload below. *)
+let osc_spec cell (g0, isat, r, fc, q) () : Api.Request.osc_spec =
+  match (cell, g0) with
+  | (Check.Cell.Diffpair | Tunnel), Some _ ->
+    usage_error "oshil: --osc %s takes no custom cell; --g0 describes a tanh cell"
+      (Check.Cell.name cell)
+  | _, Some g0 -> Api.Request.custom ?isat ?r ?fc ?q g0
+  | _, None -> Builtin (Check.Cell.name cell)
 
-let resolve_oscillator choice custom : Shil.Analysis.oscillator =
-  Api.resolve_oscillator (osc_spec choice custom)
+let osc_term = Term.(const osc_spec $ osc_arg $ custom_args)
+
+(* dcsweep and transient take a builtin cell only *)
+let builtin_term =
+  Term.(const (fun cell () -> Api.Request.Builtin (Check.Cell.name cell)) $ osc_arg)
 
 let jobs_arg =
   let doc =
@@ -92,9 +83,7 @@ let jobs_arg =
 
 let apply_jobs = function
   | Some n when n >= 1 -> Numerics.Pool.set_jobs n
-  | Some n ->
-    Format.eprintf "oshil: --jobs must be >= 1 (got %d)@." n;
-    exit 2
+  | Some n -> usage_error "oshil: --jobs must be >= 1 (got %d)" n
   | None -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -210,45 +199,158 @@ let apply_obs (trace, metrics, events, fault_plan, fail_fast, cache, cache_dir)
   | Some plan -> (
     match Resilience.Fault.configure plan with
     | Ok () -> ()
-    | Error msg ->
-      Format.eprintf "oshil: bad --inject-fault plan: %s@." msg;
-      exit 2));
+    | Error msg -> usage_error "oshil: bad --inject-fault plan: %s" msg));
   if fail_fast then Resilience.Policy.set_fail_fast true
 
-let vi_arg =
-  Arg.(value & opt float 0.03
-       & info [ "vi" ] ~docv:"V" ~doc:"Injection phasor magnitude $(docv).")
+(* the set-up every analysis subcommand runs before its payload *)
+let setup =
+  Term.(const (fun obs jobs () -> apply_obs obs; apply_jobs jobs) $ obs_args
+        $ jobs_arg)
+
+(* ------------------------------------------------------------------ *)
+(* The flag table: each request field's flag, defined once and read by
+   the analysis subcommands and by [oshil api]/[oshil call] alike. *)
 
 let n_arg =
   Arg.(value & opt int 3
        & info [ "n" ] ~docv:"N" ~doc:"Sub-harmonic order (1 = FHIL).")
 
+let vi_arg =
+  Arg.(value & opt float 0.03
+       & info [ "vi" ] ~docv:"V" ~doc:"Injection phasor magnitude $(docv).")
+
+let finj_arg =
+  Arg.(value & opt (some float) None
+       & info [ "finj" ] ~docv:"HZ"
+           ~doc:"Injection frequency. shil: list the lock points at \
+                 $(docv). hb: solve the injection-locked spectrum at \
+                 $(docv) (landing on harmonic n of $(docv)/n). \
+                 transient: add the injection tone at $(docv).")
+
+let reduced_arg =
+  Arg.(value & flag
+       & info [ "reduced" ]
+           ~doc:"shil: use the symmetry-reduced quadrature (faster, \
+                 tolerance-grade; see Describing_function.reduction).")
+
+let validate_arg =
+  Arg.(value & flag
+       & info [ "validate" ]
+           ~doc:"lockrange: also binary-search the lock edges with \
+                 transient simulation of the cell's netlist, injected at \
+                 the requested n and vi (slow).")
+
+let kmax_arg =
+  Arg.(value & opt int 7
+       & info [ "kmax" ] ~docv:"K" ~doc:"hb: harmonics retained per unknown.")
+
+let samples_arg =
+  Arg.(value & opt int 1024
+       & info [ "samples" ] ~docv:"S"
+           ~doc:"hb: time points per period for the nonlinear device \
+                 evaluation (the spectral quadrature).")
+
+let lockrange_arg =
+  Arg.(value & flag
+       & info [ "lockrange" ]
+           ~doc:"hb: march and bisect the HB lock band around n x f_osc \
+                 (the DF prediction supplies the initial width and is \
+                 reported alongside).")
+
+let cycles_arg =
+  Arg.(value & opt float 200.0
+       & info [ "cycles" ] ~docv:"N"
+           ~doc:"transient: simulated length in tank periods.")
+
+let tstop_arg =
+  Arg.(value & opt float 1e-3
+       & info [ "tstop" ] ~docv:"S" ~doc:"Netlist transient: stop time.")
+
+let dt_arg =
+  Arg.(value & opt float 1e-6
+       & info [ "dt" ] ~docv:"S" ~doc:"Netlist transient: step.")
+
+let probe_arg =
+  Arg.(value & opt_all string []
+       & info [ "probe" ] ~docv:"NODE"
+           ~doc:"Netlist transient: node(s) to record (default: every node).")
+
 let ascii_arg =
   Arg.(value & flag & info [ "ascii" ] ~doc:"Draw terminal plots.")
 
+let json_arg =
+  Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON on stdout.")
+
 (* ------------------------------------------------------------------ *)
-(* natural *)
+(* Payload builders: each op's flags reduced to its request payload,
+   built when forced, so that the api/call op table can hold every
+   builder while only the chosen op reads a file or rejects a flag. *)
+
+let natural_payload =
+  Term.(const (fun osc () -> Api.Request.Natural { osc = osc () }) $ osc_term)
+
+let shil_payload =
+  let build osc n vi finj reduced () =
+    Api.Request.Shil { osc = osc (); n; vi; reduced; finj }
+  in
+  Term.(const build $ osc_term $ n_arg $ vi_arg $ finj_arg $ reduced_arg)
+
+let lockrange_payload =
+  let build osc n vi validate () =
+    Api.Request.Lockrange { osc = osc (); n; vi; validate }
+  in
+  Term.(const build $ osc_term $ n_arg $ vi_arg $ validate_arg)
+
+(* [who] prefixes the usage error, as each command words it *)
+let hb_payload ~who =
+  let build osc n vi k_max samples finj lockrange () =
+    let mode =
+      match Api.Request.hb_mode ~lockrange finj with
+      | Some mode -> mode
+      | None -> usage_error "%s: --lockrange and --finj conflict" who
+    in
+    Api.Request.Hb { osc = osc (); n; vi; k_max; samples; mode }
+  in
+  Term.(const build $ osc_term $ n_arg $ vi_arg $ kmax_arg $ samples_arg
+        $ finj_arg $ lockrange_arg)
+
+let dcsweep_payload osc =
+  Term.(const (fun osc () -> Api.Request.Dcsweep { osc = osc () }) $ osc)
+
+let transient_payload osc =
+  let build osc n vi cycles finj () =
+    Api.Request.Transient { osc = osc (); n; vi; cycles; finj }
+  in
+  Term.(const build $ osc $ n_arg $ vi_arg $ cycles_arg $ finj_arg)
+
+let netlist_op (name, text) = Api.Request.Netlist_op { name; text }
+
+let netlist_tran_payload =
+  let build t_stop dt probes (name, text) =
+    Api.Request.Netlist_tran { name; text; t_stop; dt; probes }
+  in
+  Term.(const build $ tstop_arg $ dt_arg $ probe_arg)
+
+(* ------------------------------------------------------------------ *)
+(* Analysis subcommands: set up, run the payload through [Api.run], and
+   hand the report to [view], which prints its text or, for a CLI-only
+   flag, another view of the same result. *)
+
+let print_report r = print_string (Api.report_text r)
+
+let analysis_cmd ?(setup = setup) name ~doc payload view =
+  let run setup payload view =
+    setup ();
+    view (Api.run (payload ()))
+  in
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ setup $ payload $ view)
 
 let natural_cmd =
-  let run obs jobs choice custom ascii =
-    apply_obs obs;
-    apply_jobs jobs;
-    let osc = resolve_oscillator choice custom in
-    let r = (osc.tank : Shil.Tank.t).r in
-    Format.printf "%a@." Shil.Tank.pp osc.tank;
-    Format.printf "small-signal loop gain: %.4g (oscillates: %b)@."
-      (Shil.Natural.small_signal_gain osc.nl ~r)
-      (Shil.Natural.oscillates osc.nl ~r);
-    let sols = Shil.Natural.solve osc.nl ~r in
-    if sols = [] then Format.printf "no T_f(A) = 1 solutions@."
-    else
-      List.iter
-        (fun (s : Shil.Natural.solution) ->
-          Format.printf "A = %.6g V  (%s, dT_f/dA = %.4g)@." s.a
-            (if s.stable then "stable" else "unstable")
-            s.slope)
-        sols;
-    if ascii then begin
+  let view ascii r =
+    print_report r;
+    match r with
+    | Api.Natural_report { osc; _ } when ascii ->
+      let r = (osc.tank : Shil.Tank.t).r in
       let a_max =
         match Shil.Natural.predicted_amplitude osc.nl ~r with
         | Some a -> 1.6 *. a
@@ -263,37 +365,16 @@ let natural_cmd =
           ~y:1.0
       in
       Plotkit.Ascii_render.print fig
-    end
+    | _ -> ()
   in
-  let term =
-    Term.(const run $ obs_args $ jobs_arg $ osc_arg $ custom_args $ ascii_arg)
-  in
-  Cmd.v (Cmd.info "natural" ~doc:"Predict natural oscillation amplitude (§II).") term
-
-(* ------------------------------------------------------------------ *)
-(* shil *)
+  analysis_cmd "natural" ~doc:"Predict natural oscillation amplitude (§II)."
+    natural_payload Term.(const view $ ascii_arg)
 
 let shil_cmd =
-  let finj_arg =
-    Arg.(value & opt (some float) None
-         & info [ "finj" ] ~docv:"HZ"
-             ~doc:"Injection frequency; default n x f_c.")
-  in
-  let reduced_arg =
-    Arg.(value & flag
-         & info [ "reduced" ]
-             ~doc:"Use the symmetry-reduced quadrature (faster, \
-                   tolerance-grade; see Describing_function.reduction).")
-  in
-  let run obs jobs choice custom n vi finj reduced ascii =
-    apply_obs obs;
-    apply_jobs jobs;
-    let osc = resolve_oscillator choice custom in
-    (* the report text comes from lib/api — the same renderer the
-       daemon serves, so CLI bytes == server bytes by construction *)
-    let report = Api.shil_run ~osc ~n ~vi ~reduced in
-    print_string (Api.shil_report_text report ~finj);
-    if ascii then begin
+  let view ascii r =
+    print_report r;
+    match r with
+    | Api.Shil_report { report; _ } when ascii ->
       let fig =
         Plotkit.Fig.add_polylines
           (Plotkit.Fig.add_polylines
@@ -303,218 +384,53 @@ let shil_cmd =
           ~curves:(Shil.Grid.phase_curve report.grid ~phi_d:0.0)
       in
       Plotkit.Ascii_render.print fig
-    end
+    | _ -> ()
   in
-  let term =
-    Term.(const run $ obs_args $ jobs_arg $ osc_arg $ custom_args $ n_arg
-          $ vi_arg $ finj_arg $ reduced_arg $ ascii_arg)
-  in
-  Cmd.v
-    (Cmd.info "shil" ~doc:"Full SHIL analysis: locks, stability, states, lock range (§III).")
-    term
-
-(* ------------------------------------------------------------------ *)
-(* lockrange *)
+  analysis_cmd "shil"
+    ~doc:"Full SHIL analysis: locks, stability, states, lock range (§III)."
+    shil_payload Term.(const view $ ascii_arg)
 
 let lockrange_cmd =
-  let validate_arg =
-    Arg.(value & flag
-         & info [ "validate" ]
-             ~doc:"Also binary-search the lock edges with transient simulation (slow).")
-  in
-  let run obs jobs choice custom n vi validate =
-    apply_obs obs;
-    apply_jobs jobs;
-    let osc = resolve_oscillator choice custom in
-    let report = Shil.Analysis.run osc ~n ~vi in
-    Format.printf "%a@." Shil.Lock_range.pp report.lock_range;
-    if validate then begin
-      let predicted = report.lock_range in
-      let cmp =
-        match choice with
-        | Tanh ->
-          Circuits.Validate.lock_range ~cycles:800.0
-            ~steps_per_cycle:Circuits.Behavioural.steps_per_cycle
-            ~make_circuit:(Circuits.Behavioural.injected ~n ~vi osc)
-            ~probe:Circuits.Behavioural.probe ~n ~predicted ()
-        | Diffpair | Tunnel ->
-          let bench =
-            match choice with
-            | Diffpair -> Experiments.Osc_experiments.diff_pair ()
-            | Tunnel | Tanh -> Experiments.Osc_experiments.tunnel ()
-          in
-          Circuits.Validate.lock_range
-            ~make_circuit:(fun ~f_inj -> bench.circuit_injected ~f_inj)
-            ~probe:bench.probe ~n:bench.n ~predicted ()
-      in
-      Format.printf "%a@." Circuits.Validate.pp_lock cmp
-    end
-  in
-  let term =
-    Term.(const run $ obs_args $ jobs_arg $ osc_arg $ custom_args $ n_arg
-          $ vi_arg $ validate_arg)
-  in
-  Cmd.v (Cmd.info "lockrange" ~doc:"Predict (and optionally validate) the SHIL lock range.") term
-
-(* ------------------------------------------------------------------ *)
-(* dcsweep *)
+  analysis_cmd "lockrange"
+    ~doc:"Predict (and optionally validate) the SHIL lock range."
+    lockrange_payload (Term.const print_report)
 
 let dcsweep_cmd =
-  let run choice =
-    let vs, is =
-      match choice with
-      | Diffpair -> Circuits.Diff_pair.extraction_fv Circuits.Diff_pair.default
-      | Tunnel -> Circuits.Tunnel_osc.extraction_fv Circuits.Tunnel_osc.default
-      | Tanh ->
-        Shil.Nonlinearity.sample
-          (Circuits.Tanh_osc.nonlinearity Circuits.Tanh_osc.default)
-          ~v_min:(-2.0) ~v_max:2.0 ~n:201
-    in
-    print_endline "v,i";
-    Array.iteri (fun k v -> Printf.printf "%.9g,%.9g\n" v is.(k)) vs
-  in
-  let term = Term.(const run $ osc_arg) in
-  Cmd.v
-    (Cmd.info "dcsweep" ~doc:"Extract and print the i = f(v) table (CSV on stdout).")
-    term
-
-(* ------------------------------------------------------------------ *)
-(* transient *)
+  analysis_cmd ~setup:(Term.const ignore) "dcsweep"
+    ~doc:"Extract and print the i = f(v) table (CSV on stdout)."
+    (dcsweep_payload builtin_term) (Term.const print_report)
 
 let transient_cmd =
-  let cycles_arg =
-    Arg.(value & opt float 200.0
-         & info [ "cycles" ] ~docv:"N" ~doc:"Simulated length in tank periods.")
-  in
-  let finj_arg =
-    Arg.(value & opt (some float) None
-         & info [ "finj" ] ~docv:"HZ" ~doc:"Add an injection tone at $(docv).")
-  in
-  let run obs jobs choice n vi cycles finj ascii =
-    apply_obs obs;
-    apply_jobs jobs;
-    let circuit, probe, fc =
-      match choice with
-      | Tanh ->
-        let p = Circuits.Tanh_osc.default in
-        let tank = Circuits.Tanh_osc.tank p in
-        let injection =
-          Option.map
-            (fun f_inj -> Circuits.Behavioural.injection_wave ~tank ~n ~vi ~f_inj)
-            finj
-        in
-        ( Circuits.Tanh_osc.circuit ?injection p,
-          Circuits.Behavioural.probe,
-          Shil.Tank.f_c tank )
-      | Diffpair ->
-        let p = Circuits.Diff_pair.default in
-        let injection =
-          Option.map (fun f_inj -> { Circuits.Diff_pair.vi; n; f_inj; phase = 0.0 }) finj
-        in
-        ( Circuits.Diff_pair.circuit ?injection p,
-          Circuits.Diff_pair.osc_probe,
-          Shil.Tank.f_c (Circuits.Diff_pair.tank p) )
-      | Tunnel ->
-        let p = Circuits.Tunnel_osc.default in
-        let injection =
-          Option.map (fun f_inj -> { Circuits.Tunnel_osc.vi; n; f_inj; phase = 0.0 }) finj
-        in
-        ( Circuits.Tunnel_osc.circuit ?injection p,
-          Circuits.Tunnel_osc.osc_probe,
-          Shil.Tank.f_c (Circuits.Tunnel_osc.tank p) )
-    in
-    let opts =
-      Spice.Transient.default_options
-        ~dt:(1.0 /. (fc *. 150.0))
-        ~t_stop:(cycles /. fc)
-    in
-    let res = Spice.Transient.run circuit ~probes:[ probe ] opts in
-    let values = Spice.Transient.signal res probe in
-    if ascii then begin
-      let s = Waveform.Signal.make ~times:res.times ~values in
+  let view ascii r =
+    match r with
+    | Api.Transient_report { times; values; cycles } when ascii ->
+      let s = Waveform.Signal.make ~times ~values in
       let tail = Waveform.Signal.tail_fraction s 0.25 in
       Format.printf "steady amplitude: %.6g V, frequency: %.8g Hz@."
         (Waveform.Measure.amplitude tail)
         (Waveform.Measure.frequency tail);
+      let last = Waveform.Signal.tail_fraction s (10.0 /. cycles) in
       Plotkit.Ascii_render.print
         (Plotkit.Fig.add_line
            (Plotkit.Fig.create ~title:"transient (last 10 cycles)" ~xlabel:"t (s)" ())
-           ~xs:(Waveform.Signal.tail_fraction s (10.0 /. cycles)).times
-           ~ys:(Waveform.Signal.tail_fraction s (10.0 /. cycles)).values)
-    end
-    else begin
-      print_endline "t,v";
-      Array.iteri (fun k t -> Printf.printf "%.9g,%.9g\n" t values.(k)) res.times
-    end
+           ~xs:last.times ~ys:last.values)
+    | r -> print_report r
   in
-  let term =
-    Term.(const run $ obs_args $ jobs_arg $ osc_arg $ n_arg $ vi_arg
-          $ cycles_arg $ finj_arg $ ascii_arg)
-  in
-  Cmd.v
-    (Cmd.info "transient" ~doc:"Device-level transient simulation (CSV or --ascii summary).")
-    term
-
-(* ------------------------------------------------------------------ *)
-(* hb *)
+  analysis_cmd "transient"
+    ~doc:"Device-level transient simulation (CSV or --ascii summary)."
+    (transient_payload builtin_term) Term.(const view $ ascii_arg)
 
 let hb_cmd =
-  let kmax_arg =
-    Arg.(value & opt int 7
-         & info [ "kmax" ] ~docv:"K" ~doc:"Harmonics retained per unknown.")
+  let view json r =
+    match r with
+    | Api.Hb_report o when json -> print_endline (Api.hb_json o)
+    | r -> print_report r
   in
-  let samples_arg =
-    Arg.(value & opt int 1024
-         & info [ "samples" ] ~docv:"S"
-             ~doc:"Time points per period for the nonlinear device \
-                   evaluation (the spectral quadrature).")
-  in
-  let finj_arg =
-    Arg.(value & opt (some float) None
-         & info [ "finj" ] ~docv:"HZ"
-             ~doc:"Solve the injection-locked spectrum at $(docv) \
-                   (landing on harmonic n of $(docv)/n).")
-  in
-  let lockrange_arg =
-    Arg.(value & flag
-         & info [ "lockrange" ]
-             ~doc:"March and bisect the HB lock band around n x f_osc \
-                   (the DF prediction supplies the initial width and is \
-                   reported alongside).")
-  in
-  let json_arg =
-    Arg.(value & flag
-         & info [ "json" ] ~doc:"Emit the report as JSON on stdout.")
-  in
-  let run obs jobs choice custom n vi kmax samples finj lockrange json =
-    apply_obs obs;
-    apply_jobs jobs;
-    if lockrange && finj <> None then begin
-      Format.eprintf "oshil hb: --lockrange and --finj conflict@.";
-      exit 2
-    end;
-    let osc = resolve_oscillator choice custom in
-    let mode : Api.Request.hb_mode =
-      if lockrange then Hb_lockrange
-      else match finj with Some f -> Hb_injected f | None -> Hb_osc
-    in
-    (* the report text comes from lib/api — the same renderer the
-       daemon serves, so CLI bytes == server bytes by construction *)
-    let out = Api.hb_run ~osc ~n ~vi ~k_max:kmax ~samples ~mode in
-    if json then print_endline (Api.hb_json out)
-    else print_string (Api.hb_text out)
-  in
-  let term =
-    Term.(const run $ obs_args $ jobs_arg $ osc_arg $ custom_args $ n_arg
-          $ vi_arg $ kmax_arg $ samples_arg $ finj_arg $ lockrange_arg
-          $ json_arg)
-  in
-  Cmd.v
-    (Cmd.info "hb"
-       ~doc:"Multi-harmonic frequency-domain analysis of the full MNA \
-             system: oscprobe steady state, injected-tone SHIL solve \
-             (--finj) or HB lock range (--lockrange).")
-    term
+  analysis_cmd "hb"
+    ~doc:"Multi-harmonic frequency-domain analysis of the full MNA \
+          system: oscprobe steady state, injected-tone SHIL solve \
+          (--finj) or HB lock range (--lockrange)."
+    (hb_payload ~who:"oshil hb") Term.(const view $ json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* netlist *)
@@ -529,63 +445,39 @@ let netlist_cmd =
          & info [ "analysis" ] ~docv:"KIND"
              ~doc:"Analysis to run: op (default), tran or print.")
   in
-  let tstop_arg =
-    Arg.(value & opt float 1e-3
-         & info [ "tstop" ] ~docv:"S" ~doc:"Transient stop time.")
-  in
-  let dt_arg =
-    Arg.(value & opt float 1e-6 & info [ "dt" ] ~docv:"S" ~doc:"Transient step.")
-  in
-  let probe_arg =
-    Arg.(value & opt_all string []
-         & info [ "probe" ] ~docv:"NODE" ~doc:"Node(s) to record in tran.")
-  in
   let force_arg =
     Arg.(value & flag
          & info [ "force" ]
              ~doc:"Downgrade pre-flight check errors to warnings and run \
                    the analysis anyway.")
   in
-  let run obs file analysis tstop dt probes force =
+  let run obs file analysis tran force =
     apply_obs obs;
-    let check = if force then `Warn else `Enforce in
-    let reject ds =
+    let ((_, text) as source) = read_source file in
+    let preflight = if force then `Warn else `Enforce in
+    try
+      match analysis with
+      | "print" ->
+        print_string (Spice.Netlist.to_string (Api.netlist_of_text ~name:file text))
+      | "op" -> print_report (Api.run ~preflight (netlist_op source))
+      | "tran" -> print_report (Api.run ~preflight (tran source))
+      | other ->
+        Format.eprintf "unknown analysis %S@." other;
+        exit 1
+    with
+    | Check.Diagnostic.Failed ds ->
       Format.eprintf "%s: rejected by pre-flight checks:@." file;
       List.iter (fun d -> Format.eprintf "  %a@." Check.Diagnostic.pp d) ds;
       Format.eprintf "(use --force to run anyway, or `oshil lint` to inspect)@.";
       exit 1
-    in
-    try
-    match Spice.Netlist.parse_file file with
-    | Error e ->
-      Format.eprintf "%s:%d: %s@." file e.line e.message;
+    | Resilience.Oshil_error.Error { kind = Parse_failure; phase = "netlist"; msg; _ } ->
+      (* [msg] is "file:line: message" *)
+      Format.eprintf "%s@." msg;
       exit 1
-    | Ok circuit -> begin
-      match analysis with
-      | "print" -> print_string (Spice.Netlist.to_string circuit)
-      | "op" ->
-        let op = Spice.Op.run ~check circuit in
-        print_string (Api.op_text ~circuit op)
-      | "tran" ->
-        let probes =
-          match probes with
-          | [] -> List.map (fun n -> Spice.Transient.Node n) (Spice.Circuit.node_names circuit)
-          | ps -> List.map (fun n -> Spice.Transient.Node n) ps
-        in
-        let res =
-          Spice.Transient.run ~check circuit ~probes
-            (Spice.Transient.default_options ~dt ~t_stop:tstop)
-        in
-        print_string (Api.tran_csv res)
-      | other ->
-        Format.eprintf "unknown analysis %S@." other;
-        exit 1
-    end
-    with Check.Diagnostic.Failed ds -> reject ds
   in
   let term =
-    Term.(const run $ obs_args $ file_arg $ analysis_arg $ tstop_arg $ dt_arg
-          $ probe_arg $ force_arg)
+    Term.(const run $ obs_args $ file_arg $ analysis_arg $ netlist_tran_payload
+          $ force_arg)
   in
   Cmd.v
     (Cmd.info "netlist" ~doc:"Parse a SPICE-like netlist and run op/tran on it.")
@@ -599,10 +491,6 @@ let lint_cmd =
     Arg.(non_empty & pos_all file []
          & info [] ~docv:"FILE"
              ~doc:"Netlist (.cir) or SHIL scenario (.scn) to analyze.")
-  in
-  let json_arg =
-    Arg.(value & flag
-         & info [ "json" ] ~doc:"Emit the report as JSON on stdout.")
   in
   let strict_arg =
     Arg.(value & flag & info [ "strict" ] ~doc:"Treat warnings as errors.")
@@ -712,10 +600,7 @@ let stats_cmd =
        term that takes positionals, so the dispatch is by hand) *)
     match files with
     | "report" :: rest ->
-      if rest = [] then begin
-        Format.eprintf "oshil stats report: no TRACE files given@.";
-        exit 2
-      end;
+      if rest = [] then usage_error "oshil stats report: no TRACE files given";
       run_report rest json out
     | _ ->
     if compare then begin
@@ -727,10 +612,8 @@ let stats_cmd =
           ra rb;
         Format.print_newline ()
       | _ ->
-        Format.eprintf
-          "oshil stats: --compare takes exactly two TRACE files (got %d)@."
-          (List.length files);
-        exit 2
+        usage_error "oshil stats: --compare takes exactly two TRACE files (got %d)"
+          (List.length files)
     end
     else begin
       let s = stats_load files in
@@ -744,9 +627,7 @@ let stats_cmd =
             let m = String.sub spec (i + 1) (String.length spec - i - 1) in
             match int_of_string_opt m with
             | Some v -> (name, v)
-            | None ->
-              Format.eprintf "oshil stats: bad --assert-counter %S@." spec;
-              exit 2)
+            | None -> usage_error "oshil stats: bad --assert-counter %S" spec)
         in
         let v =
           Option.value ~default:0
@@ -794,9 +675,8 @@ let batch_cmd =
          & info [ "o"; "out" ] ~docv:"FILE"
              ~doc:"Write the JSON report to $(docv) instead of stdout.")
   in
-  let run obs jobs dir out =
-    apply_obs obs;
-    apply_jobs jobs;
+  let run setup dir out =
+    setup ();
     let files =
       Sys.readdir dir |> Array.to_list
       |> List.filter Api.is_scenario_file
@@ -804,10 +684,7 @@ let batch_cmd =
       |> List.map (Filename.concat dir)
       |> Array.of_list
     in
-    if Array.length files = 0 then begin
-      Format.eprintf "oshil batch: no .scn files in %s@." dir;
-      exit 2
-    end;
+    if Array.length files = 0 then usage_error "oshil batch: no .scn files in %s" dir;
     let emit report =
       match out with
       | None -> print_string report
@@ -891,7 +768,7 @@ let batch_cmd =
       Format.eprintf "%a@." Resilience.Summary.pp summary;
     if n_lint + n_err > 0 then exit 1
   in
-  let term = Term.(const run $ obs_args $ jobs_arg $ dir_arg $ out_arg) in
+  let term = Term.(const run $ setup $ dir_arg $ out_arg) in
   Cmd.v
     (Cmd.info "batch"
        ~doc:"Run every .scn scenario in a directory through the SHIL \
@@ -900,11 +777,13 @@ let batch_cmd =
     term
 
 (* ------------------------------------------------------------------ *)
+(* ------------------------------------------------------------------ *)
 (* serve / call / api *)
 
-(* Shared request-building flags: [oshil api] executes the request
-   in-process, [oshil call] sends it to a daemon — both through the
-   same [lib/api] entry points, so the two paths return identical
+(* The request flags: [oshil api] executes the request in-process,
+   [oshil call] sends it to a daemon. OP picks one payload builder from
+   [ops], each reading the flag table above, so a request runs what the
+   subcommand of the same name runs, and the two paths return identical
    bytes. *)
 let request_term =
   let id_arg =
@@ -916,12 +795,6 @@ let request_term =
          & info [ "deadline" ] ~docv:"S"
              ~doc:"Per-request wall-clock budget; overrunning work \
                    unwinds into a typed budget-exhausted error.")
-  in
-  let op_arg =
-    Arg.(value & pos 0 string "ping"
-         & info [] ~docv:"OP"
-             ~doc:"Operation: ping, sleep, shil, hb, scenario, lint, \
-                   netlist-op, netlist-tran, health or stats.")
   in
   let file_arg =
     Arg.(value & opt (some file) None
@@ -935,106 +808,67 @@ let request_term =
          & info [ "seconds" ] ~docv:"S"
              ~doc:"sleep: wall clock to burn (deadline-checked).")
   in
-  let finj_arg =
-    Arg.(value & opt (some float) None
-         & info [ "finj" ] ~docv:"HZ" ~doc:"shil: injection frequency.")
-  in
-  let reduced_arg =
-    Arg.(value & flag
-         & info [ "reduced" ] ~doc:"shil: symmetry-reduced quadrature.")
-  in
-  let kmax_arg =
-    Arg.(value & opt int 7
-         & info [ "kmax" ] ~docv:"K" ~doc:"hb: harmonics retained.")
-  in
-  let samples_arg =
-    Arg.(value & opt int 1024
-         & info [ "samples" ] ~docv:"S" ~doc:"hb: time points per period.")
-  in
-  let lockrange_arg =
-    Arg.(value & flag
-         & info [ "lockrange" ] ~doc:"hb: march/bisect the HB lock band.")
-  in
-  let tstop_arg =
-    Arg.(value & opt float 1e-3
-         & info [ "tstop" ] ~docv:"S" ~doc:"netlist-tran: stop time.")
-  in
-  let dt_arg =
-    Arg.(value & opt float 1e-6
-         & info [ "dt" ] ~docv:"S" ~doc:"netlist-tran: step.")
-  in
-  let probe_arg =
-    Arg.(value & opt_all string []
-         & info [ "probe" ] ~docv:"NODE" ~doc:"netlist-tran: node(s) to record.")
-  in
-  let build id deadline op file seconds choice custom n vi finj reduced kmax
-      samples lockrange tstop dt probes =
-    let text () =
+  let with_file (op, make) =
+    let build file make () =
       match file with
-      | Some f -> (f, In_channel.with_open_bin f In_channel.input_all)
-      | None ->
-        Format.eprintf "oshil: op %s needs --file@." op;
-        exit 2
+      | Some f -> make (read_source f)
+      | None -> usage_error "oshil: op %s needs --file" op
     in
-    let payload =
-      match op with
-      | "ping" -> Api.Request.Ping
-      | "health" -> Api.Request.Health
-      | "stats" -> Api.Request.Stats
-      | "sleep" -> Api.Request.Sleep { s = seconds }
-      | "shil" ->
-        Api.Request.Shil
-          { osc = osc_spec choice custom; n; vi; reduced; finj }
-      | "hb" ->
-        let mode : Api.Request.hb_mode =
-          match (lockrange, finj) with
-          | true, Some _ ->
-            Format.eprintf "oshil: --lockrange and --finj conflict@.";
-            exit 2
-          | true, None -> Hb_lockrange
-          | false, Some f -> Hb_injected f
-          | false, None -> Hb_osc
-        in
-        Api.Request.Hb
-          { osc = osc_spec choice custom; n; vi; k_max = kmax; samples; mode }
-      | "scenario" ->
-        let name, text = text () in
-        Api.Request.Scenario { name; text }
-      | "lint" ->
-        let name, text = text () in
-        Api.Request.Lint { name; text }
-      | "netlist-op" ->
-        let name, text = text () in
-        Api.Request.Netlist_op { name; text }
-      | "netlist-tran" ->
-        let name, text = text () in
-        Api.Request.Netlist_tran { name; text; t_stop = tstop; dt; probes }
-      | other ->
-        Format.eprintf "oshil: unknown op %S@." other;
-        exit 2
-    in
-    { Api.Request.id; deadline_s = deadline; payload }
+    (op, Term.(const build $ file_arg $ make))
   in
-  Term.(const build $ id_arg $ deadline_arg $ op_arg $ file_arg $ seconds_arg
-        $ osc_arg $ custom_args $ n_arg $ vi_arg $ finj_arg $ reduced_arg
-        $ kmax_arg $ samples_arg $ lockrange_arg $ tstop_arg $ dt_arg
-        $ probe_arg)
+  let ops =
+    [
+      ("ping", Term.const (fun () -> Api.Request.Ping));
+      ("sleep", Term.(const (fun s () -> Api.Request.Sleep { s }) $ seconds_arg));
+      ("natural", natural_payload);
+      ("shil", shil_payload);
+      ("lockrange", lockrange_payload);
+      ("hb", hb_payload ~who:"oshil");
+      ("dcsweep", dcsweep_payload osc_term);
+      ("transient", transient_payload osc_term);
+    ]
+    @ List.map with_file
+        [
+          ("scenario", Term.const (fun (name, text) -> Api.Request.Scenario { name; text }));
+          ("lint", Term.const (fun (name, text) -> Api.Request.Lint { name; text }));
+          ("netlist-op", Term.const netlist_op);
+          ("netlist-tran", netlist_tran_payload);
+        ]
+    @ [
+        ("health", Term.const (fun () -> Api.Request.Health));
+        ("stats", Term.const (fun () -> Api.Request.Stats));
+      ]
+  in
+  let op_arg =
+    Arg.(value & pos 0 string "ping"
+         & info [] ~docv:"OP"
+             ~doc:("Operation: " ^ String.concat ", " (List.map fst ops) ^ "."))
+  in
+  let payloads =
+    List.fold_right
+      (fun (op, payload) rest ->
+        Term.(const (fun p ps -> (op, p) :: ps) $ payload $ rest))
+      ops (Term.const [])
+  in
+  let build id deadline_s op payloads =
+    match List.assoc_opt op payloads with
+    | Some payload -> { Api.Request.id; deadline_s; payload = payload () }
+    | None -> usage_error "oshil: unknown op %S" op
+  in
+  Term.(const build $ id_arg $ deadline_arg $ op_arg $ payloads)
 
 let parse_addr ~what s =
   match Serve.Addr.of_string s with
   | Ok a -> a
-  | Error msg ->
-    Format.eprintf "oshil %s: %s@." what msg;
-    exit 2
+  | Error msg -> usage_error "oshil %s: %s" what msg
 
 let api_cmd =
-  let run obs jobs req =
-    apply_obs obs;
-    apply_jobs jobs;
+  let run setup req =
+    setup ();
     print_endline
       (Api.response_of_outcome ~id:req.Api.Request.id (Api.handle req))
   in
-  let term = Term.(const run $ obs_args $ jobs_arg $ request_term) in
+  let term = Term.(const run $ setup $ request_term) in
   Cmd.v
     (Cmd.info "api"
        ~doc:"Execute one typed request in-process and print the wire \
@@ -1109,14 +943,11 @@ let serve_cmd =
          & info [ "backoff" ] ~docv:"S"
              ~doc:"Base retry backoff, doubled per attempt.")
   in
-  let run obs jobs listen capacity workers deadline retries backoff =
-    apply_obs obs;
-    apply_jobs jobs;
+  let run setup listen capacity workers deadline retries backoff =
+    setup ();
     let addr = parse_addr ~what:"serve" listen in
-    if capacity < 1 || workers < 1 then begin
-      Format.eprintf "oshil serve: --capacity and --workers must be >= 1@.";
-      exit 2
-    end;
+    if capacity < 1 || workers < 1 then
+      usage_error "oshil serve: --capacity and --workers must be >= 1";
     (* replace the flush-and-exit hygiene handlers installed by
        [apply_obs]: for the daemon, SIGTERM/SIGINT mean graceful drain
        (stop accepting, finish in-flight work, flush, exit 0) *)
@@ -1140,8 +971,8 @@ let serve_cmd =
     Serve.Server.run config
   in
   let term =
-    Term.(const run $ obs_args $ jobs_arg $ listen_arg $ capacity_arg
-          $ workers_arg $ deadline_arg $ retries_arg $ backoff_arg)
+    Term.(const run $ setup $ listen_arg $ capacity_arg $ workers_arg
+          $ deadline_arg $ retries_arg $ backoff_arg)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1162,9 +993,8 @@ let experiments_cmd =
     Arg.(value & opt string "out/figures"
          & info [ "dir" ] ~docv:"DIR" ~doc:"Output directory of the SVG figures.")
   in
-  let run obs jobs fast dir =
-    apply_obs obs;
-    apply_jobs jobs;
+  let run setup fast dir =
+    setup ();
     Format.printf
       "oshil experiment harness - reproducing the tables and figures of@.\
        'A Rigorous Graphical Technique for Predicting Sub-harmonic Injection@.\
@@ -1177,7 +1007,7 @@ let experiments_cmd =
         Format.printf "@.");
     Format.printf "done.@."
   in
-  let term = Term.(const run $ obs_args $ jobs_arg $ fast_arg $ dir_arg) in
+  let term = Term.(const run $ setup $ fast_arg $ dir_arg) in
   Cmd.v
     (Cmd.info "experiments"
        ~doc:"Reproduce the paper's tables and figures: print each result \

@@ -1,68 +1,81 @@
 module Request = Request
+module Cells = Cells
 module Oshil_error = Resilience.Oshil_error
 module Deadline = Resilience.Deadline
 
 (* --- oscillators ---------------------------------------------------- *)
 
-let resolve_oscillator (spec : Request.osc_spec) : Shil.Analysis.oscillator =
-  match spec with
-  | Custom { g0; isat; r; fc; q } ->
-    let wc = 2.0 *. Float.pi *. fc in
-    let z0 = r /. q in
-    {
-      nl = Shil.Nonlinearity.neg_tanh ~g0 ~isat;
-      tank = Shil.Tank.make ~r ~l:(z0 /. wc) ~c:(1.0 /. (z0 *. wc));
-    }
-  | Builtin name -> (
-    match name with
-    | "tanh" -> Circuits.Tanh_osc.oscillator Circuits.Tanh_osc.default
-    | "diffpair" | "diff-pair" | "dp" ->
-      Circuits.Diff_pair.oscillator Circuits.Diff_pair.default
-    | "tunnel" | "td" -> Circuits.Tunnel_osc.oscillator Circuits.Tunnel_osc.default
-    | other ->
-      Oshil_error.raise_ Shil ~phase:"request" Parse_failure
-        (Printf.sprintf "unknown oscillator %S" other)
-        ~remedy:"use tanh, diffpair or tunnel, or a custom {g0,...} cell")
+let resolve_oscillator spec = (Cells.of_spec spec).oscillator ()
 
 (* --- report renderers ----------------------------------------------- *)
 
-(* Every renderer mirrors its CLI subcommand Format/Printf call for
-   call: same format strings, one [asprintf]/[sprintf] per original
-   [printf], concatenated in emission order — the report bytes are the
-   CLI bytes. *)
+(* The CLI subcommands print these renderers' bytes, and [oshil api]
+   and the daemon serve them: the report bytes are the CLI bytes by
+   construction. *)
 
 let shil_run ~osc ~n ~vi ~reduced =
   let reduction = if reduced then `Symmetry else `Exact in
   Shil.Analysis.run ~reduction osc ~n ~vi
 
+let stability stable = if stable then "stable" else "unstable"
+
 let shil_report_text (report : Shil.Analysis.shil_report) ~finj =
-  let n = report.n in
   let b = Buffer.create 1024 in
-  Buffer.add_string b (Format.asprintf "%a@." Shil.Analysis.pp report);
+  let ppf = Format.formatter_of_buffer b in
+  Format.fprintf ppf "%a@." Shil.Analysis.pp report;
   (match finj with
   | None -> ()
   | Some f_inj ->
-    Buffer.add_string b
-      (Format.asprintf "@.locks at f_inj = %.8g Hz:@." f_inj);
+    Format.fprintf ppf "@.locks at f_inj = %.8g Hz:@." f_inj;
     let sols = Shil.Analysis.locks_at report ~f_inj in
-    if sols = [] then Buffer.add_string b (Format.asprintf "  (none)@.")
+    if sols = [] then Format.fprintf ppf "  (none)@."
     else
       List.iter
         (fun (p : Shil.Solutions.point) ->
-          Buffer.add_string b
-            (Format.asprintf "  phi = %.5f rad, A = %.6g V (%s)@." p.phi p.a
-               (if p.stable then "stable" else "unstable"));
+          Format.fprintf ppf "  phi = %.5f rad, A = %.6g V (%s)@." p.phi p.a
+            (stability p.stable);
           if p.stable then
             List.iter
-              (fun (psi, _) ->
-                Buffer.add_string b
-                  (Format.asprintf "    state at psi = %.5f rad@." psi))
-              (Shil.Solutions.n_states p ~n))
+              (fun (psi, _) -> Format.fprintf ppf "    state at psi = %.5f rad@." psi)
+              (Shil.Solutions.n_states p ~n:report.n))
         sols);
   Buffer.contents b
 
-let shil_text ~osc ~n ~vi ~reduced ~finj =
-  shil_report_text (shil_run ~osc ~n ~vi ~reduced) ~finj
+let natural_text (osc : Shil.Analysis.oscillator) solutions =
+  let r = osc.tank.r in
+  let b = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer b in
+  Format.fprintf ppf "%a@." Shil.Tank.pp osc.tank;
+  Format.fprintf ppf "small-signal loop gain: %.4g (oscillates: %b)@."
+    (Shil.Natural.small_signal_gain osc.nl ~r)
+    (Shil.Natural.oscillates osc.nl ~r);
+  if solutions = [] then Format.fprintf ppf "no T_f(A) = 1 solutions@."
+  else
+    List.iter
+      (fun (s : Shil.Natural.solution) ->
+        Format.fprintf ppf "A = %.6g V  (%s, dT_f/dA = %.4g)@." s.a
+          (stability s.stable) s.slope)
+      solutions;
+  Buffer.contents b
+
+(* The predicted band at (n, V_i) and, with [validate], the lock edges a
+   transient bisection finds on the cell's netlist injected at that same
+   (n, V_i). *)
+let lockrange_text ~(cell : Cells.t) ~n ~vi ~validate =
+  let predicted =
+    (Shil.Analysis.run (cell.oscillator ()) ~n ~vi).lock_range
+  in
+  let text = Format.asprintf "%a@." Shil.Lock_range.pp predicted in
+  if not validate then text
+  else begin
+    let cycles, steps_per_cycle = cell.lock_trial in
+    let cmp =
+      Circuits.Validate.lock_range ~cycles ~steps_per_cycle
+        ~make_circuit:(fun ~f_inj -> cell.circuit (Some { n; vi; f_inj }))
+        ~probe:cell.probe ~n ~predicted ()
+    in
+    text ^ Format.asprintf "%a@." Circuits.Validate.pp_lock cmp
+  end
 
 (* %.17g round-trips every double exactly: the report is a faithful
    witness for the cold-vs-warm bit-identity check, not a rounded view *)
@@ -139,51 +152,39 @@ let hb_run ~osc ~n ~vi ~k_max ~samples ~(mode : Request.hb_mode) =
 
 let hb_text (o : hb_outcome) =
   let free = o.free in
-  let node = free.Hb.Driver.nodes.(free.Hb.Driver.osc_node) in
   let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf "harmonic balance: k_max = %d, samples = %d\n"
-       free.Hb.Driver.k_max free.Hb.Driver.samples);
-  Buffer.add_string b
-    (Printf.sprintf "free-running: f_osc = %.8g Hz, A = %.6g V, THD = %.4g\n"
-       free.Hb.Driver.f0 (Hb.Driver.amplitude free) (Hb.Driver.thd free));
-  Buffer.add_string b
-    (Printf.sprintf "solver: %d Newton iteration(s), scaled residual %.3g\n"
-       free.Hb.Driver.iters free.Hb.Driver.residual);
-  Buffer.add_string b (Printf.sprintf "spectrum at %s (|V_k|, V):\n" node);
+  Printf.bprintf b "harmonic balance: k_max = %d, samples = %d\n"
+    free.Hb.Driver.k_max free.Hb.Driver.samples;
+  Printf.bprintf b "free-running: f_osc = %.8g Hz, A = %.6g V, THD = %.4g\n"
+    free.Hb.Driver.f0 (Hb.Driver.amplitude free) (Hb.Driver.thd free);
+  Printf.bprintf b "solver: %d Newton iteration(s), scaled residual %.3g\n"
+    free.Hb.Driver.iters free.Hb.Driver.residual;
+  Printf.bprintf b "spectrum at %s (|V_k|, V):\n"
+    free.Hb.Driver.nodes.(free.Hb.Driver.osc_node);
   Array.iteri
-    (fun k c ->
-      Buffer.add_string b
-        (Printf.sprintf "  k=%d  %.6g\n" k (Numerics.Cx.abs c)))
+    (fun k c -> Printf.bprintf b "  k=%d  %.6g\n" k (Numerics.Cx.abs c))
     free.Hb.Driver.spectra.(free.Hb.Driver.osc_node);
   (match o.hb_mode with
   | Hb_free_only -> ()
   | Hb_locked v ->
-    Buffer.add_string b
-      (Printf.sprintf "injection: n = %d, vi = %.4g V, f_inj = %.8g Hz\n"
-         o.hb_n o.hb_vi v.Hb.Driver.f_inj);
+    Printf.bprintf b "injection: n = %d, vi = %.4g V, f_inj = %.8g Hz\n"
+      o.hb_n o.hb_vi v.Hb.Driver.f_inj;
     if v.Hb.Driver.locked then
-      Buffer.add_string b
-        (Printf.sprintf "  locked: yes  A = %.6g V, phase = %.5f rad\n"
-           v.Hb.Driver.amp v.Hb.Driver.lock_phase)
+      Printf.bprintf b "  locked: yes  A = %.6g V, phase = %.5f rad\n"
+        v.Hb.Driver.amp v.Hb.Driver.lock_phase
     else
-      Buffer.add_string b
-        (Printf.sprintf "  locked: no  (fundamental suppressed: A = %.6g V)\n"
-           v.Hb.Driver.amp)
+      Printf.bprintf b "  locked: no  (fundamental suppressed: A = %.6g V)\n"
+        v.Hb.Driver.amp
   | Hb_band { band; df } ->
-    Buffer.add_string b
-      (Printf.sprintf "lock range (n = %d, vi = %.4g V):\n" o.hb_n o.hb_vi);
-    Buffer.add_string b
-      (Printf.sprintf
-         "  HB: f_inj in [%.8g, %.8g] Hz, width %.6g Hz (%d probes, %d \
-          holes)\n"
-         band.Hb.Driver.f_lo band.Hb.Driver.f_hi
-         (band.Hb.Driver.f_hi -. band.Hb.Driver.f_lo)
-         band.Hb.Driver.probes band.Hb.Driver.holes);
-    Buffer.add_string b
-      (Printf.sprintf "  DF: f_inj in [%.8g, %.8g] Hz, width %.6g Hz\n"
-         df.Shil.Lock_range.f_inj_low df.Shil.Lock_range.f_inj_high
-         df.Shil.Lock_range.delta_f_inj));
+    Printf.bprintf b "lock range (n = %d, vi = %.4g V):\n" o.hb_n o.hb_vi;
+    Printf.bprintf b
+      "  HB: f_inj in [%.8g, %.8g] Hz, width %.6g Hz (%d probes, %d holes)\n"
+      band.Hb.Driver.f_lo band.Hb.Driver.f_hi
+      (band.Hb.Driver.f_hi -. band.Hb.Driver.f_lo)
+      band.Hb.Driver.probes band.Hb.Driver.holes;
+    Printf.bprintf b "  DF: f_inj in [%.8g, %.8g] Hz, width %.6g Hz\n"
+      df.Shil.Lock_range.f_inj_low df.Shil.Lock_range.f_inj_high
+      df.Shil.Lock_range.delta_f_inj);
   Buffer.contents b
 
 let hb_json (o : hb_outcome) =
@@ -228,35 +229,33 @@ let hb_json (o : hb_outcome) =
 let op_text ~circuit op =
   let b = Buffer.create 256 in
   List.iter
-    (fun node ->
-      Buffer.add_string b
-        (Printf.sprintf "v(%s) = %.9g\n" node (Spice.Op.voltage op node)))
+    (fun node -> Printf.bprintf b "v(%s) = %.9g\n" node (Spice.Op.voltage op node))
     (Spice.Circuit.node_names circuit);
   Buffer.contents b
 
-(* A %.9g field with its separator rarely exceeds 16 bytes: sizing the
+(* The CSV of [columns] against [xs], under the header line [names].
+   A %.9g field with its separator rarely exceeds 16 bytes: sizing the
    buffer for that up front spares the doubling copies of a waveform
    report hundreds of KB long. *)
-let tran_csv (res : Spice.Transient.result) =
+let csv names xs columns =
   let b =
-    Buffer.create
-      (64 + (Array.length res.times * 16 * (1 + List.length res.signals)))
+    Buffer.create (64 + (Array.length xs * 16 * (1 + List.length columns)))
   in
-  let headers =
-    List.map
-      (function Spice.Transient.Node n -> n | _ -> "?")
-      (List.map fst res.signals)
-  in
-  Buffer.add_string b (Printf.sprintf "t,%s\n" (String.concat "," headers));
+  Buffer.add_string b (String.concat "," names ^ "\n");
   Array.iteri
-    (fun k t ->
-      Buffer.add_string b (Printf.sprintf "%.9g" t);
+    (fun k x ->
+      Buffer.add_string b (Printf.sprintf "%.9g" x);
       List.iter
-        (fun (_, vs) -> Buffer.add_string b (Printf.sprintf ",%.9g" vs.(k)))
-        res.signals;
+        (fun vs -> Buffer.add_string b (Printf.sprintf ",%.9g" vs.(k)))
+        columns;
       Buffer.add_char b '\n')
-    res.times;
+    xs;
   Buffer.contents b
+
+let tran_csv (res : Spice.Transient.result) =
+  let node = function Spice.Transient.Node n -> n | _ -> "?" in
+  csv ("t" :: List.map (fun (p, _) -> node p) res.signals) res.times
+    (List.map snd res.signals)
 
 (* --- scenarios ------------------------------------------------------ *)
 
@@ -265,46 +264,40 @@ let is_scenario_file f =
   | ".scn" | ".scenario" -> true
   | _ -> false
 
-let scenario_nonlinearity (s : Check.Scenario.t) =
-  match s.osc with
-  | "tanh" | "custom" ->
-    let g0 = Option.value s.g0 ~default:2e-3 in
-    let isat = Option.value s.isat ~default:1e-3 in
-    Some (Shil.Nonlinearity.eval (Shil.Nonlinearity.neg_tanh ~g0 ~isat))
-  | "diffpair" | "diff-pair" | "dp" ->
-    Some
-      (Shil.Nonlinearity.eval
-         (Circuits.Diff_pair.nonlinearity Circuits.Diff_pair.default))
-  | "tunnel" | "td" ->
-    Some
-      (Shil.Nonlinearity.eval
-         (Circuits.Tunnel_osc.nonlinearity Circuits.Tunnel_osc.default))
-  | _ -> None
+(* A scenario names a device cell, or describes its own tanh cell
+   ("tanh" or "custom"). *)
+let scenario_device (s : Check.Scenario.t) =
+  match Check.Cell.of_name s.osc with
+  | Some ((Diffpair | Tunnel) as cell) ->
+    Some ((Cells.of_spec (Builtin (Check.Cell.name cell))).oscillator ())
+  | Some Tanh | None -> None
 
-let scenario_oscillator (s : Check.Scenario.t) : Shil.Analysis.oscillator =
-  match s.osc with
-  | "diffpair" | "diff-pair" | "dp" ->
-    Circuits.Diff_pair.oscillator Circuits.Diff_pair.default
-  | "tunnel" | "td" -> Circuits.Tunnel_osc.oscillator Circuits.Tunnel_osc.default
-  | _ ->
-    (* tanh/custom: the scenario's own cell and tank (lint has already
-       rejected unknown oscillator names before we get here) *)
-    let g0 = Option.value s.g0 ~default:2e-3 in
-    let isat = Option.value s.isat ~default:1e-3 in
-    let r, l, c = Check.Scenario.resolve_tank s in
-    {
-      nl = Shil.Nonlinearity.neg_tanh ~g0 ~isat;
-      tank = Shil.Tank.make ~r ~l ~c;
-    }
+let scenario_tanh (s : Check.Scenario.t) =
+  Shil.Nonlinearity.neg_tanh
+    ~g0:(Option.value s.g0 ~default:2e-3)
+    ~isat:(Option.value s.isat ~default:1e-3)
+
+(* the pointwise probes of the scenario check; None for a name lint
+   rejects *)
+let scenario_nonlinearity (s : Check.Scenario.t) device =
+  match device with
+  | Some (osc : Shil.Analysis.oscillator) -> Some (Shil.Nonlinearity.eval osc.nl)
+  | None when s.osc = "custom" || Option.is_some (Check.Cell.of_name s.osc) ->
+    Some (Shil.Nonlinearity.eval (scenario_tanh s))
+  | None -> None
+
+let scenario_diagnostics (s, parse_diags) device =
+  parse_diags @ Check.Scenario.check ?nl:(scenario_nonlinearity s device) s
 
 type scenario_outcome =
   | Scn_ok of string
   | Scn_lint_error of string
 
-let scenario_outcome_of (s, parse_diags) =
+let scenario_outcome ~name text =
   let module D = Check.Diagnostic in
-  let nl = scenario_nonlinearity s in
-  let diags = parse_diags @ Check.Scenario.check ?nl s in
+  let ((s, _) as parsed) = Check.Scenario.parse_string ~name text in
+  let device = scenario_device s in
+  let diags = scenario_diagnostics parsed device in
   if D.errors diags <> [] then
     Scn_lint_error
       (Printf.sprintf
@@ -313,7 +306,13 @@ let scenario_outcome_of (s, parse_diags) =
          (D.count_severity D.Warning diags)
          (D.list_to_json diags))
   else begin
-    let osc = scenario_oscillator s in
+    let osc : Shil.Analysis.oscillator =
+      match device with
+      | Some osc -> osc
+      | None ->
+        let r, l, c = Check.Scenario.resolve_tank s in
+        { nl = scenario_tanh s; tank = Shil.Tank.make ~r ~l ~c }
+    in
     let a_range =
       match (s.a_lo, s.a_hi) with
       | Some lo, Some hi -> Some (lo, hi)
@@ -343,11 +342,10 @@ let scenario_outcome_of (s, parse_diags) =
          (Resilience.Summary.failed report.grid.failures))
   end
 
-let scenario_outcome ~name text =
-  scenario_outcome_of (Check.Scenario.parse_string ~name text)
+let read_file file = In_channel.with_open_bin file In_channel.input_all
 
 let scenario_file_outcome file =
-  scenario_outcome_of (Check.Scenario.parse_file file)
+  scenario_outcome ~name:(Filename.basename file) (read_file file)
 
 let scenario_entry ~file outcome =
   match outcome with
@@ -361,29 +359,18 @@ let netlist_parse_diag ~name (e : Spice.Netlist.error) =
     ~loc:(Printf.sprintf "%s:%d" (Filename.basename name) e.line)
     e.message
 
-let lint_file file =
-  if is_scenario_file file then begin
-    let s, parse_diags = Check.Scenario.parse_file file in
-    let nl = scenario_nonlinearity s in
-    parse_diags @ Check.Scenario.check ?nl s
-  end
-  else begin
-    match Spice.Netlist.parse_file file with
-    | Error e -> [ netlist_parse_diag ~name:file e ]
-    | Ok circuit -> Spice.Preflight.check circuit
-  end
-
 let lint_text ~name text =
   if is_scenario_file name then begin
-    let s, parse_diags = Check.Scenario.parse_string ~name text in
-    let nl = scenario_nonlinearity s in
-    parse_diags @ Check.Scenario.check ?nl s
+    let ((s, _) as parsed) = Check.Scenario.parse_string ~name text in
+    scenario_diagnostics parsed (scenario_device s)
   end
   else begin
     match Spice.Netlist.parse_string text with
     | Error e -> [ netlist_parse_diag ~name e ]
     | Ok circuit -> Spice.Preflight.check circuit
   end
+
+let lint_file file = lint_text ~name:(Filename.basename file) (read_file file)
 
 (* --- netlists ------------------------------------------------------- *)
 
@@ -426,39 +413,88 @@ let sleep_payload s =
   loop ();
   "ok"
 
-let run_payload (payload : Request.payload) =
+type report =
+  | Text of string
+  | Natural_report of {
+      osc : Shil.Analysis.oscillator;
+      solutions : Shil.Natural.solution list;
+    }
+  | Shil_report of { report : Shil.Analysis.shil_report; finj : float option }
+  | Hb_report of hb_outcome
+  | Transient_report of {
+      times : float array;
+      values : float array;
+      cycles : float;
+    }
+
+let run ?(preflight = `Enforce) (payload : Request.payload) =
   match payload with
-  | Ping -> "pong"
-  | Health -> health_text ()
-  | Stats -> stats_text ()
-  | Sleep { s } -> sleep_payload s
+  | Ping -> Text "pong"
+  | Health -> Text (health_text ())
+  | Stats -> Text (stats_text ())
+  | Sleep { s } -> Text (sleep_payload s)
+  | Natural { osc } ->
+    let osc = resolve_oscillator osc in
+    Natural_report
+      { osc; solutions = Shil.Natural.solve osc.nl ~r:osc.tank.r }
   | Shil { osc; n; vi; reduced; finj } ->
-    shil_text ~osc:(resolve_oscillator osc) ~n ~vi ~reduced ~finj
+    Shil_report
+      { report = shil_run ~osc:(resolve_oscillator osc) ~n ~vi ~reduced; finj }
+  | Lockrange { osc; n; vi; validate } ->
+    Text (lockrange_text ~cell:(Cells.of_spec osc) ~n ~vi ~validate)
   | Hb { osc; n; vi; k_max; samples; mode } ->
-    hb_text (hb_run ~osc:(resolve_oscillator osc) ~n ~vi ~k_max ~samples ~mode)
+    Hb_report
+      (hb_run ~osc:(resolve_oscillator osc) ~n ~vi ~k_max ~samples ~mode)
+  | Dcsweep { osc } ->
+    let vs, is = (Cells.of_spec osc).fv () in
+    Text (csv [ "v"; "i" ] vs [ is ])
+  | Transient { osc; n; vi; cycles; finj } ->
+    let cell = Cells.of_spec osc in
+    let fc = Shil.Tank.f_c cell.tank in
+    let circuit =
+      cell.circuit (Option.map (fun f_inj -> { Cells.n; vi; f_inj }) finj)
+    in
+    let res =
+      Spice.Transient.run circuit ~probes:[ cell.probe ]
+        (Spice.Transient.default_options
+           ~dt:(1.0 /. (fc *. 150.0))
+           ~t_stop:(cycles /. fc))
+    in
+    Transient_report
+      {
+        times = res.times;
+        values = Spice.Transient.signal res cell.probe;
+        cycles;
+      }
   | Scenario { name; text } ->
-    scenario_entry ~file:name (scenario_outcome ~name text)
+    Text (scenario_entry ~file:name (scenario_outcome ~name text))
   | Lint { name; text } ->
-    Check.Diagnostic.file_to_json ~file:name (lint_text ~name text)
+    Text (Check.Diagnostic.file_to_json ~file:name (lint_text ~name text))
   | Netlist_op { name; text } ->
     let circuit = netlist_of_text ~name text in
-    op_text ~circuit (Spice.Op.run circuit)
+    Text (op_text ~circuit (Spice.Op.run ~check:preflight circuit))
   | Netlist_tran { name; text; t_stop; dt; probes } ->
     let circuit = netlist_of_text ~name text in
     let probes =
-      match probes with
-      | [] ->
-        List.map
-          (fun n -> Spice.Transient.Node n)
-          (Spice.Circuit.node_names circuit)
-      | ps -> List.map (fun n -> Spice.Transient.Node n) ps
+      List.map
+        (fun n -> Spice.Transient.Node n)
+        (if probes = [] then Spice.Circuit.node_names circuit else probes)
     in
-    tran_csv
-      (Spice.Transient.run circuit ~probes
-         (Spice.Transient.default_options ~dt ~t_stop))
+    Text
+      (tran_csv
+         (Spice.Transient.run ~check:preflight circuit ~probes
+            (Spice.Transient.default_options ~dt ~t_stop)))
+
+let report_text = function
+  | Text s -> s
+  | Natural_report { osc; solutions } -> natural_text osc solutions
+  | Shil_report { report; finj } -> shil_report_text report ~finj
+  | Hb_report o -> hb_text o
+  | Transient_report { times; values; _ } ->
+    csv [ "t"; "v" ] times [ values ]
 
 let execute (req : Request.t) =
-  match run_payload req.payload with
+  match report_text (run req.payload) with
   | report -> Ok report
   | exception Oshil_error.Error e -> Error e
   | exception e ->

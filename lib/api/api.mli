@@ -1,26 +1,26 @@
-(** Pure request → report functions: the one implementation of every
-    analysis the CLI, the batch runner and the [oshil serve] daemon
-    expose. Each entry point returns the report as a [string] whose
-    bytes are exactly what the corresponding CLI subcommand prints, so
-    "server-path report == CLI report" holds by construction rather
-    than by test discipline.
+(** The one request path: every analysis the CLI subcommands, [oshil
+    api], the batch runner and the [oshil serve] daemon expose runs
+    through {!run} (or {!execute}, which renders its report), so a
+    subcommand's report bytes and a daemon response's are the same by
+    construction rather than by test discipline.
 
-    Exception contract: the [*_text], [scenario_*], [netlist_*] and
-    {!resolve_oscillator} functions propagate solver and validation
-    exceptions — {!Resilience.Oshil_error.Error}, [Check.Diagnostic.Failed],
-    and the kernels' legacy [failwith] / [invalid_arg] signals —
-    exactly like the library calls they wrap. {!execute} and {!handle}
-    catch all of these and return a typed outcome instead; they never
-    raise. *)
+    Exception contract: {!run}, the [*_run]/[*_text] renderers,
+    [scenario_*], {!lint_file}, {!netlist_of_text} and
+    {!resolve_oscillator} propagate solver and validation exceptions —
+    {!Resilience.Oshil_error.Error}, [Check.Diagnostic.Failed], and the
+    kernels' legacy [failwith] / [invalid_arg] signals — exactly like
+    the library calls they wrap. {!execute} and {!handle} catch all of
+    these and return a typed outcome instead; they never raise. *)
 
 module Request = Request
+module Cells = Cells
 
 (* --- oscillators ---------------------------------------------------- *)
 
 val resolve_oscillator : Request.osc_spec -> Shil.Analysis.oscillator
-(** The CLI's oscillator table: builtin cells by name, or a custom tanh
-    cell with the [--g0] family's defaults. Unknown names raise a typed
-    [parse-failure]. *)
+(** The describing-function model of {!Cells.of_spec}'s row: a builtin
+    cell by name, or a custom tanh cell with the [--g0] family's
+    defaults. Unknown names raise a typed [parse-failure]. *)
 
 (* --- report renderers (byte-identical to the CLI) ------------------- *)
 
@@ -31,8 +31,8 @@ val shil_run :
   reduced:bool ->
   Shil.Analysis.shil_report
 (** The analysis behind [oshil shil] ([`Symmetry] quadrature when
-    [reduced]). Split from the rendering so callers that also need the
-    structured report (the CLI's [--ascii] plots) run it once. *)
+    [reduced]), split from its rendering as {!run}'s [Shil_report]
+    is. *)
 
 val shil_report_text : Shil.Analysis.shil_report -> finj:float option -> string
 (** Render a {!shil_run} report (and, with [finj], its lock section). *)
@@ -79,12 +79,6 @@ val hb_text : hb_outcome -> string
 val hb_json : hb_outcome -> string
 (** The [oshil hb --json] single-line report ([%.17g] floats). *)
 
-val op_text : circuit:Spice.Circuit.t -> Spice.Op.t -> string
-(** [v(node) = …] lines in the circuit's node order. *)
-
-val tran_csv : Spice.Transient.result -> string
-(** The [oshil netlist --analysis tran] CSV. *)
-
 (* --- scenarios ------------------------------------------------------ *)
 
 val is_scenario_file : string -> bool
@@ -96,7 +90,8 @@ type scenario_outcome =
 
 val scenario_file_outcome : string -> scenario_outcome
 (** Lint then analyze one scenario read from disk ([oshil batch]'s
-    path). Solver failures propagate (the batch pool and {!execute}
+    path), under its basename, as a [scenario] request does with its
+    text. Solver failures propagate (the batch pool and {!execute}
     both convert them to typed errors per scenario). *)
 
 val scenario_entry : file:string -> scenario_outcome -> string
@@ -105,9 +100,45 @@ val scenario_entry : file:string -> scenario_outcome -> string
 (* --- lint ----------------------------------------------------------- *)
 
 val lint_file : string -> Check.Diagnostic.t list
-(** Scenario or netlist pre-flight by extension, from disk. *)
+(** Scenario or netlist pre-flight by extension, of a file read from
+    disk and located by its basename; a [lint] request runs the same
+    check on its text. *)
+
+(* --- netlists ------------------------------------------------------- *)
+
+val netlist_of_text : name:string -> string -> Spice.Circuit.t
+(** Parse an inline netlist; a syntax error raises a typed
+    [parse-failure] (phase ["netlist"]) whose message is
+    ["name:line: message"]. *)
 
 (* --- request execution ---------------------------------------------- *)
+
+type report =
+  | Text of string
+  | Natural_report of {
+      osc : Shil.Analysis.oscillator;
+      solutions : Shil.Natural.solution list;
+    }
+  | Shil_report of { report : Shil.Analysis.shil_report; finj : float option }
+  | Hb_report of hb_outcome
+  | Transient_report of {
+      times : float array;
+      values : float array;
+      cycles : float;
+    }
+(** What an op computed, before rendering: the text itself, or — for
+    the ops whose CLI subcommand also draws or re-renders it
+    ([--ascii], [hb --json]) — the structured result. *)
+
+val run : ?preflight:Spice.Preflight.mode -> Request.payload -> report
+(** The one executor of every payload: the CLI subcommands, [oshil api]
+    and the daemon all run their analyses here. Raises like the library
+    calls it wraps. [preflight] gates the netlist ops' circuit
+    ([`Enforce] by default; [oshil netlist --force] passes [`Warn]) and
+    is not a request field. *)
+
+val report_text : report -> string
+(** The report bytes: exactly what the op's CLI subcommand prints. *)
 
 type outcome = (string, Resilience.Oshil_error.t) result
 (** A finished request: the report text, or a typed error. *)
@@ -117,10 +148,10 @@ val parse_request : string -> (Request.t, Resilience.Oshil_error.t) result
     [parse-failure] in the [serve] subsystem (never an exception). *)
 
 val execute : Request.t -> outcome
-(** Run the payload under the ambient deadline (if any). Total: every
-    exception — typed errors, diagnostics gates, injected faults,
-    programming errors — is caught and folded into the outcome, which
-    is what makes one crashing request harmless to the daemon. *)
+(** {!run} then {!report_text}, under the ambient deadline (if any).
+    Total: every exception — typed errors, diagnostics gates, injected
+    faults, programming errors — is caught and folded into the outcome,
+    which is what makes one crashing request harmless to the daemon. *)
 
 val handle : ?default_deadline_s:float -> Request.t -> outcome
 (** {!execute} under the request's own [deadline_s] (or

@@ -7,6 +7,7 @@ type hb_mode = Hb_osc | Hb_injected of float | Hb_lockrange
 type payload =
   | Ping
   | Sleep of { s : float }
+  | Natural of { osc : osc_spec }
   | Shil of {
       osc : osc_spec;
       n : int;
@@ -14,6 +15,7 @@ type payload =
       reduced : bool;
       finj : float option;
     }
+  | Lockrange of { osc : osc_spec; n : int; vi : float; validate : bool }
   | Hb of {
       osc : osc_spec;
       n : int;
@@ -21,6 +23,14 @@ type payload =
       k_max : int;
       samples : int;
       mode : hb_mode;
+    }
+  | Dcsweep of { osc : osc_spec }
+  | Transient of {
+      osc : osc_spec;
+      n : int;
+      vi : float;
+      cycles : float;
+      finj : float option;
     }
   | Scenario of { name : string; text : string }
   | Lint of { name : string; text : string }
@@ -40,14 +50,29 @@ type t = { id : string; deadline_s : float option; payload : payload }
 let op_name = function
   | Ping -> "ping"
   | Sleep _ -> "sleep"
+  | Natural _ -> "natural"
   | Shil _ -> "shil"
+  | Lockrange _ -> "lockrange"
   | Hb _ -> "hb"
+  | Dcsweep _ -> "dcsweep"
+  | Transient _ -> "transient"
   | Scenario _ -> "scenario"
   | Lint _ -> "lint"
   | Netlist_op _ -> "netlist-op"
   | Netlist_tran _ -> "netlist-tran"
   | Health -> "health"
   | Stats -> "stats"
+
+(* the CLI defaults of the --g0 family *)
+let custom ?(isat = 1e-3) ?(r = 1e3) ?(fc = 1e6) ?(q = 10.0) g0 =
+  Custom { g0; isat; r; fc; q }
+
+let hb_mode ~lockrange finj =
+  match (lockrange, finj) with
+  | true, Some _ -> None
+  | true, None -> Some Hb_lockrange
+  | false, Some f -> Some (Hb_injected f)
+  | false, None -> Some Hb_osc
 
 (* --- encoding ------------------------------------------------------- *)
 
@@ -63,22 +88,31 @@ let osc_to_json = function
         ("q", Json.Num q);
       ]
 
+let cell_to_json osc n vi =
+  [
+    ("osc", osc_to_json osc);
+    ("n", Json.Num (float_of_int n));
+    ("vi", Json.Num vi);
+  ]
+
+let finj_to_json = function None -> [] | Some f -> [ ("finj", Json.Num f) ]
+
 let params_to_json = function
   | Ping | Health | Stats -> []
   | Sleep { s } -> [ ("s", Json.Num s) ]
+  | Natural { osc } | Dcsweep { osc } -> [ ("osc", osc_to_json osc) ]
   | Shil { osc; n; vi; reduced; finj } ->
-    [
-      ("osc", osc_to_json osc);
-      ("n", Json.Num (float_of_int n));
-      ("vi", Json.Num vi);
-    ]
+    cell_to_json osc n vi
     @ (if reduced then [ ("reduced", Json.Bool true) ] else [])
-    @ (match finj with None -> [] | Some f -> [ ("finj", Json.Num f) ])
+    @ finj_to_json finj
+  | Lockrange { osc; n; vi; validate } ->
+    cell_to_json osc n vi
+    @ if validate then [ ("validate", Json.Bool true) ] else []
+  | Transient { osc; n; vi; cycles; finj } ->
+    cell_to_json osc n vi @ [ ("cycles", Json.Num cycles) ] @ finj_to_json finj
   | Hb { osc; n; vi; k_max; samples; mode } ->
-    [
-      ("osc", osc_to_json osc);
-      ("n", Json.Num (float_of_int n));
-      ("vi", Json.Num vi);
+    cell_to_json osc n vi
+    @ [
       ("kmax", Json.Num (float_of_int k_max));
       ("samples", Json.Num (float_of_int samples));
     ]
@@ -146,14 +180,26 @@ let osc_of_json params =
   | None -> Ok (Builtin "tanh")
   | Some (Json.Str name) -> Ok (Builtin name)
   | Some (Json.Obj _ as o) ->
-    (* the CLI defaults for the --g0 family *)
     let* g0 = num "g0" o in
-    let* isat = num ~default:1e-3 "isat" o in
-    let* r = num ~default:1e3 "r" o in
-    let* fc = num ~default:1e6 "fc" o in
-    let* q = num ~default:10.0 "q" o in
-    Ok (Custom { g0; isat; r; fc; q })
+    let* isat = opt_num "isat" o in
+    let* r = opt_num "r" o in
+    let* fc = opt_num "fc" o in
+    let* q = opt_num "q" o in
+    Ok (custom ?isat ?r ?fc ?q g0)
   | Some _ -> Error "field \"osc\": expected a name or an object"
+
+(* the oscillator and the injection every analysis op starts from, with
+   the CLI's defaults *)
+let cell_of_json params =
+  let* osc = osc_of_json params in
+  let* n = int_ ~default:3 "n" params in
+  let* vi = num ~default:0.03 "vi" params in
+  Ok (osc, n, vi)
+
+let source_of_json params =
+  let* name = str ~default:"<request>" "name" params in
+  let* text = str "text" params in
+  Ok (name, text)
 
 let payload_of_json ~op params =
   match op with
@@ -163,44 +209,48 @@ let payload_of_json ~op params =
   | "sleep" ->
     let* s = num "s" params in
     Ok (Sleep { s })
-  | "shil" ->
+  | "natural" ->
     let* osc = osc_of_json params in
-    let* n = int_ ~default:3 "n" params in
-    let* vi = num ~default:0.03 "vi" params in
+    Ok (Natural { osc })
+  | "shil" ->
+    let* osc, n, vi = cell_of_json params in
     let* reduced = bool_ ~default:false "reduced" params in
     let* finj = opt_num "finj" params in
     Ok (Shil { osc; n; vi; reduced; finj })
-  | "hb" ->
+  | "lockrange" ->
+    let* osc, n, vi = cell_of_json params in
+    let* validate = bool_ ~default:false "validate" params in
+    Ok (Lockrange { osc; n; vi; validate })
+  | "dcsweep" ->
     let* osc = osc_of_json params in
-    let* n = int_ ~default:3 "n" params in
-    let* vi = num ~default:0.03 "vi" params in
+    Ok (Dcsweep { osc })
+  | "transient" ->
+    let* osc, n, vi = cell_of_json params in
+    let* cycles = num ~default:200.0 "cycles" params in
+    let* finj = opt_num "finj" params in
+    Ok (Transient { osc; n; vi; cycles; finj })
+  | "hb" ->
+    let* osc, n, vi = cell_of_json params in
     let* k_max = int_ ~default:7 "kmax" params in
     let* samples = int_ ~default:1024 "samples" params in
     let* lockrange = bool_ ~default:false "lockrange" params in
     let* finj = opt_num "finj" params in
     let* mode =
-      match (lockrange, finj) with
-      | true, Some _ -> Error "fields \"lockrange\" and \"finj\" conflict"
-      | true, None -> Ok Hb_lockrange
-      | false, Some f -> Ok (Hb_injected f)
-      | false, None -> Ok Hb_osc
+      Option.to_result (hb_mode ~lockrange finj)
+        ~none:"fields \"lockrange\" and \"finj\" conflict"
     in
     Ok (Hb { osc; n; vi; k_max; samples; mode })
   | "scenario" ->
-    let* name = str ~default:"<request>" "name" params in
-    let* text = str "text" params in
+    let* name, text = source_of_json params in
     Ok (Scenario { name; text })
   | "lint" ->
-    let* name = str ~default:"<request>" "name" params in
-    let* text = str "text" params in
+    let* name, text = source_of_json params in
     Ok (Lint { name; text })
   | "netlist-op" ->
-    let* name = str ~default:"<request>" "name" params in
-    let* text = str "text" params in
+    let* name, text = source_of_json params in
     Ok (Netlist_op { name; text })
   | "netlist-tran" ->
-    let* name = str ~default:"<request>" "name" params in
-    let* text = str "text" params in
+    let* name, text = source_of_json params in
     let* t_stop = num ~default:1e-3 "tstop" params in
     let* dt = num ~default:1e-6 "dt" params in
     let* probes =

@@ -12,7 +12,7 @@
 
 type osc_spec =
   | Builtin of string
-      (** ["tanh"], ["diffpair"]/["diff-pair"]/["dp"], ["tunnel"]/["td"] *)
+      (** a cell name or alias, as {!Check.Cell.of_name} reads it *)
   | Custom of { g0 : float; isat : float; r : float; fc : float; q : float }
       (** inline tanh cell, same defaults as the CLI [--g0] family *)
 
@@ -27,6 +27,9 @@ type payload =
       (** burn [s] seconds of wall clock, checking the deadline
           cooperatively — the protocol's deterministic stand-in for a
           long solve (tests, load probes) *)
+  | Natural of { osc : osc_spec }
+      (** natural oscillation amplitude (§II); report is the
+          [oshil natural] text *)
   | Shil of {
       osc : osc_spec;
       n : int;
@@ -34,6 +37,10 @@ type payload =
       reduced : bool;
       finj : float option;
     }  (** full SHIL analysis; report is the [oshil shil] text *)
+  | Lockrange of { osc : osc_spec; n : int; vi : float; validate : bool }
+      (** the predicted lock range; with [validate], also the lock edges
+          found by transient bisection on the cell's injected netlist
+          (slow). Report is the [oshil lockrange] text. *)
   | Hb of {
       osc : osc_spec;
       n : int;
@@ -46,6 +53,19 @@ type payload =
           system; report is the [oshil hb] text. Wire params: [kmax],
           [samples], and either [finj] (injected-tone solve) or
           [lockrange:true] — never both. *)
+  | Dcsweep of { osc : osc_spec }
+      (** the cell's [i = f(v)] table; report is the [oshil dcsweep]
+          CSV *)
+  | Transient of {
+      osc : osc_spec;
+      n : int;
+      vi : float;
+      cycles : float;
+      finj : float option;
+    }
+      (** transient of the cell's netlist over [cycles] tank periods,
+          with the injected tone when [finj] is given; report is the
+          [oshil transient] CSV *)
   | Scenario of { name : string; text : string }
       (** one [.scn] scenario, inline; report is the [oshil batch]
           per-file JSON entry *)
@@ -66,6 +86,16 @@ type payload =
   | Stats  (** likewise; the server adds queue/worker counters *)
 
 type t = { id : string; deadline_s : float option; payload : payload }
+
+val custom :
+  ?isat:float -> ?r:float -> ?fc:float -> ?q:float -> float -> osc_spec
+(** [custom g0]: a custom tanh cell, the unset fields at their defaults
+    (isat = 1 mA, r = 1 kOhm, fc = 1 MHz, q = 10) on the wire and in the
+    CLI alike. *)
+
+val hb_mode : lockrange:bool -> float option -> hb_mode option
+(** The hb mode of a [lockrange] flag and an [finj]; [None] when both
+    are given, since they name different solves. *)
 
 val op_name : payload -> string
 (** Stable wire name of the operation, e.g. ["netlist-tran"]. *)

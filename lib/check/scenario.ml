@@ -131,13 +131,6 @@ let parse_string ?(name = "<scenario>") text =
     (String.split_on_char '\n' text);
   (!scenario, List.rev !diags)
 
-let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse_string ~name:(Filename.basename path) text
-
 (* Resolve the tank to r/l/c: explicit l/c win; otherwise fc/q are
    converted (L = R/(Q wc), C = Q/(R wc)); remaining holes take the
    defaults of the `oshil` custom oscillator (r = 1 kOhm, fc = 1 MHz,
@@ -168,8 +161,8 @@ let check ?nl s =
   let cfg = to_config s in
   let osc_diag =
     match s.osc with
-    | "tanh" | "custom" | "diffpair" | "diff-pair" | "dp" | "tunnel" | "td" ->
-      []
+    | "custom" -> []
+    | name when Option.is_some (Cell.of_name name) -> []
     | other ->
       [ D.error ~code:"scenario-osc" ~loc:"osc"
           (Printf.sprintf

@@ -32,8 +32,6 @@ val parse_string : ?name:string -> string -> t * Diagnostic.t list
 (** Never fails: parse problems are returned as diagnostics (located
     [name:line]) alongside the best-effort scenario. *)
 
-val parse_file : string -> t * Diagnostic.t list
-
 val resolve_tank : t -> float * float * float
 (** [(r, l, c)] with fc/q converted and defaults filled in
     (r = 1 kOhm, fc = 1 MHz, Q = 10). *)

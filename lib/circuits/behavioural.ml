@@ -41,25 +41,7 @@ let circuit ?injection ?kick (osc : Shil.Analysis.oscillator) =
     match kick with
     | None -> []
     | Some v2 ->
-      [
-        Spice.Device.Isource
-          {
-            name = "Ikick";
-            np = "0";
-            nn = "t";
-            wave =
-              Spice.Wave.Pulse
-                {
-                  v1 = 0.0;
-                  v2;
-                  delay = 0.0;
-                  rise = 0.05 /. fc;
-                  fall = 0.05 /. fc;
-                  width = 0.25 /. fc;
-                  period = 0.0;
-                };
-          };
-      ]
+      [ Spice.Device.Isource { name = "Ikick"; np = "0"; nn = "t"; wave = Parts.kick ~fc v2 } ]
   in
   let inj =
     match injection with

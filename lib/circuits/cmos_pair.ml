@@ -37,44 +37,8 @@ let core_devices p =
   :: pair_devices p
 
 let extraction_fv ?(v_span = 2.6) ?(steps = 240) p =
-  (* the extraction rig pins both drains, so the supply rail would
-     dangle: build from the bare pair, without VDD *)
-  let build v =
-    Spice.Circuit.of_devices
-      (pair_devices p
-      @ [
-          Spice.Device.Vsource
-            { name = "VP"; np = "ndl"; nn = "0"; wave = Spice.Wave.Dc (p.vdd +. (v /. 2.0)) };
-          Spice.Device.Vsource
-            { name = "VM"; np = "ndr"; nn = "0"; wave = Spice.Wave.Dc (p.vdd -. (v /. 2.0)) };
-        ])
-  in
-  let vs = Numerics.Kernel.linspace (-.v_span) v_span (steps + 1) in
-  let is = Array.make (steps + 1) 0.0 in
-  (* every bias point solves the same topology: pre-flight it once *)
-  Spice.Preflight.gate (build 0.0);
-  let measure ~x0 v =
-    let op = Spice.Op.run ~check:`Off ?x0 (build v) in
-    let i_l = -.Spice.Op.current op "VP" in
-    let i_r = -.Spice.Op.current op "VM" in
-    (0.5 *. (i_l -. i_r), op.Spice.Op.x)
-  in
-  let mid = steps / 2 in
-  let i0, x_mid = measure ~x0:None vs.(mid) in
-  is.(mid) <- i0;
-  let prev = ref (Some x_mid) in
-  for k = mid + 1 to steps do
-    let i, x = measure ~x0:!prev vs.(k) in
-    is.(k) <- i;
-    prev := Some x
-  done;
-  prev := Some x_mid;
-  for k = mid - 1 downto 0 do
-    let i, x = measure ~x0:!prev vs.(k) in
-    is.(k) <- i;
-    prev := Some x
-  done;
-  (vs, is)
+  Parts.differential_fv ~pair:(pair_devices p) ~supply:p.vdd ~left:"ndl"
+    ~right:"ndr" ~v_span ~steps
 
 let nonlinearity p =
   let vs, is = extraction_fv p in
@@ -85,22 +49,10 @@ let tank p = Shil.Tank.make ~r:p.r ~l:p.l ~c:p.c
 let oscillator p : Shil.Analysis.oscillator =
   { nl = nonlinearity p; tank = tank p }
 
-type injection = { vi : float; n : int; f_inj : float; phase : float }
+type injection = Shil.Simulate.injection =
+  { vi : float; n : int; f_inj : float; phase : float }
 
 let circuit ?injection ?(extra = []) p =
-  let inj_wave =
-    match injection with
-    | None -> Spice.Wave.Dc 0.0
-    | Some inj ->
-      Spice.Wave.Sine
-        {
-          offset = 0.0;
-          ampl = 2.0 *. inj.vi;
-          freq = inj.f_inj;
-          phase = inj.phase +. (Float.pi /. 2.0);
-          delay = 0.0;
-        }
-  in
   let fc = Shil.Tank.f_c (tank p) in
   Spice.Circuit.of_devices
     (core_devices p
@@ -112,24 +64,9 @@ let circuit ?injection ?(extra = []) p =
         Spice.Device.Capacitor
           { name = "CT"; n1 = "tl"; n2 = "ndr"; c = p.c; ic = None };
         Spice.Device.Resistor { name = "RT"; n1 = "tl"; n2 = "ndr"; r = p.r };
-        Spice.Device.Vsource { name = "VINJ"; np = "ndl"; nn = "tl"; wave = inj_wave };
+        Spice.Device.Vsource { name = "VINJ"; np = "ndl"; nn = "tl"; wave = Parts.series_injection injection };
         Spice.Device.Isource
-          {
-            name = "IKICK";
-            np = "ndr";
-            nn = "tl";
-            wave =
-              Spice.Wave.Pulse
-                {
-                  v1 = 0.0;
-                  v2 = p.kick;
-                  delay = 0.0;
-                  rise = 0.05 /. fc;
-                  fall = 0.05 /. fc;
-                  width = 0.25 /. fc;
-                  period = 0.0;
-                };
-          };
+          { name = "IKICK"; np = "ndr"; nn = "tl"; wave = Parts.kick ~fc p.kick };
       ]
     @ extra)
 

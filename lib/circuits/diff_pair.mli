@@ -42,14 +42,14 @@ val extraction_fv : ?v_span:float -> ?steps:int -> params -> float array * float
 val nonlinearity_of_fv : float array * float array -> Shil.Nonlinearity.t
 (** PCHIP interpolation of an {!extraction_fv} table. *)
 
-val nonlinearity : params -> Shil.Nonlinearity.t
-(** [nonlinearity_of_fv (extraction_fv p)]. *)
-
 val tank : params -> Shil.Tank.t
 
 val oscillator : params -> Shil.Analysis.oscillator
+(** [nonlinearity_of_fv (extraction_fv p)] on {!tank}: one extraction
+    per call. *)
 
-type injection = { vi : float; n : int; f_inj : float; phase : float }
+type injection = Shil.Simulate.injection =
+  { vi : float; n : int; f_inj : float; phase : float }
 
 val circuit :
   ?injection:injection -> ?extra:Spice.Device.t list -> params ->

@@ -15,7 +15,6 @@ val default : params
 (** [g0 = 2 mS, isat = 1 mA, R = 1 kOhm], tank centred at 1 MHz with
     [Q = 10] — a loop gain of 2 at start-up, the regime of Fig. 3. *)
 
-val nonlinearity : params -> Shil.Nonlinearity.t
 val tank : params -> Shil.Tank.t
 val oscillator : params -> Shil.Analysis.oscillator
 

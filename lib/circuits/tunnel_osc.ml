@@ -62,22 +62,10 @@ let tank p = Shil.Tank.make ~r:p.r ~l:p.l ~c:p.c
 let oscillator p : Shil.Analysis.oscillator =
   { nl = nonlinearity p; tank = tank p }
 
-type injection = { vi : float; n : int; f_inj : float; phase : float }
+type injection = Shil.Simulate.injection =
+  { vi : float; n : int; f_inj : float; phase : float }
 
 let circuit ?injection ?(extra = []) p =
-  let inj_wave =
-    match injection with
-    | None -> Spice.Wave.Dc 0.0
-    | Some inj ->
-      Spice.Wave.Sine
-        {
-          offset = 0.0;
-          ampl = 2.0 *. inj.vi;
-          freq = inj.f_inj;
-          phase = inj.phase +. (Float.pi /. 2.0);
-          delay = 0.0;
-        }
-  in
   let fc = Shil.Tank.f_c (tank p) in
   Spice.Circuit.of_devices
     ([
@@ -87,25 +75,11 @@ let circuit ?injection ?(extra = []) p =
        Spice.Device.Capacitor { name = "CT"; n1 = "t"; n2 = "0"; c = p.c; ic = None };
        Spice.Device.Resistor { name = "RT"; n1 = "t"; n2 = "0"; r = p.r };
        (* series injection between tank node and diode anode *)
-       Spice.Device.Vsource { name = "VINJ"; np = "d"; nn = "t"; wave = inj_wave };
+       Spice.Device.Vsource
+         { name = "VINJ"; np = "d"; nn = "t"; wave = Parts.series_injection injection };
        Spice.Device.Tunnel_diode { name = "TD"; np = "d"; nn = "0"; p = p.tunnel };
        Spice.Device.Isource
-         {
-           name = "IKICK";
-           np = "0";
-           nn = "t";
-           wave =
-             Spice.Wave.Pulse
-               {
-                 v1 = 0.0;
-                 v2 = p.kick;
-                 delay = 0.0;
-                 rise = 0.05 /. fc;
-                 fall = 0.05 /. fc;
-                 width = 0.25 /. fc;
-                 period = 0.0;
-               };
-         };
+         { name = "IKICK"; np = "0"; nn = "t"; wave = Parts.kick ~fc p.kick };
      ]
     @ extra)
 

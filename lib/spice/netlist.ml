@@ -303,13 +303,6 @@ let parse_string text =
   in
   go 1 [] lines
 
-let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse_string text
-
 let wave_to_string = function
   | Wave.Dc v -> Printf.sprintf "DC %g" v
   | Wave.Sine { offset; ampl; freq; phase; delay } ->

@@ -29,7 +29,6 @@ val parse_value : string -> (float, string) result
 (** SPICE number with optional suffix: [parse_value "100u" = Ok 1e-4]. *)
 
 val parse_string : string -> (Circuit.t, error) result
-val parse_file : string -> (Circuit.t, error) result
 
 val to_string : Circuit.t -> string
 (** Round-trippable rendering (behavioural sources are emitted as

@@ -2,7 +2,7 @@
 # End-to-end smoke of `oshil serve`: daemon lifecycle, the health and
 # stats endpoints, protocol robustness (malformed JSON gets a typed
 # parse-failure and the daemon keeps serving), CLI/daemon byte-identity
-# on a real scenario, fault-injection through the serve-request site
+# on a real scenario and on the natural and dcsweep ops, fault-injection through the serve-request site
 # (retry recovery, and typed degradation with retries off), the
 # graceful SIGTERM drain contract (exit 0, socket removed, trace
 # flushed), and a daemon with the result cache on whose repeated and
@@ -80,6 +80,16 @@ wait_sock "$SOCK" || fail "daemon socket never appeared"
   > "$DIR/wire.out"
 diff "$DIR/local.out" "$DIR/wire.out" \
   || fail "daemon response differs from local api"
+
+# likewise for analysis ops the subcommands run through the same request
+for op in natural dcsweep; do
+  "$OSHIL" api "$op" --osc diffpair --id "smoke-$op" > "$DIR/$op.local"
+  grep -q '"status":"ok"' "$DIR/$op.local" || fail "api $op did not succeed"
+  "$OSHIL" call -c "unix:$SOCK" "$op" --osc diffpair --id "smoke-$op" \
+    > "$DIR/$op.wire"
+  diff "$DIR/$op.local" "$DIR/$op.wire" \
+    || fail "daemon $op response differs from local api"
+done
 
 drain "$SRV" "leg1"
 [ ! -e "$SOCK" ] || fail "socket file not removed on drain"

@@ -12,8 +12,10 @@ let error_codes ds = codes (D.errors ds)
 let check_codes msg expected ds =
   Alcotest.(check (list string)) msg expected (List.sort_uniq String.compare ds)
 
+let read file = In_channel.with_open_bin file In_channel.input_all
+
 let parse_netlist file =
-  match Spice.Netlist.parse_file file with
+  match Spice.Netlist.parse_string (read file) with
   | Ok c -> c
   | Error e ->
     Alcotest.failf "%s:%d: parse error: %s" file e.Spice.Netlist.line
@@ -24,7 +26,9 @@ let fixture_netlist file expected () =
   check_codes file [ expected ] (error_codes (Spice.Preflight.check c))
 
 let fixture_scenario file expected () =
-  let s, parse_ds = Check.Scenario.parse_file (Filename.concat "fixtures" file) in
+  let s, parse_ds =
+    Check.Scenario.parse_string ~name:file (read (Filename.concat "fixtures" file))
+  in
   check_codes (file ^ " parse") [] (error_codes parse_ds);
   check_codes file [ expected ] (error_codes (Check.Scenario.check s))
 
@@ -40,9 +44,11 @@ let test_examples_netlists_clean () =
 
 let test_examples_scenarios_clean () =
   let file = "../examples/scenarios/shil_tanh.scn" in
-  let s, parse_ds = Check.Scenario.parse_file file in
+  let s, parse_ds =
+    Check.Scenario.parse_string ~name:(Filename.basename file) (read file)
+  in
   check_codes "parse" [] (codes parse_ds);
-  let nl p = Shil.Nonlinearity.eval (Circuits.Tanh_osc.nonlinearity p) in
+  let nl p = Shil.Nonlinearity.eval (Circuits.Tanh_osc.oscillator p).nl in
   check_codes "check" []
     (codes (Check.Scenario.check ~nl:(nl Circuits.Tanh_osc.default) s))
 

@@ -15,7 +15,7 @@ let test_tanh_osc_parameters () =
   check_float ~eps:1.0 "fc 1 MHz" 1e6 (Shil.Tank.f_c tank);
   check_float ~eps:1e-6 "Q 10" 10.0 (Shil.Tank.q tank);
   check_float ~eps:1e-12 "loop gain 2" 2.0
-    (Shil.Natural.small_signal_gain (Circuits.Tanh_osc.nonlinearity p) ~r:p.r)
+    (Shil.Natural.small_signal_gain (Circuits.Tanh_osc.oscillator p).nl ~r:p.r)
 
 let test_tanh_osc_netlist_matches_reduced_model () =
   (* the MNA netlist and the describing-function prediction must agree

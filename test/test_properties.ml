@@ -189,7 +189,7 @@ let prop_n_states_spacing =
 
 let test_adler_vs_lock_range () =
   let p = Circuits.Tanh_osc.default in
-  let nl = Circuits.Tanh_osc.nonlinearity p in
+  let nl = (Circuits.Tanh_osc.oscillator p).nl in
   let tank = Circuits.Tanh_osc.tank p in
   let vi = 0.01 in
   let a_star =
@@ -324,7 +324,7 @@ let test_hb_vs_df_lock_range () =
    Table I reports ~1% agreement at full budget). *)
 let test_lock_range_three_way () =
   let p = Circuits.Tanh_osc.default in
-  let nl = Circuits.Tanh_osc.nonlinearity p in
+  let nl = (Circuits.Tanh_osc.oscillator p).nl in
   let tank = Circuits.Tanh_osc.tank p in
   let osc = Circuits.Tanh_osc.oscillator p in
   let n = 3 and vi = 0.08 in

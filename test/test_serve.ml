@@ -109,6 +109,32 @@ let sample_requests =
         Request.Netlist_tran
           { name = "c.cir"; text = "v1 a 0 1\n"; t_stop = 2e-3; dt = 1e-7;
             probes = [ "a"; "b" ] } };
+    { Request.id = "r11"; deadline_s = None;
+      payload = Request.Natural { osc = Request.Builtin "tunnel" } };
+    { Request.id = "r12"; deadline_s = Some 60.0;
+      payload =
+        Request.Lockrange
+          { osc =
+              Request.Custom
+                { g0 = 3e-3; isat = 2e-3; r = 1.5e3; fc = 2e6; q = 20.0 };
+            n = 2; vi = 0.01; validate = true } };
+    { Request.id = "r13"; deadline_s = None;
+      payload =
+        Request.Lockrange
+          { osc = Request.Builtin "diffpair"; n = 3; vi = 0.03;
+            validate = false } };
+    { Request.id = "r14"; deadline_s = None;
+      payload = Request.Dcsweep { osc = Request.Builtin "dp" } };
+    { Request.id = "r15"; deadline_s = None;
+      payload =
+        Request.Transient
+          { osc = Request.Builtin "diffpair"; n = 3; vi = 0.05;
+            cycles = 12.5; finj = Some 1.5e6 } };
+    { Request.id = "r16"; deadline_s = None;
+      payload =
+        Request.Transient
+          { osc = Request.Builtin "tanh"; n = 1; vi = 0.03; cycles = 200.0;
+            finj = None } };
   ]
 
 let test_request_roundtrip () =
@@ -141,6 +167,93 @@ let test_request_defaults_and_errors () =
   Alcotest.(check bool) "malformed json" true (bad "{");
   Alcotest.(check bool) "scenario without text" true
     (bad {|{"op":"scenario"}|})
+
+(* ------------------------------------------------------------------ *)
+(* Cells: the one oscillator table behind --osc, requests and scenarios *)
+
+(* lockrange --validate bisects the cell's own netlist, injected at the
+   requested (n, V_i): at n = 2, V_i = 0.01 the diff-pair's validation
+   circuit is the §IV-A netlist with that injection, not the paper
+   bench's n = 3, V_i = 0.03 one *)
+let test_validation_circuit () =
+  let cell = Api.Cells.of_spec (Request.Builtin "diffpair") in
+  let f_inj = 1.0066e6 in
+  let netlist ~n ~vi =
+    Spice.Netlist.to_string
+      (Circuits.Diff_pair.circuit
+         ~injection:{ vi; n; f_inj; phase = 0.0 }
+         Circuits.Diff_pair.default)
+  in
+  let got =
+    Spice.Netlist.to_string (cell.circuit (Some { n = 2; vi = 0.01; f_inj }))
+  in
+  Alcotest.(check string) "n = 2, V_i = 0.01" (netlist ~n:2 ~vi:0.01) got;
+  Alcotest.(check bool) "not the bench's V_i = 0.03" false
+    (got = netlist ~n:3 ~vi:0.03)
+
+let cell_aliases =
+  [
+    (Check.Cell.Tanh, [ "tanh" ]);
+    (Check.Cell.Diffpair, [ "diffpair"; "diff-pair"; "dp" ]);
+    (Check.Cell.Tunnel, [ "tunnel"; "td" ]);
+  ]
+
+let command_output cmd =
+  let ic = Unix.open_process_in cmd in
+  let out = In_channel.input_all ic in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> out
+  | _ -> Alcotest.failf "%s: non-zero exit" cmd
+
+(* the suffix of [s] after the first occurrence of [sub] *)
+let after s sub =
+  let n = String.length sub in
+  let rec go i =
+    if i + n > String.length s then Alcotest.failf "%S not in %S" sub s
+    else if String.sub s i n = sub then
+      String.sub s (i + n) (String.length s - i - n)
+    else go (i + 1)
+  in
+  go 0
+
+(* Every alias reaches its cell alike through the CLI's --osc, a
+   request's "osc" and a scenario's osc key: the f(v) table the first
+   two print is the canonical name's, and the scenario's entry differs
+   from the canonical one only in the echoed name. *)
+let test_cell_aliases () =
+  let execute payload =
+    match Api.execute { Request.id = ""; deadline_s = None; payload } with
+    | Ok report -> report
+    | Error e -> Alcotest.failf "%s" (Resilience.Oshil_error.to_string e)
+  in
+  let scenario osc =
+    let text = Printf.sprintf "osc = %s\n" osc in
+    after (execute (Request.Scenario { name = "a.scn"; text }))
+      (Printf.sprintf {|"osc":"%s"|} osc)
+  in
+  List.iter
+    (fun (cell, aliases) ->
+      let name = Check.Cell.name cell in
+      let fv = execute (Request.Dcsweep { osc = Request.Builtin name }) in
+      let entry = scenario name in
+      List.iter
+        (fun alias ->
+          Alcotest.(check bool) (alias ^ ": Check.Cell") true
+            (Check.Cell.of_name alias = Some cell);
+          Alcotest.(check string) (alias ^ ": --osc") fv
+            (command_output ("../bin/oshil.exe dcsweep --osc " ^ alias));
+          let line =
+            Printf.sprintf {|{"op":"dcsweep","params":{"osc":"%s"}}|} alias
+          in
+          (match Api.parse_request line with
+          | Ok req ->
+            Alcotest.(check string) (alias ^ ": request") fv
+              (execute req.payload)
+          | Error e -> Alcotest.failf "%s" (Resilience.Oshil_error.to_string e));
+          Alcotest.(check string) (alias ^ ": .scn") entry (scenario alias))
+        aliases)
+    cell_aliases;
+  Alcotest.(check bool) "unknown name" true (Check.Cell.of_name "custom" = None)
 
 (* ------------------------------------------------------------------ *)
 (* Bq *)
@@ -569,6 +682,13 @@ let () =
           Alcotest.test_case "codec round-trip" `Quick test_request_roundtrip;
           Alcotest.test_case "defaults and errors" `Quick
             test_request_defaults_and_errors;
+        ] );
+      ( "cells",
+        [
+          Alcotest.test_case "validation netlist at the requested n, V_i"
+            `Quick test_validation_circuit;
+          Alcotest.test_case "aliases alike via --osc, request and .scn"
+            `Quick test_cell_aliases;
         ] );
       ( "bq",
         [

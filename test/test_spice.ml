@@ -851,7 +851,11 @@ let test_tran_pins () =
   (* the shipped example: tunnel-diode (and its diode) stamps, a pulse
      source and a DC supply *)
   let circuit =
-    match Netlist.parse_file "../examples/netlists/colpitts_like.cir" with
+    match
+      Netlist.parse_string
+        (In_channel.with_open_bin "../examples/netlists/colpitts_like.cir"
+           In_channel.input_all)
+    with
     | Ok c -> c
     | Error e -> Alcotest.failf "colpitts_like.cir: %s" e.Netlist.message
   in
