@@ -349,12 +349,14 @@ let natural_cmd =
   let view ascii r =
     print_report r;
     match r with
-    | Api.Natural_report { osc; _ } when ascii ->
+    | Api.Natural_report { osc; solutions } when ascii ->
       let r = (osc.tank : Shil.Tank.t).r in
+      (* the largest stable amplitude, as predicted_amplitude picks it,
+         from the solve the report already ran *)
       let a_max =
-        match Shil.Natural.predicted_amplitude osc.nl ~r with
-        | Some a -> 1.6 *. a
-        | None -> 1.0
+        List.fold_left
+          (fun acc (s : Shil.Natural.solution) -> if s.stable then 1.6 *. s.a else acc)
+          1.0 solutions
       in
       let fig =
         Plotkit.Fig.add_hline

@@ -11,50 +11,56 @@ let resolve_oscillator spec = (Cells.of_spec spec).oscillator ()
 
 (* The CLI subcommands print these renderers' bytes, and [oshil api]
    and the daemon serve them: the report bytes are the CLI bytes by
-   construction. *)
+   construction. Each renderer appends one [asprintf]/[sprintf] per
+   report line to its buffer, in emission order. *)
 
 let shil_run ~osc ~n ~vi ~reduced =
   let reduction = if reduced then `Symmetry else `Exact in
   Shil.Analysis.run ~reduction osc ~n ~vi
 
-let stability stable = if stable then "stable" else "unstable"
-
 let shil_report_text (report : Shil.Analysis.shil_report) ~finj =
+  let n = report.n in
   let b = Buffer.create 1024 in
-  let ppf = Format.formatter_of_buffer b in
-  Format.fprintf ppf "%a@." Shil.Analysis.pp report;
+  Buffer.add_string b (Format.asprintf "%a@." Shil.Analysis.pp report);
   (match finj with
   | None -> ()
   | Some f_inj ->
-    Format.fprintf ppf "@.locks at f_inj = %.8g Hz:@." f_inj;
+    Buffer.add_string b
+      (Format.asprintf "@.locks at f_inj = %.8g Hz:@." f_inj);
     let sols = Shil.Analysis.locks_at report ~f_inj in
-    if sols = [] then Format.fprintf ppf "  (none)@."
+    if sols = [] then Buffer.add_string b (Format.asprintf "  (none)@.")
     else
       List.iter
         (fun (p : Shil.Solutions.point) ->
-          Format.fprintf ppf "  phi = %.5f rad, A = %.6g V (%s)@." p.phi p.a
-            (stability p.stable);
+          Buffer.add_string b
+            (Format.asprintf "  phi = %.5f rad, A = %.6g V (%s)@." p.phi p.a
+               (if p.stable then "stable" else "unstable"));
           if p.stable then
             List.iter
-              (fun (psi, _) -> Format.fprintf ppf "    state at psi = %.5f rad@." psi)
-              (Shil.Solutions.n_states p ~n:report.n))
+              (fun (psi, _) ->
+                Buffer.add_string b
+                  (Format.asprintf "    state at psi = %.5f rad@." psi))
+              (Shil.Solutions.n_states p ~n))
         sols);
   Buffer.contents b
 
 let natural_text (osc : Shil.Analysis.oscillator) solutions =
   let r = osc.tank.r in
   let b = Buffer.create 256 in
-  let ppf = Format.formatter_of_buffer b in
-  Format.fprintf ppf "%a@." Shil.Tank.pp osc.tank;
-  Format.fprintf ppf "small-signal loop gain: %.4g (oscillates: %b)@."
-    (Shil.Natural.small_signal_gain osc.nl ~r)
-    (Shil.Natural.oscillates osc.nl ~r);
-  if solutions = [] then Format.fprintf ppf "no T_f(A) = 1 solutions@."
+  Buffer.add_string b (Format.asprintf "%a@." Shil.Tank.pp osc.tank);
+  Buffer.add_string b
+    (Format.asprintf "small-signal loop gain: %.4g (oscillates: %b)@."
+       (Shil.Natural.small_signal_gain osc.nl ~r)
+       (Shil.Natural.oscillates osc.nl ~r));
+  if solutions = [] then
+    Buffer.add_string b (Format.asprintf "no T_f(A) = 1 solutions@.")
   else
     List.iter
       (fun (s : Shil.Natural.solution) ->
-        Format.fprintf ppf "A = %.6g V  (%s, dT_f/dA = %.4g)@." s.a
-          (stability s.stable) s.slope)
+        Buffer.add_string b
+          (Format.asprintf "A = %.6g V  (%s, dT_f/dA = %.4g)@." s.a
+             (if s.stable then "stable" else "unstable")
+             s.slope))
       solutions;
   Buffer.contents b
 
@@ -152,39 +158,51 @@ let hb_run ~osc ~n ~vi ~k_max ~samples ~(mode : Request.hb_mode) =
 
 let hb_text (o : hb_outcome) =
   let free = o.free in
+  let node = free.Hb.Driver.nodes.(free.Hb.Driver.osc_node) in
   let b = Buffer.create 1024 in
-  Printf.bprintf b "harmonic balance: k_max = %d, samples = %d\n"
-    free.Hb.Driver.k_max free.Hb.Driver.samples;
-  Printf.bprintf b "free-running: f_osc = %.8g Hz, A = %.6g V, THD = %.4g\n"
-    free.Hb.Driver.f0 (Hb.Driver.amplitude free) (Hb.Driver.thd free);
-  Printf.bprintf b "solver: %d Newton iteration(s), scaled residual %.3g\n"
-    free.Hb.Driver.iters free.Hb.Driver.residual;
-  Printf.bprintf b "spectrum at %s (|V_k|, V):\n"
-    free.Hb.Driver.nodes.(free.Hb.Driver.osc_node);
+  Buffer.add_string b
+    (Printf.sprintf "harmonic balance: k_max = %d, samples = %d\n"
+       free.Hb.Driver.k_max free.Hb.Driver.samples);
+  Buffer.add_string b
+    (Printf.sprintf "free-running: f_osc = %.8g Hz, A = %.6g V, THD = %.4g\n"
+       free.Hb.Driver.f0 (Hb.Driver.amplitude free) (Hb.Driver.thd free));
+  Buffer.add_string b
+    (Printf.sprintf "solver: %d Newton iteration(s), scaled residual %.3g\n"
+       free.Hb.Driver.iters free.Hb.Driver.residual);
+  Buffer.add_string b (Printf.sprintf "spectrum at %s (|V_k|, V):\n" node);
   Array.iteri
-    (fun k c -> Printf.bprintf b "  k=%d  %.6g\n" k (Numerics.Cx.abs c))
+    (fun k c ->
+      Buffer.add_string b
+        (Printf.sprintf "  k=%d  %.6g\n" k (Numerics.Cx.abs c)))
     free.Hb.Driver.spectra.(free.Hb.Driver.osc_node);
   (match o.hb_mode with
   | Hb_free_only -> ()
   | Hb_locked v ->
-    Printf.bprintf b "injection: n = %d, vi = %.4g V, f_inj = %.8g Hz\n"
-      o.hb_n o.hb_vi v.Hb.Driver.f_inj;
+    Buffer.add_string b
+      (Printf.sprintf "injection: n = %d, vi = %.4g V, f_inj = %.8g Hz\n"
+         o.hb_n o.hb_vi v.Hb.Driver.f_inj);
     if v.Hb.Driver.locked then
-      Printf.bprintf b "  locked: yes  A = %.6g V, phase = %.5f rad\n"
-        v.Hb.Driver.amp v.Hb.Driver.lock_phase
+      Buffer.add_string b
+        (Printf.sprintf "  locked: yes  A = %.6g V, phase = %.5f rad\n"
+           v.Hb.Driver.amp v.Hb.Driver.lock_phase)
     else
-      Printf.bprintf b "  locked: no  (fundamental suppressed: A = %.6g V)\n"
-        v.Hb.Driver.amp
+      Buffer.add_string b
+        (Printf.sprintf "  locked: no  (fundamental suppressed: A = %.6g V)\n"
+           v.Hb.Driver.amp)
   | Hb_band { band; df } ->
-    Printf.bprintf b "lock range (n = %d, vi = %.4g V):\n" o.hb_n o.hb_vi;
-    Printf.bprintf b
-      "  HB: f_inj in [%.8g, %.8g] Hz, width %.6g Hz (%d probes, %d holes)\n"
-      band.Hb.Driver.f_lo band.Hb.Driver.f_hi
-      (band.Hb.Driver.f_hi -. band.Hb.Driver.f_lo)
-      band.Hb.Driver.probes band.Hb.Driver.holes;
-    Printf.bprintf b "  DF: f_inj in [%.8g, %.8g] Hz, width %.6g Hz\n"
-      df.Shil.Lock_range.f_inj_low df.Shil.Lock_range.f_inj_high
-      df.Shil.Lock_range.delta_f_inj);
+    Buffer.add_string b
+      (Printf.sprintf "lock range (n = %d, vi = %.4g V):\n" o.hb_n o.hb_vi);
+    Buffer.add_string b
+      (Printf.sprintf
+         "  HB: f_inj in [%.8g, %.8g] Hz, width %.6g Hz (%d probes, %d \
+          holes)\n"
+         band.Hb.Driver.f_lo band.Hb.Driver.f_hi
+         (band.Hb.Driver.f_hi -. band.Hb.Driver.f_lo)
+         band.Hb.Driver.probes band.Hb.Driver.holes);
+    Buffer.add_string b
+      (Printf.sprintf "  DF: f_inj in [%.8g, %.8g] Hz, width %.6g Hz\n"
+         df.Shil.Lock_range.f_inj_low df.Shil.Lock_range.f_inj_high
+         df.Shil.Lock_range.delta_f_inj));
   Buffer.contents b
 
 let hb_json (o : hb_outcome) =
@@ -229,7 +247,9 @@ let hb_json (o : hb_outcome) =
 let op_text ~circuit op =
   let b = Buffer.create 256 in
   List.iter
-    (fun node -> Printf.bprintf b "v(%s) = %.9g\n" node (Spice.Op.voltage op node))
+    (fun node ->
+      Buffer.add_string b
+        (Printf.sprintf "v(%s) = %.9g\n" node (Spice.Op.voltage op node)))
     (Spice.Circuit.node_names circuit);
   Buffer.contents b
 

@@ -57,9 +57,6 @@ let tank p = Shil.Tank.make ~r:p.r ~l:p.l ~c:p.c
 let oscillator p : Shil.Analysis.oscillator =
   { nl = nonlinearity p; tank = tank p }
 
-type injection = Shil.Simulate.injection =
-  { vi : float; n : int; f_inj : float; phase : float }
-
 let circuit ?injection ?(extra = []) p =
   let fc = Shil.Tank.f_c (tank p) in
   let devices =

@@ -48,11 +48,8 @@ val oscillator : params -> Shil.Analysis.oscillator
 (** [nonlinearity_of_fv (extraction_fv p)] on {!tank}: one extraction
     per call. *)
 
-type injection = Shil.Simulate.injection =
-  { vi : float; n : int; f_inj : float; phase : float }
-
 val circuit :
-  ?injection:injection -> ?extra:Spice.Device.t list -> params ->
+  ?injection:Shil.Simulate.injection -> ?extra:Spice.Device.t list -> params ->
   Spice.Circuit.t
 (** Oscillator netlist. The injection voltage source carries
     [2 vi cos(2 pi f_inj t + phase)]; [extra] appends devices (e.g.

@@ -39,11 +39,8 @@ val extraction_fv : ?v_span:float -> ?steps:int -> params -> float array * float
 val tank : params -> Shil.Tank.t
 val oscillator : params -> Shil.Analysis.oscillator
 
-type injection = Shil.Simulate.injection =
-  { vi : float; n : int; f_inj : float; phase : float }
-
 val circuit :
-  ?injection:injection -> ?extra:Spice.Device.t list -> params ->
+  ?injection:Shil.Simulate.injection -> ?extra:Spice.Device.t list -> params ->
   Spice.Circuit.t
 (** Probe the oscillation on node ["t"] (DC offset [vbias]). *)
 
