@@ -11,8 +11,7 @@ let resolve_oscillator spec = (Cells.of_spec spec).oscillator ()
 
 (* The CLI subcommands print these renderers' bytes, and [oshil api]
    and the daemon serve them: the report bytes are the CLI bytes by
-   construction. Each renderer appends one [asprintf]/[sprintf] per
-   report line to its buffer, in emission order. *)
+   construction. *)
 
 let shil_run ~osc ~n ~vi ~reduced =
   let reduction = if reduced then `Symmetry else `Exact in
@@ -288,8 +287,7 @@ let is_scenario_file f =
    ("tanh" or "custom"). *)
 let scenario_device (s : Check.Scenario.t) =
   match Check.Cell.of_name s.osc with
-  | Some ((Diffpair | Tunnel) as cell) ->
-    Some ((Cells.of_spec (Builtin (Check.Cell.name cell))).oscillator ())
+  | Some (Diffpair | Tunnel) -> Some (resolve_oscillator (Builtin s.osc))
   | Some Tanh | None -> None
 
 let scenario_tanh (s : Check.Scenario.t) =
