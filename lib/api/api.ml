@@ -72,15 +72,10 @@ let lockrange_text ~(cell : Cells.t) ~n ~vi ~validate =
   in
   let text = Format.asprintf "%a@." Shil.Lock_range.pp predicted in
   if not validate then text
-  else begin
-    let cycles, steps_per_cycle = cell.lock_trial in
-    let cmp =
-      Circuits.Validate.lock_range ~cycles ~steps_per_cycle
-        ~make_circuit:(fun ~f_inj -> cell.circuit (Some { n; vi; f_inj }))
-        ~probe:cell.probe ~n ~predicted ()
-    in
-    text ^ Format.asprintf "%a@." Circuits.Validate.pp_lock cmp
-  end
+  else
+    text
+    ^ Format.asprintf "%a@." Circuits.Validate.pp_lock
+        (Cells.validate cell ~n ~vi ~predicted)
 
 (* %.17g round-trips every double exactly: the report is a faithful
    witness for the cold-vs-warm bit-identity check, not a rounded view *)

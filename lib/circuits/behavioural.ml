@@ -17,7 +17,7 @@ let injection_wave ~tank ~n ~vi ~f_inj =
       delay = 0.0;
     }
 
-let circuit ?injection ?kick (osc : Shil.Analysis.oscillator) =
+let circuit ?injection ?kick ?(extra = []) (osc : Shil.Analysis.oscillator) =
   let t = (osc.tank : Shil.Tank.t) in
   let fc = Shil.Tank.f_c t in
   let base =
@@ -49,7 +49,7 @@ let circuit ?injection ?kick (osc : Shil.Analysis.oscillator) =
     | Some wave ->
       [ Spice.Device.Isource { name = "Iinj"; np = "0"; nn = "t"; wave } ]
   in
-  Spice.Circuit.of_devices (base @ kick @ inj)
+  Spice.Circuit.of_devices (base @ kick @ inj @ extra)
 
 let injected ~n ~vi (osc : Shil.Analysis.oscillator) ~f_inj =
   circuit ~injection:(injection_wave ~tank:osc.tank ~n ~vi ~f_inj) ~kick osc

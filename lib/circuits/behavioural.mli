@@ -24,12 +24,12 @@ val injection_wave :
     transient) applies. *)
 
 val circuit :
-  ?injection:Spice.Wave.t -> ?kick:float -> Shil.Analysis.oscillator ->
-  Spice.Circuit.t
+  ?injection:Spice.Wave.t -> ?kick:float -> ?extra:Spice.Device.t list ->
+  Shil.Analysis.oscillator -> Spice.Circuit.t
 (** Devices in order: [Rtank], [Ltank], [Ctank], the nonlinear source
     [Gosc]; then, when [kick] (A) is given, a short start-up pulse
     [Ikick]; then, when [injection] is given, the current source
-    [Iinj] across the tank. *)
+    [Iinj] across the tank; then [extra]. *)
 
 val injected :
   n:int -> vi:float -> Shil.Analysis.oscillator -> f_inj:float ->

@@ -10,6 +10,29 @@ let kick ~fc amplitude =
       period = 0.0;
     }
 
+(* a state-flip kick: [charge] coulombs in 0.3 tank periods, a strong
+   sub-cycle pulse that reliably throws the locked oscillator into a
+   different basin *)
+let flip_pulse ~name ~np ~nn ~fc ~charge ~at =
+  let width = 0.3 /. fc in
+  Spice.Device.Isource
+    {
+      name;
+      np;
+      nn;
+      wave =
+        Spice.Wave.Pulse
+          {
+            v1 = 0.0;
+            v2 = charge /. width;
+            delay = at;
+            rise = width /. 10.0;
+            fall = width /. 10.0;
+            width;
+            period = 0.0;
+          };
+    }
+
 let series_injection = function
   | None -> Spice.Wave.Dc 0.0
   | Some (inj : Shil.Simulate.injection) ->

@@ -1,11 +1,20 @@
-(** Pieces the oscillator netlists share: the start-up kick, the series
-    injection source of the device cells, and the DC sweep that extracts
-    a cross-coupled pair's differential [i = f(v)]. *)
+(** Pieces the oscillator netlists share: the start-up kick, the
+    state-flip pulse and the series injection source of the device
+    cells, and the DC sweep that extracts a cross-coupled pair's
+    differential [i = f(v)]. *)
 
 val kick : fc:float -> float -> Spice.Wave.t
 (** A current pulse of the given amplitude at [t = 0], a quarter of a
     tank period wide with edges of 5 %: the start-up kick every
     transient netlist carries. *)
+
+val flip_pulse :
+  name:string -> np:string -> nn:string -> fc:float -> charge:float ->
+  at:float -> Spice.Device.t
+(** The current source [name] from [np] to [nn] that delivers [charge]
+    (C) at [t = at] in a pulse 0.3 tank periods wide with edges of a
+    tenth of that: the kick that moves a locked oscillator between its
+    [n] states (Figs. 15/19). *)
 
 val series_injection : Shil.Simulate.injection option -> Spice.Wave.t
 (** The series injection source [2 vi cos(2 pi f_inj t + phase)] — the

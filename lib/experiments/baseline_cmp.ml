@@ -37,11 +37,8 @@ let sweep ~simulate (osc : Shil.Analysis.oscillator) ~n =
         if not simulate then None
         else begin
           let cmp =
-            Circuits.Validate.lock_range ~cycles:800.0
-              ~steps_per_cycle:Circuits.Behavioural.steps_per_cycle
-              ~make_circuit:(Circuits.Behavioural.injected ~n ~vi osc)
-              ~probe:Circuits.Behavioural.probe ~n
-              ~predicted:report.lock_range ()
+            Api.Cells.validate (Api.Cells.behavioural osc) ~n ~vi
+              ~predicted:report.lock_range
           in
           Some cmp.sim_delta
         end

@@ -1,23 +1,13 @@
 let run ?(vis = [ 0.01; 0.05; 0.1; 0.2 ]) () =
   let p = Circuits.Tanh_osc.default in
   let osc = Circuits.Tanh_osc.oscillator p in
-  let r = (osc.tank : Shil.Tank.t).r in
-  let a_nat =
-    match Shil.Natural.predicted_amplitude osc.nl ~r with
-    | Some a -> a
-    | None ->
-      Resilience.Oshil_error.raise_ Experiments ~phase:"fhil" No_oscillation
-        "oscillator does not oscillate"
-        ~remedy:"check the nonlinearity gain against 1/R"
-  in
   let rows =
     List.map
       (fun vi ->
-        let grid =
-          Shil.Fhil.grid osc.nl ~r ~vi
-            ~a_range:(0.25 *. a_nat, 1.5 *. a_nat)
-        in
-        let lr = Shil.Lock_range.predict grid ~tank:osc.tank in
+        let report = Shil.Analysis.run osc ~n:1 ~vi in
+        let lr = report.lock_range in
+        (* [run] raises when the cell has no natural amplitude *)
+        let a_nat = Option.get report.natural_amplitude in
         let f_lo, f_hi = Shil.Fhil.adler_range ~tank:osc.tank ~a:a_nat ~vi in
         let adler = f_hi -. f_lo in
         ( Printf.sprintf "Vi = %.3g" vi,

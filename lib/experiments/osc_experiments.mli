@@ -4,38 +4,39 @@
     prediction + transient validation, SHIL lock-range prediction +
     simulated table, and the n-states demonstration). *)
 
+type ids = {
+  fv : string;  (** F12a / F16b *)
+  natural : string;  (** F12b / F16c *)
+  transient : string;  (** F13 / F17 *)
+  table : string;  (** T1 / T2 *)
+  curves : string;  (** F14 / F18 *)
+  states : string;  (** F15 / F19 *)
+}
+
 type bench = {
-  name : string;
-  fc : float;  (** tank centre frequency *)
+  cell : string;  (** the {!Api.Cells} row the experiments run on *)
+  name : string;  (** display name *)
+  stem : string;  (** figure file-name suffix *)
+  ids : ids;
+  of_table : float array * float array -> Shil.Nonlinearity.t;
+      (** the extracted [f(v)] table as a curve around the operating
+          point, for F12a/F16b's rows *)
   natural_target : float;  (** the paper's reported amplitude *)
-  oscillator : Shil.Analysis.oscillator;  (** extracted nl + tank *)
-  fv_table : float array * float array;  (** raw extraction table *)
-  circuit : unit -> Spice.Circuit.t;
-  circuit_injected : f_inj:float -> Spice.Circuit.t;
-  circuit_with_extra : extra:Spice.Device.t list -> Spice.Circuit.t;
-      (** injected at the centre of the predicted band *)
-  state_pulse : at:float -> Spice.Device.t;
-  state_pulse_offsets : float * float;
-      (** fractional-cycle offsets of the two state-flip kicks (tuned per
-          circuit so the deterministic simulation visits distinct
-          states) *)
-  probe : Spice.Transient.probe;
-  vi : float;
-  n : int;
-  lock_cycles : float;
-      (** transient length per lock decision; long for high-Q tanks *)
+  n : int;  (** the paper's sub-harmonic order *)
+  vi : float;  (** the paper's injection *)
   paper_table : (string * float) list;
       (** the paper's own table rows, for side-by-side printing *)
 }
+(** One §IV section: the paper's reference numbers, names and figure
+    ids. The cell itself (tank, [f(v)], netlists, probe, lock trial and
+    state-flip pulse) is its {!Api.Cells} row, and every band is
+    {!Shil.Analysis.run}'s at [(n, vi)]. *)
 
-val diff_pair : unit -> bench
-(** Builds the §IV-A bench on {!Circuits.Diff_pair.default} (extracts
-    [f(v)] once via the MNA DC sweep: a few hundred operating-point
-    solves). *)
+val diff_pair : bench
+(** §IV-A on the ["diffpair"] row. *)
 
-val tunnel : unit -> bench
-(** Builds the §IV-B bench on {!Circuits.Tunnel_osc.default}, with one
-    [f(v)] extraction likewise. *)
+val tunnel : bench
+(** §IV-B on the ["tunnel"] row. *)
 
 val fig_fv : bench -> Output.t
 (** Figs. 12a / 16b: the extracted [i = f(v)] curve. *)
@@ -48,12 +49,10 @@ val fig_transient : bench -> Output.t
     steady amplitude and frequency (over 400 cycles) against the
     prediction. *)
 
-val table_lock_range :
-  ?predict_only:bool -> bench -> Output.t * Shil.Lock_range.t
+val table_lock_range : ?predict_only:bool -> bench -> Output.t
 (** Tables §IV-A / §IV-B: predicted vs simulated lock limits
-    (simulation = binary search of transient lock edges, [lock_cycles]
-    per trial; skipped when [predict_only]). Also returns the prediction
-    for reuse. *)
+    (simulation = {!Api.Cells.validate}, the row's lock trial; skipped
+    when [predict_only]). *)
 
 val fig_lock_range_curves : bench -> Output.t
 (** Figs. 14 / 18: the isoline picture at the calibrated [V_i]. *)

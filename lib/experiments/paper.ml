@@ -10,19 +10,19 @@ let run ~fast yield =
   (* ---- ablation A1: rigorous vs PPV baseline (paper SI comparison) ---- *)
   yield (Baseline_cmp.run ~simulate);
   (* ---- section IV-A: cross-coupled BJT differential pair ---- *)
-  let dp = Osc_experiments.diff_pair () in
+  let dp = Osc_experiments.diff_pair in
   yield (Osc_experiments.fig_fv dp);
   yield (Osc_experiments.fig_natural_prediction dp);
   yield (Osc_experiments.fig_transient dp);
-  yield (fst (Osc_experiments.table_lock_range ~predict_only:fast dp));
+  yield (Osc_experiments.table_lock_range ~predict_only:fast dp);
   yield (Osc_experiments.fig_lock_range_curves dp);
   if simulate then yield (Osc_experiments.fig_states dp);
   (* ---- section IV-B: tunnel diode ---- *)
-  let td = Osc_experiments.tunnel () in
+  let td = Osc_experiments.tunnel in
   yield (Osc_experiments.fig_fv td);
   yield (Osc_experiments.fig_natural_prediction td);
   yield (Osc_experiments.fig_transient td);
-  yield (fst (Osc_experiments.table_lock_range ~predict_only:fast td));
+  yield (Osc_experiments.table_lock_range ~predict_only:fast td);
   yield (Osc_experiments.fig_lock_range_curves td);
   if simulate then yield (Osc_experiments.fig_states td);
   (* ---- ablation A2: asymmetric cell, filtering assumption ---- *)

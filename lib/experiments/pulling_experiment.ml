@@ -3,6 +3,7 @@ let run ~simulate =
   let osc = Circuits.Tanh_osc.oscillator p in
   let vi = 0.05 and n = 3 in
   let report = Shil.Analysis.run osc ~n ~vi in
+  let cell = Api.Cells.behavioural osc in
   let lr = report.lock_range in
   let rows =
     List.map
@@ -11,14 +12,12 @@ let run ~simulate =
         let pred = Shil.Pulling.beat_frequency ~lock_range:lr ~n ~f_inj in
         let line =
           if simulate then begin
-            let fc = Shil.Tank.f_c osc.tank in
+            let fc = Shil.Tank.f_c cell.tank in
             let signal =
               Circuits.Validate.transient_signal
-                ~circuit:(Circuits.Behavioural.injected ~n ~vi osc ~f_inj)
-                ~probe:Circuits.Behavioural.probe
-                ~dt:
-                  (1.0
-                  /. (fc *. float_of_int Circuits.Behavioural.steps_per_cycle))
+                ~circuit:(cell.circuit (Some { n; vi; f_inj }))
+                ~probe:cell.probe
+                ~dt:(1.0 /. (fc *. float_of_int (snd cell.lock_trial)))
                 ~t_stop:(1200.0 /. fc)
             in
             let meas = Shil.Pulling.measure_beat signal ~n ~f_inj in

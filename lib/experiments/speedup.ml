@@ -11,29 +11,14 @@ let time f =
   (v, Obs.Clock.wall_s () -. t0)
 
 let run (b : Osc_experiments.bench) =
-  let r = (b.oscillator.tank : Shil.Tank.t).r in
-  let a_nat =
-    match Shil.Natural.predicted_amplitude b.oscillator.nl ~r with
-    | Some a -> a
-    | None ->
-      Resilience.Oshil_error.raise_ Experiments ~phase:"speedup"
-        No_oscillation "bench does not oscillate"
-        ~remedy:"check the bench nonlinearity gain against 1/R"
-  in
-  let lr, predict_s =
-    time (fun () ->
-        let grid =
-          Shil.Grid.sample b.oscillator.nl ~n:b.n ~r ~vi:b.vi
-            ~a_range:(0.25 *. a_nat, 1.3 *. a_nat)
-            ()
-        in
-        Shil.Lock_range.predict grid ~tank:b.oscillator.tank)
+  let cell = Api.Cells.of_spec (Builtin b.cell) in
+  let osc = cell.oscillator () in
+  let report, predict_s =
+    time (fun () -> Shil.Analysis.run osc ~n:b.n ~vi:b.vi)
   in
   let _, simulate_s =
     time (fun () ->
-        Circuits.Validate.lock_range ~cycles:b.lock_cycles
-          ~make_circuit:(fun ~f_inj -> b.circuit_injected ~f_inj)
-          ~probe:b.probe ~n:b.n ~predicted:lr ())
+        Api.Cells.validate cell ~n:b.n ~vi:b.vi ~predicted:report.lock_range)
   in
   {
     bench_name = b.name;

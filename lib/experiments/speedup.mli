@@ -4,13 +4,13 @@
 
 type result = {
   bench_name : string;
-  predict_s : float;  (** grid + boundary bisection + frequency mapping *)
+  predict_s : float;  (** {!Shil.Analysis.run}: natural solve, grid, lock range *)
   simulate_s : float;  (** transient binary search of both edges *)
   speedup : float;
 }
 
 val run : Osc_experiments.bench -> result
-(** The transient side runs [lock_cycles] per lock trial, as the
-    bench's lock-range table does. *)
+(** The transient side is {!Api.Cells.validate} with the cell row's
+    lock trial, as the bench's lock-range table runs it. *)
 
 val output : result -> paper_speedup:float -> Output.t

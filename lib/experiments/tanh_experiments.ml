@@ -7,22 +7,7 @@ let default_setup = { params = Circuits.Tanh_osc.default; vi = 0.2; n = 3 }
 
 let oscillator s = Circuits.Tanh_osc.oscillator s.params
 
-let grid_of s =
-  let osc = oscillator s in
-  let a_nat =
-    match Shil.Natural.predicted_amplitude osc.nl ~r:s.params.r with
-    | Some a -> a
-    | None ->
-      Resilience.Oshil_error.raise_ Experiments ~phase:"tanh" No_oscillation
-        "tanh setup does not oscillate"
-        ~remedy:"check the cell gain against 1/R"
-  in
-  let g =
-    Shil.Grid.sample osc.nl ~n:s.n ~r:s.params.r ~vi:s.vi
-      ~a_range:(0.25 *. a_nat, 1.3 *. a_nat)
-      ()
-  in
-  (osc, a_nat, g)
+let report s = Shil.Analysis.run (oscillator s) ~n:s.n ~vi:s.vi
 
 let fig3_natural ?(validate = true) s =
   let osc = oscillator s in
@@ -46,11 +31,11 @@ let fig3_natural ?(validate = true) s =
   let rows = [ Output.row_f "predicted A (V)" a_pred ] in
   let rows =
     if validate then begin
+      let cell = Api.Cells.behavioural osc in
       let cmp =
         Circuits.Validate.natural ~cycles:300.0
-          ~steps_per_cycle:Circuits.Behavioural.steps_per_cycle
-          ~circuit:(Circuits.Tanh_osc.circuit s.params)
-          ~probe:Circuits.Behavioural.probe ~osc ()
+          ~steps_per_cycle:(snd cell.lock_trial) ~circuit:(cell.circuit None)
+          ~probe:cell.probe ~osc ()
       in
       rows
       @ [
@@ -121,7 +106,7 @@ let curves_figure ~title g ~phi_ds =
 
 let fig7_solutions s =
   let phi_d = 0.1 in
-  let _osc, _a_nat, g = grid_of s in
+  let g = (report s).grid in
   let sols = Shil.Solutions.find g ~phi_d in
   let fig =
     curves_figure
@@ -146,8 +131,7 @@ let fig7_solutions s =
     ()
 
 let fig9_states s =
-  let _osc, _a_nat, g = grid_of s in
-  let sols = Shil.Solutions.find g ~phi_d:0.0 in
+  let sols = (report s).locks_at_center in
   match List.find_opt (fun (p : Shil.Solutions.point) -> p.stable) sols with
   | None ->
     Output.make ~id:"F9" ~title:"n states of SHIL"
@@ -193,8 +177,8 @@ let fig9_states s =
       ()
 
 let fig10_lock_range ?(validate = false) s =
-  let osc, _a_nat, g = grid_of s in
-  let lr = Shil.Lock_range.predict g ~tank:osc.tank in
+  let report = report s in
+  let lr = report.lock_range in
   let phi_ds =
     [
       (0.0, Fig.solid Fig.green);
@@ -205,7 +189,8 @@ let fig10_lock_range ?(validate = false) s =
     ]
   in
   let fig =
-    curves_figure ~title:"Fig. 10: lock-range prediction via isolines" g ~phi_ds
+    curves_figure ~title:"Fig. 10: lock-range prediction via isolines"
+      report.grid ~phi_ds
   in
   let rows =
     [
@@ -219,10 +204,8 @@ let fig10_lock_range ?(validate = false) s =
   let rows =
     if validate then begin
       let cmp =
-        Circuits.Validate.lock_range ~cycles:800.0
-          ~steps_per_cycle:Circuits.Behavioural.steps_per_cycle
-          ~make_circuit:(Circuits.Behavioural.injected ~n:s.n ~vi:s.vi osc)
-          ~probe:Circuits.Behavioural.probe ~n:s.n ~predicted:lr ()
+        Api.Cells.validate (Api.Cells.behavioural report.osc) ~n:s.n ~vi:s.vi
+          ~predicted:lr
       in
       rows
       @ [

@@ -10,30 +10,16 @@ type point = {
 let default_vis =
   [ 0.005; 0.0075; 0.01; 0.015; 0.02; 0.03; 0.05; 0.075; 0.1; 0.15; 0.2; 0.3 ]
 
-let compute ?points ?(vis = default_vis) (osc : Shil.Analysis.oscillator) ~n =
-  let r = (osc.tank : Shil.Tank.t).r in
-  let a_nat =
-    match Shil.Natural.predicted_amplitude osc.nl ~r with
-    | Some a -> a
-    | None ->
-      Resilience.Oshil_error.raise_ Experiments ~phase:"tongue" No_oscillation
-        "oscillator does not oscillate"
-        ~remedy:"check the nonlinearity gain against 1/R"
-  in
-  (* every tongue cell (one |Vi|) is an independent grid + lock-range
-     computation; fan the cells out one per task. Grid sampling inside a
-     worker falls back to sequential, so the pool is not oversubscribed. A
-     cell that fails becomes a typed hole instead of killing the sweep. *)
+let compute ?points ?(vis = default_vis) osc ~n =
+  (* every tongue cell (one |Vi|) is an independent analysis; fan the
+     cells out one per task. Grid sampling inside a worker falls back to
+     sequential, so the pool is not oversubscribed. A cell that fails
+     becomes a typed hole instead of killing the sweep. *)
   let cells =
     Numerics.Pool.parallel_try_map_array ~chunk:1 ~subsystem:Experiments
       ~phase:"tongue"
       (fun vi ->
-        let grid =
-          Shil.Grid.sample ?points osc.nl ~n ~r ~vi
-            ~a_range:(0.2 *. a_nat, 1.4 *. a_nat)
-            ()
-        in
-        let lr = Shil.Lock_range.predict ?points grid ~tank:osc.tank in
+        let lr = (Shil.Analysis.run ?points osc ~n ~vi).lock_range in
         { vi; f_inj_low = lr.f_inj_low; f_inj_high = lr.f_inj_high;
           delta_f_inj = lr.delta_f_inj })
       (Array.of_list vis)

@@ -1,6 +1,3 @@
-let grid ?points ?n_phi ?n_amp nl ~r ~vi ~a_range =
-  Grid.sample ?points ?n_phi ?n_amp nl ~n:1 ~r ~vi ~a_range ()
-
 (* Adler's half lock range, oscillator-referred: f_c/(2Q) * (2 V_i / A),
    with 2 V_i the injected waveform amplitude in this paper's phasor
    convention *)

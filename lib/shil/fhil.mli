@@ -8,10 +8,5 @@
     half-range) is the widely used first-order baseline the rigorous
     method should reduce to for weak injection. *)
 
-val grid :
-  ?points:int -> ?n_phi:int -> ?n_amp:int -> Nonlinearity.t -> r:float ->
-  vi:float -> a_range:float * float -> Grid.t
-(** Convenience: {!Grid.sample} with [n = 1]. *)
-
 val adler_range : tank:Tank.t -> a:float -> vi:float -> float * float
 (** [(f_low, f_high)] around the tank centre frequency. *)

@@ -198,8 +198,8 @@ let test_adler_vs_lock_range () =
     | None -> Alcotest.fail "tanh cell must oscillate"
   in
   let grid =
-    Shil.Fhil.grid ~points:pts ~n_phi:81 ~n_amp:61 nl ~r:p.r ~vi
-      ~a_range:(0.5 *. a_star, 1.5 *. a_star)
+    Shil.Grid.sample ~points:pts ~n_phi:81 ~n_amp:61 nl ~n:1 ~r:p.r ~vi
+      ~a_range:(0.5 *. a_star, 1.5 *. a_star) ()
   in
   let lr = Shil.Lock_range.predict ~points:pts grid ~tank in
   let f_lo, f_hi = Shil.Fhil.adler_range ~tank ~a:a_star ~vi in

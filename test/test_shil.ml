@@ -608,7 +608,7 @@ let test_fhil_matches_adler_weak_injection () =
   (* for weak injection the rigorous n=1 lock range approaches Adler *)
   let vi = 0.01 in
   let a_nat = 1.1582 in
-  let g = Fhil.grid tanh_nl ~r:fixture_r ~vi ~a_range:(0.9, 1.4) in
+  let g = Grid.sample tanh_nl ~n:1 ~r:fixture_r ~vi ~a_range:(0.9, 1.4) () in
   let lr = Lock_range.predict g ~tank:fixture_tank in
   let f_lo, f_hi = Fhil.adler_range ~tank:fixture_tank ~a:a_nat ~vi in
   let adler_delta = f_hi -. f_lo in
