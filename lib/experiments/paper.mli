@@ -7,7 +7,7 @@
 val run : fast:bool -> (Output.t -> unit) -> unit
 (** [run ~fast yield] computes each output in turn and hands it to
     [yield] as soon as it is ready. The diff-pair and tunnel-diode
-    benches are built once and shared by their sections. [fast] skips
+    sections run on their {!Api.Cells} rows. [fast] skips
     the transient lock searches: the tables keep their prediction side
     and the paper's reference numbers, and the F15/F19 state runs and
     the S1 speed rows are left out. *)

@@ -3,7 +3,7 @@
     Sweeping the injection strength traces the classic V-shaped locking
     region (lock band edges vs [V_i]) — the global picture of which the
     paper's lock-range tables are single vertical slices. The tongue is
-    predicted entirely from describing-function grids (one per [V_i]),
+    predicted entirely by {!Shil.Analysis.run} (one per [V_i]),
     reusing the [C_{T_f,1}]-invariance economy at each strength. *)
 
 type point = {
@@ -19,7 +19,7 @@ val compute :
   point list * Resilience.Summary.t
 (** Default [vis]: 12 strengths from 0.005 to 0.3 (logarithmic-ish).
 
-    A [vi] cell whose grid or lock-range computation fails becomes a
+    A [vi] cell whose analysis fails becomes a
     typed hole in the returned summary (counter
     [resilience.tongue.holes]) instead of aborting the sweep, unless
     {!Resilience.Policy.set_fail_fast} is on. *)
