@@ -80,9 +80,12 @@ hb-smoke:
 
 # The 72 `oshil shil` reports of the paper cells (tanh, diff-pair and
 # tunnel at n = 2..5 and V_i in {0.01, 0.03, 0.08}, exact and
-# --reduced), one file per cell under OUT, with one worker. Run it on
-# two builds and `diff -r` the directories to see which report lines a
-# change moves.  Usage: make shil-reports OUT=out/shil-reports
+# --reduced), one file per cell under OUT, with one worker, and the 36
+# `oshil hb --lockrange` runs of the same cells: stdout in hb-*.txt,
+# stderr and the exit status in hb-*.err (some cells exit with a
+# typed error, which is pinned too). Run it on two builds and `diff -r`
+# the directories to see which report lines a change moves.
+# Usage: make shil-reports OUT=out/shil-reports
 OUT ?= out/shil-reports
 shil-reports:
 	dune build bin/oshil.exe
@@ -93,6 +96,10 @@ shil-reports:
 	      > $(OUT)/$$osc-n$$n-vi$$vi-exact.txt || exit 1; \
 	    ./_build/default/bin/oshil.exe shil -j 1 --osc $$osc -n $$n --vi $$vi \
 	      --reduced > $(OUT)/$$osc-n$$n-vi$$vi-reduced.txt || exit 1; \
+	    ./_build/default/bin/oshil.exe hb -j 1 --lockrange --osc $$osc -n $$n \
+	      --vi $$vi > $(OUT)/hb-$$osc-n$$n-vi$$vi.txt \
+	      2> $(OUT)/hb-$$osc-n$$n-vi$$vi.err; \
+	    echo "exit $$?" >> $(OUT)/hb-$$osc-n$$n-vi$$vi.err; \
 	  done; done; done
 
 # Coverage (requires bisect_ppx, not part of the default environment):
