@@ -3,8 +3,8 @@
     Each function compares a describing-function prediction against a
     brute-force MNA transient, on a device-level netlist or on the
     behavioural one ({!Behavioural}), returning a comparison record
-    ready for the experiment tables. {!lock_range} is the one lock-edge
-    locator in the time domain. *)
+    ready for the experiment tables. {!lock_range} is the transient band
+    of the one lock-edge locator, {!Numerics.Roots.edge}. *)
 
 val transient_signal :
   circuit:Spice.Circuit.t -> probe:Spice.Transient.probe -> dt:float ->
@@ -50,16 +50,19 @@ val lock_range :
   make_circuit:(f_inj:float -> Spice.Circuit.t) ->
   probe:Spice.Transient.probe -> n:int ->
   predicted:Shil.Lock_range.t -> unit -> lock_cmp
-(** Binary search for both lock edges of the simulated oscillator,
-    bracketing around the predicted edges (the paper's "binary search ...
-    over different frequencies"). [cycles] (default 600) oscillator
-    periods per trial; [rel_tol] (default 2e-5) of the centre frequency
-    stops the bisection.
+(** Binary search for both lock edges of the simulated oscillator (the
+    paper's "binary search ... over different frequencies") on
+    {!Numerics.Roots.edge}: one probe at the predicted centre, then each
+    edge marches out through the predicted edge in steps of
+    [max (delta_f_inj / 2) (20 tol)] and reports its bracket midpoint.
+    [cycles] (default 600) oscillator periods per trial; [tol = rel_tol
+    f_centre] (default 2e-5) stops the bisection.
 
-    A probe or edge search that fails becomes a typed hole in
-    [failures] (counter [resilience.validate.holes]) instead of
-    aborting, unless {!Resilience.Policy.set_fail_fast} is on. Fault
-    site [validate-point] injects probe failures for testing. *)
+    A failed probe (counted unlocked), an unbracketed edge, or both
+    edges when the centre does not lock, becomes a typed hole in
+    [failures] (counter [resilience.validate.holes]) unless
+    {!Resilience.Policy.set_fail_fast} is on. A spent deadline raises
+    [budget-exhausted]. Fault site [validate-point] fails probes. *)
 
 val lock_states :
   ?cycles:float -> ?steps_per_cycle:int ->

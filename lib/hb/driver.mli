@@ -117,10 +117,10 @@ val lock_range :
   band
 (** HB lock range: march outward from the band center [n * free.f0]
     in 1.5x steps of [guess_width / 2] until unlocked, then bisect
-    each edge. Probes are warm-started from the innermost locked
-    spectrum; a probe whose warm solve fails is retried cold (the
-    suppressed branch is a mild solve), and only a probe failing both
-    becomes a typed hole — counted in [holes] and on the
-    [resilience.hb.holes] counter, classified unlocked so the band
-    only shrinks (degrade, don't abort). Raises [No_oscillation] if
-    the center frequency itself does not lock. *)
+    each edge ({!Numerics.Roots.edge}). Probes are warm-started from
+    the innermost locked spectrum; a probe whose warm solve fails is
+    retried cold, and only a probe failing both becomes a typed hole —
+    counted in [holes], classified unlocked so the band only shrinks
+    (unless fail-fast is on). Raises [No_oscillation] if the center
+    frequency does not lock, and [budget-exhausted] on a spent
+    deadline. *)

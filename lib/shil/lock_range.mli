@@ -23,9 +23,9 @@ val default_tol : float
 
 val phi_d_boundary :
   ?points:int -> ?phi_d_cap:float -> ?tol:float -> Grid.t -> float
-(** Bisection on [phi_d in [0, phi_d_cap]] (default cap 1.4 rad, tol 1e-5)
-    for the largest phase with a stable lock, reusing one
-    describing-function grid for the whole sweep (the [C_{T_f,1}]
+(** {!Numerics.Roots.edge} on [phi_d in [0, phi_d_cap]] (default cap
+    1.4 rad, tol 1e-5) for the largest phase with a stable lock, reusing
+    one describing-function grid for the whole sweep (the [C_{T_f,1}]
     invariance trick). Returns 0. when even [phi_d = 0] has no stable
     lock. By §VI-B3 the boundary is symmetric in [+-phi_d]. *)
 
@@ -50,7 +50,8 @@ val predict :
     A stability probe that raises becomes a typed hole in [failures]
     (counter [resilience.lockrange.holes]) and is treated as unstable
     instead of aborting, unless {!Resilience.Policy.set_fail_fast} is
-    on. Fault site [lock-probe] injects probe failures for testing.
+    on; a spent deadline raises [budget-exhausted]. Fault site
+    [lock-probe] injects probe failures for testing.
 
     The lock points at [phi_d = 0] are found once: the first boundary
     probe and [at_center] share them.

@@ -519,17 +519,18 @@ let test_holed_lock_range_not_cached () =
         (Resilience.Summary.is_clean holed.failures);
       Alcotest.(check bool) "holed prediction not stored" false
         (shard_exists "shil.lockrange");
-      (* holes without a fault plan: a spent deadline turns every probe
-         into a hole on a clean grid, and only the hole check keeps the
-         result out *)
+      (* a spent deadline is no verdict: the prediction raises on a
+         clean grid, and nothing is stored *)
       let g = small_grid () in
-      let expired =
-        Resilience.Deadline.with_deadline ~seconds:0.0 (fun () ->
-            Shil.Lock_range.predict ~points:128 ~tol:1e-3 g ~tank:small_tank)
-      in
-      Alcotest.(check bool) "deadline leaves holes" false
-        (Resilience.Summary.is_clean expired.failures);
-      Alcotest.(check bool) "deadline-holed prediction not stored" false
+      (match
+         Resilience.Deadline.with_deadline ~seconds:0.0 (fun () ->
+             Shil.Lock_range.predict ~points:128 ~tol:1e-3 g ~tank:small_tank)
+       with
+      | _ -> Alcotest.fail "a spent deadline must raise"
+      | exception Resilience.Oshil_error.Error e ->
+        Alcotest.(check string) "typed budget-exhausted" "budget-exhausted"
+          (Resilience.Oshil_error.code e));
+      Alcotest.(check bool) "deadline-cut prediction not stored" false
         (shard_exists "shil.lockrange");
       let clean = predict_small () in
       Alcotest.(check bool) "clean rerun is clean" true

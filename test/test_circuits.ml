@@ -226,6 +226,34 @@ let test_behavioural_reproduces_rk4 () =
   Alcotest.(check int) "no holes" 0
     (List.length cmp.failures.Resilience.Summary.failures)
 
+(* The diff-pair at n = 2, V_i = 0.01: its 600-cycle trial is shorter
+   than the band's settling time, so the predicted centre does not lock.
+   The search ends after that one transient run, and both edges are
+   typed holes naming the centre and the trial length (it used to
+   march on to an "upper edge" below the predicted lower edge). *)
+let test_validate_centre_unlocked () =
+  let cell = Api.Cells.of_spec (Api.Request.Builtin "diffpair") in
+  let n = 2 and vi = 0.01 in
+  let predicted = (Shil.Analysis.run (cell.oscillator ()) ~n ~vi).lock_range in
+  let cmp = Api.Cells.validate cell ~n ~vi ~predicted in
+  Alcotest.(check bool) "no edge" true
+    (Float.is_nan cmp.sim_f_low && Float.is_nan cmp.sim_f_high);
+  Alcotest.(check int) "one transient run" 1 cmp.failures.attempted;
+  let f_centre =
+    Printf.sprintf "%.8g" (0.5 *. (predicted.f_inj_low +. predicted.f_inj_high))
+  in
+  Alcotest.(check (list string)) "both edges are holes"
+    [ "low edge"; "high edge" ]
+    (List.map
+       (fun (f : Resilience.Summary.failure) ->
+         Alcotest.(check string) "typed root-failure" "root-failure"
+           (Resilience.Oshil_error.code f.error);
+         Alcotest.(check (list (pair string string))) "names centre and trial"
+           [ ("f_centre", f_centre); ("cycles", "600") ]
+           f.error.context;
+         f.site)
+       cmp.failures.failures)
+
 (* ------------------------------------------------------------------ *)
 (* CMOS cross-coupled pair (extension circuit) *)
 
@@ -298,5 +326,7 @@ let () =
           Alcotest.test_case "natural on tanh" `Slow test_validate_natural_on_tanh;
           Alcotest.test_case "behavioural transient reproduces the RK4 reference"
             `Slow test_behavioural_reproduces_rk4;
+          Alcotest.test_case "a centre that does not lock ends the search"
+            `Slow test_validate_centre_unlocked;
         ] );
     ]
