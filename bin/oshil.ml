@@ -159,9 +159,10 @@ let obs_args =
   let fail_fast =
     Arg.(value & flag
          & info [ "fail-fast" ]
-             ~doc:"Abort on the first failed grid point / probe / sweep \
-                   cell instead of recording a typed hole and \
-                   continuing with a partial result.")
+             ~doc:"Abort (exit 3) on the first failed grid point / \
+                   probe / sweep cell / batch scenario instead of \
+                   recording a typed hole and continuing with a partial \
+                   result.")
   in
   let cache =
     Arg.(value & flag
@@ -715,11 +716,16 @@ let batch_cmd =
                signal (Array.length files) !n_done
                (String.concat ",\n" (List.rev !done_))));
     (* one scenario per pool task: a scenario that dies (no oscillation,
-       solver blow-up, injected fault) becomes a typed error slot, the
-       rest of the batch completes, and the shared cache stays warm
-       across scenarios that hit the same grids *)
+       solver blow-up, injected fault) becomes a typed hole, the rest of
+       the batch completes (or, under --fail-fast, the batch aborts), and
+       the shared cache stays warm across scenarios that hit the same
+       grids *)
+    let guard =
+      Resilience.Guard.make ~fault:"pool-task" ~label:(fun i -> files.(i))
+        Shil ~phase:"batch"
+    in
     let outcomes =
-      Numerics.Pool.parallel_try_map_array ~subsystem:Shil ~phase:"batch"
+      Numerics.Pool.guarded_map guard
         (fun i ->
           let outcome = Api.scenario_file_outcome files.(i) in
           slots.(i) <- Some (Api.scenario_entry ~file:files.(i) outcome);
@@ -750,20 +756,7 @@ let batch_cmd =
         (String.concat ",\n" results)
     in
     emit report;
-    let failures =
-      List.concat
-        (Array.to_list
-           (Array.mapi
-              (fun i o ->
-                match o with
-                | Error e ->
-                  [ { Resilience.Summary.site = files.(i); error = e } ]
-                | Ok _ -> [])
-              outcomes))
-    in
-    let summary =
-      Resilience.Summary.make ~attempted:(Array.length files) failures
-    in
+    let summary = Resilience.Guard.summary guard in
     Format.eprintf "batch: %d scenario(s), %d ok, %d lint error(s), %d error(s)@."
       (Array.length files) n_ok n_lint n_err;
     if not (Resilience.Summary.is_clean summary) then

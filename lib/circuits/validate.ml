@@ -67,19 +67,34 @@ let lock_range ?(cycles = 600.0) ?(steps_per_cycle = 180) ?(rel_tol = 2e-5)
   let dt = 1.0 /. (f_osc_center *. float_of_int steps_per_cycle) in
   let t_stop = cycles /. f_osc_center in
   let guard =
-    Numerics.Roots.guard ~fault:"validate-point" Circuits ~phase:"validate"
-      ~label:(Printf.sprintf "f_inj=%.8g")
+    Resilience.Guard.make ~fault:"validate-point"
+      ~label:(Printf.sprintf "f_inj=%.8g") Circuits ~phase:"validate"
   in
   let locked f_inj =
     lock_probe ~circuit:(make_circuit ~f_inj) ~probe ~n ~f_inj ~dt ~t_stop
   in
   let tol = rel_tol *. f_center in
   let delta = Float.max (predicted.delta_f_inj *. 0.5) (20.0 *. tol) in
+  let centre_locked =
+    Resilience.Guard.run guard f_center (fun () -> locked f_center) = Ok true
+  in
   (* the centre is probed once; each edge then marches out through the
      predicted edge [g] in steps of [delta]. The two edges are
      independent chains of transient runs, concurrent on a multicore
-     pool; a failed edge becomes a NaN + typed hole. *)
+     pool; a failed edge, or both when the centre does not lock, is a
+     NaN + typed hole. *)
   let search (side, g, dir) =
+    if not centre_locked then
+      raise
+        (Resilience.Oshil_error.Error
+           (Resilience.Oshil_error.make Circuits ~phase:"validate" Root_failure
+              "the simulated oscillator does not lock at the predicted band \
+               centre"
+              ~context:
+                [ ("f_centre", Printf.sprintf "%.8g" f_center);
+                  ("cycles", Printf.sprintf "%g" cycles) ]
+              ~remedy:
+                "lengthen the lock trial (cycles) or re-check the prediction"));
     match
       Numerics.Roots.edge ~site:"validate.lockrange.f_inj" guard
         ~probe:locked ~inside:f_center
@@ -93,36 +108,23 @@ let lock_range ?(cycles = 600.0) ?(steps_per_cycle = 180) ?(rel_tol = 2e-5)
         ~context:[ ("side", side); ("f_guess", Printf.sprintf "%.8g" g) ]
         ~remedy:"widen the search (rel_tol) or re-check the prediction"
   in
+  let edge_guard =
+    Resilience.Guard.make ~fault:"pool-task"
+      ~label:(fun (side, _, _) -> side ^ " edge")
+      Circuits ~phase:"validate"
+  in
   let edges =
-    if guard.guarded f_center (fun () -> locked f_center) then
-      Numerics.Pool.parallel_try_map_array ~chunk:1 ~subsystem:Circuits
-        ~phase:"validate" search
-        [| ("low", predicted.f_inj_low, -1.0);
-           ("high", predicted.f_inj_high, 1.0) |]
-    else
-      let e =
-        Resilience.Oshil_error.make Circuits ~phase:"validate" Root_failure
-          "the simulated oscillator does not lock at the predicted band centre"
-          ~context:
-            [ ("f_centre", Printf.sprintf "%.8g" f_center);
-              ("cycles", Printf.sprintf "%g" cycles) ]
-          ~remedy:"lengthen the lock trial (cycles) or re-check the prediction"
-      in
-      [| Error e; Error e |]
+    Numerics.Pool.guarded_map ~chunk:1 edge_guard search
+      [| ("low", predicted.f_inj_low, -1.0);
+         ("high", predicted.f_inj_high, 1.0) |]
   in
-  let edge name = function
-    | Ok v -> (v, [])
-    | Error (e : Resilience.Oshil_error.t) ->
-      if e.kind = Budget_exhausted || Resilience.Policy.fail_fast () then
-        raise (Resilience.Oshil_error.Error e);
-      (Float.nan, [ { Resilience.Summary.site = name ^ " edge"; error = e } ])
+  let edge i = Result.value edges.(i) ~default:Float.nan in
+  let probes = Resilience.Guard.summary guard in
+  let failures =
+    probes.failures @ (Resilience.Guard.summary edge_guard).failures
   in
-  let sim_f_low, low_hole = edge "low" edges.(0) in
-  let sim_f_high, high_hole = edge "high" edges.(1) in
-  let probes = guard.summary () in
-  let failures = probes.failures @ low_hole @ high_hole in
-  { predicted; sim_f_low; sim_f_high; sim_delta = sim_f_high -. sim_f_low;
-    failures = { probes with failures } }
+  { predicted; sim_f_low = edge 0; sim_f_high = edge 1;
+    sim_delta = edge 1 -. edge 0; failures = { probes with failures } }
 
 let lock_states ?(cycles = 900.0) ?(steps_per_cycle = 180) ~make_circuit
     ~probe ~n ~f_inj ~pulse ~pulse_times () =

@@ -62,7 +62,9 @@ val lock_range :
     edges when the centre does not lock, becomes a typed hole in
     [failures] (counter [resilience.validate.holes]) unless
     {!Resilience.Policy.set_fail_fast} is on. A spent deadline raises
-    [budget-exhausted]. Fault site [validate-point] fails probes. *)
+    [budget-exhausted]. Fault site [validate-point] fails probes, and
+    [pool-task] (by index: 0 low, 1 high) fails an edge search.
+    [failures.attempted] counts the transient runs. *)
 
 val lock_states :
   ?cycles:float -> ?steps_per_cycle:int ->

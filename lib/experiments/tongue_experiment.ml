@@ -15,32 +15,20 @@ let compute ?points ?(vis = default_vis) osc ~n =
      cells out one per task. Grid sampling inside a worker falls back to
      sequential, so the pool is not oversubscribed. A cell that fails
      becomes a typed hole instead of killing the sweep. *)
+  let guard =
+    Resilience.Guard.make ~fault:"pool-task" ~label:(Printf.sprintf "vi=%.6g")
+      Experiments ~phase:"tongue"
+  in
   let cells =
-    Numerics.Pool.parallel_try_map_array ~chunk:1 ~subsystem:Experiments
-      ~phase:"tongue"
+    Numerics.Pool.guarded_map ~chunk:1 guard
       (fun vi ->
         let lr = (Shil.Analysis.run ?points osc ~n ~vi).lock_range in
         { vi; f_inj_low = lr.f_inj_low; f_inj_high = lr.f_inj_high;
           delta_f_inj = lr.delta_f_inj })
       (Array.of_list vis)
   in
-  let holes = ref [] and pts = ref [] in
-  Array.iteri
-    (fun i cell ->
-      match cell with
-      | Ok p -> pts := p :: !pts
-      | Error e ->
-        if Resilience.Policy.fail_fast () then
-          raise (Resilience.Oshil_error.Error e);
-        Obs.Metrics.incr "resilience.tongue.holes";
-        holes :=
-          { Resilience.Summary.site =
-              Printf.sprintf "vi=%.6g" (List.nth vis i);
-            error = e }
-          :: !holes)
-    cells;
-  ( List.rev !pts,
-    Resilience.Summary.make ~attempted:(List.length vis) (List.rev !holes) )
+  ( List.filter_map Result.to_option (Array.to_list cells),
+    Resilience.Guard.summary guard )
 
 let run () =
   let osc = Circuits.Tanh_osc.oscillator Circuits.Tanh_osc.default in

@@ -22,7 +22,8 @@ val compute :
     A [vi] cell whose analysis fails becomes a
     typed hole in the returned summary (counter
     [resilience.tongue.holes]) instead of aborting the sweep, unless
-    {!Resilience.Policy.set_fail_fast} is on. *)
+    {!Resilience.Policy.set_fail_fast} is on; a spent deadline raises.
+    Fault site [pool-task] fails cells by index. *)
 
 val run : unit -> Output.t
 (** Tongue of the tanh oscillator at n = 3; writes the tongue figure. *)

@@ -231,8 +231,8 @@ let lock_range ?ident ?(tol = 1e-12) ~free ~n ~guess_width ~inject () =
   let compute () =
     let fc = float_of_int n *. free.f0 in
     let guard =
-      Numerics.Roots.guard ~counter:"hb.lockrange.probes" Shil ~phase:"hb"
-        ~label:(Printf.sprintf "f_inj=%.8g")
+      Resilience.Guard.make ~counter:"hb.lockrange.probes"
+        ~label:(Printf.sprintf "f_inj=%.8g") Shil ~phase:"hb"
     in
     let warm = ref free.x in
     let probe f_inj =
@@ -253,7 +253,7 @@ let lock_range ?ident ?(tol = 1e-12) ~free ~n ~guess_width ~inject () =
       if v.locked then warm := v.sol.x;
       v.locked
     in
-    if not (guard.guarded fc (fun () -> probe fc)) then
+    if Resilience.Guard.run guard fc (fun () -> probe fc) <> Ok true then
       Err.raise_ Shil ~phase:"hb" No_oscillation
         (Printf.sprintf
            "oscillator does not lock at the sub-harmonic band center %.6g Hz"
@@ -281,7 +281,7 @@ let lock_range ?ident ?(tol = 1e-12) ~free ~n ~guess_width ~inject () =
     in
     let f_hi = edge 1.0 in
     let f_lo = edge (-1.0) in
-    let probes = guard.summary () in
+    let probes = Resilience.Guard.summary guard in
     { n_band = n; f_center = fc; f_lo; f_hi; probes = probes.attempted;
       holes = Resilience.Summary.failed probes }
   in

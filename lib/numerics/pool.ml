@@ -241,24 +241,31 @@ let parallel_for ?pool ?chunk ~n f =
            depend on scheduling *)
         let first_error = Atomic.make None in
         let done_mutex = Mutex.create () and done_cond = Condition.create () in
+        (* every chunk runs under the submitting thread's deadline *)
+        let under_deadline = Resilience.Deadline.carry () in
         let run_chunk c =
           let t0 = Obs.Clock.now_ns () in
-          (try
-             with_task_flag (fun () ->
-                 let lo = c * chunk and hi = min n ((c + 1) * chunk) in
-                 for i = lo to hi - 1 do
-                   f i
-                 done)
-           with e ->
-             let bt = Printexc.get_raw_backtrace () in
-             let rec save () =
-               match Atomic.get first_error with
-               | Some (c0, _, _) when c0 <= c -> ()
-               | cur ->
-                 if not (Atomic.compare_and_set first_error cur (Some (c, e, bt)))
-                 then save ()
-             in
-             save ());
+          (* a chunk above a failed one cannot change the outcome: skip it *)
+          (match Atomic.get first_error with
+          | Some (c0, _, _) when c0 < c -> ()
+          | _ -> (
+            try
+              under_deadline (fun () ->
+                  with_task_flag (fun () ->
+                      let lo = c * chunk and hi = min n ((c + 1) * chunk) in
+                      for i = lo to hi - 1 do
+                        f i
+                      done))
+            with e ->
+              let bt = Printexc.get_raw_backtrace () in
+              let rec save () =
+                match Atomic.get first_error with
+                | Some (c0, _, _) when c0 <= c -> ()
+                | cur ->
+                  if not (Atomic.compare_and_set first_error cur (Some (c, e, bt)))
+                  then save ()
+              in
+              save ()));
           record_task ~t0;
           if Atomic.fetch_and_add pending (-1) = 1 then begin
             Mutex.lock done_mutex;
@@ -266,43 +273,34 @@ let parallel_for ?pool ?chunk ~n f =
             Mutex.unlock done_mutex
           end
         in
-        let go () =
+        (* the fan-out's wall time stays with the caller's open span *)
+        let busy0 = if Obs.enabled () then (stats ()).busy_ns else 0L in
+        let w0 = Obs.Clock.now_ns () in
+        Mutex.lock p.mutex;
+        for c = 1 to n_chunks - 1 do
+          Queue.push (fun () -> run_chunk c) p.jobs
+        done;
+        Condition.broadcast p.cond;
+        Mutex.unlock p.mutex;
+        (* the caller works too: run the first chunk, then help drain *)
+        run_chunk 0;
+        let rec help () =
           Mutex.lock p.mutex;
-          for c = 1 to n_chunks - 1 do
-            Queue.push (fun () -> run_chunk c) p.jobs
-          done;
-          Condition.broadcast p.cond;
-          Mutex.unlock p.mutex;
-          (* the caller works too: run the first chunk, then help drain *)
-          run_chunk 0;
-          let rec help () =
-            Mutex.lock p.mutex;
-            if Queue.is_empty p.jobs then Mutex.unlock p.mutex
-            else begin
-              let job = Queue.pop p.jobs in
-              Mutex.unlock p.mutex;
-              job ();
-              help ()
-            end
-          in
-          help ();
-          Mutex.lock done_mutex;
-          while Atomic.get pending > 0 do
-            Condition.wait done_cond done_mutex
-          done;
-          Mutex.unlock done_mutex;
-          match Atomic.get first_error with
-          | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
-          | None -> ()
+          if Queue.is_empty p.jobs then Mutex.unlock p.mutex
+          else begin
+            let job = Queue.pop p.jobs in
+            Mutex.unlock p.mutex;
+            job ();
+            help ()
+          end
         in
-        if not (Obs.enabled ()) then go ()
-        else begin
-          let busy0 = (stats ()).busy_ns in
-          let w0 = Obs.Clock.now_ns () in
-          Obs.Span.with_ ~cat:"numerics" ~name:"numerics.pool.parallel_for"
-            ~attrs:
-              [ ("n", string_of_int n); ("chunks", string_of_int n_chunks) ]
-            go;
+        help ();
+        Mutex.lock done_mutex;
+        while Atomic.get pending > 0 do
+          Condition.wait done_cond done_mutex
+        done;
+        Mutex.unlock done_mutex;
+        if Obs.enabled () then begin
           let wall = Int64.sub (Obs.Clock.now_ns ()) w0 in
           let busy = Int64.sub (stats ()).busy_ns busy0 in
           (* idle = capacity the pool had during this call minus the time
@@ -319,7 +317,10 @@ let parallel_for ?pool ?chunk ~n f =
             Obs.Event.emit
               (Obs.Event.Pool_sample
                  { domains = p.size; tasks = n_chunks; busy_ns = busy })
-        end
+        end;
+        match Atomic.get first_error with
+        | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
+        | None -> ()
       end
   end
 
@@ -335,15 +336,6 @@ let parallel_init ?pool ?chunk n f =
 let parallel_map_array ?pool ?chunk f xs =
   parallel_init ?pool ?chunk (Array.length xs) (fun i -> f xs.(i))
 
-let parallel_try_map_array ?pool ?chunk ~subsystem ~phase f xs =
+let guarded_map ?pool ?chunk g f xs =
   parallel_init ?pool ?chunk (Array.length xs) (fun i ->
-      if Resilience.Fault.fire_at "pool-task" ~k:i then begin
-        Obs.Metrics.incr "resilience.pool.task_failures";
-        Error (Resilience.Fault.error ~site:"pool-task" subsystem ~phase)
-      end
-      else
-        match f xs.(i) with
-        | v -> Ok v
-        | exception e ->
-          Obs.Metrics.incr "resilience.pool.task_failures";
-          Error (Resilience.Oshil_error.of_exn subsystem ~phase e))
+      Resilience.Guard.run ~at:i g xs.(i) (fun () -> f xs.(i)))

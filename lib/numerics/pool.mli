@@ -14,7 +14,12 @@
       is bit-identical to sequential output for pure work functions.
     - {b Exception propagation}: if tasks raise, the exception from the
       lowest-indexed failing chunk is re-raised in the caller (with its
-      backtrace), regardless of scheduling order.
+      backtrace), regardless of scheduling order. Chunks above a failed
+      one that have not started yet are skipped.
+    - {b Deadline}: every task runs under the submitting thread's
+      {!Resilience.Deadline} ({!Resilience.Deadline.carry}), so a kernel
+      polls [Deadline.expired]/[check] on any domain and sees the
+      caller's budget.
     - {b Nested-call fallback}: a [parallel_*] call made from inside a
       pool task runs sequentially instead of deadlocking or
       oversubscribing, so parallel code can call parallel code freely.
@@ -74,9 +79,10 @@ val in_worker : unit -> bool
     Lightweight always-on accounting: every executed chunk bumps a
     per-domain task counter and busy-time accumulator (two monotonic
     clock reads per chunk). With telemetry enabled ([Obs.set_enabled]),
-    each top-level [parallel_for] additionally records a
-    [numerics.pool.parallel_for] span and the [numerics.pool.tasks] /
-    [numerics.pool.idle_ns] counters. *)
+    each top-level [parallel_for] additionally records the
+    [numerics.pool.tasks] / [numerics.pool.idle_ns] counters and a
+    [Pool_sample] event. It opens no span of its own: the fan-out's
+    wall time is self time of the span that submitted it. *)
 
 type domain_stat = {
   dom : int;  (** domain id ([Domain.self] of the executing domain) *)
@@ -110,23 +116,15 @@ val parallel_for : ?pool:t -> ?chunk:int -> n:int -> (int -> unit) -> unit
 (** [parallel_for ~n f] runs [f 0 .. f (n-1)], any order, all complete
     (or an exception from the lowest failing chunk) on return. *)
 
-val parallel_init : ?pool:t -> ?chunk:int -> int -> (int -> 'a) -> 'a array
-(** Parallel [Array.init]; element order is by index, as sequential. *)
-
 val parallel_map_array : ?pool:t -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Parallel [Array.map]; result order matches the input order. *)
 
-val parallel_try_map_array :
-  ?pool:t ->
-  ?chunk:int ->
-  subsystem:Resilience.Oshil_error.subsystem ->
-  phase:string ->
-  ('a -> 'b) ->
-  'a array ->
+val guarded_map :
+  ?pool:t -> ?chunk:int -> 'a Resilience.Guard.t -> ('a -> 'b) -> 'a array ->
   ('b, Resilience.Oshil_error.t) result array
-(** Resilient parallel map: a task that raises yields [Error] in its
-    slot (typed via {!Resilience.Oshil_error.of_exn}) instead of
-    aborting the whole fan-out; each failure bumps
-    [resilience.pool.task_failures]. Fault site [pool-task] (by task
-    index) injects failures deterministically regardless of pool
-    scheduling. *)
+(** The one guarded fan-out: {!parallel_map_array} with each item [x] at
+    index [i] run through {!Resilience.Guard.run} [~at:i g x]. The
+    guard's fault site fires by item index, and a hole is an [Error] in
+    its own slot, recorded in [Guard.summary g] in index order. A spent
+    deadline, a raised [Budget_exhausted] or a hole under fail-fast
+    raises from the lowest failing chunk. *)

@@ -130,57 +130,14 @@ let find_all ?(tol = 1e-12) ~f ~a ~b ~n () =
 
 (* --- the one lock-edge locator --------------------------------------- *)
 
-type guard = {
-  guarded : float -> (unit -> bool) -> bool;
-  summary : unit -> Resilience.Summary.t;
-}
-
-let guard ?fault ?counter subsystem ~phase ~label =
-  (* the creator's deadline, by value: pool domains do not inherit it *)
-  let deadline = Resilience.Deadline.save () in
-  let attempts = Atomic.make 0 and mu = Mutex.create () and holes = ref [] in
-  let fail e = raise (Resilience.Oshil_error.Error e) in
-  let guarded x verdict =
-    Atomic.incr attempts;
-    if Resilience.Deadline.expired_abs deadline then
-      fail (Resilience.Deadline.error subsystem ~phase);
-    Option.iter (fun c -> Obs.Metrics.incr c) counter;
-    match
-      match fault with
-      | Some site when Resilience.Fault.fire site ->
-        fail (Resilience.Fault.error ~site subsystem ~phase)
-      | _ -> (
-        match deadline with
-        | None -> verdict ()
-        | Some abs ->
-          (* lent to the verdict, which may poll it on a pool domain *)
-          Resilience.Deadline.with_deadline
-            ~seconds:(abs -. Obs.Clock.wall_s ()) verdict)
-    with
-    | v -> v
-    | exception e ->
-      (* a deadline is never a verdict; any other failure is a hole,
-         read as unlocked, so a search can only shrink the band *)
-      let err = Resilience.Oshil_error.of_exn subsystem ~phase e in
-      if err.kind = Budget_exhausted || Resilience.Policy.fail_fast () then
-        fail err;
-      Obs.Metrics.incr ("resilience." ^ phase ^ ".holes");
-      Mutex.protect mu (fun () ->
-          holes := { Resilience.Summary.site = label x; error = err } :: !holes);
-      false
-  in
-  let summary () =
-    Mutex.protect mu (fun () ->
-        Resilience.Summary.make ~attempted:(Atomic.get attempts)
-          (List.rev !holes))
-  in
-  { guarded; summary }
-
 type edge = Bracketed of float * float | Not_bracketed of float
 
 let edge ~site g ~probe ~inside ~outward ~tol =
   let test ~inside ~outside x =
-    let hit = g.guarded x (fun () -> probe x) in
+    (* a hole reads as unlocked, so a search can only shrink the band *)
+    let hit =
+      Result.value (Resilience.Guard.run g x (fun () -> probe x)) ~default:false
+    in
     if Obs.Event.enabled () then
       Obs.Event.emit
         (Obs.Event.Bracket

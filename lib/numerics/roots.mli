@@ -31,32 +31,16 @@ val find_all :
 
 (** {1 The one lock-edge locator} of the DF, HB and transient bands *)
 
-type guard = {
-  guarded : float -> (unit -> bool) -> bool;
-      (** [guarded x verdict] is one probe at [x]. A spent deadline, or a [Budget_exhausted]
-          raised by the verdict, raises [budget-exhausted]: never a
-          verdict. Other failures re-raise under fail-fast, and
-          otherwise are typed holes ([resilience.<phase>.holes]) read
-          as unlocked. Thread-safe. *)
-  summary : unit -> Resilience.Summary.t;  (** probes run, holes in order *)
-}
-(** Wraps every probe of one search, the caller's centre probe too. *)
-
-val guard :
-  ?fault:string -> ?counter:string -> Resilience.Oshil_error.subsystem ->
-  phase:string -> label:(float -> string) -> guard
-(** Holds the calling thread's deadline by value and lends it to each
-    verdict, so probes on pool domains see it too. Each probe bumps [counter] and may fire the fault
-    site [fault]; [label x] names a failed probe's hole. *)
-
 type edge = Bracketed of float * float | Not_bracketed of float
 (** The final [(inside, outside)] bracket, or the last outward point
     when every one locked. *)
 
 val edge :
-  site:string -> guard -> probe:(float -> bool) -> inside:float ->
-  outward:float list -> tol:float -> edge
+  site:string -> float Resilience.Guard.t -> probe:(float -> bool) ->
+  inside:float -> outward:float list -> tol:float -> edge
 (** From [inside], known to lock, probes [outward] in order; the first
     unlocked point closes the bracket, bisected at [0.5 (in + out)]
-    until [|out - in| <= tol] (at most 64 halvings). Each probe emits a
-    [Bracket] event under [site]. *)
+    until [|out - in| <= tol] (at most 64 halvings). Every probe runs
+    through the guard, which the caller also wraps its centre probe in:
+    a hole reads as unlocked, so the band can only shrink, and a spent
+    deadline raises. Each probe emits a [Bracket] event under [site]. *)

@@ -16,8 +16,6 @@ let current () =
     let id = Thread.id (Thread.self ()) in
     locked (fun () -> Hashtbl.find_opt table id)
 
-let save = current
-
 let set_current d =
   let id = Thread.id (Thread.self ()) in
   locked (fun () ->
@@ -31,18 +29,23 @@ let set_current d =
           Atomic.decr active
         end)
 
-let with_deadline ~seconds f =
+let within abs f =
   let prev = current () in
-  let abs = Obs.Clock.wall_s () +. seconds in
   let abs = match prev with Some p -> Float.min p abs | None -> abs in
   set_current (Some abs);
   Fun.protect ~finally:(fun () -> set_current prev) f
 
-let expired_abs = function
+let with_deadline ~seconds f = within (Obs.Clock.wall_s () +. seconds) f
+
+let carry () =
+  match current () with
+  | None -> fun f -> f ()
+  | Some abs -> fun f -> within abs f
+
+let expired () =
+  match current () with
   | None -> false
   | Some abs -> Obs.Clock.wall_s () >= abs
-
-let expired () = expired_abs (current ())
 
 let error subsystem ~phase =
   Oshil_error.make subsystem ~phase Budget_exhausted
@@ -55,7 +58,5 @@ let note subsystem ~phase =
     ("resilience.deadline.expired." ^ Oshil_error.subsystem_name subsystem);
   error subsystem ~phase
 
-let check_abs d subsystem ~phase =
-  if expired_abs d then raise (Oshil_error.Error (note subsystem ~phase))
-
-let check subsystem ~phase = check_abs (current ()) subsystem ~phase
+let check subsystem ~phase =
+  if expired () then raise (Oshil_error.Error (note subsystem ~phase))

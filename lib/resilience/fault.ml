@@ -5,7 +5,7 @@ let site_names =
     ("tran-reject", "reject the k-th transient Newton step attempt");
     ("roots-fail", "the k-th 2-D lock-point Newton fails (Solutions.refine)");
     ("grid-point", "fail the k-th Grid.sample phi row (torus: amplitude column)");
-    ("pool-task", "fail the k-th task of a resilient pool fan-out");
+    ("pool-task", "fail the k-th tongue cell, Validate edge or batch scenario");
     ("lock-probe", "fail the k-th lock-range stability probe");
     ("validate-point", "fail the k-th Validate.lock_range transient probe");
     ("serve-request", "fail the k-th request handled by the oshil serve daemon");

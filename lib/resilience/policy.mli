@@ -4,23 +4,24 @@
     sequence until one succeeds. Each rung taken past the first bumps a
     [resilience.<phase>.rung.<name>] counter, successful recovery bumps
     [resilience.<phase>.recovered], total failure
-    [resilience.<phase>.failed]; budgets (retry count, rejected steps,
-    wall clock via {!Obs.Clock}) turn runaway retries into a typed
-    [Budget_exhausted] error. *)
+    [resilience.<phase>.failed]; budgets (retry count, rejected steps)
+    turn runaway retries into a typed [Budget_exhausted] error. Wall
+    clock is {!Deadline}'s alone. *)
 
 type budget = {
   max_retries : int;  (** total rungs attempted per {!escalate} *)
   max_rejected_steps : int;  (** per-run transient step rejections *)
-  wall_clock_s : float option;  (** cap on elapsed monotonic seconds *)
 }
 
 val default_budget : budget
-(** [{max_retries = 64; max_rejected_steps = 100_000; wall_clock_s = None}]
-    — generous enough that healthy runs never hit it. *)
+(** [{max_retries = 64; max_rejected_steps = 100_000}] — generous
+    enough that healthy runs never hit it. *)
 
 val set_fail_fast : bool -> unit
-(** Global degrade-vs-abort switch: when on, fan-out layers re-raise
-    the first per-point error instead of recording a hole. *)
+(** Global degrade-vs-abort switch: when on, {!Guard}'s hole rule
+    re-raises the first per-item error instead of recording a hole, and
+    a transient stopped by a fatal step raises instead of returning its
+    truncated waveform. *)
 
 val fail_fast : unit -> bool
 
@@ -50,5 +51,6 @@ val track_steps :
 
 val note_rejection :
   ?context:(string * string) list -> step_tracker -> (unit, Oshil_error.t) result
-(** Record one rejected step; [Error] once the rejected-step or
-    wall-clock budget is exhausted. *)
+(** Record one rejected step; [Error] once the rejected-step budget is
+    exhausted. The error's context carries [context] (the transient
+    passes the rejected step's time [t]) after the budget fields. *)

@@ -1,9 +1,8 @@
 (** Failure summary attached to partial results.
 
-    Fan-out layers ([Grid.sample], lock-range probes, tongue sweeps,
-    resilient pool maps) record each failed work item as a typed hole —
-    a site label plus the {!Oshil_error.t} that killed it — and keep
-    going. The summary travels with the partial result so callers can
+    Fan-out layers record each failed work item as a typed hole — a
+    site label plus the {!Oshil_error.t} that killed it — through
+    {!Guard}'s one rule, and keep going. The summary travels with the partial result so callers can
     decide whether the holes matter. *)
 
 type failure = { site : string; error : Oshil_error.t }

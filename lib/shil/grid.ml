@@ -66,40 +66,20 @@ let key_fields g ~nl_key =
 
 let default_points = 512
 
-(* One pool task of a sweep, guarded: the submitting thread's deadline
-   (captured by absolute value, since pool workers run on their own
-   domains and do not inherit it), the [grid-point] fault by task index,
-   and any exception become an [Error] in the task's own slot. *)
-let guarded ~deadline idx compute =
-  if Resilience.Deadline.expired_abs deadline then
-    Error (Resilience.Deadline.error Shil ~phase:"grid")
-  else if Resilience.Fault.fire_at "grid-point" ~k:idx then
-    Error (Resilience.Fault.error ~site:"grid-point" Shil ~phase:"grid")
-  else
-    match compute () with
-    | v -> Ok v
-    | exception e -> Error (Resilience.Oshil_error.of_exn Shil ~phase:"grid" e)
-
-(* Failed tasks become NaN-filled holes of [len] cells: the contour
-   extractors already treat NaN cells as "no curve here", so partial
-   grids stay usable. *)
-let fill_holes ~len ~site results =
-  let holes = ref [] in
-  let filled =
-    Array.mapi
-      (fun idx result ->
-        match result with
-        | Ok cells -> cells
-        | Error e ->
-          if Resilience.Policy.fail_fast () then
-            raise (Resilience.Oshil_error.Error e);
-          Obs.Metrics.incr "resilience.grid.holes";
-          holes := { Resilience.Summary.site = site idx; error = e } :: !holes;
-          Array.make len (Cx.make Float.nan Float.nan))
-      results
+(* One guarded item per row (direct) or column (torus), fault site
+   [grid-point] by item index. A hole becomes [len] NaN cells: the
+   contour extractors already treat NaN cells as "no curve here", so
+   partial grids stay usable. *)
+let guarded_sweep ~label ~len compute xs =
+  let g =
+    Resilience.Guard.make ~fault:"grid-point" ~label Shil ~phase:"grid"
   in
-  let attempted = Array.length results in
-  (filled, Resilience.Summary.make ~attempted (List.rev !holes))
+  let items = Numerics.Pool.guarded_map g compute xs in
+  let nan_fill = function
+    | Ok cells -> cells
+    | Error _ -> Array.make len (Cx.make Float.nan Float.nan)
+  in
+  (Array.map nan_fill items, Resilience.Guard.summary g)
 
 (* hot loop: the trig tables shared by every (phi, A) sample come from
    the process-wide cache, and the per-row quadrature runs on the flat
@@ -153,19 +133,16 @@ let sample_direct ~points ~reduction nl ~n ~vi ~phi_range:(p_lo, p_hi) ~phis
   let n_work = if mirror then (n_phi + 1) / 2 else n_phi in
   (* rows of the (phi, A) grid are independent: fan them out over the
      default pool. Each row writes only its own slot, so the parallel
-     result is bit-identical to the sequential Array.map. *)
-  let deadline = Resilience.Deadline.save () in
-  let work =
-    Numerics.Pool.parallel_init n_work (fun idx ->
-        guarded ~deadline idx (fun () -> compute_row phis.(idx)))
+     result is bit-identical to the sequential Array.map. A mirrored
+     row is the conjugate of its source, NaN for a failed one. *)
+  let work, failures =
+    guarded_sweep ~label:(Printf.sprintf "phi=%.6g") ~len:n_amp compute_row
+      (Array.sub phis 0 n_work)
   in
-  let rows =
-    Array.init n_phi (fun idx ->
+  ( Array.init n_phi (fun idx ->
         if idx < n_work then work.(idx)
-        else Result.map (Array.map Cx.conj) work.(n_phi - 1 - idx))
-  in
-  fill_holes ~len:n_amp ~site:(fun i -> Printf.sprintf "phi=%.6g" phis.(i))
-    rows
+        else Array.map Cx.conj work.(n_phi - 1 - idx)),
+    failures )
 
 (* The torus path: one (θ, ψ) table per amplitude column, read at every
    phi through a phi-by-q cos/sin table built once per grid. Columns
@@ -173,22 +150,15 @@ let sample_direct ~points ~reduction nl ~n ~vi ~phi_range:(p_lo, p_hi) ~phis
 let sample_torus ~points ~n_psi ~reduction nl ~n ~vi ~phis ~amps =
   let cos_q, sin_q = Df.torus_phases ~n_psi phis in
   let evals = Df.torus_evals ~n_theta:points ~n_psi in
-  let deadline = Resilience.Deadline.save () in
-  let cols =
-    Numerics.Pool.parallel_init (Array.length amps) (fun j ->
-        guarded ~deadline j (fun () ->
-            Obs.Metrics.incr ~by:evals "shil.grid.f_evals";
-            let t =
-              Df.torus ~reduction ~n_theta:points ~n_psi nl ~n ~a:amps.(j) ~vi
-            in
-            Array.mapi
-              (fun i _ -> Df.torus_i1 t ~cos_q:cos_q.(i) ~sin_q:sin_q.(i))
-              phis))
-  in
   let cols, failures =
-    fill_holes ~len:(Array.length phis)
-      ~site:(fun j -> Printf.sprintf "a=%.6g" amps.(j))
-      cols
+    guarded_sweep ~label:(Printf.sprintf "a=%.6g") ~len:(Array.length phis)
+      (fun a ->
+        Obs.Metrics.incr ~by:evals "shil.grid.f_evals";
+        let t = Df.torus ~reduction ~n_theta:points ~n_psi nl ~n ~a ~vi in
+        Array.mapi
+          (fun i _ -> Df.torus_i1 t ~cos_q:cos_q.(i) ~sin_q:sin_q.(i))
+          phis)
+      amps
   in
   (Array.mapi (fun i _ -> Array.map (fun col -> col.(i)) cols) phis, failures)
 

@@ -97,14 +97,16 @@ val sample :
     default size, and repeated analyses are served by the small
     [shil.lockrange] entries instead.
 
-    A work item whose evaluation raises — a phi row on the direct path,
-    an amplitude column on the torus path — becomes a NaN-filled typed
-    hole in [failures] (counter [resilience.grid.holes]) instead of
-    aborting the sweep — the contour extractors skip NaN cells — unless
-    {!Resilience.Policy.set_fail_fast} is on. An expired deadline holes
-    the items not yet started. Fault site [grid-point] (by computed
-    item index) injects failures for testing; under [`Symmetry]
-    mirroring, a failed source row also holes its mirror. *)
+    Each work item — a phi row on the direct path, an amplitude column
+    on the torus path — runs through {!Resilience.Guard}'s one rule
+    (phase [grid]): an item that raises becomes a NaN-filled typed hole
+    in [failures] (counter [resilience.grid.holes]) instead of aborting
+    the sweep — the contour extractors skip NaN cells — unless
+    {!Resilience.Policy.set_fail_fast} is on. A spent deadline raises
+    [budget-exhausted]: it is never a grid. Fault site [grid-point] (by
+    computed item index) injects failures for testing; under
+    [`Symmetry] mirroring, a failed source row NaN-fills its mirror,
+    and [failures] counts the computed rows. *)
 
 (* dsa: allow unused-export — test hook: the tests check the sampled field against eq. 3 cell by cell *)
 val t_f_field : t -> float array array

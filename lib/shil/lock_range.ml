@@ -19,14 +19,14 @@ let boundary ?points ~phi_d_cap ~tol g =
   Obs.Span.with_ ~cat:"shil" ~name:"shil.lockrange.boundary" @@ fun () ->
   let center = lazy (Solutions.find ?points g ~phi_d:0.0) in
   let guard =
-    Numerics.Roots.guard ~fault:"lock-probe" ~counter:"shil.lockrange.probes"
-      Shil ~phase:"lockrange" ~label:(Printf.sprintf "phi_d=%.6g")
+    Resilience.Guard.make ~fault:"lock-probe" ~counter:"shil.lockrange.probes"
+      ~label:(Printf.sprintf "phi_d=%.6g") Shil ~phase:"lockrange"
   in
   let at_center () =
     List.exists (fun (p : Solutions.point) -> p.stable) (Lazy.force center)
   in
   let phi_d_max =
-    if not (guard.guarded 0.0 at_center) then 0.0
+    if Resilience.Guard.run guard 0.0 at_center <> Ok true then 0.0
     else
       (* the boundary is usually well inside: double up to the cap *)
       let rec outward x =
@@ -40,7 +40,7 @@ let boundary ?points ~phi_d_cap ~tol g =
       | Bracketed (lo, hi) -> 0.5 *. (lo +. hi)
       | Not_bracketed cap -> cap
   in
-  (phi_d_max, center, guard.summary ())
+  (phi_d_max, center, Resilience.Guard.summary guard)
 
 let default_phi_d_cap = 1.4
 let default_tol = 1e-5

@@ -296,8 +296,10 @@ let prop_edge_threshold =
         incr probes;
         x < t
       in
-      let g = Roots.guard Numerics ~phase:"edgeprop" ~label:string_of_float in
-      let counted () = (g.Roots.summary ()).attempted = !probes in
+      let g =
+        Resilience.Guard.make ~label:string_of_float Numerics ~phase:"edgeprop"
+      in
+      let counted () = (Resilience.Guard.summary g).attempted = !probes in
       match Roots.edge ~site:"edgeprop" g ~probe ~inside:0.0 ~outward ~tol with
       | Not_bracketed last -> t > 1.0 && last = 1.0 && !probes = 1 lsl a && counted ()
       | Bracketed (i, o) ->

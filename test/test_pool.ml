@@ -47,7 +47,8 @@ let test_reduce_matches_sequential () =
   done;
   with_pool 3 (fun p ->
       let got =
-        Array.fold_left ( +. ) 0.0 (Pool.parallel_init ~pool:p n map)
+        Array.fold_left ( +. ) 0.0
+          (Pool.parallel_map_array ~pool:p map (Array.init n Fun.id))
       in
       (* results land by index and the fold runs in index order, so this
          is equality, not approximation *)
@@ -119,8 +120,8 @@ let test_empty_and_tiny () =
       Alcotest.(check bool) "empty map" true
         (Pool.parallel_map_array ~pool:p (fun x -> x) [||] = [||]);
       Pool.parallel_for ~pool:p ~n:0 (fun _ -> Alcotest.fail "must not run");
-      let one = Pool.parallel_init ~pool:p 1 (fun i -> i * 3) in
-      Alcotest.(check bool) "singleton init" true (one = [| 0 |]))
+      let one = Pool.parallel_map_array ~pool:p (fun i -> i * 3) [| 1 |] in
+      Alcotest.(check bool) "singleton map" true (one = [| 3 |]))
 
 let test_trig_tables_shared_and_exact () =
   let points = 384 and k = 3 in

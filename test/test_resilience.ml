@@ -312,7 +312,12 @@ let test_transient_rejection_budget () =
   match res.failure with
   | Some e ->
     Alcotest.(check string) "kind" "budget-exhausted" (E.code e);
-    check_counter "resilience.budget.exhausted" 1
+    check_counter "resilience.budget.exhausted" 1;
+    (* the rejection that spent the budget names its step time *)
+    Alcotest.(check bool) "context names t" true
+      (match List.assoc_opt "t" e.context with
+      | Some t -> Float.is_finite (float_of_string t)
+      | None -> false)
   | None -> Alcotest.fail "expected budget exhaustion"
 
 (* ------------------------------------------------------------------ *)
@@ -380,15 +385,12 @@ let test_torus_grid_holes () =
   | _ -> Alcotest.fail "expected one failure"
 
 let test_torus_grid_deadline_holes () =
-  let g =
-    Resilience.Deadline.with_deadline ~seconds:0.0 small_torus_grid
-  in
-  Alcotest.(check int) "every column is a hole" 21 (Summary.failed g.failures);
-  List.iter
-    (fun (f : Summary.failure) ->
-      Alcotest.(check bool) "typed budget-exhausted" true
-        (f.error.kind = E.Budget_exhausted))
-    g.failures.failures
+  (* a spent deadline is no grid: it raises, and no column is a hole *)
+  ignore
+    (expect_error ~kind:"budget-exhausted" (fun () ->
+         Resilience.Deadline.with_deadline ~seconds:0.0 small_torus_grid));
+  check_counter "resilience.grid.holes" 0;
+  check_counter "resilience.deadline.expired" 1
 
 let test_torus_grid_fail_fast () =
   arm "grid-point@2";
@@ -434,8 +436,8 @@ let test_lock_range_deadline_raises () =
 (* The one lock-edge locator: holes, fail-fast and deadlines *)
 
 let edge_guard () =
-  Numerics.Roots.guard Numerics ~phase:"edgetest"
-    ~label:(Printf.sprintf "x=%g")
+  Resilience.Guard.make ~label:(Printf.sprintf "x=%g") Numerics
+    ~phase:"edgetest"
 
 let below t x = x < t
 
@@ -450,7 +452,7 @@ let test_edge_hole_is_unlocked () =
     Alcotest.(check bool) "bracket closes at the hole" true
       (i >= 0.25 && o <= 0.5 && o -. i <= 0.01)
   | Not_bracketed _ -> Alcotest.fail "the hole must close the bracket");
-  let summary = g.Numerics.Roots.summary () in
+  let summary = Resilience.Guard.summary g in
   Alcotest.(check int) "one hole" 1 (Summary.failed summary);
   Alcotest.(check string) "hole site" "x=0.5"
     (List.hd summary.failures).site;
@@ -471,39 +473,36 @@ let test_edge_fail_fast () =
   Alcotest.(check string) "the probe's own error" "numerics.edgetest" (E.loc e);
   check_counter "resilience.edgetest.holes" 0
 
-let test_edge_deadline_unwinds () =
-  (* expired before the search: raises before any probe runs *)
-  let runs = ref 0 in
-  let probe x =
-    incr runs;
-    below 0.5 x
-  in
-  let g =
-    Resilience.Deadline.with_deadline ~seconds:0.0 (fun () -> edge_guard ())
-  in
-  ignore
-    (expect_error ~kind:"budget-exhausted" (fun () ->
-         g.Numerics.Roots.guarded 0.0 (fun () -> probe 0.0)));
-  (* on a pool domain, which does not inherit the caller's deadline, the
-     guard's captured one still ends the search *)
+(* runs [f i] for [i < n] on a 2-domain pool, one item per task, and
+   returns each item's raised error code (or "" for none) *)
+let codes_on_two_domains n f =
   let pool = Numerics.Pool.create ~size:2 in
   Fun.protect ~finally:(fun () -> Numerics.Pool.shutdown pool) (fun () ->
-      let out =
-        Numerics.Pool.parallel_try_map_array ~pool ~chunk:1
-          ~subsystem:Numerics ~phase:"edgetest"
-          (fun outward ->
-            Numerics.Roots.edge ~site:"edgetest" g ~probe ~inside:0.0
-              ~outward ~tol:0.01)
-          [| [ 0.25; 1.0 ]; [ 0.5 ] |]
-      in
-      Array.iter
-        (function
-          | Error (e : E.t) ->
-            Alcotest.(check string) "typed budget-exhausted" "budget-exhausted"
-              (E.code e)
-          | Ok _ -> Alcotest.fail "an expired deadline is no verdict")
-        out);
-  Alcotest.(check int) "no probe ran" 0 !runs;
+      Numerics.Pool.parallel_map_array ~pool ~chunk:1
+        (fun i -> match f i with _ -> "" | exception E.Error e -> E.code e)
+        (Array.init n Fun.id))
+
+let test_edge_deadline_unwinds () =
+  let runs = Atomic.make 0 in
+  let probe x =
+    Atomic.incr runs;
+    below 0.5 x
+  in
+  Resilience.Deadline.with_deadline ~seconds:0.0 (fun () ->
+      (* expired before the search: raises before any probe runs *)
+      let g = edge_guard () in
+      ignore
+        (expect_error ~kind:"budget-exhausted" (fun () ->
+             Resilience.Guard.run g 0.0 (fun () -> probe 0.0)));
+      (* pool domains inherit the caller's deadline: it ends the search
+         on every one *)
+      let outward = [| [ 0.25; 1.0 ]; [ 0.5 ] |] in
+      Alcotest.(check (array string)) "typed budget-exhausted on each domain"
+        [| "budget-exhausted"; "budget-exhausted" |]
+        (codes_on_two_domains 2 (fun i ->
+             Numerics.Roots.edge ~site:"edgetest" g ~probe ~inside:0.0
+               ~outward:outward.(i) ~tol:0.01)));
+  Alcotest.(check int) "no probe ran" 0 (Atomic.get runs);
   (* a Budget_exhausted from inside a probe unwinds too: never a hole *)
   ignore
     (expect_error ~kind:"budget-exhausted" (fun () ->
@@ -522,11 +521,8 @@ let contains hay needle =
 
 let test_edge_deadline_lent_to_domains () =
   (* a verdict that polls the deadline (as a transient does) sees the
-     guard's one on a pool domain too, so an in-flight probe stops at
+     caller's one on a pool domain too, so an in-flight probe stops at
      the deadline instead of running to its end *)
-  let g =
-    Resilience.Deadline.with_deadline ~seconds:0.05 (fun () -> edge_guard ())
-  in
   let polls () =
     let t0 = Obs.Clock.wall_s () in
     while Obs.Clock.wall_s () -. t0 < 5.0 do
@@ -534,24 +530,15 @@ let test_edge_deadline_lent_to_domains () =
     done;
     true
   in
-  let pool = Numerics.Pool.create ~size:2 in
-  Fun.protect ~finally:(fun () -> Numerics.Pool.shutdown pool) (fun () ->
-      let t0 = Obs.Clock.wall_s () in
-      let out =
-        Numerics.Pool.parallel_try_map_array ~pool ~chunk:1
-          ~subsystem:Numerics ~phase:"edgetest"
-          (fun x -> g.Numerics.Roots.guarded x polls)
-          [| 0.0; 1.0 |]
-      in
-      Array.iter
-        (function
-          | Error (e : E.t) ->
-            Alcotest.(check string) "typed budget-exhausted" "budget-exhausted"
-              (E.code e)
-          | Ok _ -> Alcotest.fail "the verdict must see the deadline")
-        out;
-      Alcotest.(check bool) "stopped at the deadline" true
-        (Obs.Clock.wall_s () -. t0 < 2.0))
+  let t0 = Obs.Clock.wall_s () in
+  Resilience.Deadline.with_deadline ~seconds:0.05 (fun () ->
+      let g = edge_guard () in
+      Alcotest.(check (array string)) "typed budget-exhausted on each domain"
+        [| "budget-exhausted"; "budget-exhausted" |]
+        (codes_on_two_domains 2 (fun i ->
+             Resilience.Guard.run g (float_of_int i) polls)));
+  Alcotest.(check bool) "stopped at the deadline" true
+    (Obs.Clock.wall_s () -. t0 < 2.0)
 
 (* HB band on the tanh cell at n = 3, V_i = 0.03 (K = 3) *)
 let hb_band_setup () =
@@ -618,13 +605,15 @@ let test_validate_deadline_raises () =
 (* ------------------------------------------------------------------ *)
 (* Pool fan-out and the tongue sweep *)
 
+let pool_guard () =
+  Resilience.Guard.make ~fault:"pool-task" ~label:(Printf.sprintf "task %d")
+    Numerics ~phase:"pooltest"
+
 let test_pool_task_holes () =
   arm "pool-task@4";
+  let g = pool_guard () in
   let out =
-    Numerics.Pool.parallel_try_map_array ~chunk:1 ~subsystem:Numerics
-      ~phase:"pooltest"
-      (fun x -> x * x)
-      (Array.init 8 Fun.id)
+    Numerics.Pool.guarded_map ~chunk:1 g (fun x -> x * x) (Array.init 8 Fun.id)
   in
   Array.iteri
     (fun k slot ->
@@ -635,12 +624,14 @@ let test_pool_task_holes () =
       | _, Ok v -> Alcotest.(check int) "survivor" (k * k) v
       | _, Error _ -> Alcotest.fail "only task 4 may fail")
     out;
-  check_counter "resilience.pool.task_failures" 1
+  Alcotest.(check (list string)) "hole site" [ "task 4" ]
+    (List.map (fun (f : Summary.failure) -> f.site)
+       (Resilience.Guard.summary g).failures);
+  check_counter "resilience.pooltest.holes" 1
 
 let test_pool_wraps_exceptions () =
   let out =
-    Numerics.Pool.parallel_try_map_array ~chunk:1 ~subsystem:Numerics
-      ~phase:"pooltest"
+    Numerics.Pool.guarded_map ~chunk:1 (pool_guard ())
       (fun x -> if x = 1 then failwith "boom" else x)
       [| 0; 1; 2 |]
   in
@@ -648,6 +639,70 @@ let test_pool_wraps_exceptions () =
   | [| Ok 0; Error e; Ok 2 |] ->
     Alcotest.(check string) "loc" "numerics.pooltest" (E.loc e)
   | _ -> Alcotest.fail "exactly slot 1 must fail"
+
+(* The one hole rule gives the same result on one domain and on two: a
+   fault plan and a raising item are holes at the same sites, a spent
+   deadline and fail-fast raise the same errors, with the same
+   resilience counters; and the deadline count covers a grid-row
+   expiry and a lock-probe expiry. *)
+let test_rule_jobs () =
+  let outcome jobs =
+    with_jobs jobs (fun () ->
+        Obs.reset ();
+        Fault.clear ();
+        arm "pool-task@1";
+        let g = pool_guard () in
+        let item i = if i = 4 then failwith "boom" else i * i in
+        let items = Array.init 6 Fun.id in
+        let out = Numerics.Pool.guarded_map g item items in
+        let slots =
+          Array.map (function Ok v -> string_of_int v | Error e -> E.code e) out
+        in
+        let sites =
+          List.map (fun (f : Summary.failure) -> f.site)
+            (Resilience.Guard.summary g).failures
+        in
+        let code f = match f () with _ -> "" | exception E.Error e -> E.code e in
+        let spent =
+          code (fun () ->
+              Resilience.Deadline.with_deadline ~seconds:0.0 (fun () ->
+                  Numerics.Pool.guarded_map (pool_guard ()) item items))
+        in
+        Policy.set_fail_fast true;
+        let fast =
+          code (fun () -> Numerics.Pool.guarded_map (pool_guard ()) item items)
+        in
+        Policy.set_fail_fast false;
+        Fault.clear ();
+        let grid =
+          code (fun () -> Resilience.Deadline.with_deadline ~seconds:0.0 small_grid)
+        in
+        let g = small_grid () in
+        let probe =
+          code (fun () ->
+              Resilience.Deadline.with_deadline ~seconds:0.0 (fun () ->
+                  Shil.Lock_range.predict ~tol:1e-3 g ~tank:fixture_tank))
+        in
+        let counters =
+          List.filter
+            (fun (name, _) -> String.starts_with ~prefix:"resilience." name)
+            (Obs.snapshot ()).counters
+        in
+        (slots, sites, [ spent; fast; grid; probe ], counters))
+  in
+  let ((slots, sites, raised, counters) as one) = outcome 1 in
+  Alcotest.(check (array string)) "slots"
+    [| "0"; "fault-injected"; "4"; "9"; "solver-divergence"; "25" |] slots;
+  Alcotest.(check (list string)) "hole sites" [ "task 1"; "task 4" ] sites;
+  Alcotest.(check (list string)) "raised"
+    [ "budget-exhausted"; "fault-injected"; "budget-exhausted";
+      "budget-exhausted" ] raised;
+  Alcotest.(check int) "holes" 2 (List.assoc "resilience.pooltest.holes" counters);
+  Alcotest.(check int) "three expiries, one each" 3
+    (List.assoc "resilience.deadline.expired" counters);
+  Alcotest.(check int) "a grid-row expiry and a probe expiry" 2
+    (List.assoc "resilience.deadline.expired.shil" counters);
+  Alcotest.(check bool) "the same on two domains" true (outcome 2 = one)
 
 let test_tongue_holes () =
   arm "pool-task@1";
@@ -757,6 +812,7 @@ let () =
         [
           t "pool task holes" test_pool_task_holes;
           t "pool wraps exceptions" test_pool_wraps_exceptions;
+          t "one rule at -j 1 and -j 2" test_rule_jobs;
           t "tongue sweep holes" test_tongue_holes;
         ] );
       ( "paths",

@@ -306,12 +306,10 @@ let test_addr_parse () =
 
 let test_deadline_scopes () =
   Alcotest.(check bool) "no ambient deadline" false (Deadline.expired ());
-  Alcotest.(check bool) "no ambient save" true (Deadline.save () = None);
   Deadline.check Shil ~phase:"t";
   Deadline.with_deadline ~seconds:60.0 (fun () ->
       Alcotest.(check bool) "fresh budget not expired" false
         (Deadline.expired ());
-      Alcotest.(check bool) "save captures" true (Deadline.save () <> None);
       Deadline.with_deadline ~seconds:0.0 (fun () ->
           Alcotest.(check bool) "nested zero budget expired" true
             (Deadline.expired ());
@@ -323,27 +321,32 @@ let test_deadline_scopes () =
               = Resilience.Oshil_error.Budget_exhausted));
       Alcotest.(check bool) "outer budget restored" false
         (Deadline.expired ()));
-  Alcotest.(check bool) "scope exit clears" false (Deadline.expired ());
-  Alcotest.(check bool) "expired_abs None" false (Deadline.expired_abs None);
-  Alcotest.(check bool) "expired_abs past" true
-    (Deadline.expired_abs (Some (Obs.Clock.wall_s () -. 1.0)))
+  Alcotest.(check bool) "scope exit clears" false (Deadline.expired ())
 
-(* An expired budget at grid fan-out: every row becomes a typed hole
-   (Budget_exhausted), the grid itself stays usable. *)
+(* An expired budget at grid fan-out is no grid: the sweep raises a
+   typed Budget_exhausted, counted once, and records no hole. *)
 let test_grid_deadline_holes () =
   let nl = Shil.Nonlinearity.neg_tanh ~g0:2e-3 ~isat:1e-3 in
-  let g =
-    Deadline.with_deadline ~seconds:0.0 (fun () ->
-        Shil.Grid.sample ~points:64 ~n_phi:5 ~n_amp:4 nl ~n:3 ~r:1e3 ~vi:0.03
-          ~a_range:(0.5, 1.5) ())
-  in
-  Alcotest.(check int) "every row is a hole" 5
-    (Resilience.Summary.failed g.failures);
-  List.iter
-    (fun (f : Resilience.Summary.failure) ->
-      Alcotest.(check bool) "typed budget-exhausted" true
-        (f.error.kind = Resilience.Oshil_error.Budget_exhausted))
-    g.failures.failures
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.reset ();
+      Obs.set_enabled false)
+    (fun () ->
+      (match
+         Deadline.with_deadline ~seconds:0.0 (fun () ->
+             Shil.Grid.sample ~points:64 ~n_phi:5 ~n_amp:4 nl ~n:3 ~r:1e3
+               ~vi:0.03 ~a_range:(0.5, 1.5) ())
+       with
+      | _ -> Alcotest.fail "a spent deadline must raise"
+      | exception Resilience.Oshil_error.Error e ->
+        Alcotest.(check bool) "typed budget-exhausted" true
+          (e.kind = Resilience.Oshil_error.Budget_exhausted));
+      Alcotest.(check int) "no grid holes" 0
+        (Obs.Metrics.counter_value "resilience.grid.holes");
+      Alcotest.(check int) "counted once" 1
+        (Obs.Metrics.counter_value "resilience.deadline.expired"))
 
 (* ------------------------------------------------------------------ *)
 (* Server *)

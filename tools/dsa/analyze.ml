@@ -104,9 +104,8 @@ let is_arrow ty =
 let pool_entry_points =
   [
     "Pool.parallel_for";
-    "Pool.parallel_init";
     "Pool.parallel_map_array";
-    "Pool.parallel_try_map_array";
+    "Pool.guarded_init";
   ]
 
 let ref_writers = [ ":="; "incr"; "decr" ]
