@@ -245,27 +245,23 @@ let parallel_for ?pool ?chunk ~n f =
         let under_deadline = Resilience.Deadline.carry () in
         let run_chunk c =
           let t0 = Obs.Clock.now_ns () in
-          (* a chunk above a failed one cannot change the outcome: skip it *)
-          (match Atomic.get first_error with
-          | Some (c0, _, _) when c0 < c -> ()
-          | _ -> (
-            try
-              under_deadline (fun () ->
-                  with_task_flag (fun () ->
-                      let lo = c * chunk and hi = min n ((c + 1) * chunk) in
-                      for i = lo to hi - 1 do
-                        f i
-                      done))
-            with e ->
-              let bt = Printexc.get_raw_backtrace () in
-              let rec save () =
-                match Atomic.get first_error with
-                | Some (c0, _, _) when c0 <= c -> ()
-                | cur ->
-                  if not (Atomic.compare_and_set first_error cur (Some (c, e, bt)))
-                  then save ()
-              in
-              save ()));
+          (try
+             under_deadline (fun () ->
+                 with_task_flag (fun () ->
+                     let lo = c * chunk and hi = min n ((c + 1) * chunk) in
+                     for i = lo to hi - 1 do
+                       f i
+                     done))
+           with e ->
+             let bt = Printexc.get_raw_backtrace () in
+             let rec save () =
+               match Atomic.get first_error with
+               | Some (c0, _, _) when c0 <= c -> ()
+               | cur ->
+                 if not (Atomic.compare_and_set first_error cur (Some (c, e, bt)))
+                 then save ()
+             in
+             save ());
           record_task ~t0;
           if Atomic.fetch_and_add pending (-1) = 1 then begin
             Mutex.lock done_mutex;

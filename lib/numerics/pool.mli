@@ -14,12 +14,13 @@
       is bit-identical to sequential output for pure work functions.
     - {b Exception propagation}: if tasks raise, the exception from the
       lowest-indexed failing chunk is re-raised in the caller (with its
-      backtrace), regardless of scheduling order. Chunks above a failed
-      one that have not started yet are skipped.
+      backtrace), regardless of scheduling order.
     - {b Deadline}: every task runs under the submitting thread's
       {!Resilience.Deadline} ({!Resilience.Deadline.carry}), so a kernel
       polls [Deadline.expired]/[check] on any domain and sees the
-      caller's budget.
+      caller's budget — and only it: a caller helping to drain the
+      shared queue runs another submitter's task under that
+      submitter's deadline, or none, not its own.
     - {b Nested-call fallback}: a [parallel_*] call made from inside a
       pool task runs sequentially instead of deadlocking or
       oversubscribing, so parallel code can call parallel code freely.

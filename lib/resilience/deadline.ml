@@ -37,10 +37,17 @@ let within abs f =
 
 let with_deadline ~seconds f = within (Obs.Clock.wall_s () +. seconds) f
 
+(* a task runs under exactly the submitter's deadline, or under none: the
+   helping thread's own deadline (another request's) must not leak in *)
 let carry () =
-  match current () with
-  | None -> fun f -> f ()
-  | Some abs -> fun f -> within abs f
+  let d = current () in
+  fun f ->
+    let prev = current () in
+    if prev = d then f ()
+    else begin
+      set_current d;
+      Fun.protect ~finally:(fun () -> set_current prev) f
+    end
 
 let expired () =
   match current () with

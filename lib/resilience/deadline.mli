@@ -22,10 +22,14 @@ val with_deadline : seconds:float -> (unit -> 'a) -> 'a
     Nested scopes keep the minimum of the two absolute instants. *)
 
 val carry : unit -> (unit -> unit) -> unit
-(** [carry ()] captures the calling thread's deadline; the function it
-    returns runs a thunk under that deadline on whichever thread calls
-    it. {!Numerics.Pool} wraps every task in it. Without a deadline the
-    returned function only applies the thunk. *)
+(** [carry ()] captures the calling thread's deadline, or its absence;
+    the function it returns runs a thunk under exactly that deadline on
+    whichever thread calls it, replacing the calling thread's own for the
+    thunk's duration (restored afterwards, even on exception). A task
+    submitted without a deadline thus runs without one even on a thread
+    that holds another request's deadline. {!Numerics.Pool} wraps every
+    task in it. When the two agree the returned function only applies
+    the thunk. *)
 
 val expired : unit -> bool
 (** [true] iff the current thread has a deadline and it has passed. *)

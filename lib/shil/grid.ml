@@ -81,6 +81,17 @@ let guarded_sweep ~label ~len compute xs =
   in
   (Array.map nan_fill items, Resilience.Guard.summary g)
 
+(* [`Symmetry] over the default symmetric phi range also mirrors whole
+   rows: I1(A, Vi, 2π − phi) = conj I1(A, Vi, phi) for any real f (the
+   prop_conjugate identity), so only the first half of the phi rows is
+   computed and the rest are conjugate copies. The count of computed
+   rows is also the grid's [failures.attempted], cached or not. *)
+let computed_rows ~reduction ~phi_range:(p_lo, p_hi) n_phi =
+  let mirror =
+    reduction = `Symmetry && p_lo = 0.0 && p_hi = 2.0 *. Float.pi && n_phi > 2
+  in
+  if mirror then (n_phi + 1) / 2 else n_phi
+
 (* hot loop: the trig tables shared by every (phi, A) sample come from
    the process-wide cache, and the per-row quadrature runs on the flat
    batch kernels — waveform synthesis into per-domain scratch buffers,
@@ -123,14 +134,7 @@ let sample_direct ~points ~reduction nl ~n ~vi ~phi_range:(p_lo, p_hi) ~phis
         Cx.make (re /. float_of_int m) (im /. float_of_int m))
       amps
   in
-  (* [`Symmetry] over the default symmetric phi range also mirrors
-     whole rows: I1(A, Vi, 2π − phi) = conj I1(A, Vi, phi) for any real
-     f (the prop_conjugate identity), so only the first half of the phi
-     rows is computed and the rest are conjugate copies. *)
-  let mirror =
-    (not exact) && p_lo = 0.0 && p_hi = 2.0 *. Float.pi && n_phi > 2
-  in
-  let n_work = if mirror then (n_phi + 1) / 2 else n_phi in
+  let n_work = computed_rows ~reduction ~phi_range:(p_lo, p_hi) n_phi in
   (* rows of the (phi, A) grid are independent: fan them out over the
      default pool. Each row writes only its own slot, so the parallel
      result is bit-identical to the sequential Array.map. A mirrored
@@ -210,7 +214,9 @@ let sample ?(points = default_points) ?psi ?(phi_range = (0.0, 2.0 *. Float.pi))
   | Some i1 ->
     grid i1
       (Resilience.Summary.make
-         ~attempted:(if Option.is_some psi then n_amp else n_phi)
+         ~attempted:
+           (if Option.is_some psi then n_amp
+            else computed_rows ~reduction ~phi_range n_phi)
          [])
   | None ->
     let i1, failures =

@@ -106,7 +106,8 @@ val sample :
     [budget-exhausted]: it is never a grid. Fault site [grid-point] (by
     computed item index) injects failures for testing; under
     [`Symmetry] mirroring, a failed source row NaN-fills its mirror,
-    and [failures] counts the computed rows. *)
+    and [failures] counts the computed rows, whether the grid was
+    computed or read from the cache. *)
 
 (* dsa: allow unused-export — test hook: the tests check the sampled field against eq. 3 cell by cell *)
 val t_f_field : t -> float array array

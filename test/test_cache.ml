@@ -398,6 +398,23 @@ let test_grid_cache_bit_identity () =
   Alcotest.(check bool) "warm grid is clean" true
     (Resilience.Summary.is_clean warm.failures)
 
+(* a hit reports the same attempted count as the run that stored it:
+   the computed rows, half of them (rounded up) under mirroring *)
+let test_grid_cache_attempted () =
+  let grid reduction =
+    Shil.Grid.sample ~points:128 ~n_phi:13 ~n_amp:9 ~reduction
+      (Shil.Nonlinearity.neg_tanh ~g0:2e-3 ~isat:1e-3)
+      ~n:3 ~r:1e3 ~vi:0.05 ~a_range:(0.3, 1.45) ()
+  in
+  Store.set_enabled true;
+  List.iter
+    (fun (name, reduction, rows) ->
+      let cold = grid reduction in
+      let hit = grid reduction in
+      Alcotest.(check int) (name ^ ": cold") rows cold.failures.attempted;
+      Alcotest.(check int) (name ^ ": hit") rows hit.failures.attempted)
+    [ ("exact", `Exact, 13); ("mirrored", `Symmetry, 7) ]
+
 let test_grid_cache_disk_only_hit () =
   Store.set_enabled true;
   ignore (small_grid ());
@@ -789,6 +806,8 @@ let () =
             (fresh test_grid_cache_bit_identity);
           Alcotest.test_case "grid: disk-only replay" `Quick
             (fresh test_grid_cache_disk_only_hit);
+          Alcotest.test_case "grid: a hit reports the computed rows" `Quick
+            (fresh test_grid_cache_attempted);
           Alcotest.test_case "grid: custom nl bypasses cache" `Quick
             (fresh test_uncacheable_nl_bypasses);
           Alcotest.test_case "grid: holed grids are not stored" `Quick

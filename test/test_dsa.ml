@@ -36,6 +36,11 @@ let fixture name ~errors ~warnings () =
 let test_domain_escape_bad = fixture "Bad_pool_escape"
     ~errors:[ "domain-escape" ] ~warnings:[]
 
+let test_domain_escape_bad_count () =
+  (* parallel_for and guarded_map: every Pool entry point is walked *)
+  Alcotest.(check int) "two findings" 2
+    (List.length (D.errors (analyze "Bad_pool_escape")))
+
 let test_domain_escape_ok = fixture "Ok_pool_atomic" ~errors:[] ~warnings:[]
 
 let test_cache_purity_bad = fixture "Bad_cache_key"
@@ -181,6 +186,8 @@ let () =
         [
           Alcotest.test_case "bad: shared ref in pool closure" `Quick
             test_domain_escape_bad;
+          Alcotest.test_case "bad: parallel_for and guarded_map sites found"
+            `Quick test_domain_escape_bad_count;
           Alcotest.test_case "ok: atomic / with_bufs / parallel_init" `Quick
             test_domain_escape_ok;
         ] );

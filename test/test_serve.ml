@@ -323,6 +323,67 @@ let test_deadline_scopes () =
         (Deadline.expired ()));
   Alcotest.(check bool) "scope exit clears" false (Deadline.expired ())
 
+(* A carried task runs under exactly its submitter's deadline, or
+   under none, whatever the running thread holds, and the running
+   thread's own deadline comes back afterwards. *)
+let test_deadline_carry () =
+  let none = Deadline.carry () in
+  let spent = Deadline.with_deadline ~seconds:0.0 Deadline.carry in
+  let seen = ref None in
+  let probe () = seen := Some (Deadline.expired ()) in
+  Deadline.with_deadline ~seconds:0.0 (fun () ->
+      none probe;
+      Alcotest.(check (option bool)) "no deadline inside" (Some false) !seen;
+      Alcotest.(check bool) "own deadline restored" true (Deadline.expired ()));
+  spent probe;
+  Alcotest.(check (option bool)) "submitter's deadline inside" (Some true)
+    !seen;
+  Alcotest.(check bool) "none restored" false (Deadline.expired ())
+
+(* Pool.parallel_for's caller helps drain the shared queue, so it may run
+   another submitter's chunk. Here a submitter without a deadline leaves
+   a chunk queued (its own chunk and the one worker are held), and a
+   thread under a spent deadline drains it: the chunk must not see that
+   deadline. *)
+let test_deadline_helper_keeps_its_own () =
+  let pool = Numerics.Pool.create ~size:2 in
+  let started = Atomic.make 0 and release = Atomic.make false in
+  let ran_on = Atomic.make (-1) and saw_expired = Atomic.make None in
+  let submitter =
+    Domain.spawn (fun () ->
+        Numerics.Pool.parallel_for ~pool ~chunk:1 ~n:3 (fun i ->
+            if i < 2 then begin
+              Atomic.incr started;
+              while not (Atomic.get release) do
+                Unix.sleepf 0.001
+              done
+            end
+            else begin
+              Atomic.set ran_on (Thread.id (Thread.self ()));
+              Atomic.set saw_expired (Some (Deadline.expired ()))
+            end))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set release true;
+      Domain.join submitter;
+      Numerics.Pool.shutdown pool)
+    (fun () ->
+      let t0 = Unix.gettimeofday () in
+      while Atomic.get started < 2 do
+        if Unix.gettimeofday () -. t0 > 10.0 then
+          Alcotest.fail "submitter's chunks never started";
+        Unix.sleepf 0.001
+      done;
+      Deadline.with_deadline ~seconds:0.0 (fun () ->
+          Numerics.Pool.parallel_for ~pool ~chunk:1 ~n:2 ignore;
+          Alcotest.(check bool) "helper's deadline restored" true
+            (Deadline.expired ())));
+  Alcotest.(check int) "the helper ran the queued chunk"
+    (Thread.id (Thread.self ())) (Atomic.get ran_on);
+  Alcotest.(check (option bool)) "it ran without the helper's deadline"
+    (Some false) (Atomic.get saw_expired)
+
 (* An expired budget at grid fan-out is no grid: the sweep raises a
    typed Budget_exhausted, counted once, and records no hole. *)
 let test_grid_deadline_holes () =
@@ -702,6 +763,10 @@ let () =
       ( "deadline",
         [
           Alcotest.test_case "scopes" `Quick test_deadline_scopes;
+          Alcotest.test_case "carry installs the submitter's deadline"
+            `Quick test_deadline_carry;
+          Alcotest.test_case "a helper's deadline stays off others' tasks"
+            `Quick test_deadline_helper_keeps_its_own;
           Alcotest.test_case "grid holes under expired budget" `Quick
             test_grid_deadline_holes;
         ] );

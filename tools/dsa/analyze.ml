@@ -105,7 +105,7 @@ let pool_entry_points =
   [
     "Pool.parallel_for";
     "Pool.parallel_map_array";
-    "Pool.guarded_init";
+    "Pool.guarded_map";
   ]
 
 let ref_writers = [ ":="; "incr"; "decr" ]
